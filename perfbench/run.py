@@ -9,8 +9,15 @@ Run from the repository root:
 ``--trace 1`` alternates untraced and traced executions of the same
 workload and reports the per-layer metrics (see tracer.py).  Either way the
 workload is repeated with the same seed until ``--seconds`` have passed
-(at least three times), every repetition must produce the same output
-digest, and times are reported as medians over the repetitions.
+(at least three times) and every repetition must produce the same output
+digest.
+
+``wall_s``, and the row times behind ``time_to_1pct_s``, are in seconds at
+a reference host speed: every timed call into mcastsim (an estimate row,
+a recipe row, an analytic check) is calibrated by the speed probes taken
+around it (speed.py), and each call counts at its median calibrated
+duration over the repetitions.  ``setup_s`` is the median raw duration
+over fresh interpreters.  Raw durations are in detail.json.
 
 The last line of standard output is one JSON object:
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
@@ -203,6 +210,7 @@ def main(argv=None) -> int:
     rows = executions[0].rows
     for i, row in enumerate(rows):
         row["row_s"] = _median_or_none([ex.rows[i].get("row_s") for ex in plain])
+        row["raw_s"] = _median_or_none([ex.rows[i].get("raw_s") for ex in plain])
     failed_rows = [r for r in rows if not r["passed"]]
     unexpected = [r for r in failed_rows if r["known_defect"] is None]
     digests = sorted({ex.digest for ex in executions})
@@ -220,7 +228,7 @@ def main(argv=None) -> int:
     else:
         values = {
             "setup_s": statistics.median(setup_times),
-            "wall_s": statistics.median(walls),
+            "wall_s": calibrated_wall_s(plain),
             "time_to_1pct_s": workloads.time_to_target_s(rows),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
             "pass_frac": (attempted - len(failed_rows)) / attempted,
@@ -230,6 +238,7 @@ def main(argv=None) -> int:
     detail.update(
         repetitions=len(executions),
         wall_s=walls,
+        wall_median_s=statistics.median(walls),
         part_s={k: statistics.median(ex.part_s[k] for ex in plain) for k in plain[0].part_s},
         traced_wall_s=[ex.wall_s for ex in traced] if args.trace else None,
         setup_s=setup_times or None,
@@ -254,6 +263,13 @@ def main(argv=None) -> int:
         "metrics": metrics,
     }))
     return 0
+
+
+def calibrated_wall_s(executions) -> float:
+    """Sum over the timed segments of each one's median calibrated duration
+    across the executions."""
+    return sum(statistics.median(durations)
+               for durations in zip(*(ex.segments for ex in executions)))
 
 
 def _medians(dicts: list[dict]) -> dict:

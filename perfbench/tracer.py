@@ -59,6 +59,17 @@ def _public_functions(module):
     ]
 
 
+_active: "Tracer | None" = None
+
+
+def exclude(seconds: float) -> None:
+    """Count ``seconds`` of benchmark code that ran inside a traced call
+    (the speed probes) as callee time, so that no layer's self time
+    includes it.  Does nothing when no Tracer is active."""
+    if _active is not None and _active._stack:
+        _active._stack[-1][0] += seconds
+
+
 class Tracer:
     def __init__(self):
         self.stats: dict[str, _Stat] = {}
@@ -66,6 +77,8 @@ class Tracer:
         self._saved: list[tuple] = []
 
     def __enter__(self):
+        global _active
+        _active = self
         for layer, module in LAYERS.items():
             for name, fn in _public_functions(module):
                 self._saved.append((module, name, fn))
@@ -73,6 +86,8 @@ class Tracer:
         return self
 
     def __exit__(self, *exc):
+        global _active
+        _active = None
         for module, name, fn in reversed(self._saved):
             setattr(module, name, fn)
         self._saved.clear()

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+import speed
 from mcastsim import analytic, cli, simcore
 from mcastsim.simcore import SimConfig
 
@@ -48,7 +49,7 @@ SIZES = {
         "compt_iterations": 500,
         "t5_iterations": 300,
         "throughput_iterations": 32000,
-        "probe_iterations": 1500,
+        "probe_iterations": 6000,
         "static_sets": ((32, (1, 2, 32)), (200, (1, 2, 200)), (1000, (1, 2))),
         "coop_users": (32, 64),
         "multigroup_users": 32,
@@ -71,9 +72,15 @@ PROBE_USERS = (64, 72)
 
 @dataclass
 class Execution:
+    """One execution of a workload.  ``wall_s`` is its raw duration without
+    the speed probes; ``segments`` are the calibrated durations (see
+    speed.py) of its timed calls into mcastsim, in the same order on every
+    execution, and last the calibrated time spent between those calls."""
+
     wall_s: float
     rows: list[dict]
     digest: str
+    segments: list[float]
     part_s: dict[str, float] = field(default_factory=dict)
 
 
@@ -116,11 +123,13 @@ def recipe_workload(recipes: tuple[tuple[str, int], ...]):
     def execute(seed: int, out_dir: str) -> Execution:
         captured = []
         original = simcore.run_config
+        clock = speed.Clock()
 
         def timed_run_config(config):
             start = time.perf_counter()
             record = original(config)
-            captured.append((config, record, time.perf_counter() - start))
+            secs = time.perf_counter() - start
+            captured.append((config, record, secs, clock.calibrated(secs)))
             return record
 
         digest = hashlib.sha256()
@@ -132,9 +141,11 @@ def recipe_workload(recipes: tuple[tuple[str, int], ...]):
             simcore.run_config = timed_run_config
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
+                    overhead = clock.overhead_s
                     start = time.perf_counter()
                     code = cli.main(argv)
-                    part_s[recipe] = time.perf_counter() - start
+                    part_s[recipe] = (time.perf_counter() - start
+                                      - (clock.overhead_s - overhead))
             finally:
                 simcore.run_config = original
             if code != 0:
@@ -142,10 +153,13 @@ def recipe_workload(recipes: tuple[tuple[str, int], ...]):
             with open(path, "rb") as handle:
                 digest.update(handle.read())
         rows = [
-            _row(_op("run_config", c), c, row_s=secs, **_record_fields(rec))
-            for c, rec, secs in captured
+            _row(_op("run_config", c), c, row_s=calibrated, raw_s=secs, **_record_fields(rec))
+            for c, rec, secs, calibrated in captured
         ]
-        return Execution(sum(part_s.values()), rows, digest.hexdigest(), part_s)
+        wall = sum(part_s.values())
+        between = clock.calibrated_typical(wall - sum(secs for *_, secs, _ in captured))
+        segments = [calibrated for *_, calibrated in captured] + [between]
+        return Execution(wall, rows, digest.hexdigest(), segments, part_s)
 
     return execute
 
@@ -178,18 +192,20 @@ def large_n_workload(size: dict):
         estimators = {"throughput": simcore.estimate_throughput, "delay": simcore.estimate_delay}
         outcomes = []
         n_cf = size["closed_form_users"]
+        clock = speed.Clock()
         start = time.perf_counter()
         for kind, config in configs(seed):
-            outcomes.append((kind, config) + _call(estimators[kind], config))
-        cf = _call(analytic.static_throughput_closed_form, n_cf, 2, 1.0)
-        checks = _call(cli.run_verification)
-        wall = time.perf_counter() - start
+            outcomes.append((kind, config) + _call(clock, estimators[kind], config))
+        cf = _call(clock, analytic.static_throughput_closed_form, n_cf, 2, 1.0)
+        checks = _call(clock, cli.run_verification)
+        wall = time.perf_counter() - start - clock.overhead_s
 
         rows = []
-        for kind, config, value, error, secs in outcomes:
+        for kind, config, value, error, secs, calibrated in outcomes:
             fields = _record_fields(value) if error is None else {}
-            rows.append(_row(_op(kind, config), config, row_s=secs, error=error, **fields))
-        cf_value, cf_error, cf_secs = cf
+            rows.append(_row(_op(kind, config), config, row_s=calibrated, raw_s=secs,
+                             error=error, **fields))
+        cf_value, cf_error, _, cf_secs = cf
         # the static alpha=2 throughput row at the same N carries the quadrature value
         reference = next((row.get("analytic_throughput") for row in rows
                           if row["scheme"] == "static" and row["alpha"] == 2 and row["N"] == n_cf),
@@ -197,7 +213,7 @@ def large_n_workload(size: dict):
         rows.append(_row(f"closed_form a=2 N={n_cf}", None, scheme="static", N=n_cf, alpha=2, G=1,
                          check_s=cf_secs, error=cf_error, closed_form=cf_value,
                          quadrature=reference))
-        check_value, check_error, check_secs = checks
+        check_value, check_error, _, check_secs = checks
         if check_error is not None:
             rows.append(_row("verify", None, check_s=check_secs, error=check_error))
         else:
@@ -209,19 +225,24 @@ def large_n_workload(size: dict):
             for key in ("op", "error", "throughput", "throughput_se", "delay", "delay_se",
                         "analytic_throughput", "closed_form", "check_passed", "detail"):
                 digest.update(f"{key}={_hex(row.get(key))};".encode())
-        return Execution(wall, rows, digest.hexdigest())
+        timed = [o[-2:] for o in outcomes] + [cf[-2:], checks[-2:]]
+        between = clock.calibrated_typical(wall - sum(secs for secs, _ in timed))
+        segments = [calibrated for _, calibrated in timed] + [between]
+        return Execution(wall, rows, digest.hexdigest(), segments)
 
     return execute
 
 
-def _call(fn, *args):
-    """(value, error, seconds) of one call; an exception is an outcome."""
+def _call(clock: speed.Clock, fn, *args):
+    """(value, error, raw seconds, calibrated seconds) of one call; an
+    exception is an outcome."""
     start = time.perf_counter()
     try:
         value, error = fn(*args), None
     except Exception as exc:  # noqa: BLE001 - a raising row is a failed row
         value, error = None, f"{type(exc).__name__}: {exc}"
-    return value, error, time.perf_counter() - start
+    secs = time.perf_counter() - start
+    return value, error, secs, clock.calibrated(secs)
 
 
 def workload(name: str, size_name: str = "full"):
@@ -310,7 +331,7 @@ def known_defects() -> dict[tuple[str, str], str]:
 def time_to_target_s(rows: list[dict]) -> float:
     """Projected seconds for every estimate row to reach TARGET_REL_SE:
     sum of row_s * (max relative SE / target)^2, where row_s is the row's
-    median duration over the repetitions."""
+    median calibrated duration over the repetitions."""
     total = 0.0
     for row in rows:
         rel = [row.get(k) for k in ("rel_se_throughput", "rel_se_delay")]
