@@ -16,8 +16,9 @@ digest.
 a reference host speed: every timed call into mcastsim (an estimate row,
 a recipe row, an analytic check) is calibrated by the speed probes taken
 around it (speed.py), and each call counts at its median calibrated
-duration over the repetitions.  ``setup_s`` is the median raw duration
-over fresh interpreters.  Raw durations are in detail.json.
+duration over the repetitions.  ``setup_s`` is the median over fresh
+interpreters, each calibrated by a startup probe (see SETUP_CODE).  Raw
+durations of the timed calls are in detail.json.
 
 The last line of standard output is one JSON object:
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
@@ -50,9 +51,17 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
 )
 # Set-up is measured in a fresh interpreter before every repetition (after
-# one discarded warm-up), so the probes spread over the whole run like the
-# repetitions do; the median is reported.
+# one discarded warm-up), so the measurements spread over the whole run like
+# the repetitions do; the median is reported.  Like the timed calls, each is
+# calibrated against host speed (speed.py), but by a probe of its own kind:
+# a fresh interpreter importing a fixed set of standard-library modules,
+# run just before and just after.  Over 39 groups of six set-ups on the
+# 2-core host this cut the spread of the group medians from 0.15 to 0.05.
 SETUP_CODE = "import numpy, scipy, mpmath, mcastsim.cli"
+STARTUP_PROBE_CODE = ("import argparse, dataclasses, decimal, email.message, fractions, json, "
+                      "logging, statistics, unittest, xml.dom.minidom")
+# The startup probe's duration on an undisturbed 2-core host (its lower decile).
+REFERENCE_STARTUP_S = 0.09
 MIN_REPS = 3
 
 END_TO_END_UNITS = {
@@ -102,12 +111,20 @@ def import_mcastsim():
 
 def setup_s() -> float:
     """Seconds from starting a fresh interpreter until mcastsim, numpy,
-    scipy and mpmath are imported."""
+    scipy and mpmath are imported, calibrated by the startup probe."""
+    before = _interpreter_s(STARTUP_PROBE_CODE)
+    raw = _interpreter_s(SETUP_CODE)
+    after = _interpreter_s(STARTUP_PROBE_CODE)
+    return raw * REFERENCE_STARTUP_S * 2.0 / (before + after)
+
+
+def _interpreter_s(code: str) -> float:
+    """Seconds a fresh interpreter takes to run ``code`` and exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     # no timeout: with one, Popen.wait polls at up to 50 ms intervals
-    subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT, env=env, check=True,
+    subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True,
                    stdout=subprocess.DEVNULL)
     return time.perf_counter() - start
 

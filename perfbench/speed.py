@@ -11,10 +11,10 @@ runs.  A call's duration is divided by the mean of the probes taken just
 before and just after it and multiplied by REFERENCE_PROBE_S: the result is
 the call's duration in seconds at the reference speed.
 
-Over ten 45 s runs per workload (seeds 101-110) on the 2-core host, the
+Over ten 45 s runs per workload (seeds 301-310) on the 2-core host, the
 run-to-run spread (quartile distance over median) of the median raw
-repetition was 0.09 on recipes and 0.18 on large-n; that of the calibrated
-wall_s was 0.015 and 0.057, and of time_to_1pct_s 0.033 and 0.061.  A call
+repetition was 0.10 on recipes and 0.086 on large-n; that of the calibrated
+wall_s was 0.017 and 0.045, and of time_to_1pct_s 0.051 and 0.052.  A call
 of several seconds is calibrated less well than a short one, since the
 probes see only its two ends.
 

@@ -49,7 +49,7 @@ SIZES = {
         "compt_iterations": 500,
         "t5_iterations": 300,
         "throughput_iterations": 32000,
-        "probe_iterations": 6000,
+        "probe_iterations": 1500,
         "static_sets": ((32, (1, 2, 32)), (200, (1, 2, 200)), (1000, (1, 2))),
         "coop_users": (32, 64),
         "multigroup_users": 32,
