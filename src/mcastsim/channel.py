@@ -12,13 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ChannelRealization",
     "CoherencePolicy",
     "coherence_interval",
-    "draw_chisquare_gains",
+    "draw_gains",
     "draw_interuser_gains",
-    "draw_rayleigh_gains",
-    "draw_realization",
 ]
 
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
@@ -49,27 +46,6 @@ class CoherencePolicy:
         return cls("scaled", float(c))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One slot's power gains: per-group base-station gains, plus the
-    inter-user gain matrix when user cooperation is in play."""
-
-    bs_gains: tuple[np.ndarray, ...]
-    interuser_gains: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.bs_gains:
-            raise ValueError("need at least one group of gains")
-        n = self.bs_gains[0].size
-        for g in self.bs_gains:
-            if g.size != n or np.any(g < 0):
-                raise ValueError("groups must share a size and gains must be nonnegative")
-        if self.interuser_gains is not None:
-            m = self.interuser_gains
-            if m.shape != (n, n) or np.any(m < 0):
-                raise ValueError("inter-user matrix must be n x n and nonnegative")
-
-
 def coherence_interval(policy: CoherencePolicy, n_users: int, n_groups: int = 1) -> float:
     """Slot duration for ``n_groups`` groups of ``n_users`` each."""
     if n_users < 1 or n_groups < 1:
@@ -80,49 +56,39 @@ def coherence_interval(policy: CoherencePolicy, n_users: int, n_groups: int = 1)
     return policy.value / math.log(math.log(population))
 
 
-def draw_rayleigh_gains(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. Rayleigh-fading power gains, i.e. unit-mean exponentials."""
-    if n < 1:
-        raise ValueError("need at least one gain")
-    return rng.exponential(1.0, n)
+def draw_gains(shape, antennas: int, rng: np.random.Generator) -> np.ndarray:
+    """Base-station power gains of the given shape, i.i.d. over entries.
 
-
-def draw_chisquare_gains(n: int, antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """n effective power gains for a transmitter splitting power equally
-    over ``antennas`` antennas: the mean of that many unit exponentials.
-
-    With a single antenna this consumes the generator exactly like
-    draw_rayleigh_gains and returns the identical stream.
+    Each is the effective gain of a transmitter splitting power equally
+    over ``antennas`` antennas: the mean of that many unit exponentials
+    (Rayleigh fading when ``antennas`` is 1).  This is the only place the
+    simulation draws base-station fading, so throughput and delay see the
+    same antenna law.
     """
-    if n < 1:
-        raise ValueError("need at least one gain")
     if antennas < 1:
         raise ValueError("need at least one antenna")
-    return rng.exponential(1.0, (n, antennas)).mean(axis=1)
-
-
-def draw_interuser_gains(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n x n matrix of i.i.d. unit-mean exponential gains between users.
-
-    Entry (i, j) is the gain from user i transmitting to user j; (i, j) and
-    (j, i) are independent.  The diagonal is zeroed and never consumed.
-    """
-    if n < 2:
-        raise ValueError("inter-user gains need at least two users")
-    gains = rng.exponential(1.0, (n, n))
-    np.fill_diagonal(gains, 0.0)
+    if antennas == 1:
+        # the mean of one draw is the draw itself; skipping it matters
+        # on the delay path, which draws once per hit
+        gains = rng.exponential(1.0, shape)
+    else:
+        per_antenna = (shape, antennas) if np.ndim(shape) == 0 else (*shape, antennas)
+        gains = rng.exponential(1.0, per_antenna).mean(axis=-1)
+    if gains.size < 1:
+        raise ValueError("need at least one gain")
     return gains
 
 
-def draw_realization(
-    n_users: int,
-    rng: np.random.Generator,
-    n_groups: int = 1,
-    antennas: int = 1,
-    with_interuser: bool = False,
-) -> ChannelRealization:
-    """One slot's worth of fresh gains for every group (and the inter-user
-    matrix when requested)."""
-    groups = tuple(draw_chisquare_gains(n_users, antennas, rng) for _ in range(n_groups))
-    inter = draw_interuser_gains(n_users, rng) if with_interuser else None
-    return ChannelRealization(groups, inter)
+def draw_interuser_gains(n: int, rng: np.random.Generator, batch=()) -> np.ndarray:
+    """Matrices of i.i.d. unit-mean exponential gains between users, of
+    shape ``batch + (n, n)``.
+
+    Entry (i, j) is the gain from user i transmitting to user j; (i, j) and
+    (j, i) are independent.  The diagonal is drawn but zeroed, and never
+    used by a scheduler.
+    """
+    if n < 2:
+        raise ValueError("inter-user gains need at least two users")
+    gains = rng.exponential(1.0, (*batch, n, n))
+    gains.reshape(-1, n * n)[:, :: n + 1] = 0.0
+    return gains

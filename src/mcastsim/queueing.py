@@ -23,7 +23,6 @@ from mcastsim import channel, schedulers
 
 __all__ = [
     "RateModel",
-    "TaggedPacketState",
     "ir_renewal_cycle",
     "tagged_delay_coop",
     "tagged_delay_ir",
@@ -54,20 +53,6 @@ class RateModel:
         return cls("exponential", float(mu))
 
 
-@dataclass
-class TaggedPacketState:
-    """Residual nats owed by each coupled queue, plus elapsed slots and the
-    size of the queue universe the server picks from."""
-
-    residual: list[float]
-    slots_elapsed: int = 0
-    queue_universe: int = 1
-
-    @property
-    def done(self) -> bool:
-        return all(r <= 0.0 for r in self.residual)
-
-
 def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
     if n_users < 1 or n_groups < 1:
         raise ValueError("n_users and n_groups must be at least 1")
@@ -88,34 +73,35 @@ def tagged_delay_static(
     coherence_interval: float,
     model: RateModel,
     rng: np.random.Generator,
+    antennas: int = 1,
 ) -> int:
     """Slots until a tagged packet leaves all alpha coupled queues under
-    the fixed-fraction scheduler's queue layout."""
+    the fixed-fraction scheduler's queue layout, with ``antennas``
+    transmit antennas behind every empirical rate."""
     _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
     if alpha < 1 or alpha > n_users or n_users % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
     q_total = n_groups * math.comb(n_users, n_users // alpha)
     p_hit = alpha / q_total
-    state = TaggedPacketState([packet_nats] * alpha, 0, q_total)
+    if n_groups == 1:
+        schedule, shape = schedulers.static_schedule, n_users
+    else:
+        schedule, shape = schedulers.multigroup_static_schedule, (n_groups, n_users)
+    residual = [packet_nats] * alpha
+    slots = 0
     pending = alpha
     while pending:
-        state.slots_elapsed += int(rng.geometric(p_hit))
+        slots += int(rng.geometric(p_hit))
         i = int(rng.integers(alpha))
         if model.kind == "exponential":
             rate = rng.exponential(1.0 / model.mu)
-        elif n_groups == 1:
-            rate = schedulers.static_schedule(
-                rng.exponential(1.0, n_users), alpha, power
-            ).rate
         else:
-            rate = schedulers.multigroup_static_schedule(
-                rng.exponential(1.0, (n_groups, n_users)), alpha, power
-            ).rate
-        if state.residual[i] > 0.0:
-            state.residual[i] -= coherence_interval * rate
-            if state.residual[i] <= 0.0:
+            rate = schedule(channel.draw_gains(shape, antennas, rng), alpha, power)
+        if residual[i] > 0.0:
+            residual[i] -= coherence_interval * rate
+            if residual[i] <= 0.0:
                 pending -= 1
-    return state.slots_elapsed
+    return slots
 
 
 def tagged_delay_ir(
@@ -138,13 +124,27 @@ def ir_renewal_cycle(
     attempt_cap: int | None,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
-    """One renewal cycle of the retransmission scheme: (attempts, decoded)."""
-    state = schedulers.IrState.fresh(n_users, rate_target, attempt_cap)
+    """One renewal cycle of the retransmission scheme: (attempts, decoded).
+
+    The cycle decodes once every user's accumulated information exceeds
+    the rate target, and fails when the attempt cap comes first."""
+    if n_users < 1:
+        raise ValueError("need at least one user")
+    if not rate_target > 0:
+        raise ValueError("rate target must be positive")
+    if attempt_cap is not None and attempt_cap < 1:
+        raise ValueError("attempt cap must be at least 1")
+    accumulated = np.zeros(n_users)
+    attempts = 0
     while True:
-        gains = rng.exponential(1.0, n_users)
-        state, verdict = schedulers.ir_advance(state, gains, power)
-        if verdict != schedulers.CONTINUE:
-            return state.attempts, verdict == schedulers.SUCCESS
+        accumulated = schedulers.ir_advance(
+            accumulated, channel.draw_gains(n_users, 1, rng), power
+        )
+        attempts += 1
+        if accumulated.min() > rate_target:
+            return attempts, True
+        if attempt_cap is not None and attempts >= attempt_cap:
+            return attempts, False
 
 
 def tagged_delay_coop(
@@ -169,8 +169,7 @@ def tagged_delay_coop(
     remaining = packet_nats
     while remaining > 0.0:
         slots += int(rng.geometric(1.0 / n_groups))
-        bs = rng.exponential(1.0, n_users)
+        bs = channel.draw_gains(n_users, 1, rng)
         iu = channel.draw_interuser_gains(n_users, rng)
-        decision = schedulers.cooperative_schedule(bs, iu, power)
-        remaining -= coherence_interval * decision.effective_rate
+        remaining -= coherence_interval * schedulers.cooperative_schedule(bs, iu, power)
     return slots

@@ -1,29 +1,23 @@
-"""Per-slot scheduling decisions for every scheme.
+"""Per-slot rate laws for every scheme: the one place a rate is computed.
+
+Every kernel takes gains with arbitrary leading batch dimensions, so the
+throughput path schedules thousands of slots per call and the delay path
+one slot per call, through the same code.
 
 The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode.  The
 retransmission scheme accumulates mutual information across attempts until
 the slowest user crosses the rate target.  The cooperative scheme serves
-the stronger half first and lets it relay to the weaker half.
+the stronger half first and lets it relay to the weaker half.  The
+multigroup forms serve the group with the largest rate this slot.
 
-Decisions are pure functions of the gains; ties are broken toward the
-lowest user/group index so floating-point coincidences stay reproducible.
+Rates are in nats per channel use.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "CAP_VIOLATION",
-    "CONTINUE",
-    "CoopDecision",
-    "IrState",
-    "IrStateError",
-    "SUCCESS",
-    "SchedulerDecision",
     "cooperative_schedule",
     "ir_advance",
     "multigroup_cooperative_schedule",
@@ -31,178 +25,90 @@ __all__ = [
     "static_schedule",
 ]
 
-CONTINUE = "continue"
-SUCCESS = "success"
-CAP_VIOLATION = "cap-violation"
 
-
-class IrStateError(RuntimeError):
-    """An accumulation state that already stopped was advanced again."""
-
-
-@dataclass(frozen=True)
-class SchedulerDecision:
-    group: int
-    target_position: int            # 1-based position in the ascending gain order
-    decodable_set: frozenset[int]
-    rate: float                     # nats per channel use
-
-
-@dataclass(frozen=True)
-class CoopDecision:
-    stage1_rate: float
-    stage2_rate: float
-    effective_rate: float
-    first_half_set: frozenset[int]
-
-
-@dataclass(frozen=True)
-class IrState:
-    """Per-user mutual information accumulated so far, in nats per channel
-    use, plus the attempt counter and stopping parameters."""
-
-    accumulated_mi: tuple[float, ...]
-    attempts: int
-    rate_target: float
-    attempt_cap: int | None = None
-
-    @classmethod
-    def fresh(cls, n_users: int, rate_target: float, attempt_cap: int | None = None) -> "IrState":
-        if n_users < 1:
-            raise ValueError("need at least one user")
-        if not rate_target > 0:
-            raise ValueError("rate target must be positive")
-        if attempt_cap is not None and attempt_cap < 1:
-            raise ValueError("attempt cap must be at least 1")
-        return cls((0.0,) * n_users, 0, float(rate_target), attempt_cap)
-
-    @property
-    def verdict(self) -> str:
-        if self.attempts >= 1 and min(self.accumulated_mi) > self.rate_target:
-            return SUCCESS
-        if self.attempt_cap is not None and self.attempts >= self.attempt_cap:
-            return CAP_VIOLATION
-        return CONTINUE
-
-
-def _as_gains(gains: Sequence[float]) -> np.ndarray:
+def _as_gains(gains, name: str = "gains") -> np.ndarray:
     g = np.asarray(gains, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("gains must be a nonempty vector")
-    if np.any(g < 0) or not np.all(np.isfinite(g)):
-        raise ValueError("gains must be finite and nonnegative")
+    if g.ndim < 1 or g.shape[-1] < 1:
+        raise ValueError(f"{name} need a nonempty last (user) axis")
+    # min >= 0 is false for NaN, max < inf for +inf and NaN
+    if g.size and not (g.min() >= 0 and g.max() < np.inf):
+        raise ValueError(f"{name} must be finite and nonnegative")
     return g
 
 
-def _descending_order(gains: np.ndarray) -> np.ndarray:
-    # sort by gain descending, ties by lowest user index
-    return np.lexsort((np.arange(gains.size), -gains))
+def _check_power(power: float) -> None:
+    if not power > 0:
+        raise ValueError("power must be positive")
 
 
-def static_schedule(gains: Sequence[float], alpha: int, power: float) -> SchedulerDecision:
-    """Rate the slot for the user at ascending position N - N/alpha + 1;
-    everyone at or above that gain decodes."""
+def _check_groups(g: np.ndarray) -> None:
+    if g.ndim < 2 or g.shape[-2] < 1:
+        raise ValueError("multigroup gains need a nonempty group axis before the user axis")
+
+
+def static_schedule(gains, alpha: int, power: float) -> np.ndarray:
+    """Rates of shape ``gains.shape[:-1]``: each slot is rated for the user
+    at ascending position N - N/alpha + 1 of its N gains, so everyone at
+    or above that gain decodes."""
     g = _as_gains(gains)
-    n = g.size
-    if alpha < 1 or alpha > n or n % alpha != 0:
+    n = g.shape[-1]
+    if alpha < 1 or n % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide the user count {n}")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    share = n // alpha
-    order = _descending_order(g)
-    target = order[share - 1]
-    return SchedulerDecision(
-        group=0,
-        target_position=n - share + 1,
-        decodable_set=frozenset(int(i) for i in order[:share]),
-        rate=float(np.log1p(power * g[target])),
-    )
+    _check_power(power)
+    pos = n - n // alpha          # 0-based ascending index of the rated gain
+    return np.log1p(power * np.partition(g, pos, axis=-1)[..., pos])
 
 
-def multigroup_static_schedule(
-    all_gains: Sequence[Sequence[float]], alpha: int, power: float
-) -> SchedulerDecision:
-    """Fixed-fraction decision for the group whose scheduled order
-    statistic is largest this slot."""
-    decisions = [static_schedule(g, alpha, power) for g in all_gains]
-    best = max(range(len(decisions)), key=lambda i: decisions[i].rate)
-    chosen = decisions[best]
-    return SchedulerDecision(
-        group=best,
-        target_position=chosen.target_position,
-        decodable_set=chosen.decodable_set,
-        rate=chosen.rate,
-    )
+def multigroup_static_schedule(gains, alpha: int, power: float) -> np.ndarray:
+    """Fixed-fraction rates over gains of shape ``[..., G, N]``: each slot
+    serves the group whose scheduled order statistic is largest."""
+    g = np.asarray(gains, dtype=float)
+    _check_groups(g)
+    return static_schedule(g, alpha, power).max(axis=-1)
 
 
-def ir_advance(
-    state: IrState, gains: Sequence[float], power: float
-) -> tuple[IrState, str]:
+def ir_advance(accumulated, gains, power: float) -> np.ndarray:
     """One more transmission attempt: every user's accumulated mutual
-    information grows by log(1 + gain * P); stop once the slowest user
-    clears the target, or the attempt cap is hit."""
-    if state.verdict != CONTINUE:
-        raise IrStateError(f"state already stopped with verdict {state.verdict!r}")
+    information grows by log(1 + gain * P).  Returns the new accumulation,
+    of the shape of ``accumulated`` and ``gains``."""
     g = _as_gains(gains)
-    if g.size != len(state.accumulated_mi):
-        raise ValueError("gain vector size does not match the user count")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    acc = np.asarray(state.accumulated_mi) + np.log1p(power * g)
-    advanced = IrState(
-        tuple(float(v) for v in acc),
-        state.attempts + 1,
-        state.rate_target,
-        state.attempt_cap,
-    )
-    return advanced, advanced.verdict
+    acc = np.asarray(accumulated, dtype=float)
+    if acc.shape != g.shape:
+        raise ValueError("gain shape does not match the accumulation shape")
+    _check_power(power)
+    return acc + np.log1p(power * g)
 
 
-def cooperative_schedule(
-    bs_gains: Sequence[float], interuser_gains: np.ndarray, power: float
-) -> CoopDecision:
-    """Two-stage decision: stage 1 reaches the top half at the median-user
-    rate; stage 2 has that half relay with power P/(N/2) each, rated for
-    the worst remaining user; the packet moves at the lesser stage rate."""
+def cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
+    """Two-stage effective rates of shape ``bs_gains.shape[:-1]``.
+
+    Stage 1 reaches the top half at the median-user rate; stage 2 has that
+    half relay with power P/(N/2) each, rated for the worst remaining user;
+    the packet moves at the lesser stage rate.  ``interuser_gains`` has
+    shape ``[..., N, N]``, entry (i, j) being the gain from user i to user
+    j.  Ties in the base-station gains go to the lowest user index.
+    """
     g = _as_gains(bs_gains)
-    n = g.size
+    n = g.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError("cooperation needs an even number of users, at least 2")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    u = np.asarray(interuser_gains, dtype=float)
-    if u.shape != (n, n):
-        raise ValueError("inter-user gain matrix must be n x n")
-    if np.any(u < 0):
-        raise ValueError("inter-user gains must be nonnegative")
+    _check_power(power)
+    u = _as_gains(interuser_gains, "inter-user gains")
+    if u.shape != g.shape + (n,):
+        raise ValueError("inter-user gains must have shape bs_gains.shape + (N,)")
     half = n // 2
-    order = _descending_order(g)
-    first_half = order[:half]
-    rest = order[half:]
-    rs1 = float(np.log1p(power * g[order[half - 1]]))
-    received = u[np.ix_(first_half, rest)].sum(axis=0) / half
-    rs2 = float(np.log1p(power * received.min()))
-    return CoopDecision(
-        stage1_rate=rs1,
-        stage2_rate=rs2,
-        effective_rate=min(rs1, rs2),
-        first_half_set=frozenset(int(i) for i in first_half),
-    )
+    order = np.argsort(-g, axis=-1, kind="stable")
+    rs1 = np.log1p(power * np.take_along_axis(g, order[..., half - 1:half], axis=-1)[..., 0])
+    relayed = np.take_along_axis(u, order[..., :half, None], axis=-2).sum(axis=-2)
+    received = np.take_along_axis(relayed, order[..., half:], axis=-1) / half
+    rs2 = np.log1p(power * received.min(axis=-1))
+    return np.minimum(rs1, rs2)
 
 
-def multigroup_cooperative_schedule(
-    bs_gains_per_group: Sequence[Sequence[float]],
-    interuser_per_group: Sequence[np.ndarray],
-    power: float,
-) -> tuple[CoopDecision, int]:
-    """Cooperative decision for the group offering the largest
-    (N/2) * min(stage rates) this slot."""
-    if len(bs_gains_per_group) != len(interuser_per_group) or not bs_gains_per_group:
-        raise ValueError("need matching, nonempty per-group gain lists")
-    decisions = [
-        cooperative_schedule(b, u, power)
-        for b, u in zip(bs_gains_per_group, interuser_per_group)
-    ]
-    half = np.asarray(bs_gains_per_group[0]).size // 2
-    best = max(range(len(decisions)), key=lambda i: half * decisions[i].effective_rate)
-    return decisions[best], best
+def multigroup_cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
+    """Cooperative rates over gains of shape ``[..., G, N]`` (inter-user
+    ``[..., G, N, N]``): each slot serves the group offering the largest
+    effective rate, hence the largest (N/2) * rate."""
+    g = np.asarray(bs_gains, dtype=float)
+    _check_groups(g)
+    return cooperative_schedule(g, interuser_gains, power).max(axis=-1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mcastsim import analytic, channel, queueing
+from mcastsim import analytic, channel, queueing, schedulers
 from mcastsim.channel import CoherencePolicy
 
 __all__ = [
@@ -136,56 +136,28 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# per-slot rate sampling (vectorized in fixed-size chunks; the chunked
-# draws consume the generator exactly like one draw per slot would)
+# per-slot rate sampling: draw a chunk of slots, then schedule it in one
+# kernel call (a chunk consumes the generator like one draw per slot)
 # ---------------------------------------------------------------------------
 
-def _static_rates(config: SimConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    n, a = config.n_users, config.alpha
-    pos_idx = n - n // a          # 0-based ascending index of the rated gain
+def _slot_rates(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """The scheduled rate of each of config.iterations independent slots
+    of a static or cooperative scheme.  Single-group schemes run the
+    multigroup kernels with one group: drawing (c, 1, N) gains consumes
+    the generator like (c, N), and the group maximum is the identity."""
+    n, groups, count = config.n_users, config.n_groups, config.iterations
+    coop = config.scheme in _COOP_SCHEMES
+    chunk = max(1, _CHUNK // (groups * n)) if coop else _CHUNK
     out = np.empty(count)
-    done = 0
-    while done < count:
-        c = min(_CHUNK, count - done)
-        if config.n_groups == 1:
-            if config.antennas == 1:
-                gains = rng.exponential(1.0, (c, n))
-            else:
-                gains = rng.exponential(1.0, (c, n, config.antennas)).mean(axis=2)
-            target = np.partition(gains, pos_idx, axis=1)[:, pos_idx]
+    for start in range(0, count, chunk):
+        batch = (min(chunk, count - start), groups)
+        gains = channel.draw_gains((*batch, n), config.antennas, rng)
+        if coop:
+            inter = channel.draw_interuser_gains(n, rng, batch)
+            rates = schedulers.multigroup_cooperative_schedule(gains, inter, config.power)
         else:
-            gains = rng.exponential(1.0, (c, config.n_groups, n))
-            target = np.partition(gains, pos_idx, axis=2)[:, :, pos_idx].max(axis=1)
-        out[done:done + c] = np.log1p(config.power * target)
-        done += c
-    return out
-
-
-def _coop_effective_rates(config: SimConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    n, g_count, power = config.n_users, config.n_groups, config.power
-    half = n // 2
-    out = np.empty(count)
-    chunk = max(1, _CHUNK // max(1, g_count * n))
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        bs = rng.exponential(1.0, (c, g_count, n))
-        inter = rng.exponential(1.0, (c, g_count, n, n))
-        order = np.argsort(-bs, axis=2, kind="stable")
-        top = order[..., :half]
-        rest = order[..., half:]
-        rs1 = np.log1p(power * np.take_along_axis(bs, order[..., half - 1:half], axis=2)[..., 0])
-        rows = np.take_along_axis(inter, top[..., :, None], axis=2)
-        colsum = rows.sum(axis=2)
-        received = np.take_along_axis(colsum, rest, axis=2) / half
-        rs2 = np.log1p(power * received.min(axis=2))
-        effective = np.minimum(rs1, rs2)
-        if g_count == 1:
-            out[done:done + c] = effective[:, 0]
-        else:
-            chosen = (half * effective).argmax(axis=1)
-            out[done:done + c] = effective[np.arange(c), chosen]
-        done += c
+            rates = schedulers.multigroup_static_schedule(gains, config.alpha, config.power)
+        out[start:start + batch[0]] = rates
     return out
 
 
@@ -203,10 +175,10 @@ def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = Non
     record = MetricsRecord(samples=iters)
 
     if config.scheme in _STATIC_SCHEMES:
-        per_slot = (config.n_users / config.alpha) * _static_rates(config, rng, iters)
+        per_slot = (config.n_users / config.alpha) * _slot_rates(config, rng)
         record.throughput_mean, record.throughput_se = _mean_se(per_slot)
     elif config.scheme in _COOP_SCHEMES:
-        per_slot = (config.n_users / 2) * _coop_effective_rates(config, rng, iters)
+        per_slot = (config.n_users / 2) * _slot_rates(config, rng)
         record.throughput_mean, record.throughput_se = _mean_se(per_slot)
     else:
         taus = np.empty(iters)
@@ -255,7 +227,7 @@ def estimate_delay(config: SimConfig, rng: np.random.Generator | None = None) ->
         for i in range(iters):
             delays[i] = queueing.tagged_delay_static(
                 config.n_users, config.n_groups, config.alpha, config.power,
-                config.packet_nats, tc, model, rng,
+                config.packet_nats, tc, model, rng, config.antennas,
             )
     elif config.scheme in _COOP_SCHEMES:
         for i in range(iters):

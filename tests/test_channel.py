@@ -10,54 +10,57 @@ from oracles import ks_distance
 
 
 def test_rayleigh_reproducible_for_fixed_seed():
-    a = channel.draw_rayleigh_gains(3, np.random.default_rng(7))
-    b = channel.draw_rayleigh_gains(3, np.random.default_rng(7))
+    a = channel.draw_gains(3, 1, np.random.default_rng(7))
+    b = channel.draw_gains(3, 1, np.random.default_rng(7))
     assert a.shape == (3,)
     assert np.all(a >= 0)
     assert np.array_equal(a, b)
 
 
 def test_rayleigh_unit_mean():
-    draws = channel.draw_rayleigh_gains(10 ** 6, np.random.default_rng(11))
+    draws = channel.draw_gains(10 ** 6, 1, np.random.default_rng(11))
     assert abs(draws.mean() - 1.0) < 0.01
 
 
 def test_rayleigh_cdf_point():
-    draws = channel.draw_rayleigh_gains(10 ** 6, np.random.default_rng(12))
+    draws = channel.draw_gains(10 ** 6, 1, np.random.default_rng(12))
     empirical = np.mean(draws <= 0.5)
     assert abs(empirical - (1 - math.exp(-0.5))) < 0.005
 
 
 def test_rayleigh_ks_distance():
-    draws = channel.draw_rayleigh_gains(10 ** 5, np.random.default_rng(13))
+    draws = channel.draw_gains(10 ** 5, 1, np.random.default_rng(13))
     assert ks_distance(draws, lambda x: 1 - math.exp(-x)) < 0.01
 
 
 def test_rayleigh_rejects_empty():
     with pytest.raises(ValueError):
-        channel.draw_rayleigh_gains(0, np.random.default_rng(0))
+        channel.draw_gains(0, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        channel.draw_gains((3, 0), 2, np.random.default_rng(0))
 
 
 def test_chisquare_single_antenna_matches_rayleigh_stream():
-    a = channel.draw_chisquare_gains(1000, 1, np.random.default_rng(21))
-    b = channel.draw_rayleigh_gains(1000, np.random.default_rng(21))
+    # one antenna: the antenna mean of a single exponential, same stream
+    a = channel.draw_gains(1000, 1, np.random.default_rng(21))
+    b = np.random.default_rng(21).exponential(1.0, (1000, 1)).mean(axis=1)
     assert np.array_equal(a, b)
 
 
 def test_chisquare_two_antenna_cdf_point():
-    draws = channel.draw_chisquare_gains(10 ** 6, 2, np.random.default_rng(22))
+    draws = channel.draw_gains(10 ** 6, 2, np.random.default_rng(22))
     empirical = np.mean(draws <= 1.0)
     assert abs(empirical - (1 - 3 * math.exp(-2))) < 0.005
 
 
 def test_chisquare_four_antenna_unit_mean():
-    draws = channel.draw_chisquare_gains(10 ** 6, 4, np.random.default_rng(23))
+    draws = channel.draw_gains(10 ** 6, 4, np.random.default_rng(23))
     assert abs(draws.mean() - 1.0) < 0.01
 
 
 def test_chisquare_rejects_zero_antennas():
     with pytest.raises(ValueError):
-        channel.draw_chisquare_gains(10, 0, np.random.default_rng(0))
+        channel.draw_gains(10, 0, np.random.default_rng(0))
 
 
 def test_interuser_shape_and_diagonal():
@@ -129,13 +132,17 @@ def test_coherence_rejects_nonpositive():
         CoherencePolicy.scaled(-1.0)
 
 
-def test_realization_container():
+def test_draw_gains_batch_shapes():
+    # a batch of slots consumes the generator like one draw per slot
+    batch = channel.draw_gains((5, 2, 4), 3, np.random.default_rng(41))
     rng = np.random.default_rng(41)
-    real = channel.draw_realization(4, rng, n_groups=2, with_interuser=True)
-    assert len(real.bs_gains) == 2
-    assert all(g.size == 4 for g in real.bs_gains)
-    assert real.interuser_gains.shape == (4, 4)
-    plain = channel.draw_realization(4, rng)
-    assert plain.interuser_gains is None
-    with pytest.raises(ValueError):
-        channel.ChannelRealization((np.array([1.0, -1.0]),))
+    per_slot = [channel.draw_gains((2, 4), 3, rng) for _ in range(5)]
+    assert batch.shape == (5, 2, 4)
+    assert np.array_equal(batch, np.stack(per_slot))
+
+    inter = channel.draw_interuser_gains(4, np.random.default_rng(42), (5, 2))
+    rng = np.random.default_rng(42)
+    per_slot = [[channel.draw_interuser_gains(4, rng) for _ in range(2)] for _ in range(5)]
+    assert inter.shape == (5, 2, 4, 4)
+    assert np.array_equal(inter, np.array(per_slot))
+    assert np.all(np.diagonal(inter, axis1=-2, axis2=-1) == 0.0)

@@ -167,7 +167,7 @@ def test_coop_delay_follows_service_formula():
         bs = rng.exponential(1.0, n)
         inter = rng.exponential(1.0, (n, n))
         np.fill_diagonal(inter, 0.0)
-        rates[i] = schedulers.cooperative_schedule(bs, inter, power).effective_rate
+        rates[i] = schedulers.cooperative_schedule(bs, inter, power)
     mean_rate = rates.mean()
 
     packet = 20 * mean_rate

@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from mcastsim import analytic, schedulers
+from mcastsim import analytic, channel, queueing, schedulers
 from mcastsim.analytic import OrderStatSpec
-from mcastsim.schedulers import CAP_VIOLATION, CONTINUE, SUCCESS, IrState, IrStateError
 
 from oracles import ks_distance
+
+
+class FixedGains:
+    """Stand-in generator whose exponential draws replay the given rows,
+    so a renewal cycle can be run on hand-picked gains."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+
+    def exponential(self, scale, size):
+        return np.asarray(next(self._rows), dtype=float).reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -15,30 +25,25 @@ from oracles import ks_distance
 # ---------------------------------------------------------------------------
 
 def test_static_schedule_hand_example():
-    decision = schedulers.static_schedule([0.1, 0.9, 0.4, 2.0], 2, 1.0)
-    assert decision.target_position == 3
-    assert decision.rate == pytest.approx(math.log(1.9), abs=1e-12)
-    assert decision.decodable_set == frozenset({1, 3})
-    assert decision.group == 0
+    rate = schedulers.static_schedule([0.1, 0.9, 0.4, 2.0], 2, 1.0)
+    assert rate == pytest.approx(math.log(1.9), abs=1e-12)
 
 
 def test_static_schedule_worst_and_best_reductions():
     gains = [0.5, 2.0, 0.1, 1.3]
-    worst = schedulers.static_schedule(gains, 1, 1.0)
-    assert worst.decodable_set == frozenset({0, 1, 2, 3})
-    assert worst.target_position == 1
-    assert worst.rate == pytest.approx(math.log1p(0.1))
-    best = schedulers.static_schedule(gains, 4, 1.0)
-    assert best.decodable_set == frozenset({1})
-    assert best.target_position == 4
-    assert best.rate == pytest.approx(math.log1p(2.0))
+    assert schedulers.static_schedule(gains, 1, 1.0) == pytest.approx(math.log1p(0.1))
+    assert schedulers.static_schedule(gains, 4, 1.0) == pytest.approx(math.log1p(2.0))
 
 
 def test_static_schedule_breaks_ties_toward_low_index():
-    decision = schedulers.static_schedule([1.0, 1.0, 1.0, 1.0], 2, 1.0)
-    assert decision.decodable_set == frozenset({0, 1})
-    decision = schedulers.static_schedule([0.5, 1.0, 1.0, 0.2], 4, 1.0)
-    assert decision.decodable_set == frozenset({1})
+    # tied gains rate the slot at the tied value
+    tied = pytest.approx(math.log1p(1.0))
+    assert schedulers.static_schedule([1.0, 1.0, 1.0, 1.0], 2, 1.0) == tied
+    assert schedulers.static_schedule([0.5, 1.0, 1.0, 0.2], 4, 1.0) == tied
+    # cooperation: of two tied users the lower index relays (u[0, 1], not u[1, 0])
+    inter = np.array([[0.0, 0.25], [4.0, 0.0]])
+    rate = schedulers.cooperative_schedule([1.0, 1.0], inter, 1.0)
+    assert rate == pytest.approx(math.log1p(0.25))
 
 
 def test_static_schedule_validates_input():
@@ -48,15 +53,19 @@ def test_static_schedule_validates_input():
         schedulers.static_schedule([1.0, -2.0], 1, 1.0)
     with pytest.raises(ValueError):
         schedulers.static_schedule([1.0, 2.0], 1, 0.0)
+    with pytest.raises(ValueError):
+        schedulers.static_schedule([1.0, np.inf], 1, 1.0)
+    with pytest.raises(ValueError):
+        schedulers.static_schedule([[1.0, np.nan], [1.0, 2.0]], 1, 1.0)
+    with pytest.raises(ValueError):
+        schedulers.multigroup_static_schedule([1.0, 2.0], 1, 1.0)
 
 
 def test_static_rate_distribution_matches_order_statistic():
     n, alpha, power = 6, 3, 1.0
     spec = OrderStatSpec(n_users=n, position=n - n // alpha + 1)
     rng = np.random.default_rng(515)
-    rates = np.empty(10 ** 5)
-    for i in range(rates.size):
-        rates[i] = schedulers.static_schedule(rng.exponential(1.0, n), alpha, power).rate
+    rates = schedulers.static_schedule(rng.exponential(1.0, (10 ** 5, n)), alpha, power)
 
     def rate_cdf(r):
         return analytic.order_stat_cdf(spec, math.expm1(r) / power)
@@ -65,21 +74,17 @@ def test_static_rate_distribution_matches_order_statistic():
 
 
 def test_static_schedule_scale_invariance():
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        gains = rng.exponential(1.0, 8)
-        base = schedulers.static_schedule(gains, 2, 1.0)
-        for lam in (1.5, 3.0, 10.0):
-            scaled = schedulers.static_schedule(lam * gains, 2, 1.0)
-            assert scaled.rate >= base.rate
-            assert scaled.target_position == base.target_position
-            assert scaled.decodable_set == base.decodable_set
+    gains = np.random.default_rng(99).exponential(1.0, (200, 8))
+    base = schedulers.static_schedule(gains, 2, 1.0)
+    for lam in (1.5, 3.0, 10.0):
+        assert np.all(schedulers.static_schedule(lam * gains, 2, 1.0) >= base)
 
 
 def test_static_alpha_two_targets_median_position():
     for n in (2, 4, 8, 12):
-        decision = schedulers.static_schedule(np.arange(1.0, n + 1.0), 2, 1.0)
-        assert decision.target_position == n // 2 + 1
+        # gains 1..n: ascending position n/2 + 1 holds the gain n/2 + 1
+        rate = schedulers.static_schedule(np.arange(1.0, n + 1.0), 2, 1.0)
+        assert rate == pytest.approx(math.log1p(n // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -95,64 +100,66 @@ def test_multigroup_reduces_to_single_group():
 
 def test_multigroup_picks_best_group_minimum():
     groups = [[0.2, 0.7], [0.5, 0.6]]
-    decision = schedulers.multigroup_static_schedule(groups, 1, 1.0)
-    assert decision.group == 1
-    assert decision.rate == pytest.approx(math.log1p(0.5))
-    assert decision.decodable_set == frozenset({0, 1})
+    rate = schedulers.multigroup_static_schedule(groups, 1, 1.0)
+    assert rate == pytest.approx(math.log1p(0.5))
 
 
 def test_multigroup_argmax_contract():
     rng = np.random.default_rng(7)
     for _ in range(100):
         groups = rng.exponential(1.0, (3, 6))
-        decision = schedulers.multigroup_static_schedule(groups, 2, 1.0)
-        per_group = [schedulers.static_schedule(g, 2, 1.0).rate for g in groups]
-        assert decision.rate == max(per_group)
-        assert decision.group == per_group.index(max(per_group))
+        rate = schedulers.multigroup_static_schedule(groups, 2, 1.0)
+        per_group = [schedulers.static_schedule(g, 2, 1.0) for g in groups]
+        assert rate == max(per_group)
 
 
 # ---------------------------------------------------------------------------
-# mutual-information accumulation
+# mutual-information accumulation and the renewal cycle's stopping rule
 # ---------------------------------------------------------------------------
 
 def test_ir_single_user_success():
-    state = IrState.fresh(1, 0.5)
-    state, verdict = schedulers.ir_advance(state, [1.0], 1.0)
-    assert verdict == SUCCESS
-    assert state.accumulated_mi[0] == pytest.approx(math.log(2.0))
-    assert state.attempts == 1
+    acc = schedulers.ir_advance(np.zeros(1), [1.0], 1.0)
+    assert acc[0] == pytest.approx(math.log(2.0))
+    assert queueing.ir_renewal_cycle(1, 1.0, 0.5, None, FixedGains([[1.0]])) == (1, True)
 
 
 def test_ir_tiny_target_succeeds_first_attempt():
-    state = IrState.fresh(5, 1e-12)
-    _, verdict = schedulers.ir_advance(state, [0.4, 0.1, 2.0, 0.9, 0.3], 1.0)
-    assert verdict == SUCCESS
+    rows = [[0.4, 0.1, 2.0, 0.9, 0.3]]
+    assert queueing.ir_renewal_cycle(5, 1.0, 1e-12, None, FixedGains(rows)) == (1, True)
+    assert queueing.ir_renewal_cycle(5, 1.0, 1e-12, None, np.random.default_rng(1)) == (1, True)
 
 
 def test_ir_two_users_continue():
-    state = IrState.fresh(2, 1.0)
-    state, verdict = schedulers.ir_advance(state, [1.0, 0.1], 1.0)
-    assert verdict == CONTINUE
-    assert min(state.accumulated_mi) == pytest.approx(math.log(1.1))
+    acc = schedulers.ir_advance(np.zeros(2), [1.0, 0.1], 1.0)
+    assert acc.min() == pytest.approx(math.log(1.1))
+    # log 1.1 < 1 after one attempt, so the cycle continues to the second
+    rows = [[1.0, 0.1], [1.0, 0.1]]
+    assert queueing.ir_renewal_cycle(2, 1.0, 1.0, 2, FixedGains(rows)) == (2, False)
+    rows = [[1.0, 0.1], [1.0, 5.0]]
+    assert queueing.ir_renewal_cycle(2, 1.0, 1.0, None, FixedGains(rows)) == (2, True)
 
 
 def test_ir_accumulation_is_monotone():
     rng = np.random.default_rng(3)
-    state = IrState.fresh(3, 50.0)
-    previous = state.accumulated_mi
+    acc = np.zeros(3)
     for _ in range(10):
-        state, verdict = schedulers.ir_advance(state, rng.exponential(1.0, 3), 1.0)
-        assert all(b >= a for a, b in zip(previous, state.accumulated_mi))
-        previous = state.accumulated_mi
-        assert verdict == CONTINUE
+        grown = schedulers.ir_advance(acc, rng.exponential(1.0, 3), 1.0)
+        assert np.all(grown >= acc)
+        acc = grown
+        assert acc.min() <= 50.0          # a target of 50 is not yet reached
 
 
 def test_ir_cap_and_stopped_state():
-    state = IrState.fresh(2, 100.0, attempt_cap=1)
-    state, verdict = schedulers.ir_advance(state, [0.5, 0.5], 1.0)
-    assert verdict == CAP_VIOLATION
-    with pytest.raises(IrStateError):
-        schedulers.ir_advance(state, [0.5, 0.5], 1.0)
+    rng = np.random.default_rng(4)
+    assert queueing.ir_renewal_cycle(2, 1.0, 100.0, 1, rng) == (1, False)
+    rows = [[0.5, 0.5]]
+    assert queueing.ir_renewal_cycle(2, 1.0, 100.0, 1, FixedGains(rows)) == (1, False)
+    with pytest.raises(ValueError):
+        schedulers.ir_advance(np.zeros(2), [0.5, 0.5, 0.5], 1.0)
+    with pytest.raises(ValueError):
+        queueing.ir_renewal_cycle(2, 1.0, 100.0, 0, rng)
+    with pytest.raises(ValueError):
+        queueing.ir_renewal_cycle(2, 1.0, 0.0, None, rng)
 
 
 def test_ir_failure_probability_structure():
@@ -182,13 +189,23 @@ def test_ir_failure_probability_structure():
 # cooperation
 # ---------------------------------------------------------------------------
 
+def _coop_reference(bs, inter, power):
+    """Stage rates by the definition, one user at a time."""
+    n = len(bs)
+    half = n // 2
+    order = sorted(range(n), key=lambda i: (-bs[i], i))
+    stage1 = math.log1p(power * bs[order[half - 1]])
+    received = [sum(inter[i][j] for i in order[:half]) / half for j in order[half:]]
+    stage2 = math.log1p(power * min(received))
+    return stage1, stage2
+
+
 def test_coop_hand_example():
     inter = np.array([[0.0, 1.5], [0.7, 0.0]])
-    decision = schedulers.cooperative_schedule([2.0, 0.3], inter, 1.0)
-    assert decision.stage1_rate == pytest.approx(math.log(3.0))
-    assert decision.first_half_set == frozenset({0})
-    assert decision.stage2_rate == pytest.approx(math.log(2.5))
-    assert decision.effective_rate == pytest.approx(math.log(2.5))
+    # stage 1 at log 3; user 0 relays to user 1 at log 2.5, which binds
+    assert schedulers.cooperative_schedule([2.0, 0.3], inter, 1.0) == pytest.approx(math.log(2.5))
+    strong = np.array([[0.0, 1e12], [0.7, 0.0]])
+    assert schedulers.cooperative_schedule([2.0, 0.3], strong, 1.0) == pytest.approx(math.log(3.0))
 
 
 def test_coop_strong_relays_never_bind():
@@ -196,8 +213,8 @@ def test_coop_strong_relays_never_bind():
     bs = rng.exponential(1.0, 6)
     inter = np.full((6, 6), 1e12)
     np.fill_diagonal(inter, 0.0)
-    decision = schedulers.cooperative_schedule(bs, inter, 1.0)
-    assert decision.effective_rate == decision.stage1_rate
+    rate = schedulers.cooperative_schedule(bs, inter, 1.0)
+    assert rate == pytest.approx(math.log1p(np.sort(bs)[3]))      # the stage-1 (median) rate
 
 
 def test_coop_effective_rate_is_min_and_half_split():
@@ -205,56 +222,82 @@ def test_coop_effective_rate_is_min_and_half_split():
     for _ in range(100):
         n = 8
         bs = rng.exponential(1.0, n)
-        inter = rng.exponential(1.0, (n, n))
-        np.fill_diagonal(inter, 0.0)
-        decision = schedulers.cooperative_schedule(bs, inter, 1.0)
-        assert decision.effective_rate <= decision.stage1_rate + 1e-15
-        assert decision.effective_rate <= decision.stage2_rate + 1e-15
-        assert len(decision.first_half_set) == n // 2
+        inter = channel.draw_interuser_gains(n, rng)
+        rate = schedulers.cooperative_schedule(bs, inter, 1.0)
+        stage1, stage2 = _coop_reference(bs.tolist(), inter.tolist(), 1.0)
+        assert rate == pytest.approx(min(stage1, stage2), rel=1e-14)
         # stage 1 rates the median position gain
-        ordered = np.sort(bs)
-        assert decision.stage1_rate == pytest.approx(math.log1p(ordered[n // 2]))
+        assert stage1 == pytest.approx(math.log1p(np.sort(bs)[n // 2]))
 
 
 def test_coop_rejects_odd_user_count():
     inter = np.zeros((3, 3))
     with pytest.raises(ValueError):
         schedulers.cooperative_schedule([1.0, 2.0, 3.0], inter, 1.0)
+    with pytest.raises(ValueError):
+        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((3, 3)), 1.0)
+    with pytest.raises(ValueError):
+        schedulers.cooperative_schedule([1.0, 2.0], [[0.0, -1.0], [1.0, 0.0]], 1.0)
 
 
 def test_multigroup_coop_reduction_and_argmax():
     rng = np.random.default_rng(8)
     bs = rng.exponential(1.0, 4)
-    inter = rng.exponential(1.0, (4, 4))
-    np.fill_diagonal(inter, 0.0)
+    inter = channel.draw_interuser_gains(4, rng)
     single = schedulers.cooperative_schedule(bs, inter, 1.0)
-    decision, group = schedulers.multigroup_cooperative_schedule([bs], [inter], 1.0)
-    assert group == 0 and decision == single
+    assert schedulers.multigroup_cooperative_schedule([bs], [inter], 1.0) == single
 
     # second group has uniformly stronger channels, so it must win
     strong_bs = bs + 5.0
     strong_inter = inter + 5.0
     np.fill_diagonal(strong_inter, 0.0)
-    decision, group = schedulers.multigroup_cooperative_schedule(
+    rate = schedulers.multigroup_cooperative_schedule(
         [bs, strong_bs], [inter, strong_inter], 1.0
     )
-    assert group == 1
-    assert decision.effective_rate >= single.effective_rate
+    assert rate == schedulers.cooperative_schedule(strong_bs, strong_inter, 1.0)
+    assert rate >= single
 
 
 def test_multigroup_coop_argmax_contract():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        bs_groups = [rng.exponential(1.0, 4) for _ in range(3)]
-        inter_groups = []
-        for _ in range(3):
-            m = rng.exponential(1.0, (4, 4))
-            np.fill_diagonal(m, 0.0)
-            inter_groups.append(m)
-        decision, group = schedulers.multigroup_cooperative_schedule(bs_groups, inter_groups, 1.0)
+        bs_groups = rng.exponential(1.0, (3, 4))
+        inter_groups = channel.draw_interuser_gains(4, rng, (3,))
+        rate = schedulers.multigroup_cooperative_schedule(bs_groups, inter_groups, 1.0)
         rates = [
-            schedulers.cooperative_schedule(b, u, 1.0).effective_rate
+            schedulers.cooperative_schedule(b, u, 1.0)
             for b, u in zip(bs_groups, inter_groups)
         ]
-        assert 2 * decision.effective_rate == max(2 * r for r in rates)
-        assert group == rates.index(max(rates))
+        assert 2 * rate == max(2 * r for r in rates)
+
+
+# ---------------------------------------------------------------------------
+# batch contract: one call on B slots equals B single-slot calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", [
+    "static", "multigroup-static", "coop", "multigroup-coop", "ir",
+])
+def test_batch_call_equals_single_slot_calls(kernel):
+    rng = np.random.default_rng(10)
+    batch, groups, n = 64, 3, 6
+    if kernel == "static":
+        args = (rng.exponential(1.0, (batch, n)),)
+        call = lambda g: schedulers.static_schedule(g, 2, 1.5)
+    elif kernel == "multigroup-static":
+        args = (rng.exponential(1.0, (batch, groups, n)),)
+        call = lambda g: schedulers.multigroup_static_schedule(g, 3, 1.5)
+    elif kernel == "coop":
+        args = (rng.exponential(1.0, (batch, n)), channel.draw_interuser_gains(n, rng, (batch,)))
+        call = lambda g, u: schedulers.cooperative_schedule(g, u, 1.5)
+    elif kernel == "multigroup-coop":
+        inter = channel.draw_interuser_gains(n, rng, (batch, groups))
+        args = (rng.exponential(1.0, (batch, groups, n)), inter)
+        call = lambda g, u: schedulers.multigroup_cooperative_schedule(g, u, 1.5)
+    else:
+        args = (rng.exponential(2.0, (batch, n)), rng.exponential(1.0, (batch, n)))
+        call = lambda acc, g: schedulers.ir_advance(acc, g, 1.5)
+    batched = call(*args)
+    single = np.array([call(*slot) for slot in zip(*args)])
+    assert batched.shape == single.shape
+    assert np.array_equal(batched, single)

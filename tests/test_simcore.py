@@ -70,42 +70,43 @@ def test_distinct_seeds_differ():
 
 
 # ---------------------------------------------------------------------------
-# the chunked rate sampler consumes the stream like the per-slot scheduler
+# the chunked rate sampler equals per-slot kernel calls on the same stream
 # ---------------------------------------------------------------------------
 
-def test_vectorized_static_rates_match_scalar_path():
+def test_vectorized_static_rates_match_scalar_path(monkeypatch):
+    monkeypatch.setattr(simcore, "_CHUNK", 64)          # cross chunk boundaries
     cfg = SimConfig(scheme="static", n_users=6, alpha=2, iterations=300, seed=5)
-    vec = simcore._static_rates(cfg, np.random.default_rng(42), 300)
+    vec = simcore._slot_rates(cfg, np.random.default_rng(42))
     rng = np.random.default_rng(42)
-    scalar = [
-        schedulers.static_schedule(rng.exponential(1.0, 6), 2, 1.0).rate
+    per_slot = [
+        schedulers.static_schedule(rng.exponential(1.0, 6), 2, 1.0)
         for _ in range(300)
     ]
-    assert np.array_equal(vec, np.array(scalar))
+    assert np.array_equal(vec, np.array(per_slot))
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
     cfg = SimConfig(
         scheme="multigroup-static", n_users=4, alpha=2, n_groups=3, iterations=200, seed=6
     )
-    vec = simcore._static_rates(cfg, np.random.default_rng(43), 200)
+    vec = simcore._slot_rates(cfg, np.random.default_rng(43))
     rng = np.random.default_rng(43)
-    scalar = [
-        schedulers.multigroup_static_schedule(rng.exponential(1.0, (3, 4)), 2, 1.0).rate
+    per_slot = [
+        schedulers.multigroup_static_schedule(rng.exponential(1.0, (3, 4)), 2, 1.0)
         for _ in range(200)
     ]
-    assert np.array_equal(vec, np.array(scalar))
+    assert np.array_equal(vec, np.array(per_slot))
 
 
 def test_vectorized_chisquare_rates_match_scalar_path():
     cfg = SimConfig(scheme="static", n_users=4, alpha=1, antennas=2, iterations=150, seed=7)
-    vec = simcore._static_rates(cfg, np.random.default_rng(44), 150)
+    vec = simcore._slot_rates(cfg, np.random.default_rng(44))
     rng = np.random.default_rng(44)
-    scalar = [
-        schedulers.static_schedule(rng.exponential(1.0, (4, 2)).mean(axis=1), 1, 1.0).rate
+    per_slot = [
+        schedulers.static_schedule(rng.exponential(1.0, (4, 2)).mean(axis=1), 1, 1.0)
         for _ in range(150)
     ]
-    assert np.array_equal(vec, np.array(scalar))
+    assert np.array_equal(vec, np.array(per_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,14 @@ def test_sweep_antennas_improves_worst_user():
     assert means[0] < means[1] < means[2]
     for _, rec in results:
         assert abs(rec.throughput_mean - rec.analytic_throughput) < 4 * rec.throughput_se
+
+
+def test_antennas_shorten_static_delay():
+    # throughput and delay draw through the same antenna law
+    base = dict(scheme="static", n_users=8, alpha=1, packet_nats=3.0, iterations=3000, seed=11)
+    one = simcore.estimate_delay(SimConfig(antennas=1, **base))
+    four = simcore.estimate_delay(SimConfig(antennas=4, **base))
+    assert one.delay_mean - four.delay_mean > 5 * math.hypot(one.delay_se, four.delay_se)
 
 
 def test_sweep_rejects_bad_axis_and_value():
