@@ -9,12 +9,25 @@ packet is delivered once every coupled queue has drained its copy.
 The uniform pick is simulated with geometric gaps between hits, so a run
 costs O(number of hits) regardless of how large Q grows; the slot count
 returned is distributed exactly as the slot-by-slot Bernoulli process.
-Gap, queue-index and rate draws happen unconditionally on every hit, which
-keeps paired-seed runs coupled (e.g. raising P can only remove slots).
+Gaps are drawn by inversion as floats, so slot counts never saturate;
+a hit probability below the smallest normal float, or a slot count past
+the float range, raises ValueError instead.
+
+Every engine simulates ``runs`` independent runs in lockstep: each round
+draws one gap, queue index and rate for every run still in progress, in
+that order, with one fading draw and one scheduler call for all of them.
+A row of runs therefore costs O(rounds), the largest hit count among its
+runs, in numpy calls.  Runs go in blocks whose per-round draw stays within
+a fixed element budget, so the memory of a round does not grow with the
+run count.  At runs=1 every hit draws its gap, index and rate
+unconditionally, in the order of the per-run engine of earlier versions,
+which keeps paired-seed runs coupled (e.g. raising P can only remove
+slots).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +38,11 @@ __all__ = [
     "RateModel",
     "ir_renewal_cycle",
     "tagged_delay_coop",
-    "tagged_delay_ir",
     "tagged_delay_static",
 ]
+
+# Elements one round of one block of runs may draw.
+_ROUND_BUDGET = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,46 @@ def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
         raise ValueError("coherence interval must be positive")
 
 
+def _blocks(runs: int, per_run: int):
+    """Index arrays of consecutive blocks of runs, each small enough that
+    one round drawing ``per_run`` elements per run stays in the budget."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    size = max(1, _ROUND_BUDGET // per_run)
+    return (np.arange(start, min(start + size, runs)) for start in range(0, runs, size))
+
+
+def _hit_probability(coupled: int, queues: int) -> float:
+    p = coupled / queues
+    if not p >= sys.float_info.min:
+        raise ValueError(
+            f"hit probability {coupled}/{queues} is not a positive normal float"
+        )
+    return p
+
+
+def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Geometric(p) slot gaps on 1, 2, ... by inversion, as floats:
+    ceil(log U / log(1 - p)), at least 1, with U uniform on (0, 1].
+
+    log U comes from the draws ``rng.geometric`` makes (one uniform for
+    p >= 1/3, one standard exponential below), so the gaps equal its
+    draw for draw, without its clamp at 2**63 - 1."""
+    if p >= 1.0 / 3.0:
+        log_u = np.log1p(-rng.random(count))
+    else:
+        log_u = -rng.standard_exponential(count)
+    if p == 1.0:
+        return np.ones(count)
+    return np.maximum(np.ceil(log_u / math.log1p(-p)), 1.0)
+
+
+def _finite(slots: np.ndarray) -> np.ndarray:
+    if not np.isfinite(slots).all():
+        raise ValueError("slot count exceeds the float range")
+    return slots
+
+
 def tagged_delay_static(
     n_users: int,
     n_groups: int,
@@ -74,47 +129,41 @@ def tagged_delay_static(
     model: RateModel,
     rng: np.random.Generator,
     antennas: int = 1,
-) -> int:
-    """Slots until a tagged packet leaves all alpha coupled queues under
-    the fixed-fraction scheduler's queue layout, with ``antennas``
-    transmit antennas behind every empirical rate."""
+    runs: int = 1,
+) -> np.ndarray:
+    """Slots, per run, until a tagged packet leaves all alpha coupled
+    queues under the fixed-fraction scheduler's queue layout, with
+    ``antennas`` transmit antennas behind every empirical rate.  Returns
+    a float array of shape (runs,)."""
     _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
     if alpha < 1 or alpha > n_users or n_users % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
-    q_total = n_groups * math.comb(n_users, n_users // alpha)
-    p_hit = alpha / q_total
-    if n_groups == 1:
-        schedule, shape = schedulers.static_schedule, n_users
-    else:
-        schedule, shape = schedulers.multigroup_static_schedule, (n_groups, n_users)
-    residual = [packet_nats] * alpha
-    slots = 0
-    pending = alpha
-    while pending:
-        slots += int(rng.geometric(p_hit))
-        i = int(rng.integers(alpha))
-        if model.kind == "exponential":
-            rate = rng.exponential(1.0 / model.mu)
-        else:
-            rate = schedule(channel.draw_gains(shape, antennas, rng), alpha, power)
-        if residual[i] > 0.0:
-            residual[i] -= coherence_interval * rate
-            if residual[i] <= 0.0:
-                pending -= 1
-    return slots
+    p_hit = _hit_probability(alpha, n_groups * math.comb(n_users, n_users // alpha))
+    shape = (n_users,) if n_groups == 1 else (n_groups, n_users)
+    exponential = model.kind == "exponential"
 
+    def rates(count):
+        if exponential:
+            return rng.exponential(1.0 / model.mu, count)
+        gains = channel.draw_gains((count, *shape), antennas, rng)
+        if n_groups == 1:
+            return schedulers.static_schedule(gains, alpha, power)
+        return schedulers.multigroup_static_schedule(gains, alpha, power)
 
-def tagged_delay_ir(
-    n_users: int,
-    power: float,
-    rate_target: float,
-    attempt_cap: int | None,
-    rng: np.random.Generator,
-) -> int:
-    """Transmission attempts until every user has accumulated the rate
-    target, or the attempt cap stops the codeword."""
-    attempts, _ = ir_renewal_cycle(n_users, power, rate_target, attempt_cap, rng)
-    return attempts
+    blocks = _blocks(runs, 3 if exponential else 2 + math.prod(shape) * antennas)
+    residual = np.full((runs, alpha), float(packet_nats))
+    slots = np.zeros(runs)
+    for active in blocks:
+        while active.size:
+            with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
+                slots[active] += _gaps(p_hit, active.size, rng)
+            queue = rng.integers(alpha, size=active.size)
+            served = residual[active, queue]
+            residual[active, queue] = np.where(
+                served > 0.0, served - coherence_interval * rates(active.size), served
+            )
+            active = active[(residual[active] > 0.0).any(axis=1)]
+    return _finite(slots)
 
 
 def ir_renewal_cycle(
@@ -123,10 +172,12 @@ def ir_renewal_cycle(
     rate_target: float,
     attempt_cap: int | None,
     rng: np.random.Generator,
-) -> tuple[int, bool]:
-    """One renewal cycle of the retransmission scheme: (attempts, decoded).
+    runs: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Renewal cycles of the retransmission scheme: (attempts, decoded),
+    integer and boolean arrays of shape (runs,).
 
-    The cycle decodes once every user's accumulated information exceeds
+    A cycle decodes once every user's accumulated information exceeds
     the rate target, and fails when the attempt cap comes first."""
     if n_users < 1:
         raise ValueError("need at least one user")
@@ -134,17 +185,23 @@ def ir_renewal_cycle(
         raise ValueError("rate target must be positive")
     if attempt_cap is not None and attempt_cap < 1:
         raise ValueError("attempt cap must be at least 1")
-    accumulated = np.zeros(n_users)
-    attempts = 0
-    while True:
-        accumulated = schedulers.ir_advance(
-            accumulated, channel.draw_gains(n_users, 1, rng), power
-        )
-        attempts += 1
-        if accumulated.min() > rate_target:
-            return attempts, True
-        if attempt_cap is not None and attempts >= attempt_cap:
-            return attempts, False
+    blocks = _blocks(runs, n_users)
+    accumulated = np.zeros((runs, n_users))
+    attempts = np.zeros(runs, dtype=np.int64)
+    decoded = np.zeros(runs, dtype=bool)
+    for active in blocks:
+        while active.size:
+            grown = schedulers.ir_advance(
+                accumulated[active], channel.draw_gains((active.size, n_users), 1, rng), power
+            )
+            accumulated[active] = grown
+            attempts[active] += 1
+            done = grown.min(axis=1) > rate_target
+            decoded[active[done]] = True
+            if attempt_cap is not None:
+                done |= attempts[active] >= attempt_cap
+            active = active[~done]
+    return attempts, decoded
 
 
 def tagged_delay_coop(
@@ -154,9 +211,11 @@ def tagged_delay_coop(
     packet_nats: float,
     coherence_interval: float,
     rng: np.random.Generator,
-) -> int:
-    """Slots until a cooperative transmission delivers the packet to all
-    users of the tagged group.
+    runs: int = 1,
+) -> np.ndarray:
+    """Slots, per run, until a cooperative transmission delivers the
+    packet to all users of the tagged group.  Returns a float array of
+    shape (runs,).
 
     A slot reaches every user of the group it serves, so the group keeps a
     single queue; with G groups the tagged one is served with probability
@@ -165,11 +224,17 @@ def tagged_delay_coop(
     _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
     if n_users % 2 != 0 or n_users < 2:
         raise ValueError("cooperation needs an even number of users, at least 2")
-    slots = 0
-    remaining = packet_nats
-    while remaining > 0.0:
-        slots += int(rng.geometric(1.0 / n_groups))
-        bs = channel.draw_gains(n_users, 1, rng)
-        iu = channel.draw_interuser_gains(n_users, rng)
-        remaining -= coherence_interval * schedulers.cooperative_schedule(bs, iu, power)
-    return slots
+    p_hit = _hit_probability(1, n_groups)
+    blocks = _blocks(runs, 1 + n_users + n_users ** 2)
+    remaining = np.full(runs, float(packet_nats))
+    slots = np.zeros(runs)
+    for active in blocks:
+        while active.size:
+            slots[active] += _gaps(p_hit, active.size, rng)
+            bs = channel.draw_gains((active.size, n_users), 1, rng)
+            inter = channel.draw_interuser_gains(n_users, rng, (active.size,))
+            remaining[active] -= coherence_interval * schedulers.cooperative_schedule(
+                bs, inter, power
+            )
+            active = active[remaining[active] > 0.0]
+    return _finite(slots)

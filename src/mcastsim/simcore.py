@@ -7,6 +7,7 @@ from the config seed, so identical configs give bit-identical records.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -127,11 +128,14 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 def _mean_se(values) -> tuple[float, float]:
-    n = len(values)
-    mean = math.fsum(values) / n
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    mean = math.fsum(values.tolist()) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    # squares by libm pow, as a scalar ** 2 computes them: numpy's x * x
+    # differs in the last bit on about one value in a thousand
+    var = math.fsum(map(math.pow, (values - mean).tolist(), itertools.repeat(2.0))) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -181,14 +185,10 @@ def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = Non
         per_slot = (config.n_users / 2) * _slot_rates(config, rng)
         record.throughput_mean, record.throughput_se = _mean_se(per_slot)
     else:
-        taus = np.empty(iters)
-        decoded = np.empty(iters)
-        for i in range(iters):
-            tau, ok = queueing.ir_renewal_cycle(
-                config.n_users, config.power, config.rate_target, config.attempt_cap, rng
-            )
-            taus[i] = tau
-            decoded[i] = 1.0 if ok else 0.0
+        taus, decoded = queueing.ir_renewal_cycle(
+            config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
+            runs=iters,
+        )
         reward = config.n_users * config.rate_target
         tau_mean, tau_se = _mean_se(taus)
         if config.attempt_cap is None:
@@ -199,7 +199,7 @@ def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = Non
             record.throughput_mean = reward * ok_mean / tau_mean
             if ok_mean > 0:
                 cov = math.fsum(
-                    (decoded[i] - ok_mean) * (taus[i] - tau_mean) for i in range(iters)
+                    ((decoded - ok_mean) * (taus - tau_mean)).tolist()
                 ) / (iters - 1) / iters
                 rel_var = (
                     (ok_se / ok_mean) ** 2
@@ -221,25 +221,22 @@ def estimate_delay(config: SimConfig, rng: np.random.Generator | None = None) ->
         rng = _rng_for(config.seed, 1)
     iters = config.iterations
     tc = config.coherence_value
-    delays = np.empty(iters)
     if config.scheme in _STATIC_SCHEMES:
-        model = queueing.RateModel.empirical()
-        for i in range(iters):
-            delays[i] = queueing.tagged_delay_static(
-                config.n_users, config.n_groups, config.alpha, config.power,
-                config.packet_nats, tc, model, rng, config.antennas,
-            )
+        delays = queueing.tagged_delay_static(
+            config.n_users, config.n_groups, config.alpha, config.power,
+            config.packet_nats, tc, queueing.RateModel.empirical(), rng, config.antennas,
+            runs=iters,
+        )
     elif config.scheme in _COOP_SCHEMES:
-        for i in range(iters):
-            delays[i] = queueing.tagged_delay_coop(
-                config.n_users, config.n_groups, config.power,
-                config.packet_nats, tc, rng,
-            )
+        delays = queueing.tagged_delay_coop(
+            config.n_users, config.n_groups, config.power, config.packet_nats, tc, rng,
+            runs=iters,
+        )
     else:
-        for i in range(iters):
-            delays[i] = queueing.tagged_delay_ir(
-                config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
-            )
+        delays, _ = queueing.ir_renewal_cycle(
+            config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
+            runs=iters,
+        )
     record = MetricsRecord(samples=iters)
     record.delay_mean, record.delay_se = _mean_se(delays)
     return record

@@ -95,3 +95,23 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, float)
     xc = x - x.mean()
     return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+
+
+def slot_by_slot_delays(
+    queues: int, coupled: int, packet: float, rates, rng, runs: int
+) -> np.ndarray:
+    """Slots until each of the first `coupled` of `queues` queues has
+    drained `packet`, simulated one slot at a time with no gap shortcut:
+    every slot of every unfinished run picks one queue uniformly and
+    serves it at a rate from ``rates(rng, count)``."""
+    residual = np.full((runs, coupled), float(packet))
+    slots = np.zeros(runs, dtype=np.int64)
+    active = np.arange(runs)
+    while active.size:
+        slots[active] += 1
+        pick = rng.integers(queues, size=active.size)
+        rate = rates(rng, active.size)
+        hit = pick < coupled
+        residual[active[hit], pick[hit]] -= rate[hit]
+        active = active[(residual[active] > 0.0).any(axis=1)]
+    return slots

@@ -93,14 +93,11 @@ def test_criterion_3_mc_vs_analytic_throughput():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_service_law_fit():
-    rng = np.random.default_rng(401)
     runs = 10 ** 5
-    delays = np.array([
-        queueing.tagged_delay_static(
-            4, 1, 1, 1.0, 1.0, 1.0, RateModel.exponential_server(1.0), rng
-        )
-        for _ in range(runs)
-    ])
+    delays = queueing.tagged_delay_static(
+        4, 1, 1, 1.0, 1.0, 1.0, RateModel.exponential_server(1.0),
+        np.random.default_rng(401), runs=runs,
+    )
     law = analytic.ServiceLaw(1.0, 1.0)
     probs = [analytic.service_time_pmf(law, k) for k in range(1, 8)]
     expected = [p * runs for p in probs] + [runs - sum(p * runs for p in probs)]
@@ -137,19 +134,16 @@ def test_criterion_5_coupon_collector():
                 q_total = groups * math.comb(n, n // alpha)
                 expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
                 rng = np.random.default_rng(5000 + 100 * n + 10 * alpha + groups)
-                mean = np.mean([
-                    queueing.tagged_delay_static(n, groups, alpha, 1.0, 1e-12, 1.0, model, rng)
-                    for _ in range(20000)
-                ])
+                mean = queueing.tagged_delay_static(
+                    n, groups, alpha, 1.0, 1e-12, 1.0, model, rng, runs=20000
+                ).mean()
                 rel = abs(mean - expected) / expected
                 if rel > worst_sim:
                     worst_sim, worst_case = rel, f"N={n},alpha={alpha},G={groups}"
 
-    rng = np.random.default_rng(5999)
-    pinned = np.mean([
-        queueing.tagged_delay_static(2, 1, 2, 1.0, 1e-12, 1.0, model, rng)
-        for _ in range(10 ** 5)
-    ])
+    pinned = queueing.tagged_delay_static(
+        2, 1, 2, 1.0, 1e-12, 1.0, model, np.random.default_rng(5999), runs=10 ** 5
+    ).mean()
     _report(
         "criterion 5 (coupon collector: oracle/integral/simulation)",
         worst_oracle <= 0.02 and worst_sim <= 0.02 and abs(pinned - 3.0) <= 0.06,
@@ -169,11 +163,10 @@ def test_criterion_6_scaling_laws():
 
     # worst-user delay grows linearly: D(40)/D(20)
     def worst_delay(n, seed):
-        rng = np.random.default_rng(seed)
-        return float(np.mean([
-            queueing.tagged_delay_static(n, 1, 1, 1.0, 5.0, 1.0, RateModel.empirical(), rng)
-            for _ in range(3000)
-        ]))
+        return float(queueing.tagged_delay_static(
+            n, 1, 1, 1.0, 5.0, 1.0, RateModel.empirical(), np.random.default_rng(seed),
+            runs=3000,
+        ).mean())
 
     ratio = worst_delay(40, 602) / worst_delay(20, 601)
     ok &= 1.7 <= ratio <= 2.3

@@ -8,12 +8,11 @@ from mcastsim import analytic, queueing, schedulers
 from mcastsim.analytic import ServiceLaw
 from mcastsim.queueing import RateModel
 
-from oracles import throughput_reference
+from oracles import slot_by_slot_delays, throughput_reference
 
 
 def _static_delays(runs, seed, **kwargs):
-    rng = np.random.default_rng(seed)
-    return np.array([queueing.tagged_delay_static(rng=rng, **kwargs) for _ in range(runs)])
+    return queueing.tagged_delay_static(rng=np.random.default_rng(seed), runs=runs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +77,96 @@ def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
 
 
 # ---------------------------------------------------------------------------
+# the geometric-gap shortcut against slot-by-slot simulation
+# ---------------------------------------------------------------------------
+
+def _same_law_p_value(a, b):
+    """Chi-square homogeneity p-value of two slot-count samples, binned at
+    twenty pooled quantiles."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 21)))
+    table = [np.histogram(x, edges)[0] for x in (a, b)]
+    return stats.chi2_contingency(table)[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 1 / 3, 0.05, 1e-12])
+def test_gaps_equal_numpy_geometric_draws(p):
+    gaps = queueing._gaps(p, 10000, np.random.default_rng(160))
+    assert np.array_equal(gaps, np.random.default_rng(160).geometric(p, 10000))
+
+
+@pytest.mark.parametrize("n,alpha,groups,seed", [(4, 2, 1, 161), (4, 2, 2, 162)])
+def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
+    queues = groups * math.comb(n, n // alpha)
+    reference = slot_by_slot_delays(
+        queues, alpha, 1.0, lambda rng, count: rng.exponential(1.0, count),
+        np.random.default_rng(seed), 20000,
+    )
+    delays = queueing.tagged_delay_static(
+        n, groups, alpha, 1.0, 1.0, 1.0, RateModel.exponential_server(1.0),
+        np.random.default_rng(seed + 100), runs=20000,
+    )
+    assert _same_law_p_value(reference, delays) > 0.001
+
+
+def test_coop_gaps_match_slot_by_slot_reference():
+    n, power = 4, 1.0
+
+    def coop_rates(rng, count):
+        bs = rng.exponential(1.0, (count, n))
+        inter = rng.exponential(1.0, (count, n, n))
+        inter[:, np.arange(n), np.arange(n)] = 0.0
+        return schedulers.cooperative_schedule(bs, inter, power)
+
+    reference = slot_by_slot_delays(2, 1, 1.0, coop_rates, np.random.default_rng(163), 20000)
+    delays = queueing.tagged_delay_coop(
+        n, 2, power, 1.0, 1.0, np.random.default_rng(263), runs=20000
+    )
+    assert _same_law_p_value(reference, delays) > 0.001
+
+
+def test_engines_are_deterministic():
+    def runs(seed):
+        rng = np.random.default_rng(seed)
+        return (
+            queueing.tagged_delay_static(
+                6, 2, 2, 1.0, 1.0, 1.0, RateModel.empirical(), rng, runs=500
+            ),
+            queueing.tagged_delay_coop(6, 2, 1.0, 1.0, 1.0, rng, runs=500),
+            *queueing.ir_renewal_cycle(6, 1.0, 1.0, 4, rng, runs=500),
+        )
+
+    for first, second in zip(runs(171), runs(171)):
+        assert first.shape == (500,) and np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# the supported range: huge queue counts are simulated or rejected
+# ---------------------------------------------------------------------------
+
+def test_static_delay_clears_coupon_floor_at_n72():
+    # C(72, 36) * H_2 = 6.6e20 slots; int64 geometric gaps saturated near 6e19
+    delays = queueing.tagged_delay_static(
+        72, 1, 2, 1.0, 1.0, 1.0, RateModel.empirical(), np.random.default_rng(181), runs=300
+    )
+    floor = math.comb(72, 36) * 1.5
+    se = delays.std(ddof=1) / math.sqrt(delays.size)
+    assert delays.mean() >= floor - 4.5 * se
+
+
+def test_static_delay_rejects_unrepresentable_counts():
+    rng = np.random.default_rng(182)
+    with pytest.raises(ValueError, match="normal float"):
+        queueing.tagged_delay_static(2000, 1, 2, 1.0, 1.0, 1.0, RateModel.empirical(), rng)
+    # the hit probability 1.1e-307 is a normal float, but the sum of some
+    # hundred gaps of about 1e307 slots each is not
+    with pytest.raises(ValueError, match="float range"):
+        queueing.tagged_delay_static(
+            1026, 1, 2, 1.0, 50.0, 1.0, RateModel.exponential_server(1.0), rng, runs=2
+        )
+
+
+# ---------------------------------------------------------------------------
 # empirical rates
 # ---------------------------------------------------------------------------
 
@@ -123,20 +212,24 @@ def test_static_delay_validates_arguments():
 # ---------------------------------------------------------------------------
 
 def test_ir_delay_trivial_cases():
-    rng = np.random.default_rng(131)
-    for _ in range(50):
-        assert queueing.tagged_delay_ir(3, 1.0, 1e-12, None, rng) == 1
-    rng = np.random.default_rng(132)
-    for _ in range(50):
-        attempts, decoded = queueing.ir_renewal_cycle(3, 1.0, 50.0, 1, rng)
-        assert attempts == 1 and not decoded
+    attempts, _ = queueing.ir_renewal_cycle(
+        3, 1.0, 1e-12, None, np.random.default_rng(131), runs=50
+    )
+    assert np.all(attempts == 1)
+    attempts, decoded = queueing.ir_renewal_cycle(
+        3, 1.0, 50.0, 1, np.random.default_rng(132), runs=50
+    )
+    assert np.all(attempts == 1) and not decoded.any()
 
 
 def test_ir_mean_attempts_match_failure_sum():
     # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target)
     target, runs = 0.5, 40000
+    # one cycle per call, each drawing its attempts in sequence on the stream
     rng = np.random.default_rng(133)
-    taus = np.array([queueing.tagged_delay_ir(1, 1.0, target, None, rng) for _ in range(runs)])
+    taus = np.concatenate([
+        queueing.ir_renewal_cycle(1, 1.0, target, None, rng)[0] for _ in range(runs)
+    ])
 
     est_rng = np.random.default_rng(134)
     increments = np.log1p(est_rng.exponential(1.0, (runs, 12)))
@@ -153,42 +246,35 @@ def test_ir_mean_attempts_match_failure_sum():
 # ---------------------------------------------------------------------------
 
 def test_coop_delay_single_slot_for_tiny_packet():
-    rng = np.random.default_rng(141)
-    for _ in range(50):
-        assert queueing.tagged_delay_coop(4, 1, 1.0, 1e-12, 1.0, rng) == 1
+    delays = queueing.tagged_delay_coop(4, 1, 1.0, 1e-12, 1.0, np.random.default_rng(141), runs=50)
+    assert np.all(delays == 1)
 
 
 def test_coop_delay_follows_service_formula():
     # mean slots ~ (Tc + S/E[min rate])/Tc once several slots are needed
     n, power = 8, 1.0
     rng = np.random.default_rng(142)
-    rates = np.empty(20000)
-    for i in range(rates.size):
-        bs = rng.exponential(1.0, n)
-        inter = rng.exponential(1.0, (n, n))
-        np.fill_diagonal(inter, 0.0)
-        rates[i] = schedulers.cooperative_schedule(bs, inter, power)
-    mean_rate = rates.mean()
+    bs = rng.exponential(1.0, (20000, n))
+    inter = rng.exponential(1.0, (20000, n, n))
+    inter[:, np.arange(n), np.arange(n)] = 0.0
+    mean_rate = schedulers.cooperative_schedule(bs, inter, power).mean()
 
     packet = 20 * mean_rate
-    run_rng = np.random.default_rng(143)
-    delays = np.array([
-        queueing.tagged_delay_coop(n, 1, power, packet, 1.0, run_rng) for _ in range(3000)
-    ])
+    delays = queueing.tagged_delay_coop(
+        n, 1, power, packet, 1.0, np.random.default_rng(143), runs=3000
+    )
     predicted = 1.0 + packet / mean_rate
     assert abs(delays.mean() - predicted) <= 0.05 * predicted
 
 
 def test_coop_delay_scales_with_group_count():
     kwargs = dict(n_users=4, power=1.0, packet_nats=2.0, coherence_interval=1.0)
-    rng1 = np.random.default_rng(144)
-    single = np.array([
-        queueing.tagged_delay_coop(n_groups=1, rng=rng1, **kwargs) for _ in range(4000)
-    ])
-    rng4 = np.random.default_rng(145)
-    multi = np.array([
-        queueing.tagged_delay_coop(n_groups=4, rng=rng4, **kwargs) for _ in range(4000)
-    ])
+    single = queueing.tagged_delay_coop(
+        n_groups=1, rng=np.random.default_rng(144), runs=4000, **kwargs
+    )
+    multi = queueing.tagged_delay_coop(
+        n_groups=4, rng=np.random.default_rng(145), runs=4000, **kwargs
+    )
     assert abs(multi.mean() / single.mean() - 4.0) <= 0.4
 
 

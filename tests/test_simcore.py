@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcastsim import analytic, schedulers, simcore
+from mcastsim import analytic, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import MetricsRecord, SimConfig
 
@@ -182,6 +182,62 @@ def test_ir_vanishing_target_throughput_vanishes():
     record = simcore.estimate_throughput(cfg)
     assert record.delay_mean is None
     assert record.throughput_mean == pytest.approx(4e-9, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized reductions equal the generator-loop formulas bit for bit
+# ---------------------------------------------------------------------------
+
+def _loop_mean_se(values):
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n < 2:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def test_mean_se_equals_loop_formula():
+    rng = np.random.default_rng(31)
+    samples = [
+        rng.exponential(1.0, 500),
+        rng.standard_normal(777) * 1e12 + 3e13,
+        np.floor(rng.exponential(50.0, 322)) + 1.0,
+        rng.pareto(1.1, 400) * 1e18,
+        np.array([4.0]),
+    ]
+    # samples whose SE changes in the last bit when squares are taken as x * x
+    # rather than by the libm pow behind a scalar ** 2
+    for hexes in (
+        ["-0x1.513a0671d147bp-8", "0x1.2a3e6aa82e6a8p-12", "-0x1.69045ab18298bp-10"],
+        ["0x1.3841813659215p+2", "-0x1.3db135ec8e311p+4", "0x1.94245e30d87adp+5",
+         "-0x1.81e0fde687be3p+6", "0x1.1dbfe0bf9c796p+2"],
+    ):
+        samples.append(np.array([float.fromhex(h) for h in hexes]))
+    for values in samples:
+        assert simcore._mean_se(values) == _loop_mean_se(values)
+
+
+def test_capped_ir_throughput_se_equals_loop_formula():
+    cfg = SimConfig(
+        scheme="ir", n_users=3, rate_target=1.0, attempt_cap=2, iterations=3000, seed=2030
+    )
+    record = simcore.estimate_throughput(cfg)
+    taus, decoded = queueing.ir_renewal_cycle(
+        3, 1.0, 1.0, 2, simcore._rng_for(cfg.seed, 0), runs=cfg.iterations
+    )
+    taus, decoded = taus.astype(float), decoded.astype(float)
+    iters = cfg.iterations
+    tau_mean, tau_se = _loop_mean_se(taus)
+    ok_mean, ok_se = _loop_mean_se(decoded)
+    cov = math.fsum(
+        (decoded[i] - ok_mean) * (taus[i] - tau_mean) for i in range(iters)
+    ) / (iters - 1) / iters
+    rel_var = (ok_se / ok_mean) ** 2 + (tau_se / tau_mean) ** 2 - 2 * cov / (ok_mean * tau_mean)
+    mean = 3 * 1.0 * ok_mean / tau_mean
+    assert 0 < ok_mean < 1
+    assert record.throughput_mean == mean
+    assert record.throughput_se == mean * math.sqrt(max(rel_var, 0.0))
 
 
 # ---------------------------------------------------------------------------
