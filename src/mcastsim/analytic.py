@@ -1,14 +1,18 @@
 """Exact analytics for the scheduling schemes.
 
 Closed-form throughputs built from the exponential integral, order
-statistics of exponential fading, the shifted-Poisson service law, the
-coupon-collector waiting time of coupled queues, and growth-law
-predictors used by the regression checks.
+statistics of exponential and Chi-square fading, the shifted-Poisson
+service law, the coupon-collector waiting time of coupled queues, and
+growth-law predictors used by the regression checks.
 
-The alternating binomial sums in the closed forms cancel catastrophically
-in double precision once systems get moderately large, so they are
-assembled with exact integer binomials and mpmath scalars at a working
-precision scaled to the cancellation; everything returned is an ordinary
+The evaluators rest on scipy.special: Ei is ``expi``, the order-statistic
+survival function is a binomial tail, i.e. a regularized incomplete beta
+function, and the Chi-square and Gamma laws are regularized incomplete
+gamma functions.  The closed forms are alternating binomial sums that
+cancel catastrophically in double precision once systems get moderately
+large, so they are assembled with exact integer binomials and mpmath
+scalars at a working precision scaled to the cancellation; they serve as
+oracles for the quadrature evaluator.  Everything returned is an ordinary
 float.
 """
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 __all__ = [
     "EULER_GAMMA",
@@ -44,10 +48,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Below this magnitude the power series for Ei converges without losing
-# digits; above it the continued fraction is both faster and stabler.
-_SERIES_CUTOFF = 6.0
-
 # Direct evaluation of the alternating sums is capped here; larger systems
 # must use throughput_quadrature.
 _ALTERNATING_SUM_CAP = 1000
@@ -68,44 +68,10 @@ class UnsupportedScalingError(ValueError):
 # ---------------------------------------------------------------------------
 
 def expint_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative arguments.
-
-    Power series gamma + log|x| + sum x^n/(n n!) below |x| = 6, modified
-    Lentz continued fraction for exp(x) * E1(-x) above.
-    """
+    """Exponential integral Ei(x) for strictly negative arguments."""
     if not x < 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
-    a = -x
-    if a < _SERIES_CUTOFF:
-        total = 0.0
-        term = 1.0
-        for n in range(1, 200):
-            term *= x / n
-            contrib = term / n
-            total += contrib
-            if abs(contrib) < 1e-18 * (1.0 + abs(total)):
-                break
-        return EULER_GAMMA + math.log(a) + total
-    return -math.exp(-a) * _e1_scaled(a)
-
-
-def _e1_scaled(a: float) -> float:
-    """exp(a) * E1(a) via the modified Lentz continued fraction (a >= 1)."""
-    tiny = 1e-300
-    b = a + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        an = -i * i
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+    return float(special.expi(x))
 
 
 def binomial(n: int, k: int) -> float:
@@ -149,43 +115,30 @@ def order_stat_cdf(spec: OrderStatSpec, x: float) -> float:
     """CDF of the selected order statistic at x >= 0."""
     if x < 0:
         raise ValueError("gains are nonnegative")
-    n, pos = spec.n_users, spec.position
-    p = -math.expm1(-x)          # 1 - e^{-x}
-    single = math.fsum(
-        math.comb(n, k) * p ** k * math.exp(-(n - k) * x) for k in range(pos, n + 1)
-    )
-    single = min(max(single, 0.0), 1.0)
-    return single ** spec.n_groups
+    return 1.0 - _order_stat_sf(spec.n_users, spec.position, spec.n_groups, math.exp(-x))
 
 
-def _order_stat_sf(n: int, pos: int, n_groups: int, x: float) -> float:
-    """P(order statistic > x); complementary sum, so no cancellation."""
-    p = -math.expm1(-x)
-    comp = math.fsum(
-        math.comb(n, k) * p ** k * math.exp(-(n - k) * x) for k in range(0, pos)
-    )
-    comp = min(max(comp, 0.0), 1.0)
-    if n_groups == 1:
-        return comp
-    if comp >= 1.0:
-        return 1.0
-    return -math.expm1(n_groups * math.log1p(-comp))
+def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf: float) -> float:
+    """P(order statistic > x) from user_sf = P(one gain > x).
+
+    The pos-th smallest of n gains exceeds x iff fewer than pos gains lie
+    below x, a binomial tail: I_{user_sf}(n - pos + 1, pos).  The best of
+    n_groups groups exceeds x unless every group's statistic lies below.
+    """
+    # float parameters spare the ufunc a mixed-type dispatch on every call
+    sf = float(special.betainc(float(n - pos + 1), float(pos), user_sf))
+    if n_groups == 1 or sf == 1.0:
+        return sf
+    return -math.expm1(n_groups * math.log1p(-sf))
 
 
 def chisquare_cdf(antennas: int, x: float) -> float:
-    """CDF of the mean of ``antennas`` unit exponentials:
-    1 - e^{-Lx} sum_{k<L} (Lx)^k / k!, evaluated in log space."""
+    """CDF of the mean of ``antennas`` unit exponentials: P(L, L x)."""
     if antennas < 1:
         raise ValueError("need at least one antenna")
     if x < 0:
         raise ValueError("gains are nonnegative")
-    t = antennas * x
-    if t == 0.0:
-        return 0.0
-    logs = [k * math.log(t) - math.lgamma(k + 1) for k in range(antennas)]
-    m = max(logs)
-    log_s = m + math.log(math.fsum(math.exp(v - m) for v in logs))
-    return -math.expm1(log_s - t)
+    return float(special.gammainc(antennas, antennas * x))
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +244,12 @@ def throughput_quadrature(
         raise ValueError("n_groups and antennas must be at least 1")
     pos = n_users - n_users // alpha + 1
 
-    if antennas == 1:
-        def survival(x):
-            return _order_stat_sf(n_users, pos, n_groups, x)
-    else:
-        def survival(x):
-            fc = chisquare_cdf(antennas, x)
-            comp = math.fsum(
-                binomial(n_users, k) * fc ** k * (1.0 - fc) ** (n_users - k)
-                for k in range(0, pos)
-            )
-            comp = min(max(comp, 0.0), 1.0)
-            if n_groups == 1:
-                return comp
-            if comp >= 1.0:
-                return 1.0
-            return -math.expm1(n_groups * math.log1p(-comp))
+    def integrand(x):
+        user_sf = math.exp(-x) if antennas == 1 else special.gammaincc(antennas, antennas * x)
+        return _order_stat_sf(n_users, pos, n_groups, user_sf) * power / (1.0 + power * x)
 
     val, _ = integrate.quad(
-        lambda x: survival(x) * power / (1.0 + power * x),
+        integrand,
         0.0,
         np.inf,
         epsabs=1e-12,
@@ -362,18 +302,8 @@ def coupon_collector_expected_trials(total_queues: int, coupled: int, services_n
     if coupled == 1:
         return float(total_queues * services_needed)
 
-    m = services_needed
-
-    def gamma_sf(t):
-        # P(Gamma(m, 1) > t) = S_m(t) e^{-t}, in log space
-        if t == 0.0:
-            return 1.0
-        logs = [i * math.log(t) - math.lgamma(i + 1) for i in range(m)]
-        mx = max(logs)
-        return math.exp(mx + math.log(math.fsum(math.exp(v - mx) for v in logs)) - t)
-
     def integrand(t):
-        sf = gamma_sf(t)
+        sf = float(special.gammaincc(services_needed, t))  # S_m(t) e^{-t}
         if sf >= 1.0:
             return 1.0
         return -math.expm1(coupled * math.log1p(-sf))

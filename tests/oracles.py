@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's own evaluation paths: the
 exponential integral is integrated directly, throughputs come from the
-order-statistic density, and the coupon-collector reference solves the
-absorbing chain as a linear system.
+order-statistic density, order-statistic survival functions are exact
+integer binomial sums, the coupon-collector reference solves the
+absorbing chain as a linear system, and the retransmission reference
+convolves the per-attempt information law on a grid.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from math import comb, exp, log1p
@@ -44,6 +47,52 @@ def throughput_reference(n: int, alpha: int, power: float, groups: int = 1) -> f
         epsabs=1e-13, epsrel=1e-11, limit=300,
     )
     return (n / alpha) * val
+
+
+def _best_of_groups(comp: float, groups: int) -> float:
+    comp = min(max(comp, 0.0), 1.0)
+    if groups == 1:
+        return comp
+    if comp >= 1.0:
+        return 1.0
+    return -math.expm1(groups * math.log1p(-comp))
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple:
+    """C(n, k) for k = 0..n, each exact integer rounded once to a float."""
+    return tuple(float(comb(n, k)) for k in range(n + 1))
+
+
+def order_stat_sf_sum(n: int, pos: int, groups: int, x: float) -> float:
+    """P(pos-th smallest of n unit exponentials, maximized over groups, > x)
+    as the exact-integer sum sum_{k<pos} C(n, k) p^k e^{-(n-k)x}, p = 1 - e^{-x}.
+    Valid while C(n, n/2) fits a float (n <= 1000)."""
+    p = -math.expm1(-x)
+    row = _binomial_row(n)
+    comp = math.fsum(row[k] * p ** k * math.exp(-(n - k) * x) for k in range(pos))
+    return _best_of_groups(comp, groups)
+
+
+def chisquare_cdf_sum(antennas: int, x: float) -> float:
+    """CDF of the mean of `antennas` unit exponentials,
+    1 - e^{-Lx} sum_{k<L} (Lx)^k / k!, with the sum taken in log space."""
+    t = antennas * x
+    if t == 0.0:
+        return 0.0
+    logs = [k * math.log(t) - math.lgamma(k + 1) for k in range(antennas)]
+    m = max(logs)
+    log_s = m + math.log(math.fsum(math.exp(v - m) for v in logs))
+    return -math.expm1(log_s - t)
+
+
+def antenna_order_stat_sf_sum(n: int, pos: int, groups: int, antennas: int, x: float) -> float:
+    """order_stat_sf_sum for gains that are means of `antennas` unit
+    exponentials: sum_{k<pos} C(n, k) F^k (1 - F)^(n-k), F the Chi-square CDF."""
+    fc = chisquare_cdf_sum(antennas, x)
+    row = _binomial_row(n)
+    comp = math.fsum(row[k] * fc ** k * (1.0 - fc) ** (n - k) for k in range(pos))
+    return _best_of_groups(comp, groups)
 
 
 def expected_log1p_reference(power: float, cdf, upper: float = np.inf) -> float:
@@ -115,3 +164,39 @@ def slot_by_slot_delays(
         residual[active[hit], pick[hit]] -= rate[hit]
         active = active[(residual[active] > 0.0).any(axis=1)]
     return slots
+
+
+def _attempt_sum_cdfs(target: float, power: float, cells: int) -> np.ndarray:
+    """P(S_t <= target) for t = 1, 2, ... until it falls below 1e-18, where S_t
+    sums t i.i.d. increments log(1 + P g), g ~ Exp(1).  Densities of S_t on a
+    grid of `cells` cells over [0, target] come from trapezoid-rule
+    convolutions, done by FFT; only increments below the target matter."""
+    h = target / cells
+    y = np.arange(cells + 1) * h
+    g = np.exp(y - np.expm1(y) / power) / power
+    size = 1 << (2 * cells + 1).bit_length()
+    g_hat = np.fft.rfft(g, size)
+    weights = np.full(cells + 1, h)
+    weights[[0, -1]] = h / 2
+    cdfs = []
+    f = g
+    while True:
+        cdfs.append(float(weights @ f))
+        if cdfs[-1] < 1e-18:
+            return np.array(cdfs)
+        conv = np.fft.irfft(np.fft.rfft(f, size) * g_hat, size)[: cells + 1]
+        f = h * (conv - 0.5 * (g[0] * f + f[0] * g))
+
+
+def ir_expected_attempts(n: int, target: float, power: float, cells: int = 2048) -> float:
+    """Exact mean attempts of a retransmission cycle without a cap:
+    E[tau] = sum_{t>=0} [1 - (1 - P(S_t <= target))^n].
+
+    The trapezoid rule's error is a series in even powers of the cell
+    width, so Richardson extrapolation over `cells` and 2 * `cells` cells
+    leaves an error of fourth order."""
+    coarse = _attempt_sum_cdfs(target, power, cells)
+    fine = _attempt_sum_cdfs(target, power, 2 * cells)
+    k = min(coarse.size, fine.size)
+    cdfs = (4.0 * fine[:k] - coarse[:k]) / 3.0
+    return 1.0 + math.fsum((-np.expm1(n * np.log1p(-cdfs))).tolist())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from mcastsim import analytic
 from mcastsim.analytic import (
@@ -11,7 +12,14 @@ from mcastsim.analytic import (
     UnsupportedSizeError,
 )
 
-from oracles import coupon_reference, ei_reference, throughput_reference
+from oracles import (
+    antenna_order_stat_sf_sum,
+    chisquare_cdf_sum,
+    coupon_reference,
+    ei_reference,
+    order_stat_sf_sum,
+    throughput_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +98,27 @@ def test_order_stat_rejects_bad_spec():
         analytic.order_stat_cdf(OrderStatSpec(4, 2), -0.1)
 
 
+@pytest.mark.parametrize("n", [2, 32, 200, 1000])
+def test_order_stat_sf_matches_binomial_sums(n):
+    # the incomplete-beta survival against the exact-integer binomial sums
+    xs = np.concatenate(([0.0], np.geomspace(1e-5, 30.0, 60)))
+    for pos in sorted({1, n // 2 + 1, n}):
+        for groups in (1, 5):
+            for x in xs:
+                sf = analytic._order_stat_sf(n, pos, groups, math.exp(-x))
+                assert abs(sf - order_stat_sf_sum(n, pos, groups, x)) <= 1e-12
+                sf = analytic._order_stat_sf(n, pos, groups, special.gammaincc(3, 3 * x))
+                assert abs(sf - antenna_order_stat_sf_sum(n, pos, groups, 3, x)) <= 1e-12
+                cdf = analytic.order_stat_cdf(OrderStatSpec(n, pos, groups), x)
+                assert abs(cdf - (1.0 - order_stat_sf_sum(n, pos, groups, x))) <= 1e-12
+
+
+def test_chisquare_cdf_matches_log_space_sum():
+    for antennas in (1, 2, 3, 8, 40):
+        for x in np.geomspace(1e-4, 20.0, 50):
+            assert abs(analytic.chisquare_cdf(antennas, x) - chisquare_cdf_sum(antennas, x)) <= 1e-14
+
+
 def test_chisquare_cdf_points():
     assert analytic.chisquare_cdf(1, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
     assert analytic.chisquare_cdf(2, 1.0) == pytest.approx(1 - 3 * math.exp(-2), abs=1e-12)
@@ -127,6 +156,14 @@ def test_closed_form_matches_density_quadrature(n):
             closed = analytic.static_throughput_closed_form(n, alpha, power)
             reference = throughput_reference(n, alpha, power)
             assert abs(closed - reference) <= 1e-6 * abs(reference)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_quadrature_matches_closed_form_at_large_n(n):
+    for alpha in (1, 2, n):
+        assert analytic.throughput_quadrature(n, alpha, 1.0) == pytest.approx(
+            analytic.static_throughput_closed_form(n, alpha, 1.0), rel=1e-9
+        )
 
 
 def test_closed_form_rejects_bad_alpha():

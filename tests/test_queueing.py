@@ -8,7 +8,7 @@ from mcastsim import analytic, queueing, schedulers
 from mcastsim.analytic import ServiceLaw
 from mcastsim.queueing import RateModel
 
-from oracles import slot_by_slot_delays, throughput_reference
+from oracles import ir_expected_attempts, slot_by_slot_delays, throughput_reference
 
 
 def _static_delays(runs, seed, **kwargs):
@@ -239,6 +239,18 @@ def test_ir_mean_attempts_match_failure_sum():
     se_tau = taus.std(ddof=1) / math.sqrt(runs)
     se_pred = math.sqrt(np.sum(p_hat * (1 - p_hat)) / runs)
     assert abs(taus.mean() - predicted) <= 2 * math.hypot(se_tau, se_pred)
+
+
+@pytest.mark.parametrize("n_users, seed", [(1, 135), (4, 136)])
+def test_ir_mean_attempts_match_exact_reference(n_users, seed):
+    # E[tau] by grid convolution of the per-attempt information law
+    target, runs = 0.5, 40000
+    attempts, decoded = queueing.ir_renewal_cycle(
+        n_users, 1.0, target, None, np.random.default_rng(seed), runs=runs
+    )
+    assert decoded.all()
+    se = attempts.std(ddof=1) / math.sqrt(runs)
+    assert abs(attempts.mean() - ir_expected_attempts(n_users, target, 1.0)) <= 3 * se
 
 
 # ---------------------------------------------------------------------------
