@@ -1,9 +1,9 @@
 """Exact analytics for the scheduling schemes.
 
 Closed-form throughputs built from the exponential integral, order
-statistics of exponential and Chi-square fading, the shifted-Poisson
-service law, the coupon-collector waiting time of coupled queues, and
-growth-law predictors used by the regression checks.
+statistics of exponential and Chi-square fading, the coupon-collector
+waiting time of coupled queues, and growth-law predictors used by the
+regression checks.
 
 The evaluators rest on scipy.special: Ei is ``expi``, the order-statistic
 survival function is a binomial tail, i.e. a regularized incomplete beta
@@ -18,7 +18,6 @@ float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -26,27 +25,17 @@ import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "EULER_GAMMA",
-    "OrderStatSpec",
-    "ServiceLaw",
     "UnsupportedScalingError",
     "UnsupportedSizeError",
     "binomial",
-    "chisquare_cdf",
     "coupon_collector_expected_trials",
     "coupon_collector_markov",
     "expint_ei",
     "harmonic_number",
-    "multigroup_best_throughput",
-    "multigroup_worst_throughput",
-    "order_stat_cdf",
     "predicted_scaling",
-    "service_time_pmf",
     "static_throughput_closed_form",
     "throughput_quadrature",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 # Direct evaluation of the alternating sums is capped here; larger systems
 # must use throughput_quadrature.
@@ -93,31 +82,6 @@ def harmonic_number(n: int) -> float:
 # fading order statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderStatSpec:
-    """Position-th smallest of n_users unit-exponential gains, maximized
-    over n_groups independent groups when n_groups > 1."""
-
-    n_users: int
-    position: int
-    n_groups: int = 1
-
-    def __post_init__(self):
-        if self.n_users < 1:
-            raise ValueError("n_users must be at least 1")
-        if not 1 <= self.position <= self.n_users:
-            raise ValueError("position must lie in [1, n_users]")
-        if self.n_groups < 1:
-            raise ValueError("n_groups must be at least 1")
-
-
-def order_stat_cdf(spec: OrderStatSpec, x: float) -> float:
-    """CDF of the selected order statistic at x >= 0."""
-    if x < 0:
-        raise ValueError("gains are nonnegative")
-    return 1.0 - _order_stat_sf(spec.n_users, spec.position, spec.n_groups, math.exp(-x))
-
-
 def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf: float) -> float:
     """P(order statistic > x) from user_sf = P(one gain > x).
 
@@ -130,15 +94,6 @@ def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf: float) -> float:
     if n_groups == 1 or sf == 1.0:
         return sf
     return -math.expm1(n_groups * math.log1p(-sf))
-
-
-def chisquare_cdf(antennas: int, x: float) -> float:
-    """CDF of the mean of ``antennas`` unit exponentials: P(L, L x)."""
-    if antennas < 1:
-        raise ValueError("need at least one antenna")
-    if x < 0:
-        raise ValueError("gains are nonnegative")
-    return float(special.gammainc(antennas, antennas * x))
 
 
 # ---------------------------------------------------------------------------
@@ -188,49 +143,6 @@ def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> flo
         return float(total * n_users / alpha)
 
 
-def multigroup_worst_throughput(n_users: int, n_groups: int, power: float) -> float:
-    """Closed form for scheduling the best group's worst user: an
-    alternating sum over groups of scaled exponential-integral terms."""
-    if n_users < 1 or n_groups < 1:
-        raise ValueError("n_users and n_groups must be at least 1")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    if n_groups > _ALTERNATING_SUM_CAP:
-        raise UnsupportedSizeError(
-            f"n_groups={n_groups} exceeds the alternating-sum cap; "
-            "use throughput_quadrature"
-        )
-    dps = 30 + int(0.31 * n_groups)
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for k in range(1, n_groups + 1):
-            arg = mpmath.mpf(n_users) * k / power
-            total += math.comb(n_groups, k) * (-1) ** k * mpmath.exp(arg) * mpmath.ei(-arg)
-        return float(n_users * total)
-
-
-def multigroup_best_throughput(n_users: int, n_groups: int, power: float) -> float:
-    """Closed form for scheduling the overall best user among all N*G:
-    the alternating sum over N*G scaled exponential-integral terms."""
-    if n_users < 1 or n_groups < 1:
-        raise ValueError("n_users and n_groups must be at least 1")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    total_users = n_users * n_groups
-    if total_users > _ALTERNATING_SUM_CAP:
-        raise UnsupportedSizeError(
-            f"N*G={total_users} exceeds the alternating-sum cap "
-            f"{_ALTERNATING_SUM_CAP}; use throughput_quadrature"
-        )
-    dps = 30 + int(0.31 * total_users)
-    fvals = _scaled_ei_table(total_users, power, dps)
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for k in range(1, total_users + 1):
-            total += math.comb(total_users, k) * (-1) ** k * fvals[k]
-        return float(total)
-
-
 def throughput_quadrature(
     n_users: int, alpha: int, power: float, n_groups: int = 1, antennas: int = 1
 ) -> float:
@@ -260,32 +172,8 @@ def throughput_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# service law and coupled-queue waiting times
+# coupled-queue waiting times
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ServiceLaw:
-    """Memoryless per-slot service: rate exponential with mean 1/mu, and
-    nats_per_interval = S/Tc nats needed per coherence interval."""
-
-    mu: float
-    nats_per_interval: float
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.nats_per_interval > 0:
-            raise ValueError("nats_per_interval must be positive")
-
-
-def service_time_pmf(law: ServiceLaw, k: int) -> float:
-    """P(service takes exactly k slots) = e^{-muC} (muC)^{k-1} / (k-1)!,
-    the count of exponential-rate slots needed to accumulate C nats."""
-    if k < 1:
-        raise ValueError("a service takes at least one slot")
-    lam = law.mu * law.nats_per_interval
-    return math.exp(-lam + (k - 1) * math.log(lam) - math.lgamma(k))
-
 
 def coupon_collector_expected_trials(total_queues: int, coupled: int, services_needed: int) -> float:
     """Expected uniform server picks over ``total_queues`` queues until each

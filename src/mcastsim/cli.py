@@ -226,9 +226,7 @@ def _multigroup_suite(iterations: int, seed: int) -> list[SimConfig]:
 RECIPES = {
     "fig-tpos": _recipe_tpos,
     "fig-compt": _single_group_suite,
-    "fig-compd": _single_group_suite,
     "fig-t5": _multigroup_suite,
-    "fig-d5": _multigroup_suite,
 }
 
 

@@ -1,71 +1,42 @@
 """Head-of-line transmission delay under the coupled-queue model.
 
-A tagged packet sits at the head of the alpha coupled queues that jointly
-cover all users of its group.  Each slot the server picks one of the
-Q = G * C(N, N/alpha) queues uniformly; only picks landing on a coupled
-queue advance the packet, by Tc times that slot's service rate.  The
-packet is delivered once every coupled queue has drained its copy.
+A tagged packet sits at the head of ``coupled`` of Q queues: the alpha
+queues that jointly cover its group under fixed-fraction scheduling
+(Q = G * C(N, N/alpha)), or its group's one queue under cooperation
+(Q = G).  Each slot the server picks one of the Q queues uniformly; a
+pick landing on a coupled queue drains it by Tc times that slot's rate,
+drawn by ``schedulers.slot_rates``, the sampler of the throughput path.
+The packet is delivered once every coupled queue has drained its copy.
+One engine, ``_coupled_queue_delay``, simulates both schemes.
 
-The uniform pick is simulated with geometric gaps between hits, so a run
-costs O(number of hits) regardless of how large Q grows; the slot count
-returned is distributed exactly as the slot-by-slot Bernoulli process.
-Gaps are drawn by inversion as floats, so slot counts never saturate;
-a hit probability below the smallest normal float, or a slot count past
-the float range, raises ValueError instead.
+Picks are simulated with geometric gaps between hits, so a run costs
+O(number of hits) however large Q grows, and the slot count is
+distributed exactly as in the slot-by-slot Bernoulli process.  Gaps are
+float inversions, so counts never saturate; a hit probability below the
+smallest normal float, or a count past the float range, raises ValueError.
 
-Every engine simulates ``runs`` independent runs in lockstep: each round
-draws one gap, queue index and rate for every run still in progress, in
-that order, with one fading draw and one scheduler call for all of them.
-A row of runs therefore costs O(rounds), the largest hit count among its
-runs, in numpy calls.  Runs go in blocks whose per-round draw stays within
-a fixed element budget, so the memory of a round does not grow with the
-run count.  At runs=1 every hit draws its gap, index and rate
-unconditionally, in the order of the per-run engine of earlier versions,
-which keeps paired-seed runs coupled (e.g. raising P can only remove
-slots).
+The engine runs ``runs`` independent runs in lockstep: each round draws a
+gap, a queue index (when there are several coupled queues) and a rate
+for every unfinished run, in that order, the rates in one sampler call.
+A row costs O(its largest hit count) numpy calls, and the sampler's
+chunks bound a round's memory.  At runs=1 every hit draws all of these
+unconditionally, which keeps paired-seed runs coupled (e.g. raising P can
+only remove slots).
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from mcastsim import channel, schedulers
 
 __all__ = [
-    "RateModel",
     "ir_renewal_cycle",
     "tagged_delay_coop",
     "tagged_delay_static",
 ]
-
-# Elements one round of one block of runs may draw.
-_ROUND_BUDGET = 2 ** 19
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Where per-hit service rates come from: fresh fading pushed through
-    the scheduler, or a memoryless server with mean 1/mu."""
-
-    kind: str                 # "empirical" or "exponential"
-    mu: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("empirical", "exponential"):
-            raise ValueError(f"unknown rate model {self.kind!r}")
-        if self.kind == "exponential" and not (self.mu is not None and self.mu > 0):
-            raise ValueError("exponential server needs mu > 0")
-
-    @classmethod
-    def empirical(cls) -> "RateModel":
-        return cls("empirical")
-
-    @classmethod
-    def exponential_server(cls, mu: float) -> "RateModel":
-        return cls("exponential", float(mu))
 
 
 def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
@@ -77,24 +48,6 @@ def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
         raise ValueError("packet size must be positive")
     if not coherence_interval > 0:
         raise ValueError("coherence interval must be positive")
-
-
-def _blocks(runs: int, per_run: int):
-    """Index arrays of consecutive blocks of runs, each small enough that
-    one round drawing ``per_run`` elements per run stays in the budget."""
-    if runs < 1:
-        raise ValueError("need at least one run")
-    size = max(1, _ROUND_BUDGET // per_run)
-    return (np.arange(start, min(start + size, runs)) for start in range(0, runs, size))
-
-
-def _hit_probability(coupled: int, queues: int) -> float:
-    p = coupled / queues
-    if not p >= sys.float_info.min:
-        raise ValueError(
-            f"hit probability {coupled}/{queues} is not a positive normal float"
-        )
-    return p
 
 
 def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,57 +66,51 @@ def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(np.ceil(log_u / math.log1p(-p)), 1.0)
 
 
-def _finite(slots: np.ndarray) -> np.ndarray:
+def _coupled_queue_delay(
+    coupled: int, queues: int, packet_nats: float, coherence_interval: float,
+    rates, rng: np.random.Generator, runs: int,
+) -> np.ndarray:
+    """Slots, per run, until every one of ``coupled`` of ``queues``
+    uniformly served queues has drained ``packet_nats``; ``rates(count)``
+    returns the service rates of ``count`` hits.  A float array of shape
+    (runs,)."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    p_hit = coupled / queues
+    if not p_hit >= sys.float_info.min:
+        raise ValueError(f"hit probability {coupled}/{queues} is not a positive normal float")
+    residual = np.full((runs, coupled), float(packet_nats))
+    slots = np.zeros(runs)
+    active = np.arange(runs)
+    while active.size:
+        with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
+            slots[active] += _gaps(p_hit, active.size, rng)
+        # one queue needs no pick: integers(1) would draw nothing
+        queue = rng.integers(coupled, size=active.size) if coupled > 1 else 0
+        # a hit on a drained queue only pushes it further below zero
+        residual[active, queue] -= coherence_interval * rates(active.size)
+        active = active[(residual[active] > 0.0).any(axis=1)]
     if not np.isfinite(slots).all():
         raise ValueError("slot count exceeds the float range")
     return slots
 
 
 def tagged_delay_static(
-    n_users: int,
-    n_groups: int,
-    alpha: int,
-    power: float,
-    packet_nats: float,
-    coherence_interval: float,
-    model: RateModel,
-    rng: np.random.Generator,
-    antennas: int = 1,
-    runs: int = 1,
+    n_users: int, n_groups: int, alpha: int, power: float, packet_nats: float,
+    coherence_interval: float, rng: np.random.Generator, antennas: int = 1, runs: int = 1,
 ) -> np.ndarray:
     """Slots, per run, until a tagged packet leaves all alpha coupled
     queues under the fixed-fraction scheduler's queue layout, with
-    ``antennas`` transmit antennas behind every empirical rate.  Returns
-    a float array of shape (runs,)."""
+    ``antennas`` transmit antennas behind every rate.  Returns a float
+    array of shape (runs,)."""
     _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
     if alpha < 1 or alpha > n_users or n_users % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
-    p_hit = _hit_probability(alpha, n_groups * math.comb(n_users, n_users // alpha))
-    shape = (n_users,) if n_groups == 1 else (n_groups, n_users)
-    exponential = model.kind == "exponential"
-
-    def rates(count):
-        if exponential:
-            return rng.exponential(1.0 / model.mu, count)
-        gains = channel.draw_gains((count, *shape), antennas, rng)
-        if n_groups == 1:
-            return schedulers.static_schedule(gains, alpha, power)
-        return schedulers.multigroup_static_schedule(gains, alpha, power)
-
-    blocks = _blocks(runs, 3 if exponential else 2 + math.prod(shape) * antennas)
-    residual = np.full((runs, alpha), float(packet_nats))
-    slots = np.zeros(runs)
-    for active in blocks:
-        while active.size:
-            with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
-                slots[active] += _gaps(p_hit, active.size, rng)
-            queue = rng.integers(alpha, size=active.size)
-            served = residual[active, queue]
-            residual[active, queue] = np.where(
-                served > 0.0, served - coherence_interval * rates(active.size), served
-            )
-            active = active[(residual[active] > 0.0).any(axis=1)]
-    return _finite(slots)
+    return _coupled_queue_delay(
+        alpha, n_groups * math.comb(n_users, n_users // alpha), packet_nats, coherence_interval,
+        lambda count: schedulers.slot_rates(n_users, n_groups, power, count, rng, alpha, antennas),
+        rng, runs,
+    )
 
 
 def ir_renewal_cycle(
@@ -185,33 +132,29 @@ def ir_renewal_cycle(
         raise ValueError("rate target must be positive")
     if attempt_cap is not None and attempt_cap < 1:
         raise ValueError("attempt cap must be at least 1")
-    blocks = _blocks(runs, n_users)
+    if runs < 1:
+        raise ValueError("need at least one run")
     accumulated = np.zeros((runs, n_users))
     attempts = np.zeros(runs, dtype=np.int64)
     decoded = np.zeros(runs, dtype=bool)
-    for active in blocks:
-        while active.size:
-            grown = schedulers.ir_advance(
-                accumulated[active], channel.draw_gains((active.size, n_users), 1, rng), power
-            )
-            accumulated[active] = grown
-            attempts[active] += 1
-            done = grown.min(axis=1) > rate_target
-            decoded[active[done]] = True
-            if attempt_cap is not None:
-                done |= attempts[active] >= attempt_cap
-            active = active[~done]
+    active = np.arange(runs)
+    while active.size:
+        grown = schedulers.ir_advance(
+            accumulated[active], channel.draw_gains((active.size, n_users), 1, rng), power
+        )
+        accumulated[active] = grown
+        attempts[active] += 1
+        done = grown.min(axis=1) > rate_target
+        decoded[active[done]] = True
+        if attempt_cap is not None:
+            done |= attempts[active] >= attempt_cap
+        active = active[~done]
     return attempts, decoded
 
 
 def tagged_delay_coop(
-    n_users: int,
-    n_groups: int,
-    power: float,
-    packet_nats: float,
-    coherence_interval: float,
-    rng: np.random.Generator,
-    runs: int = 1,
+    n_users: int, n_groups: int, power: float, packet_nats: float,
+    coherence_interval: float, rng: np.random.Generator, runs: int = 1,
 ) -> np.ndarray:
     """Slots, per run, until a cooperative transmission delivers the
     packet to all users of the tagged group.  Returns a float array of
@@ -219,22 +162,15 @@ def tagged_delay_coop(
 
     A slot reaches every user of the group it serves, so the group keeps a
     single queue; with G groups the tagged one is served with probability
-    1/G per slot (group symmetry), simulated as geometric gaps.
+    1/G per slot (group symmetry).  Each hit draws the tagged group's own
+    rate (one group into the sampler), not the rate of the group a
+    multigroup scheduler would select (ROADMAP, D3).
     """
     _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
     if n_users % 2 != 0 or n_users < 2:
         raise ValueError("cooperation needs an even number of users, at least 2")
-    p_hit = _hit_probability(1, n_groups)
-    blocks = _blocks(runs, 1 + n_users + n_users ** 2)
-    remaining = np.full(runs, float(packet_nats))
-    slots = np.zeros(runs)
-    for active in blocks:
-        while active.size:
-            slots[active] += _gaps(p_hit, active.size, rng)
-            bs = channel.draw_gains((active.size, n_users), 1, rng)
-            inter = channel.draw_interuser_gains(n_users, rng, (active.size,))
-            remaining[active] -= coherence_interval * schedulers.cooperative_schedule(
-                bs, inter, power
-            )
-            active = active[remaining[active] > 0.0]
-    return _finite(slots)
+    return _coupled_queue_delay(
+        1, n_groups, packet_nats, coherence_interval,
+        lambda count: schedulers.slot_rates(n_users, 1, power, count, rng),
+        rng, runs,
+    )

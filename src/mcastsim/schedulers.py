@@ -1,8 +1,9 @@
 """Per-slot rate laws for every scheme: the one place a rate is computed.
 
-Every kernel takes gains with arbitrary leading batch dimensions, so the
-throughput path schedules thousands of slots per call and the delay path
-one slot per call, through the same code.
+Every kernel takes gains with arbitrary leading batch dimensions.
+``slot_rates`` draws fresh fading for a batch of slots and schedules it,
+and is the one sampler behind both the throughput estimates and the
+delay engine's per-hit rates.
 
 The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode.  The
@@ -17,13 +18,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcastsim import channel
+
 __all__ = [
     "cooperative_schedule",
     "ir_advance",
     "multigroup_cooperative_schedule",
     "multigroup_static_schedule",
+    "slot_rates",
     "static_schedule",
 ]
+
+# Slots drawn and scheduled per kernel call; a cooperative slot draws G N^2
+# inter-user gains, so its chunks hold _CHUNK // (G N) slots.
+_CHUNK = 8192
 
 
 def _as_gains(gains, name: str = "gains") -> np.ndarray:
@@ -112,3 +120,35 @@ def multigroup_cooperative_schedule(bs_gains, interuser_gains, power: float) -> 
     g = np.asarray(bs_gains, dtype=float)
     _check_groups(g)
     return cooperative_schedule(g, interuser_gains, power).max(axis=-1)
+
+
+def slot_rates(
+    n_users: int, n_groups: int, power: float, count: int, rng: np.random.Generator,
+    alpha: int | None = None, antennas: int = 1,
+) -> np.ndarray:
+    """Scheduled rates of ``count`` independent slots on fresh fading: the
+    fixed-fraction scheduler when ``alpha`` is given, the cooperative one
+    otherwise, over the best of ``n_groups`` groups.
+
+    This is the only place fading is drawn for a scheduler.  Slots go in
+    chunks, each one draw and one kernel call.  A static chunk consumes the
+    generator like one draw per slot; a cooperative chunk draws all its
+    base-station gains before its inter-user gains."""
+    if count < 1:
+        raise ValueError("need at least one slot")
+    coop = alpha is None
+    chunk = max(1, _CHUNK // (n_groups * n_users)) if coop else _CHUNK
+    groups = () if n_groups == 1 else (n_groups,)
+    if coop:
+        kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
+    else:
+        kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
+    parts = []
+    for start in range(0, count, chunk):
+        batch = (min(chunk, count - start), *groups)
+        gains = channel.draw_gains((*batch, n_users), antennas, rng)
+        if coop:
+            parts.append(kernel(gains, channel.draw_interuser_gains(n_users, rng, batch), power))
+        else:
+            parts.append(kernel(gains, alpha, power))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -31,8 +31,6 @@ SCHEMES = ("static", "multigroup-static", "ir", "coop", "multigroup-coop")
 _STATIC_SCHEMES = ("static", "multigroup-static")
 _COOP_SCHEMES = ("coop", "multigroup-coop")
 
-_CHUNK = 8192
-
 _SWEEP_AXES = {
     "N": "n_users",
     "G": "n_groups",
@@ -140,32 +138,6 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# per-slot rate sampling: draw a chunk of slots, then schedule it in one
-# kernel call (a chunk consumes the generator like one draw per slot)
-# ---------------------------------------------------------------------------
-
-def _slot_rates(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """The scheduled rate of each of config.iterations independent slots
-    of a static or cooperative scheme.  Single-group schemes run the
-    multigroup kernels with one group: drawing (c, 1, N) gains consumes
-    the generator like (c, N), and the group maximum is the identity."""
-    n, groups, count = config.n_users, config.n_groups, config.iterations
-    coop = config.scheme in _COOP_SCHEMES
-    chunk = max(1, _CHUNK // (groups * n)) if coop else _CHUNK
-    out = np.empty(count)
-    for start in range(0, count, chunk):
-        batch = (min(chunk, count - start), groups)
-        gains = channel.draw_gains((*batch, n), config.antennas, rng)
-        if coop:
-            inter = channel.draw_interuser_gains(n, rng, batch)
-            rates = schedulers.multigroup_cooperative_schedule(gains, inter, config.power)
-        else:
-            rates = schedulers.multigroup_static_schedule(gains, config.alpha, config.power)
-        out[start:start + batch[0]] = rates
-    return out
-
-
-# ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
@@ -178,12 +150,14 @@ def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = Non
     iters = config.iterations
     record = MetricsRecord(samples=iters)
 
-    if config.scheme in _STATIC_SCHEMES:
-        per_slot = (config.n_users / config.alpha) * _slot_rates(config, rng)
-        record.throughput_mean, record.throughput_se = _mean_se(per_slot)
-    elif config.scheme in _COOP_SCHEMES:
-        per_slot = (config.n_users / 2) * _slot_rates(config, rng)
-        record.throughput_mean, record.throughput_se = _mean_se(per_slot)
+    if config.scheme != "ir":
+        # alpha is None for the cooperative schemes, which serve half the users
+        served = config.n_users / (config.alpha or 2)
+        rates = schedulers.slot_rates(
+            config.n_users, config.n_groups, config.power, iters, rng,
+            config.alpha, config.antennas,
+        )
+        record.throughput_mean, record.throughput_se = _mean_se(served * rates)
     else:
         taus, decoded = queueing.ir_renewal_cycle(
             config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
@@ -224,8 +198,7 @@ def estimate_delay(config: SimConfig, rng: np.random.Generator | None = None) ->
     if config.scheme in _STATIC_SCHEMES:
         delays = queueing.tagged_delay_static(
             config.n_users, config.n_groups, config.alpha, config.power,
-            config.packet_nats, tc, queueing.RateModel.empirical(), rng, config.antennas,
-            runs=iters,
+            config.packet_nats, tc, rng, config.antennas, runs=iters,
         )
     elif config.scheme in _COOP_SCHEMES:
         delays = queueing.tagged_delay_coop(

@@ -2,20 +2,29 @@
 
 These deliberately avoid the package's own evaluation paths: the
 exponential integral is integrated directly, throughputs come from the
-order-statistic density, order-statistic survival functions are exact
-integer binomial sums, the coupon-collector reference solves the
-absorbing chain as a linear system, and the retransmission reference
-convolves the per-attempt information law on a grid.
+order-statistic density or from alternating sums over groups,
+order-statistic survival functions are exact integer binomial sums, the
+order-statistic CDF is the lower binomial tail, the coupon-collector
+reference solves the absorbing chain as a linear system, the memoryless
+server's service law is a shifted Poisson law, and the retransmission
+reference convolves the per-attempt information law on a grid.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from math import comb, exp, log1p
 
+import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
+
+from mcastsim.analytic import UnsupportedSizeError
+
+# The multigroup alternating sums are evaluated up to this many terms.
+_ALTERNATING_SUM_CAP = 1000
 
 
 def ei_reference(x: float) -> float:
@@ -93,6 +102,103 @@ def antenna_order_stat_sf_sum(n: int, pos: int, groups: int, antennas: int, x: f
     row = _binomial_row(n)
     comp = math.fsum(row[k] * fc ** k * (1.0 - fc) ** (n - k) for k in range(pos))
     return _best_of_groups(comp, groups)
+
+
+@dataclass(frozen=True)
+class OrderStatSpec:
+    """Position-th smallest of n_users unit-exponential gains, maximized
+    over n_groups independent groups when n_groups > 1."""
+
+    n_users: int
+    position: int
+    n_groups: int = 1
+
+    def __post_init__(self):
+        if self.n_users < 1:
+            raise ValueError("n_users must be at least 1")
+        if not 1 <= self.position <= self.n_users:
+            raise ValueError("position must lie in [1, n_users]")
+        if self.n_groups < 1:
+            raise ValueError("n_groups must be at least 1")
+
+
+def order_stat_cdf(spec: OrderStatSpec, x: float) -> float:
+    """CDF of the selected order statistic at x >= 0: the lower binomial
+    tail I_F(pos, n - pos + 1) at F = 1 - e^{-x}, to the power G (the
+    package evaluates the upper tail instead)."""
+    if x < 0:
+        raise ValueError("gains are nonnegative")
+    n, pos = spec.n_users, spec.position
+    return float(special.betainc(pos, n - pos + 1, -math.expm1(-x))) ** spec.n_groups
+
+
+def chisquare_cdf(antennas: int, x: float) -> float:
+    """CDF of the mean of ``antennas`` unit exponentials: P(L, L x)."""
+    if antennas < 1:
+        raise ValueError("need at least one antenna")
+    if x < 0:
+        raise ValueError("gains are nonnegative")
+    return float(special.gammainc(antennas, antennas * x))
+
+
+def _check_multigroup(n_users: int, n_groups: int, power: float, terms: int) -> None:
+    if n_users < 1 or n_groups < 1:
+        raise ValueError("n_users and n_groups must be at least 1")
+    if not power > 0:
+        raise ValueError("power must be positive")
+    if terms > _ALTERNATING_SUM_CAP:
+        raise UnsupportedSizeError(
+            f"{terms} terms exceed the alternating-sum cap {_ALTERNATING_SUM_CAP}"
+        )
+
+
+def multigroup_worst_throughput(n_users: int, n_groups: int, power: float) -> float:
+    """Scheduling the best group's worst user: an alternating sum over
+    groups of scaled exponential-integral terms, in mpmath."""
+    _check_multigroup(n_users, n_groups, power, n_groups)
+    with mpmath.workdps(30 + int(0.31 * n_groups)):
+        total = mpmath.mpf(0)
+        for k in range(1, n_groups + 1):
+            arg = mpmath.mpf(n_users) * k / power
+            total += comb(n_groups, k) * (-1) ** k * mpmath.exp(arg) * mpmath.ei(-arg)
+        return float(n_users * total)
+
+
+def multigroup_best_throughput(n_users: int, n_groups: int, power: float) -> float:
+    """Scheduling the overall best user among all N*G: the alternating sum
+    over N*G scaled exponential-integral terms, in mpmath."""
+    total_users = n_users * n_groups
+    _check_multigroup(n_users, n_groups, power, total_users)
+    with mpmath.workdps(30 + int(0.31 * total_users)):
+        total = mpmath.mpf(0)
+        for k in range(1, total_users + 1):
+            arg = mpmath.mpf(k) / power
+            total += comb(total_users, k) * (-1) ** k * mpmath.exp(arg) * mpmath.ei(-arg)
+        return float(total)
+
+
+@dataclass(frozen=True)
+class ServiceLaw:
+    """Memoryless per-slot service: rate exponential with mean 1/mu, and
+    nats_per_interval = S/Tc nats needed per coherence interval."""
+
+    mu: float
+    nats_per_interval: float
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError("mu must be positive")
+        if not self.nats_per_interval > 0:
+            raise ValueError("nats_per_interval must be positive")
+
+
+def service_time_pmf(law: ServiceLaw, k: int) -> float:
+    """P(service takes exactly k slots) = e^{-muC} (muC)^{k-1} / (k-1)!,
+    the count of exponential-rate slots needed to accumulate C nats."""
+    if k < 1:
+        raise ValueError("a service takes at least one slot")
+    lam = law.mu * law.nats_per_interval
+    return math.exp(-lam + (k - 1) * math.log(lam) - math.lgamma(k))
 
 
 def expected_log1p_reference(power: float, cdf, upper: float = np.inf) -> float:

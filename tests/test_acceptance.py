@@ -11,10 +11,18 @@ import pytest
 from scipy import stats
 
 from mcastsim import analytic, cli, queueing, simcore
-from mcastsim.queueing import RateModel
 from mcastsim.simcore import SimConfig
 
-from oracles import ei_reference, ols_slope, throughput_reference
+from oracles import ServiceLaw, ei_reference, ols_slope, service_time_pmf, throughput_reference
+
+
+def _exponential_server_delays(n_users, n_groups, alpha, packet_nats, rng, runs):
+    """The engine on the fixed-fraction queue layout, every hit served at
+    a unit-mean exponential rate instead of a scheduled one."""
+    queues = n_groups * math.comb(n_users, n_users // alpha)
+    return queueing._coupled_queue_delay(
+        alpha, queues, packet_nats, 1.0, lambda count: rng.exponential(1.0, count), rng, runs
+    )
 
 
 def _report(criterion: str, passed: bool, detail: str):
@@ -94,12 +102,9 @@ def test_criterion_3_mc_vs_analytic_throughput():
 
 def test_criterion_4_service_law_fit():
     runs = 10 ** 5
-    delays = queueing.tagged_delay_static(
-        4, 1, 1, 1.0, 1.0, 1.0, RateModel.exponential_server(1.0),
-        np.random.default_rng(401), runs=runs,
-    )
-    law = analytic.ServiceLaw(1.0, 1.0)
-    probs = [analytic.service_time_pmf(law, k) for k in range(1, 8)]
+    delays = _exponential_server_delays(4, 1, 1, 1.0, np.random.default_rng(401), runs)
+    law = ServiceLaw(1.0, 1.0)
+    probs = [service_time_pmf(law, k) for k in range(1, 8)]
     expected = [p * runs for p in probs] + [runs - sum(p * runs for p in probs)]
     observed = [int(np.sum(delays == k)) for k in range(1, 8)] + [int(np.sum(delays >= 8))]
     _, p_value = stats.chisquare(observed, expected)
@@ -126,7 +131,6 @@ def test_criterion_5_coupon_collector():
                 exact = analytic.coupon_collector_markov(q, coupled, m)
                 worst_oracle = max(worst_oracle, abs(integral - exact) / exact)
 
-    model = RateModel.exponential_server(1.0)
     worst_sim, worst_case = 0.0, ""
     for n in (2, 4, 6, 8):
         for alpha in sorted({1, 2, n}):
@@ -134,16 +138,12 @@ def test_criterion_5_coupon_collector():
                 q_total = groups * math.comb(n, n // alpha)
                 expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
                 rng = np.random.default_rng(5000 + 100 * n + 10 * alpha + groups)
-                mean = queueing.tagged_delay_static(
-                    n, groups, alpha, 1.0, 1e-12, 1.0, model, rng, runs=20000
-                ).mean()
+                mean = _exponential_server_delays(n, groups, alpha, 1e-12, rng, 20000).mean()
                 rel = abs(mean - expected) / expected
                 if rel > worst_sim:
                     worst_sim, worst_case = rel, f"N={n},alpha={alpha},G={groups}"
 
-    pinned = queueing.tagged_delay_static(
-        2, 1, 2, 1.0, 1e-12, 1.0, model, np.random.default_rng(5999), runs=10 ** 5
-    ).mean()
+    pinned = _exponential_server_delays(2, 1, 2, 1e-12, np.random.default_rng(5999), 10 ** 5).mean()
     _report(
         "criterion 5 (coupon collector: oracle/integral/simulation)",
         worst_oracle <= 0.02 and worst_sim <= 0.02 and abs(pinned - 3.0) <= 0.06,
@@ -164,8 +164,7 @@ def test_criterion_6_scaling_laws():
     # worst-user delay grows linearly: D(40)/D(20)
     def worst_delay(n, seed):
         return float(queueing.tagged_delay_static(
-            n, 1, 1, 1.0, 5.0, 1.0, RateModel.empirical(), np.random.default_rng(seed),
-            runs=3000,
+            n, 1, 1, 1.0, 5.0, 1.0, np.random.default_rng(seed), runs=3000,
         ).mean())
 
     ratio = worst_delay(40, 602) / worst_delay(20, 601)

@@ -5,19 +5,22 @@ import pytest
 from scipy import special
 
 from mcastsim import analytic
-from mcastsim.analytic import (
-    OrderStatSpec,
-    ServiceLaw,
-    UnsupportedScalingError,
-    UnsupportedSizeError,
-)
+from mcastsim.analytic import UnsupportedScalingError, UnsupportedSizeError
 
 from oracles import (
+    OrderStatSpec,
+    ServiceLaw,
     antenna_order_stat_sf_sum,
+    chisquare_cdf,
     chisquare_cdf_sum,
     coupon_reference,
     ei_reference,
+    expected_log1p_reference,
+    multigroup_best_throughput,
+    multigroup_worst_throughput,
+    order_stat_cdf,
     order_stat_sf_sum,
+    service_time_pmf,
     throughput_reference,
 )
 
@@ -61,18 +64,18 @@ def test_ei_rejects_nonnegative():
 
 def test_order_stat_min_of_two():
     spec = OrderStatSpec(n_users=2, position=1)
-    assert analytic.order_stat_cdf(spec, 0.5) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+    assert order_stat_cdf(spec, 0.5) == pytest.approx(1 - math.exp(-1), abs=1e-12)
 
 
 def test_order_stat_single_user_is_exponential():
     spec = OrderStatSpec(n_users=1, position=1)
     for x in (0.0, 0.3, 1.0, 4.0):
-        assert analytic.order_stat_cdf(spec, x) == pytest.approx(1 - math.exp(-x), abs=1e-12)
+        assert order_stat_cdf(spec, x) == pytest.approx(1 - math.exp(-x), abs=1e-12)
 
 
 def test_order_stat_max_of_four():
     spec = OrderStatSpec(n_users=4, position=4)
-    assert analytic.order_stat_cdf(spec, 1.0) == pytest.approx(0.15966130015118526, abs=1e-12)
+    assert order_stat_cdf(spec, 1.0) == pytest.approx(0.15966130015118526, abs=1e-12)
 
 
 def test_order_stat_is_valid_cdf():
@@ -83,7 +86,7 @@ def test_order_stat_is_valid_cdf():
         OrderStatSpec(9, 7),
     ):
         xs = np.linspace(0.0, 25.0, 300)
-        vals = [analytic.order_stat_cdf(spec, x) for x in xs]
+        vals = [order_stat_cdf(spec, x) for x in xs]
         assert vals[0] == 0.0
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
@@ -95,7 +98,7 @@ def test_order_stat_rejects_bad_spec():
     with pytest.raises(ValueError):
         OrderStatSpec(4, 0)
     with pytest.raises(ValueError):
-        analytic.order_stat_cdf(OrderStatSpec(4, 2), -0.1)
+        order_stat_cdf(OrderStatSpec(4, 2), -0.1)
 
 
 @pytest.mark.parametrize("n", [2, 32, 200, 1000])
@@ -109,22 +112,22 @@ def test_order_stat_sf_matches_binomial_sums(n):
                 assert abs(sf - order_stat_sf_sum(n, pos, groups, x)) <= 1e-12
                 sf = analytic._order_stat_sf(n, pos, groups, special.gammaincc(3, 3 * x))
                 assert abs(sf - antenna_order_stat_sf_sum(n, pos, groups, 3, x)) <= 1e-12
-                cdf = analytic.order_stat_cdf(OrderStatSpec(n, pos, groups), x)
+                cdf = order_stat_cdf(OrderStatSpec(n, pos, groups), x)
                 assert abs(cdf - (1.0 - order_stat_sf_sum(n, pos, groups, x))) <= 1e-12
 
 
 def test_chisquare_cdf_matches_log_space_sum():
     for antennas in (1, 2, 3, 8, 40):
         for x in np.geomspace(1e-4, 20.0, 50):
-            assert abs(analytic.chisquare_cdf(antennas, x) - chisquare_cdf_sum(antennas, x)) <= 1e-14
+            assert abs(chisquare_cdf(antennas, x) - chisquare_cdf_sum(antennas, x)) <= 1e-14
 
 
 def test_chisquare_cdf_points():
-    assert analytic.chisquare_cdf(1, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
-    assert analytic.chisquare_cdf(2, 1.0) == pytest.approx(1 - 3 * math.exp(-2), abs=1e-12)
-    assert analytic.chisquare_cdf(8, 0.0) == 0.0
+    assert chisquare_cdf(1, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+    assert chisquare_cdf(2, 1.0) == pytest.approx(1 - 3 * math.exp(-2), abs=1e-12)
+    assert chisquare_cdf(8, 0.0) == 0.0
     with pytest.raises(ValueError):
-        analytic.chisquare_cdf(0, 1.0)
+        chisquare_cdf(0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,49 +181,48 @@ def test_quadrature_evaluator_handles_groups_and_antennas():
         ref = throughput_reference(4, 2, 1.0, groups=groups)
         assert val == pytest.approx(ref, rel=1e-7)
     # L > 1, N = 1: plain single-user mean over the averaged-gain law
-    from oracles import expected_log1p_reference
 
     val = analytic.throughput_quadrature(1, 1, 1.0, antennas=2)
-    ref = expected_log1p_reference(1.0, lambda x: analytic.chisquare_cdf(2, x))
+    ref = expected_log1p_reference(1.0, lambda x: chisquare_cdf(2, x))
     assert val == pytest.approx(ref, rel=1e-7)
 
 
 def test_multigroup_worst_reduces_to_single_group():
     for n in (1, 2, 5):
-        assert analytic.multigroup_worst_throughput(n, 1, 1.0) == pytest.approx(
+        assert multigroup_worst_throughput(n, 1, 1.0) == pytest.approx(
             analytic.static_throughput_closed_form(n, 1, 1.0), rel=1e-10
         )
 
 
 def test_multigroup_worst_harmonic_limit():
     # large N, P=1, G=4: approaches P * (1 + 1/2 + 1/3 + 1/4)
-    value = analytic.multigroup_worst_throughput(256, 4, 1.0)
+    value = multigroup_worst_throughput(256, 4, 1.0)
     assert value == pytest.approx(25.0 / 12.0, rel=0.01)
 
 
 def test_multigroup_worst_increasing_in_groups():
-    values = [analytic.multigroup_worst_throughput(8, g, 1.0) for g in (1, 2, 4, 8)]
+    values = [multigroup_worst_throughput(8, g, 1.0) for g in (1, 2, 4, 8)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_multigroup_best_values():
-    assert analytic.multigroup_best_throughput(1, 1, 1.0) == pytest.approx(
+    assert multigroup_best_throughput(1, 1, 1.0) == pytest.approx(
         0.5963473623231941, rel=1e-9
     )
     # frozen from the density quadrature of the max of two gains
-    assert analytic.multigroup_best_throughput(2, 1, 1.0) == pytest.approx(
+    assert multigroup_best_throughput(2, 1, 1.0) == pytest.approx(
         0.8313661077581654, rel=1e-9
     )
-    assert analytic.multigroup_best_throughput(2, 1, 1.0) == pytest.approx(
+    assert multigroup_best_throughput(2, 1, 1.0) == pytest.approx(
         throughput_reference(2, 2, 1.0), rel=1e-9
     )
 
 
 def test_multigroup_best_increasing_and_capped():
-    values = [analytic.multigroup_best_throughput(n, g, 1.0) for n, g in ((1, 1), (2, 1), (2, 2), (4, 2))]
+    values = [multigroup_best_throughput(n, g, 1.0) for n, g in ((1, 1), (2, 1), (2, 2), (4, 2))]
     assert all(a < b for a, b in zip(values, values[1:]))
     with pytest.raises(UnsupportedSizeError):
-        analytic.multigroup_best_throughput(1001, 1, 1.0)
+        multigroup_best_throughput(1001, 1, 1.0)
     # the quadrature path keeps working beyond the cap
     assert analytic.throughput_quadrature(1024, 1024, 1.0, n_groups=2) > 0
 
@@ -230,13 +232,13 @@ def test_multigroup_best_increasing_and_capped():
 # ---------------------------------------------------------------------------
 
 def test_service_pmf_values():
-    assert analytic.service_time_pmf(ServiceLaw(1.0, 1.0), 1) == pytest.approx(
+    assert service_time_pmf(ServiceLaw(1.0, 1.0), 1) == pytest.approx(
         math.exp(-1), abs=1e-12
     )
     # mu*C -> 0 limit: the first slot almost surely finishes the packet
-    assert analytic.service_time_pmf(ServiceLaw(1e-12, 1.0), 1) == pytest.approx(1.0, abs=1e-9)
+    assert service_time_pmf(ServiceLaw(1e-12, 1.0), 1) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
-        analytic.service_time_pmf(ServiceLaw(1.0, 1.0), 0)
+        service_time_pmf(ServiceLaw(1.0, 1.0), 0)
     with pytest.raises(ValueError):
         ServiceLaw(0.0, 1.0)
 
@@ -245,14 +247,14 @@ def test_service_pmf_values():
 def test_service_pmf_normalizes(lam):
     law = ServiceLaw(lam, 1.0)
     cutoff = math.ceil(lam) + int(40 * math.sqrt(lam)) + 40
-    total = math.fsum(analytic.service_time_pmf(law, k) for k in range(1, cutoff + 1))
+    total = math.fsum(service_time_pmf(law, k) for k in range(1, cutoff + 1))
     assert abs(total - 1.0) < 1e-12
 
 
 def test_service_pmf_mean_identity():
     law = ServiceLaw(2.5, 1.0)
     cutoff = 140
-    mean = math.fsum(k * analytic.service_time_pmf(law, k) for k in range(1, cutoff + 1))
+    mean = math.fsum(k * service_time_pmf(law, k) for k in range(1, cutoff + 1))
     assert mean == pytest.approx(3.5, abs=1e-9)
 
 

@@ -1,0 +1,45 @@
+"""Every public name of the package is used by the package itself.
+
+A name listed in a module's ``__all__`` must be read somewhere in
+``src/``: as a name, an attribute or an import.  Its own definition (a
+def, a class or an assignment) and its ``__all__`` entry (a string) do
+not count.  Functions that only the tests call belong in
+``tests/oracles.py`` instead.
+"""
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mcastsim"
+
+
+def _read_names() -> set:
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+_READ = _read_names()
+
+
+_PUBLIC = [
+    (path.stem, name)
+    for path in sorted(SRC.glob("*.py"))
+    for name in importlib.import_module(
+        "mcastsim" if path.stem == "__init__" else f"mcastsim.{path.stem}"
+    ).__all__
+]
+
+
+@pytest.mark.parametrize("module, name", _PUBLIC, ids=[f"{m}.{n}" for m, n in _PUBLIC])
+def test_public_name_is_used_in_src(module, name):
+    assert name in _READ, f"{module}.{name} is public but unused in src/"

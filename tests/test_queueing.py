@@ -5,14 +5,28 @@ import pytest
 from scipy import stats
 
 from mcastsim import analytic, queueing, schedulers
-from mcastsim.analytic import ServiceLaw
-from mcastsim.queueing import RateModel
 
-from oracles import ir_expected_attempts, slot_by_slot_delays, throughput_reference
+from oracles import (
+    ServiceLaw,
+    ir_expected_attempts,
+    service_time_pmf,
+    slot_by_slot_delays,
+    throughput_reference,
+)
 
 
 def _static_delays(runs, seed, **kwargs):
     return queueing.tagged_delay_static(rng=np.random.default_rng(seed), runs=runs, **kwargs)
+
+
+def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats):
+    """The engine on the fixed-fraction queue layout, every hit served at
+    a unit-mean exponential rate instead of a scheduled one."""
+    rng = np.random.default_rng(seed)
+    queues = n_groups * math.comb(n_users, n_users // alpha)
+    return queueing._coupled_queue_delay(
+        alpha, queues, packet_nats, 1.0, lambda count: rng.exponential(1.0, count), rng, runs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -20,20 +34,18 @@ def _static_delays(runs, seed, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_exponential_server_mean_is_one_plus_muc():
-    delays = _static_delays(
-        30000, 101, n_users=4, n_groups=1, alpha=1, power=1.0,
-        packet_nats=1.0, coherence_interval=1.0, model=RateModel.exponential_server(1.0),
+    delays = _exponential_server_delays(
+        30000, 101, n_users=4, n_groups=1, alpha=1, packet_nats=1.0
     )
     assert abs(delays.mean() - 2.0) <= 0.04
 
 
 def test_exponential_server_distribution_fits_service_law():
-    delays = _static_delays(
-        20000, 102, n_users=4, n_groups=1, alpha=1, power=1.0,
-        packet_nats=1.0, coherence_interval=1.0, model=RateModel.exponential_server(1.0),
+    delays = _exponential_server_delays(
+        20000, 102, n_users=4, n_groups=1, alpha=1, packet_nats=1.0
     )
     law = ServiceLaw(1.0, 1.0)
-    probs = [analytic.service_time_pmf(law, k) for k in range(1, 8)]
+    probs = [service_time_pmf(law, k) for k in range(1, 8)]
     expected = [p * delays.size for p in probs]
     expected.append(delays.size - sum(expected))
     observed = [np.sum(delays == k) for k in range(1, 8)]
@@ -44,9 +56,8 @@ def test_exponential_server_distribution_fits_service_law():
 
 def test_exponential_server_respects_mu():
     # muC = 2.5 gives mean 3.5 slots
-    delays = _static_delays(
-        30000, 103, n_users=4, n_groups=1, alpha=1, power=1.0,
-        packet_nats=2.5, coherence_interval=1.0, model=RateModel.exponential_server(1.0),
+    delays = _exponential_server_delays(
+        30000, 103, n_users=4, n_groups=1, alpha=1, packet_nats=2.5
     )
     assert abs(delays.mean() - 3.5) <= 0.06
 
@@ -58,7 +69,7 @@ def test_exponential_server_respects_mu():
 def test_two_coupled_queues_collect_in_three_slots():
     delays = _static_delays(
         20000, 111, n_users=2, n_groups=1, alpha=2, power=1.0,
-        packet_nats=1e-12, coherence_interval=1.0, model=RateModel.empirical(),
+        packet_nats=1e-12, coherence_interval=1.0,
     )
     assert abs(delays.mean() - 3.0) <= 0.06
 
@@ -71,7 +82,7 @@ def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
     expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
     delays = _static_delays(
         8000, 113 + n + alpha + groups, n_users=n, n_groups=groups, alpha=alpha,
-        power=1.0, packet_nats=1e-12, coherence_interval=1.0, model=RateModel.empirical(),
+        power=1.0, packet_nats=1e-12, coherence_interval=1.0,
     )
     assert abs(delays.mean() - expected) <= 0.02 * expected
 
@@ -102,10 +113,7 @@ def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
         queues, alpha, 1.0, lambda rng, count: rng.exponential(1.0, count),
         np.random.default_rng(seed), 20000,
     )
-    delays = queueing.tagged_delay_static(
-        n, groups, alpha, 1.0, 1.0, 1.0, RateModel.exponential_server(1.0),
-        np.random.default_rng(seed + 100), runs=20000,
-    )
+    delays = _exponential_server_delays(20000, seed + 100, n, groups, alpha, 1.0)
     assert _same_law_p_value(reference, delays) > 0.001
 
 
@@ -130,7 +138,7 @@ def test_engines_are_deterministic():
         rng = np.random.default_rng(seed)
         return (
             queueing.tagged_delay_static(
-                6, 2, 2, 1.0, 1.0, 1.0, RateModel.empirical(), rng, runs=500
+                6, 2, 2, 1.0, 1.0, 1.0, rng, runs=500
             ),
             queueing.tagged_delay_coop(6, 2, 1.0, 1.0, 1.0, rng, runs=500),
             *queueing.ir_renewal_cycle(6, 1.0, 1.0, 4, rng, runs=500),
@@ -147,7 +155,7 @@ def test_engines_are_deterministic():
 def test_static_delay_clears_coupon_floor_at_n72():
     # C(72, 36) * H_2 = 6.6e20 slots; int64 geometric gaps saturated near 6e19
     delays = queueing.tagged_delay_static(
-        72, 1, 2, 1.0, 1.0, 1.0, RateModel.empirical(), np.random.default_rng(181), runs=300
+        72, 1, 2, 1.0, 1.0, 1.0, np.random.default_rng(181), runs=300
     )
     floor = math.comb(72, 36) * 1.5
     se = delays.std(ddof=1) / math.sqrt(delays.size)
@@ -157,13 +165,11 @@ def test_static_delay_clears_coupon_floor_at_n72():
 def test_static_delay_rejects_unrepresentable_counts():
     rng = np.random.default_rng(182)
     with pytest.raises(ValueError, match="normal float"):
-        queueing.tagged_delay_static(2000, 1, 2, 1.0, 1.0, 1.0, RateModel.empirical(), rng)
+        queueing.tagged_delay_static(2000, 1, 2, 1.0, 1.0, 1.0, rng)
     # the hit probability 1.1e-307 is a normal float, but the sum of some
     # hundred gaps of about 1e307 slots each is not
     with pytest.raises(ValueError, match="float range"):
-        queueing.tagged_delay_static(
-            1026, 1, 2, 1.0, 50.0, 1.0, RateModel.exponential_server(1.0), rng, runs=2
-        )
+        _exponential_server_delays(2, 182, n_users=1026, n_groups=1, alpha=2, packet_nats=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +183,14 @@ def test_single_queue_delay_tracks_service_rate():
     packet = 40 * mean_rate
     delays = _static_delays(
         3000, 121, n_users=n, n_groups=1, alpha=1, power=power,
-        packet_nats=packet, coherence_interval=1.0, model=RateModel.empirical(),
+        packet_nats=packet, coherence_interval=1.0,
     )
     ratio = delays.mean() * mean_rate / packet
     assert abs(ratio - 1.0) < 0.05
 
 
 def test_delay_monotone_in_power_and_packet_size():
-    common = dict(n_users=4, n_groups=1, alpha=2, coherence_interval=1.0,
-                  model=RateModel.empirical())
+    common = dict(n_users=4, n_groups=1, alpha=2, coherence_interval=1.0)
     for seed in range(200):
         low = queueing.tagged_delay_static(
             power=1.0, packet_nats=1.0, rng=np.random.default_rng(seed), **common)
@@ -200,11 +205,9 @@ def test_delay_monotone_in_power_and_packet_size():
 def test_static_delay_validates_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        queueing.tagged_delay_static(6, 1, 4, 1.0, 1.0, 1.0, RateModel.empirical(), rng)
+        queueing.tagged_delay_static(6, 1, 4, 1.0, 1.0, 1.0, rng)
     with pytest.raises(ValueError):
-        queueing.tagged_delay_static(4, 1, 2, 1.0, -1.0, 1.0, RateModel.empirical(), rng)
-    with pytest.raises(ValueError):
-        RateModel.exponential_server(0.0)
+        queueing.tagged_delay_static(4, 1, 2, 1.0, -1.0, 1.0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +226,16 @@ def test_ir_delay_trivial_cases():
 
 
 def test_ir_mean_attempts_match_failure_sum():
-    # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target)
+    # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target),
+    # the sum evaluated exactly by grid convolution
     target, runs = 0.5, 40000
     # one cycle per call, each drawing its attempts in sequence on the stream
     rng = np.random.default_rng(133)
     taus = np.concatenate([
         queueing.ir_renewal_cycle(1, 1.0, target, None, rng)[0] for _ in range(runs)
     ])
-
-    est_rng = np.random.default_rng(134)
-    increments = np.log1p(est_rng.exponential(1.0, (runs, 12)))
-    sums = np.cumsum(increments, axis=1)
-    p_hat = (sums <= target).mean(axis=0)
-    predicted = 1 + p_hat.sum()
     se_tau = taus.std(ddof=1) / math.sqrt(runs)
-    se_pred = math.sqrt(np.sum(p_hat * (1 - p_hat)) / runs)
-    assert abs(taus.mean() - predicted) <= 2 * math.hypot(se_tau, se_pred)
+    assert abs(taus.mean() - ir_expected_attempts(1, target, 1.0)) <= 2 * se_tau
 
 
 @pytest.mark.parametrize("n_users, seed", [(1, 135), (4, 136)])

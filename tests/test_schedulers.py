@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mcastsim import analytic, channel, queueing, schedulers
-from mcastsim.analytic import OrderStatSpec
+from mcastsim import channel, queueing, schedulers
 
-from oracles import ks_distance
+from oracles import OrderStatSpec, ks_distance, order_stat_cdf
 
 
 class FixedGains:
@@ -68,7 +67,7 @@ def test_static_rate_distribution_matches_order_statistic():
     rates = schedulers.static_schedule(rng.exponential(1.0, (10 ** 5, n)), alpha, power)
 
     def rate_cdf(r):
-        return analytic.order_stat_cdf(spec, math.expm1(r) / power)
+        return order_stat_cdf(spec, math.expm1(r) / power)
 
     assert ks_distance(rates, rate_cdf) < 0.01
 

@@ -74,9 +74,8 @@ def test_distinct_seeds_differ():
 # ---------------------------------------------------------------------------
 
 def test_vectorized_static_rates_match_scalar_path(monkeypatch):
-    monkeypatch.setattr(simcore, "_CHUNK", 64)          # cross chunk boundaries
-    cfg = SimConfig(scheme="static", n_users=6, alpha=2, iterations=300, seed=5)
-    vec = simcore._slot_rates(cfg, np.random.default_rng(42))
+    monkeypatch.setattr(schedulers, "_CHUNK", 64)       # cross chunk boundaries
+    vec = schedulers.slot_rates(6, 1, 1.0, 300, np.random.default_rng(42), alpha=2)
     rng = np.random.default_rng(42)
     per_slot = [
         schedulers.static_schedule(rng.exponential(1.0, 6), 2, 1.0)
@@ -86,10 +85,7 @@ def test_vectorized_static_rates_match_scalar_path(monkeypatch):
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
-    cfg = SimConfig(
-        scheme="multigroup-static", n_users=4, alpha=2, n_groups=3, iterations=200, seed=6
-    )
-    vec = simcore._slot_rates(cfg, np.random.default_rng(43))
+    vec = schedulers.slot_rates(4, 3, 1.0, 200, np.random.default_rng(43), alpha=2)
     rng = np.random.default_rng(43)
     per_slot = [
         schedulers.multigroup_static_schedule(rng.exponential(1.0, (3, 4)), 2, 1.0)
@@ -99,14 +95,32 @@ def test_vectorized_multigroup_rates_match_scalar_path():
 
 
 def test_vectorized_chisquare_rates_match_scalar_path():
-    cfg = SimConfig(scheme="static", n_users=4, alpha=1, antennas=2, iterations=150, seed=7)
-    vec = simcore._slot_rates(cfg, np.random.default_rng(44))
+    vec = schedulers.slot_rates(4, 1, 1.0, 150, np.random.default_rng(44), alpha=1, antennas=2)
     rng = np.random.default_rng(44)
     per_slot = [
         schedulers.static_schedule(rng.exponential(1.0, (4, 2)).mean(axis=1), 1, 1.0)
         for _ in range(150)
     ]
     assert np.array_equal(vec, np.array(per_slot))
+
+
+def test_single_group_rates_equal_one_group_multigroup_kernels():
+    # one group goes straight to the single-group kernels; drawing (c, N)
+    # consumes the generator like (c, 1, N), so the rates are unchanged
+    static = schedulers.slot_rates(6, 1, 1.0, 100, np.random.default_rng(45), alpha=3)
+    rng = np.random.default_rng(45)
+    gains = rng.exponential(1.0, (100, 1, 6))
+    assert np.array_equal(static, schedulers.multigroup_static_schedule(gains, 3, 1.0))
+
+    coop = schedulers.slot_rates(4, 1, 1.0, 100, np.random.default_rng(46))
+    rng = np.random.default_rng(46)
+    gains = rng.exponential(1.0, (100, 1, 4))
+    inter = rng.exponential(1.0, (100, 1, 4, 4))
+    inter[..., np.arange(4), np.arange(4)] = 0.0
+    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(gains, inter, 1.0))
+
+    with pytest.raises(ValueError):
+        schedulers.slot_rates(4, 1, 1.0, 0, rng, alpha=2)
 
 
 # ---------------------------------------------------------------------------
