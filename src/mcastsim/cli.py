@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -46,30 +47,13 @@ EXIT_PARSE = 2
 
 
 class ExperimentFileError(Exception):
-    """Configuration problem; the message names the key and line."""
+    """Configuration problem; the message names the key, and the line when
+    an experiment file line set it."""
 
 
 # ---------------------------------------------------------------------------
-# experiment files
+# settings: experiment-file keys and run flags
 # ---------------------------------------------------------------------------
-
-_FILE_KEYS = {
-    "scheme": str,
-    "n_users": int,
-    "alpha": int,
-    "groups": int,
-    "antennas": int,
-    "power": float,
-    "packet_nats": float,
-    "coherence": str,
-    "rate_target": float,
-    "attempt_cap": int,
-    "iterations": int,
-    "seed": int,
-    "sweep": str,
-    "out": str,
-}
-
 
 def _parse_coherence(text: str) -> CoherencePolicy:
     mode, sep, raw = text.partition(":")
@@ -85,16 +69,51 @@ def _parse_coherence(text: str) -> CoherencePolicy:
 
 def _parse_sweep(text: str) -> tuple[str, list[str]]:
     axis, sep, raw = text.partition("=")
-    if not sep or not raw:
+    axis = axis.strip()
+    values = [v.strip() for v in raw.split(",") if v.strip()]
+    if not sep or not values:
         raise ValueError("expected AXIS=v1,v2,..., e.g. N=2,4,8")
-    return axis.strip(), [v.strip() for v in raw.split(",") if v.strip()]
+    if axis not in simcore.SWEEP_AXES:
+        raise ValueError(f"axis must be one of {sorted(simcore.SWEEP_AXES)}, got {axis!r}")
+    return axis, values
 
 
-def parse_experiment_file(path: str) -> dict:
-    """Read a key = value experiment file into a settings dict.
+# Every run setting: its experiment-file key, which is also the flag
+# --key-with-dashes, mapped to the parser of its text and its help.
+_SETTINGS = {
+    "scheme": (str, f"one of {', '.join(simcore.SCHEMES)}"),
+    "n_users": (int, "users per group N (required)"),
+    "alpha": (int, "fixed-fraction divisor: N/alpha users decode (static schemes)"),
+    "groups": (int, "group count G (multigroup schemes)"),
+    "antennas": (int, "base-station antennas L (static)"),
+    "power": (float, "transmit SNR P"),
+    "packet_nats": (float, "packet size S in nats"),
+    "coherence": (_parse_coherence, "fixed:TC or scaled:C"),
+    "rate_target": (float, "per-attempt rate target (ir)"),
+    "attempt_cap": (int, "attempt cap (ir); omit for unbounded"),
+    "iterations": (int, "samples per metric"),
+    "seed": (int, "root seed"),
+    "sweep": (_parse_sweep, f"AXIS=v1,v2,... with AXIS in {','.join(simcore.SWEEP_AXES)}"),
+    "out": (str, "output CSV path"),
+}
 
-    Unknown keys, bad values and cross-field invariant breaches all raise
-    ExperimentFileError naming the offending key and line.
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_setting(key: str, text: str, where: str = ""):
+    try:
+        return _SETTINGS[key][0](text)
+    except ValueError as exc:
+        raise ExperimentFileError(f"{where}{key}: {exc}") from exc
+
+
+def parse_experiment_file(path: str) -> tuple[dict, dict[str, int]]:
+    """Read a key = value experiment file into (settings, line of each key).
+
+    Unknown keys, duplicate keys and bad values raise ExperimentFileError
+    naming the offending key and line.
     """
     settings: dict = {}
     lines: dict[str, int] = {}
@@ -107,127 +126,73 @@ def parse_experiment_file(path: str) -> dict:
             if not sep:
                 raise ExperimentFileError(f"line {lineno}: expected 'key = value'")
             key = key.strip()
-            value = value.strip()
-            if key not in _FILE_KEYS:
+            if key not in _SETTINGS:
                 raise ExperimentFileError(f"line {lineno}: unknown key {key!r}")
             if key in lines:
                 raise ExperimentFileError(
                     f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
                 )
-            try:
-                settings[key] = _FILE_KEYS[key](value)
-            except ValueError as exc:
-                raise ExperimentFileError(f"line {lineno}: {key}: {exc}") from exc
+            settings[key] = _parse_setting(key, value.strip(), f"line {lineno}: ")
             lines[key] = lineno
-    settings["_lines"] = lines
-    return settings
+    return settings, lines
 
 
-def _config_from_settings(settings: dict) -> tuple[SimConfig, tuple[str, list[str]] | None, str | None]:
-    lines = settings.get("_lines", {})
-
-    def fail(key: str, message: str):
-        where = f"line {lines[key]}: " if key in lines else ""
-        raise ExperimentFileError(f"{where}{message}")
-
-    if "scheme" not in settings:
-        raise ExperimentFileError("missing required key 'scheme'")
-    if "n_users" not in settings:
-        raise ExperimentFileError("missing required key 'n_users'")
-    coherence = CoherencePolicy.fixed(1.0)
-    if "coherence" in settings:
-        try:
-            coherence = _parse_coherence(settings["coherence"])
-        except ValueError as exc:
-            fail("coherence", f"coherence: {exc}")
+def _config_from_settings(settings: dict, lines: dict[str, int] | None = None) -> SimConfig:
+    """The one SimConfig builder.  Only the keys present are passed, so
+    SimConfig's defaults are the only defaults.  An invariant breach names
+    the line of the key it mentions first, when a file line set that key."""
+    lines = lines or {}
+    for key in ("scheme", "n_users"):
+        if key not in settings:
+            raise ExperimentFileError(
+                f"missing required key {key!r} ({_flag(key)} or a --config file line)"
+            )
+    fields = {
+        "n_groups" if key == "groups" else key: value
+        for key, value in settings.items() if key not in ("sweep", "out")
+    }
     try:
-        config = SimConfig(
-            scheme=settings["scheme"],
-            n_users=settings["n_users"],
-            alpha=settings.get("alpha"),
-            n_groups=settings.get("groups", 1),
-            antennas=settings.get("antennas", 1),
-            power=settings.get("power", 1.0),
-            packet_nats=settings.get("packet_nats", 1.0),
-            coherence=coherence,
-            rate_target=settings.get("rate_target"),
-            attempt_cap=settings.get("attempt_cap"),
-            iterations=settings.get("iterations", 5000),
-            seed=settings.get("seed", 0),
-        )
+        return SimConfig(**fields)
     except ValueError as exc:
         message = str(exc)
         mentioned = [(message.find(key), key) for key in lines if key in message]
         offender = min(mentioned)[1] if mentioned else "scheme"
-        fail(offender, message)
-    sweep = None
-    if "sweep" in settings:
-        try:
-            sweep = _parse_sweep(settings["sweep"])
-        except ValueError as exc:
-            fail("sweep", f"sweep: {exc}")
-    return config, sweep, settings.get("out")
+        where = f"line {lines[offender]}: " if offender in lines else ""
+        raise ExperimentFileError(f"{where}{message}") from exc
 
 
 # ---------------------------------------------------------------------------
-# recipes for the reference experiments
+# recipes for the reference experiments: one settings point per row
 # ---------------------------------------------------------------------------
-
-_RECIPE_N_SWEEP = (2, 4, 6, 8, 10, 12)
-_RECIPE_N_SWEEP_MG = (2, 4, 6, 8, 10)
-
-
-def _recipe_tpos(iterations: int, seed: int) -> list[SimConfig]:
-    # throughput versus the rated user's position, N = 10
-    configs = []
-    for index, alpha in enumerate((1, 2, 5, 10)):
-        configs.append(SimConfig(
-            scheme="static", n_users=10, alpha=alpha, iterations=iterations,
-            seed=_child_seed(seed, index),
-        ))
-    return configs
-
-
-def _single_group_suite(iterations: int, seed: int) -> list[SimConfig]:
-    configs = []
-    index = 0
-    for n in _RECIPE_N_SWEEP:
-        entries = [("static", a) for a in sorted({1, 2, n})] + [("ir", None), ("coop", None)]
-        for scheme, alpha in entries:
-            kwargs = dict(iterations=iterations, seed=_child_seed(seed, index))
-            if scheme == "ir":
-                configs.append(SimConfig(scheme="ir", n_users=n, rate_target=1.0, **kwargs))
-            elif scheme == "coop":
-                configs.append(SimConfig(scheme="coop", n_users=n, **kwargs))
-            else:
-                configs.append(SimConfig(scheme="static", n_users=n, alpha=alpha, **kwargs))
-            index += 1
-    return configs
-
-
-def _multigroup_suite(iterations: int, seed: int) -> list[SimConfig]:
-    configs = []
-    index = 0
-    for n in _RECIPE_N_SWEEP_MG:
-        for alpha in sorted({1, 2, n}):
-            configs.append(SimConfig(
-                scheme="multigroup-static", n_users=n, alpha=alpha, n_groups=5,
-                iterations=iterations, seed=_child_seed(seed, index),
-            ))
-            index += 1
-        configs.append(SimConfig(
-            scheme="multigroup-coop", n_users=n, n_groups=5,
-            iterations=iterations, seed=_child_seed(seed, index),
-        ))
-        index += 1
-    return configs
-
 
 RECIPES = {
-    "fig-tpos": _recipe_tpos,
-    "fig-compt": _single_group_suite,
-    "fig-t5": _multigroup_suite,
+    # throughput versus the rated user's position, N = 10
+    "fig-tpos": [dict(scheme="static", n_users=10, alpha=a) for a in (1, 2, 5, 10)],
+    "fig-compt": [
+        point for n in (2, 4, 6, 8, 10, 12) for point in (
+            *(dict(scheme="static", n_users=n, alpha=a) for a in sorted({1, 2, n})),
+            dict(scheme="ir", n_users=n, rate_target=1.0),
+            dict(scheme="coop", n_users=n),
+        )
+    ],
+    "fig-t5": [
+        point for n in (2, 4, 6, 8, 10) for point in (
+            *(dict(scheme="multigroup-static", n_users=n, alpha=a, groups=5)
+              for a in sorted({1, 2, n})),
+            dict(scheme="multigroup-coop", n_users=n, groups=5),
+        )
+    ],
 }
+
+
+def _recipe(points: list[dict], settings: dict) -> list[SimConfig]:
+    """One config per point; each point's seed is drawn from the run seed
+    (1 unless given) and the point's index."""
+    seed = settings.get("seed", 1)
+    return [
+        _config_from_settings({**point, **settings, "seed": _child_seed(seed, index)})
+        for index, point in enumerate(points)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +210,8 @@ def _format_value(value) -> str:
 def _record_row(config: SimConfig, record: simcore.MetricsRecord) -> dict:
     return {
         "scheme": config.scheme,
-        "N": config.n_users,
-        "G": config.n_groups,
-        "alpha": config.alpha,
-        "L": config.antennas,
-        "P": config.power,
-        "S": config.packet_nats,
+        # the CSV names the swept fields by their axis names
+        **{column: getattr(config, field) for column, field in simcore.SWEEP_AXES.items()},
         "iterations": config.iterations,
         "seed": config.seed,
         "throughput_nats": record.throughput_mean,
@@ -270,67 +231,49 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_format_value(row[col]) for col in CSV_COLUMNS])
 
 
-def cmd_run(args) -> int:
-    if args.config:
-        try:
-            base, sweep, file_out = _config_from_settings(parse_experiment_file(args.config))
-        except (OSError, ExperimentFileError) as exc:
-            print(f"error: {args.config}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        out_path = args.out or file_out
-        configs = None
-    elif args.recipe:
+def _run_settings(args) -> tuple[dict, list[SimConfig]]:
+    """The run's settings and configs: a recipe's, or the experiment
+    file's (if any) with the given flags on top."""
+    flags = {
+        key: _parse_setting(key, getattr(args, key))
+        for key in _SETTINGS if getattr(args, key) is not None
+    }
+    if args.recipe:
         if args.recipe not in RECIPES:
-            print(f"error: unknown recipe {args.recipe!r}; known: {', '.join(sorted(RECIPES))}",
-                  file=sys.stderr)
-            return EXIT_PARSE
-        iterations = args.iterations if args.iterations is not None else 5000
-        seed = args.seed if args.seed is not None else 1
-        try:
-            configs = RECIPES[args.recipe](iterations, seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        base, sweep, out_path = None, None, args.out
-    else:
-        if not args.scheme:
-            print("error: need --scheme, --recipe or --config", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            coherence = _parse_coherence(args.coherence) if args.coherence else CoherencePolicy.fixed(1.0)
-            base = SimConfig(
-                scheme=args.scheme,
-                n_users=args.n_users,
-                alpha=args.alpha,
-                n_groups=args.groups,
-                antennas=args.antennas,
-                power=args.power,
-                packet_nats=args.packet_nats,
-                coherence=coherence,
-                rate_target=args.rate_target,
-                attempt_cap=args.attempt_cap,
-                iterations=args.iterations if args.iterations is not None else 5000,
-                seed=args.seed if args.seed is not None else 0,
+            raise ExperimentFileError(
+                f"unknown recipe {args.recipe!r}; known: {', '.join(sorted(RECIPES))}"
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        sweep = _parse_sweep(args.sweep) if args.sweep else None
-        configs = None
-        out_path = args.out
+        extra = ["--config"] if args.config else []
+        extra += [_flag(key) for key in flags if key not in ("iterations", "seed", "out")]
+        if extra:
+            raise ExperimentFileError(
+                f"--recipe takes only --iterations, --seed and --out, not {' '.join(extra)}"
+            )
+        return flags, _recipe(RECIPES[args.recipe], flags)
+    settings, lines = parse_experiment_file(args.config) if args.config else ({}, {})
+    for key in flags:
+        lines.pop(key, None)
+    settings.update(flags)
+    return settings, [_config_from_settings(settings, lines)]
 
+
+def cmd_run(args) -> int:
+    try:
+        settings, configs = _run_settings(args)
+    except (OSError, ValueError, ExperimentFileError) as exc:
+        where = f"{args.config}: " if args.config and not args.recipe else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return EXIT_PARSE
+    out_path = settings.get("out")
     if not out_path:
         print("error: no output path (--out or 'out' in the config file)", file=sys.stderr)
         return EXIT_PARSE
 
     try:
-        if configs is not None:
-            results = [(cfg, simcore.run_config(cfg)) for cfg in configs]
-        elif sweep is not None:
-            axis, values = sweep
-            results = simcore.run_sweep(base, axis, values)
+        if "sweep" in settings:
+            results = simcore.run_sweep(configs[0], *settings["sweep"])
         else:
-            results = [(base, simcore.run_config(base))]
+            results = [(cfg, simcore.run_config(cfg)) for cfg in configs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -367,17 +310,17 @@ class CheckResult:
     detail: str
 
 
-def _check_ei() -> CheckResult:
+def _check_ei() -> tuple[bool, str]:
     worst = 0.0
     for x in (0.1, 1.0, 5.0, 20.0, 50.0):
         reference, _ = integrate.quad(
             lambda u: math.exp(-u) / u, x, np.inf, epsabs=1e-14, epsrel=1e-13, limit=300
         )
         worst = max(worst, abs(analytic.expint_ei(-x) - (-reference)))
-    return CheckResult("ei-quadrature", worst <= 1e-10, f"max abs deviation {worst:.3e} (tol 1e-10)")
+    return worst <= 1e-10, f"max abs deviation {worst:.3e} (tol 1e-10)"
 
 
-def _check_coupon() -> CheckResult:
+def _check_coupon() -> tuple[bool, str]:
     worst = 0.0
     for q in (2, 3, 4, 6, 10):
         for coupled in (1, 2, 3):
@@ -387,12 +330,10 @@ def _check_coupon() -> CheckResult:
                 exact = analytic.coupon_collector_markov(q, coupled, m)
                 integral = analytic.coupon_collector_expected_trials(q, coupled, m)
                 worst = max(worst, abs(integral - exact) / exact)
-    return CheckResult(
-        "coupon-markov-oracle", worst <= 1e-4, f"max rel deviation {worst:.3e} (tol 1e-4)"
-    )
+    return worst <= 1e-4, f"max rel deviation {worst:.3e} (tol 1e-4)"
 
 
-def _check_closedform() -> CheckResult:
+def _check_closedform() -> tuple[bool, str]:
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
         for alpha in sorted({1, 2, n}):
@@ -400,12 +341,10 @@ def _check_closedform() -> CheckResult:
                 closed = analytic.static_throughput_closed_form(n, alpha, power)
                 quad_val = analytic.throughput_quadrature(n, alpha, power)
                 worst = max(worst, abs(closed - quad_val) / abs(quad_val))
-    return CheckResult(
-        "closedform-vs-quadrature", worst <= 1e-6, f"max rel deviation {worst:.3e} (tol 1e-6)"
-    )
+    return worst <= 1e-6, f"max rel deviation {worst:.3e} (tol 1e-6)"
 
 
-def _check_renewal() -> CheckResult:
+def _check_renewal() -> tuple[bool, str]:
     config = SimConfig(scheme="ir", n_users=4, rate_target=0.5, iterations=4000, seed=20240)
     throughput = simcore.estimate_throughput(config)
     delay = simcore.estimate_delay(config)
@@ -416,26 +355,25 @@ def _check_renewal() -> CheckResult:
         delay.delay_se / delay.delay_mean,
     )
     deviation = abs(product / target - 1.0)
-    return CheckResult(
-        "renewal-reward",
+    return (
         deviation <= 3 * rel_se,
         f"throughput*delay/(N*Rbar) off by {deviation:.4f} (tol {3 * rel_se:.4f})",
     )
 
 
-_CHECKS = (
-    ("ei-quadrature", _check_ei),
-    ("coupon-markov-oracle", _check_coupon),
-    ("closedform-vs-quadrature", _check_closedform),
-    ("renewal-reward", _check_renewal),
-)
+_CHECKS = {
+    "ei-quadrature": _check_ei,
+    "coupon-markov-oracle": _check_coupon,
+    "closedform-vs-quadrature": _check_closedform,
+    "renewal-reward": _check_renewal,
+}
 
 
 def run_verification(name_filter: str | None = None) -> list[CheckResult]:
     """Run the oracle cross-checks, optionally only those whose name
     contains the filter substring."""
     return [
-        check() for name, check in _CHECKS
+        CheckResult(name, *check()) for name, check in _CHECKS.items()
         if not name_filter or name_filter in name
     ]
 
@@ -483,8 +421,6 @@ def _series_label(row: dict) -> str:
 
 
 def cmd_plotdata(args) -> int:
-    import os
-
     written = []
     for path in args.csv:
         try:
@@ -529,22 +465,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment, a sweep, or a named recipe")
-    run_p.add_argument("--config", help="experiment file (key = value lines)")
-    run_p.add_argument("--recipe", help=f"named experiment: {', '.join(sorted(RECIPES))}")
-    run_p.add_argument("--scheme", choices=simcore.SCHEMES)
-    run_p.add_argument("--n-users", type=int, default=2)
-    run_p.add_argument("--alpha", type=int)
-    run_p.add_argument("--groups", type=int, default=1)
-    run_p.add_argument("--antennas", type=int, default=1)
-    run_p.add_argument("--power", type=float, default=1.0)
-    run_p.add_argument("--packet-nats", type=float, default=1.0)
-    run_p.add_argument("--coherence", help="fixed:TC or scaled:C")
-    run_p.add_argument("--rate-target", type=float, help="per-attempt rate target (ir)")
-    run_p.add_argument("--attempt-cap", type=int, help="attempt cap (ir); omit for unbounded")
-    run_p.add_argument("--iterations", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--sweep", help="AXIS=v1,v2,... with AXIS in N,G,alpha,L,P,S")
-    run_p.add_argument("--out", help="output CSV path")
+    run_p.add_argument("--config", help="experiment file (key = value lines); flags override it")
+    run_p.add_argument(
+        "--recipe",
+        help=f"named experiment: {', '.join(sorted(RECIPES))}; "
+             "takes only --iterations, --seed and --out",
+    )
+    for key, (_, help_text) in _SETTINGS.items():
+        run_p.add_argument(_flag(key), help=help_text)
     run_p.set_defaults(func=cmd_run)
 
     verify_p = sub.add_parser("verify", help="cross-check analytics against oracles")

@@ -29,9 +29,10 @@ __all__ = [
     "static_schedule",
 ]
 
-# Slots drawn and scheduled per kernel call; a cooperative slot draws G N^2
-# inter-user gains, so its chunks hold _CHUNK // (G N) slots.
-_CHUNK = 8192
+# A static chunk draws at most _CHUNK gains, whatever G N L is.  A
+# cooperative slot also draws G N^2 inter-user gains: _COOP_CHUNK // (G N) slots.
+_CHUNK = 2 ** 19
+_COOP_CHUNK = 8192
 
 
 def _as_gains(gains, name: str = "gains") -> np.ndarray:
@@ -137,11 +138,12 @@ def slot_rates(
     if count < 1:
         raise ValueError("need at least one slot")
     coop = alpha is None
-    chunk = max(1, _CHUNK // (n_groups * n_users)) if coop else _CHUNK
     groups = () if n_groups == 1 else (n_groups,)
     if coop:
+        chunk = max(1, _COOP_CHUNK // (n_groups * n_users))
         kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
     else:
+        chunk = max(1, _CHUNK // (n_groups * n_users * antennas))
         kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
     parts = []
     for start in range(0, count, chunk):

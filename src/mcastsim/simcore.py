@@ -19,6 +19,7 @@ from mcastsim.channel import CoherencePolicy
 __all__ = [
     "MetricsRecord",
     "SCHEMES",
+    "SWEEP_AXES",
     "SimConfig",
     "estimate_delay",
     "estimate_throughput",
@@ -31,7 +32,8 @@ SCHEMES = ("static", "multigroup-static", "ir", "coop", "multigroup-coop")
 _STATIC_SCHEMES = ("static", "multigroup-static")
 _COOP_SCHEMES = ("coop", "multigroup-coop")
 
-_SWEEP_AXES = {
+# sweep axis name -> SimConfig field
+SWEEP_AXES = {
     "N": "n_users",
     "G": "n_groups",
     "alpha": "alpha",
@@ -112,7 +114,6 @@ class MetricsRecord:
     delay_se: float | None = None
     analytic_throughput: float | None = None
     predicted_scaling_value: float | None = None
-    samples: int = 0
 
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -141,14 +142,14 @@ def _mean_se(values) -> tuple[float, float]:
 # estimators
 # ---------------------------------------------------------------------------
 
-def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = None) -> MetricsRecord:
+def estimate_throughput(config: SimConfig) -> MetricsRecord:
     """Mean delivered nats per slot over config.iterations independent
     slots (renewal cycles for the retransmission scheme), with a standard
-    error, plus the analytic value where a closed form exists."""
-    if rng is None:
-        rng = _rng_for(config.seed, 0)
+    error, plus the analytic value where a closed form exists.  Draws from
+    stream 0 of the config seed."""
+    rng = _rng_for(config.seed, 0)
     iters = config.iterations
-    record = MetricsRecord(samples=iters)
+    record = MetricsRecord()
 
     if config.scheme != "ir":
         # alpha is None for the cooperative schemes, which serve half the users
@@ -188,11 +189,11 @@ def estimate_throughput(config: SimConfig, rng: np.random.Generator | None = Non
     return record
 
 
-def estimate_delay(config: SimConfig, rng: np.random.Generator | None = None) -> MetricsRecord:
+def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
-    scheme) over config.iterations independent runs."""
-    if rng is None:
-        rng = _rng_for(config.seed, 1)
+    scheme) over config.iterations independent runs.  Draws from stream 1
+    of the config seed."""
+    rng = _rng_for(config.seed, 1)
     iters = config.iterations
     tc = config.coherence_value
     if config.scheme in _STATIC_SCHEMES:
@@ -210,7 +211,7 @@ def estimate_delay(config: SimConfig, rng: np.random.Generator | None = None) ->
             config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
             runs=iters,
         )
-    record = MetricsRecord(samples=iters)
+    record = MetricsRecord()
     record.delay_mean, record.delay_se = _mean_se(delays)
     return record
 
@@ -255,8 +256,8 @@ def predicted_throughput_scaling_for(config: SimConfig) -> float | None:
 def run_config(config: SimConfig) -> MetricsRecord:
     """Both metrics for one config, on separate derived streams, with the
     analytic and growth-law references attached."""
-    record = estimate_throughput(config, _rng_for(config.seed, 0))
-    delay = estimate_delay(config, _rng_for(config.seed, 1))
+    record = estimate_throughput(config)
+    delay = estimate_delay(config)
     record.delay_mean = delay.delay_mean
     record.delay_se = delay.delay_se
     record.predicted_scaling_value = predicted_throughput_scaling_for(config)
@@ -267,9 +268,9 @@ def run_sweep(base: SimConfig, axis: str, values) -> list[tuple[SimConfig, Metri
     """One record per value along the axis.  Seeds are derived from
     (base.seed, point index), so appending values never changes the
     streams of earlier points."""
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
-    field_name = _SWEEP_AXES[axis]
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    field_name = SWEEP_AXES[axis]
     caster = float if axis in ("P", "S") else int
     results = []
     for index, value in enumerate(values):

@@ -169,6 +169,13 @@ def test_quadrature_matches_closed_form_at_large_n(n):
         )
 
 
+def test_closed_form_rejects_sizes_past_its_cap():
+    # the alternating sums take about 31 s at N = 1000; past the cap the
+    # call raises before any work
+    with pytest.raises(UnsupportedSizeError):
+        analytic.static_throughput_closed_form(258, 2, 1.0)
+
+
 def test_closed_form_rejects_bad_alpha():
     with pytest.raises(ValueError):
         analytic.static_throughput_closed_form(10, 3, 1.0)

@@ -1,4 +1,6 @@
 import csv
+import pathlib
+import re
 
 import pytest
 
@@ -107,6 +109,36 @@ def test_run_invalid_sweep_value(tmp_path, capsys):
     assert "7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["N", "X=1,2", "N=,"])
+def test_run_malformed_sweep_is_a_parse_error(tmp_path, capsys, sweep):
+    out = tmp_path / "x.csv"
+    code = cli.main([
+        "run", "--scheme", "static", "--alpha", "2", "--n-users", "4",
+        "--sweep", sweep, "--iterations", "50", "--out", str(out),
+    ])
+    assert code == 2
+    assert "sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_requires_n_users(tmp_path, capsys):
+    code = cli.main(["run", "--scheme", "coop", "--iterations", "10",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "n_users" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--scheme", "coop", "--scheme"),
+    ("--seed", "-1", "non-negative"),
+])
+def test_recipe_rejects_bad_settings(tmp_path, capsys, flag, value, message):
+    code = cli.main(["run", "--recipe", "fig-tpos", flag, value,
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # experiment files
 # ---------------------------------------------------------------------------
@@ -142,6 +174,32 @@ def test_config_file_sweep(tmp_path):
     assert len(rows) == 2
 
 
+def test_flags_override_config_file(tmp_path):
+    out = tmp_path / "exp.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"scheme = coop\nn_users = 4\niterations = 500\nseed = 1\nout = {out}\n")
+    assert cli.main(["run", "--config", str(cfg), "--iterations", "7", "--seed", "3"]) == 0
+    _, rows = _read_csv(out)
+    assert rows[0]["iterations"] == "7"
+    assert rows[0]["seed"] == "3"
+
+
+def test_overridden_key_leaves_the_line_map(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"scheme = static\nn_users = 10\nalpha = 2\nout = {tmp_path / 'x.csv'}\n")
+    assert cli.main(["run", "--config", str(cfg), "--alpha", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=3" in err and "line 3" not in err
+
+
+def test_config_file_unknown_sweep_axis_names_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scheme = static\nalpha = 1\nn_users = 2\nsweep = X=1,2\nout = x.csv\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "sweep" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = static\nn_users = 4\nwhatever = 3\n")
@@ -171,6 +229,12 @@ def test_config_file_duplicate_key(tmp_path, capsys):
     cfg.write_text("scheme = static\nscheme = coop\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_readme_lists_every_setting():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)
+    assert [key.strip() for key in listed.split(",")] == list(cli._SETTINGS)
 
 
 # ---------------------------------------------------------------------------

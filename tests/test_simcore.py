@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcastsim import analytic, queueing, schedulers, simcore
+from mcastsim import analytic, channel, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import MetricsRecord, SimConfig
 
@@ -82,6 +82,23 @@ def test_vectorized_static_rates_match_scalar_path(monkeypatch):
         for _ in range(300)
     ]
     assert np.array_equal(vec, np.array(per_slot))
+
+
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(monkeypatch, antennas):
+    # at N = 1000 one chunk of 8192 slots would draw 8.2e6 gains per antenna
+    sizes = []
+    draw = channel.draw_gains
+
+    def spy(shape, per_gain, rng):
+        sizes.append(math.prod(shape) * per_gain)
+        return draw(shape, per_gain, rng)
+
+    monkeypatch.setattr(channel, "draw_gains", spy)
+    rates = schedulers.slot_rates(1000, 1, 1.0, 1000, np.random.default_rng(47), 2, antennas)
+    assert len(sizes) > 1 and max(sizes) <= schedulers._CHUNK
+    gains = np.random.default_rng(47).exponential(1.0, (1000, 1000, antennas)).mean(axis=-1)
+    assert np.array_equal(rates, schedulers.static_schedule(gains, 2, 1.0))
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
