@@ -2,8 +2,8 @@
 
 Closed-form throughputs built from the exponential integral, order
 statistics of exponential and Chi-square fading, the coupon-collector
-waiting time of coupled queues, and growth-law predictors used by the
-regression checks.
+waiting time of coupled queues, and each scheme's throughput growth law,
+which run rows carry as their ``predicted_scaling`` reference.
 
 The evaluators rest on scipy.special: Ei is ``expi``, the order-statistic
 survival function is a binomial tail, i.e. a regularized incomplete beta
@@ -25,15 +25,12 @@ import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "UnsupportedScalingError",
     "UnsupportedSizeError",
-    "binomial",
     "coupon_collector_expected_trials",
     "coupon_collector_markov",
     "expint_ei",
-    "harmonic_number",
-    "predicted_scaling",
     "static_throughput_closed_form",
+    "throughput_growth_law",
     "throughput_quadrature",
 ]
 
@@ -41,15 +38,9 @@ __all__ = [
 # a call (31 s at N = 1000); larger systems must use throughput_quadrature.
 _ALTERNATING_SUM_CAP = 256
 
-_EXACT_BINOMIAL_LIMIT = 60
-
 
 class UnsupportedSizeError(ValueError):
     """The requested size exceeds the range a closed form is evaluated over."""
-
-
-class UnsupportedScalingError(ValueError):
-    """No growth law is available for the requested scheme/metric pair."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,21 +52,6 @@ def expint_ei(x: float) -> float:
     if not x < 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
     return float(special.expi(x))
-
-
-def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float: exact up to n = 60, log-gamma beyond."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= _EXACT_BINOMIAL_LIMIT:
-        return float(math.comb(n, k))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
-def harmonic_number(n: int) -> float:
-    if n < 1:
-        raise ValueError("harmonic_number needs n >= 1")
-    return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -225,69 +201,41 @@ def coupon_collector_markov(total_queues: int, coupled: int, services_needed: in
 
 
 # ---------------------------------------------------------------------------
-# growth-law predictors
+# throughput growth laws
 # ---------------------------------------------------------------------------
 
-_METRICS = ("throughput", "delay")
-_E = math.e
+def throughput_growth_law(
+    scheme: str, n_users: float, alpha: int | None = None, n_groups: int = 1, antennas: int = 1
+) -> float | None:
+    """Unit-constant throughput growth law of a scheme, or None where no
+    law is known.  Only how the value moves with N, G and L means anything.
 
-
-def _loglog(v: float) -> float:
-    if v <= _E:
-        raise UnsupportedScalingError(
-            f"growth law needs log log to be positive; population {v} is too small"
-        )
-    return math.log(math.log(v))
-
-
-def predicted_scaling(
-    scheme: str, metric: str, n_users: float, n_groups: int = 1, antennas: int = 1
-) -> float:
-    """Growth-law value with unit constants for ratio/regression tests.
-
-    The absolute magnitude carries no meaning; only how the value moves
-    with N, G and L does.  Retransmission-scheme expressions are scaled so
-    the delay equals 1 where log log N = 1.
+    A static scheme follows the user its rate is keyed to: alpha = N the
+    best, log log(N G), or log(1 + (log N + (L-1) log log N)/L) with L
+    antennas; alpha = 1 the worst, H_G, or N^((L-1)/L) with L antennas;
+    alpha = 2 the median, N.  Cooperation grows as N, and incremental
+    redundancy as N / (log N / (e log log N)), which is N where
+    log log N = 1.  A log log needs its argument above e.
     """
-    if metric not in _METRICS:
-        raise UnsupportedScalingError(f"unknown metric {metric!r}")
-    if n_users < 1 or n_groups < 1 or antennas < 1:
-        raise ValueError("n_users, n_groups and antennas must be at least 1")
     n, g, ell = n_users, n_groups, antennas
-
-    if scheme == "worst":
-        if metric == "throughput":
-            if ell == 1:
-                return harmonic_number(g)
-            if g == 1:
-                return n ** ((ell - 1) / ell)
-        elif ell == 1:
-            return n * g / harmonic_number(g)
-    elif scheme == "best":
-        if metric == "throughput":
-            if ell == 1:
-                return _loglog(n * g)
-            if g == 1:
-                return math.log1p((math.log(n) + (ell - 1) * _loglog(n)) / ell)
-        elif ell == 1:
-            if n < 2:
-                raise UnsupportedScalingError("best-user delay law needs n >= 2")
-            return n * g * math.log(n) / _loglog(n * g)
-    elif scheme == "median":
-        if ell == 1 and n == int(n) and int(n) % 2 == 0:
-            if metric == "throughput":
-                return float(n)
-            return g * binomial(int(n), int(n) // 2)
-    elif scheme == "ir":
-        if ell == 1 and g == 1:
-            delay = math.log(n) / (_E * _loglog(n))
-            return n / delay if metric == "throughput" else delay
-    elif scheme == "coop":
-        if ell == 1 and n == int(n) and int(n) % 2 == 0:
-            return float(n) if metric == "throughput" else float(g)
-    else:
-        raise UnsupportedScalingError(f"unknown scheme {scheme!r}")
-    raise UnsupportedScalingError(
-        f"no growth law for scheme={scheme!r}, metric={metric!r}, "
-        f"n_groups={n_groups}, antennas={antennas}"
-    )
+    if scheme == "ir":
+        if n <= math.e:
+            return None
+        return n / (math.log(n) / (math.e * math.log(math.log(n))))
+    if scheme in ("coop", "multigroup-coop"):
+        return float(n)
+    if alpha == n:
+        if n * g <= math.e:
+            return None
+        if ell == 1:
+            return math.log(math.log(n * g))
+        if g == 1:
+            return math.log1p((math.log(n) + (ell - 1) * math.log(math.log(n))) / ell)
+    elif alpha == 1:
+        if ell == 1:
+            return math.fsum(1.0 / k for k in range(1, g + 1))
+        if g == 1:
+            return n ** ((ell - 1) / ell)
+    elif alpha == 2 and ell == 1:
+        return float(n)
+    return None

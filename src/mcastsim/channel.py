@@ -34,8 +34,8 @@ class CoherencePolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "scaled"):
             raise ValueError(f"unknown coherence mode {self.mode!r}")
-        if not self.value > 0:
-            raise ValueError("coherence parameter must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError("coherence parameter must be positive and finite")
 
     @classmethod
     def fixed(cls, tc: float) -> "CoherencePolicy":

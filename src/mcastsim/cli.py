@@ -442,10 +442,14 @@ def cmd_plotdata(args) -> int:
                 if not usable:
                     continue
                 out_name = os.path.join(args.out_dir, f"{stem}__{label}__{metric}.dat")
-                with open(out_name, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(f"# {label} {metric}: N value se\n")
-                    for r in usable:
-                        handle.write(f"{r['N']} {r[value_col]} {r[se_col]}\n")
+                try:
+                    with open(out_name, "w", encoding="utf-8", newline="") as handle:
+                        handle.write(f"# {label} {metric}: N value se\n")
+                        for r in usable:
+                            handle.write(f"{r['N']} {r[value_col]} {r[se_col]}\n")
+                except OSError as exc:
+                    print(f"error: cannot write {out_name}: {exc}", file=sys.stderr)
+                    return EXIT_RUNTIME
                 written.append(out_name)
     for name in written:
         print(f"wrote {name}")

@@ -44,10 +44,10 @@ def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
         raise ValueError("n_users and n_groups must be at least 1")
     if not power > 0:
         raise ValueError("power must be positive")
-    if not packet_nats > 0:
-        raise ValueError("packet size must be positive")
-    if not coherence_interval > 0:
-        raise ValueError("coherence interval must be positive")
+    if not 0 < packet_nats < math.inf:
+        raise ValueError("packet size must be positive and finite")
+    if not 0 < coherence_interval < math.inf:
+        raise ValueError("coherence interval must be positive and finite")
 
 
 def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,8 +128,8 @@ def ir_renewal_cycle(
     the rate target, and fails when the attempt cap comes first."""
     if n_users < 1:
         raise ValueError("need at least one user")
-    if not rate_target > 0:
-        raise ValueError("rate target must be positive")
+    if not 0 < rate_target < math.inf:
+        raise ValueError("rate target must be positive and finite")
     if attempt_cap is not None and attempt_cap < 1:
         raise ValueError("attempt cap must be at least 1")
     if runs < 1:

@@ -69,10 +69,10 @@ class SimConfig:
             raise ValueError("n_groups must be at least 1")
         if self.antennas < 1:
             raise ValueError("antennas must be at least 1")
-        if not self.power > 0:
-            raise ValueError("power must be positive")
-        if not self.packet_nats > 0:
-            raise ValueError("packet_nats must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
+        if not 0 < self.packet_nats < math.inf:
+            raise ValueError("packet_nats must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -89,8 +89,8 @@ class SimConfig:
         if self.scheme in _COOP_SCHEMES and self.n_users % 2 != 0:
             raise ValueError("cooperative schemes need an even n_users")
         if self.scheme == "ir":
-            if self.rate_target is None or not self.rate_target > 0:
-                raise ValueError("ir needs a positive rate_target")
+            if self.rate_target is None or not 0 < self.rate_target < math.inf:
+                raise ValueError("ir needs a positive, finite rate_target")
             if self.attempt_cap is not None and self.attempt_cap < 1:
                 raise ValueError("attempt_cap must be at least 1")
         else:
@@ -172,7 +172,8 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
         else:
             ok_mean, ok_se = _mean_se(decoded)
             record.throughput_mean = reward * ok_mean / tau_mean
-            if ok_mean > 0:
+            # one cycle has no covariance: its SE is 0, as for one sample
+            if ok_mean > 0 and iters > 1:
                 cov = math.fsum(
                     ((decoded - ok_mean) * (taus - tau_mean)).tolist()
                 ) / (iters - 1) / iters
@@ -225,34 +226,6 @@ def analytic_throughput_for(config: SimConfig) -> float | None:
     )
 
 
-def _scaling_label(config: SimConfig) -> str | None:
-    if config.scheme in _STATIC_SCHEMES:
-        if config.alpha == config.n_users:
-            return "best"
-        if config.alpha == 1:
-            return "worst"
-        if config.alpha == 2:
-            return "median"
-        return None
-    if config.scheme in _COOP_SCHEMES:
-        return "coop"
-    return "ir"
-
-
-def predicted_throughput_scaling_for(config: SimConfig) -> float | None:
-    """Unit-constant throughput growth-law value where the scheme/shape is
-    covered; None otherwise."""
-    label = _scaling_label(config)
-    if label is None:
-        return None
-    try:
-        return analytic.predicted_scaling(
-            label, "throughput", config.n_users, config.n_groups, config.antennas
-        )
-    except analytic.UnsupportedScalingError:
-        return None
-
-
 def run_config(config: SimConfig) -> MetricsRecord:
     """Both metrics for one config, on separate derived streams, with the
     analytic and growth-law references attached."""
@@ -260,7 +233,9 @@ def run_config(config: SimConfig) -> MetricsRecord:
     delay = estimate_delay(config)
     record.delay_mean = delay.delay_mean
     record.delay_se = delay.delay_se
-    record.predicted_scaling_value = predicted_throughput_scaling_for(config)
+    record.predicted_scaling_value = analytic.throughput_growth_law(
+        config.scheme, config.n_users, config.alpha, config.n_groups, config.antennas
+    )
     return record
 
 

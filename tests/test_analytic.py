@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from mcastsim import analytic
-from mcastsim.analytic import UnsupportedScalingError, UnsupportedSizeError
+from mcastsim.analytic import UnsupportedSizeError
 
 from oracles import (
     OrderStatSpec,
@@ -298,51 +298,41 @@ def test_coupon_rejects_bad_instances():
 
 
 # ---------------------------------------------------------------------------
-# binomials and growth laws
+# throughput growth laws
 # ---------------------------------------------------------------------------
 
-def test_binomial_exact_region_and_boundary():
-    assert analytic.binomial(10, 5) == 252.0
-    assert analytic.binomial(5, 7) == 0.0
-    exact = float(math.comb(60, 30))
-    assert analytic.binomial(60, 30) == exact
-    via_lgamma = math.exp(math.lgamma(61) - 2 * math.lgamma(31))
-    assert abs(via_lgamma - exact) <= 1e-12 * exact
-    assert analytic.binomial(61, 30) == pytest.approx(float(math.comb(61, 30)), rel=1e-12)
-
-
 def test_predicted_scaling_pinned_values():
-    assert analytic.predicted_scaling("median", "delay", 10) == 252.0
-    assert analytic.predicted_scaling("worst", "delay", 40) == 40.0
-    assert analytic.predicted_scaling("ir", "delay", math.e ** math.e) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    law = analytic.throughput_growth_law
+    assert law("static", 10, alpha=2) == 10.0
+    # the retransmission law is normalized to equal N where log log N = 1
+    assert law("ir", math.e ** math.e) == pytest.approx(math.e ** math.e, rel=1e-12)
 
 
 def test_predicted_scaling_directions():
-    assert analytic.predicted_scaling("worst", "throughput", 50) == 1.0
-    assert analytic.predicted_scaling("worst", "throughput", 50, n_groups=4) == pytest.approx(
-        25.0 / 12.0
-    )
-    assert analytic.predicted_scaling("best", "throughput", 100) == pytest.approx(
-        math.log(math.log(100))
-    )
-    assert analytic.predicted_scaling("coop", "delay", 16) == 1.0
-    assert analytic.predicted_scaling("coop", "delay", 16, n_groups=5) == 5.0
+    law = analytic.throughput_growth_law
+    assert law("static", 50, alpha=1) == 1.0
+    assert law("multigroup-static", 50, alpha=1, n_groups=4) == pytest.approx(25.0 / 12.0)
+    assert law("static", 100, alpha=100) == pytest.approx(math.log(math.log(100)))
+    assert law("coop", 16) == 16.0
+    assert law("multigroup-coop", 16, n_groups=5) == 16.0
     # multi-antenna worst user grows as N^((L-1)/L)
-    v16 = analytic.predicted_scaling("worst", "throughput", 16, antennas=2)
-    v64 = analytic.predicted_scaling("worst", "throughput", 64, antennas=2)
+    v16 = law("static", 16, alpha=1, antennas=2)
+    v64 = law("static", 64, alpha=1, antennas=2)
     assert v64 / v16 == pytest.approx(2.0)
 
 
-def test_predicted_scaling_unsupported_pairs():
-    with pytest.raises(UnsupportedScalingError):
-        analytic.predicted_scaling("worst", "delay", 16, antennas=2)
-    with pytest.raises(UnsupportedScalingError):
-        analytic.predicted_scaling("ir", "delay", 16, n_groups=2)
-    with pytest.raises(UnsupportedScalingError):
-        analytic.predicted_scaling("median", "delay", 9)
-    with pytest.raises(UnsupportedScalingError):
-        analytic.predicted_scaling("superposition", "delay", 16)
-    with pytest.raises(UnsupportedScalingError):
-        analytic.predicted_scaling("worst", "latency", 16)
+@pytest.mark.parametrize("scheme, n_users, alpha, n_groups, antennas", [
+    ("static", 2, 2, 1, 1),                 # best: N G <= e
+    ("multigroup-static", 1, 1, 2, 1),      # best: N G <= e
+    ("static", 2, 2, 1, 3),                 # best, L > 1: N <= e
+    ("multigroup-static", 8, 1, 3, 2),      # worst with L > 1 and G > 1
+    ("multigroup-static", 8, 8, 3, 2),      # best with L > 1 and G > 1
+    ("static", 8, 2, 1, 2),                 # median with L > 1
+    ("static", 12, 3, 1, 1),                # alpha not in {1, 2, N}
+    ("multigroup-static", 12, 4, 5, 1),     # alpha not in {1, 2, N}
+    ("ir", 2, None, 1, 1),                  # ir: N <= e
+    ("ir", 1, None, 1, 1),
+], ids=["best-n2", "best-n1g2", "best-l3-n2", "worst-l2-g3", "best-l2-g3", "median-l2",
+        "alpha3", "alpha4-g5", "ir-n2", "ir-n1"])
+def test_predicted_scaling_none_without_a_law(scheme, n_users, alpha, n_groups, antennas):
+    assert analytic.throughput_growth_law(scheme, n_users, alpha, n_groups, antennas) is None

@@ -132,6 +132,14 @@ def test_coherence_rejects_nonpositive():
         CoherencePolicy.scaled(-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_coherence_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        CoherencePolicy.fixed(value)
+    with pytest.raises(ValueError, match="finite"):
+        CoherencePolicy.scaled(value)
+
+
 def test_draw_gains_batch_shapes():
     # a batch of slots consumes the generator like one draw per slot
     batch = channel.draw_gains((5, 2, 4), 3, np.random.default_rng(41))

@@ -1,4 +1,5 @@
 import csv
+import math
 import pathlib
 import re
 
@@ -139,6 +140,29 @@ def test_recipe_rejects_bad_settings(tmp_path, capsys, flag, value, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--power", "inf", "power"),
+    ("--coherence", "fixed:inf", "coherence"),
+])
+def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                     "--iterations", "10", flag, value, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    dict(scheme="coop", n_users=2, packet_nats=math.inf),
+    dict(scheme="ir", n_users=2, rate_target=math.inf),
+], ids=["packet_nats", "rate_target"])
+def test_settings_reject_non_finite_values(settings):
+    key = list(settings)[-1]
+    with pytest.raises(cli.ExperimentFileError, match=key):
+        cli._config_from_settings(settings)
+
+
 # ---------------------------------------------------------------------------
 # experiment files
 # ---------------------------------------------------------------------------
@@ -237,6 +261,12 @@ def test_readme_lists_every_setting():
     assert [key.strip() for key in listed.split(",")] == list(cli._SETTINGS)
 
 
+def test_readme_lists_every_csv_column():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### CSV format\n.*?```\n(.*?)```", readme, re.S).group(1)
+    assert "".join(block.split()).split(",") == cli.CSV_COLUMNS
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -300,6 +330,15 @@ def test_plotdata_splits_mixed_groups(tmp_path):
     assert cli.main(["plotdata", str(path), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "mix__multigroup-static-a1__throughput.dat").exists()
     assert (tmp_path / "mix__multigroup-static-a1-G2__throughput.dat").exists()
+
+
+def test_plotdata_reports_unwritable_out_dir(tmp_path, capsys):
+    out = tmp_path / "tpos.csv"
+    assert cli.main(["run", "--scheme", "static", "--alpha", "2", "--n-users", "2",
+                     "--iterations", "10", "--out", str(out)]) == 0
+    missing = tmp_path / "missing"
+    assert cli.main(["plotdata", str(out), "--out-dir", str(missing)]) == 1
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
 
 
 def test_plotdata_rejects_empty_csv(tmp_path, capsys):

@@ -210,6 +210,21 @@ def test_static_delay_validates_arguments():
         queueing.tagged_delay_static(4, 1, 2, 1.0, -1.0, 1.0, rng)
 
 
+@pytest.mark.parametrize("packet_nats, coherence_interval", [
+    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+])
+def test_delay_engines_reject_non_finite_sizes(packet_nats, coherence_interval):
+    # an infinite packet would never drain, so the check must come first
+    with pytest.raises(ValueError, match="finite"):
+        queueing._validate_common(2, 1, 1.0, packet_nats, coherence_interval)
+
+
+def test_ir_rejects_non_finite_rate_target():
+    # capped, so the cycle would end even if the target were accepted
+    with pytest.raises(ValueError, match="finite"):
+        queueing.ir_renewal_cycle(2, 1.0, math.inf, 2, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # retransmission renewals
 # ---------------------------------------------------------------------------

@@ -41,6 +41,20 @@ def test_config_validation():
     assert cfg.coherence_value == 1.0
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("settings", [
+    dict(scheme="static", n_users=2, alpha=1, power=None),
+    dict(scheme="coop", n_users=2, packet_nats=None),
+    dict(scheme="ir", n_users=2, rate_target=None),
+], ids=["power", "packet_nats", "rate_target"])
+def test_config_rejects_non_finite_settings(settings, value):
+    # an infinite packet or rate target never drains; infinite power gives
+    # an infinite mean with a nan standard error
+    key = next(k for k, v in settings.items() if v is None)
+    with pytest.raises(ValueError, match=key):
+        SimConfig(**{**settings, key: value})
+
+
 def test_scaled_coherence_reaches_delay_accounting():
     cfg = SimConfig(
         scheme="static", n_users=16, alpha=1, iterations=200, seed=4,
@@ -208,6 +222,16 @@ def test_ir_capped_single_attempt():
     assert abs(throughput.throughput_mean - expected) <= 3 * throughput.throughput_se
 
 
+def test_capped_ir_single_iteration_has_zero_se():
+    # one cycle has no covariance to estimate, as one sample has no variance
+    cfg = SimConfig(
+        scheme="ir", n_users=2, rate_target=0.01, attempt_cap=3, iterations=1, seed=2031
+    )
+    record = simcore.estimate_throughput(cfg)
+    assert record.throughput_mean > 0
+    assert record.throughput_se == 0.0
+
+
 def test_ir_vanishing_target_throughput_vanishes():
     cfg = SimConfig(scheme="ir", n_users=4, rate_target=1e-9, iterations=500, seed=2029)
     record = simcore.estimate_throughput(cfg)
@@ -336,7 +360,7 @@ def test_run_config_attaches_references():
     )
     assert ir_record.analytic_throughput is None
     assert ir_record.predicted_scaling_value == pytest.approx(
-        analytic.predicted_scaling("ir", "throughput", 4)
+        analytic.throughput_growth_law("ir", 4)
     )
 
     coop_record = simcore.run_config(SimConfig(scheme="coop", n_users=4, iterations=300, seed=15))
