@@ -13,15 +13,16 @@ Picks are simulated with geometric gaps between hits, so a run costs
 O(number of hits) however large Q grows, and the slot count is
 distributed exactly as in the slot-by-slot Bernoulli process.  Gaps are
 float inversions, so counts never saturate; a hit probability below the
-smallest normal float, or a count past the float range, raises ValueError.
+smallest normal float, a count past the float range, or a packet needing
+over 2**53 hits on average raises ValueError.
 
 The engine runs ``runs`` independent runs in lockstep: each round draws a
-gap, a queue index (when there are several coupled queues) and a rate
-for every unfinished run, in that order, the rates in one sampler call.
-A row costs O(its largest hit count) numpy calls, and the sampler's
-chunks bound a round's memory.  At runs=1 every hit draws all of these
-unconditionally, which keeps paired-seed runs coupled (e.g. raising P can
-only remove slots).
+gap (unless every slot hits), a queue index (when there are several
+coupled queues) and a rate for every unfinished run, in that order, the
+rates in one sampler call.  A row costs O(its largest hit count) numpy
+calls, and the sampler's chunks bound a round's memory.  At runs=1 what
+a hit draws does not depend on the rates, which keeps paired-seed runs
+coupled (e.g. raising P can only remove slots).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
+def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval, antennas=1):
     if n_users < 1 or n_groups < 1:
         raise ValueError("n_users and n_groups must be at least 1")
     if not power > 0:
@@ -48,22 +49,21 @@ def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval):
         raise ValueError("packet size must be positive and finite")
     if not 0 < coherence_interval < math.inf:
         raise ValueError("coherence interval must be positive and finite")
+    # a scheduled gain is at most the best of N G L unit exponentials, whose
+    # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
+    rate_bound = math.log1p(power * (1 + math.log(n_users * n_groups * antennas)))
+    if packet_nats > 2.0 ** 53 * coherence_interval * rate_bound:
+        raise ValueError("packet size exceeds 2**53 * Tc * log1p(P (1 + log(N G L))), "
+                         "so it needs over 2**53 hits on average")
 
 
 def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Geometric(p) slot gaps on 1, 2, ... by inversion, as floats:
-    ceil(log U / log(1 - p)), at least 1, with U uniform on (0, 1].
-
-    log U comes from the draws ``rng.geometric`` makes (one uniform for
-    p >= 1/3, one standard exponential below), so the gaps equal its
-    draw for draw, without its clamp at 2**63 - 1."""
-    if p >= 1.0 / 3.0:
-        log_u = np.log1p(-rng.random(count))
-    else:
-        log_u = -rng.standard_exponential(count)
+    ceil(-E / log(1 - p)), at least 1, with E a standard exponential.
+    At p = 1 every slot hits: the gaps are ones and nothing is drawn."""
     if p == 1.0:
         return np.ones(count)
-    return np.maximum(np.ceil(log_u / math.log1p(-p)), 1.0)
+    return np.maximum(np.ceil(-rng.standard_exponential(count) / math.log1p(-p)), 1.0)
 
 
 def _coupled_queue_delay(
@@ -103,7 +103,7 @@ def tagged_delay_static(
     queues under the fixed-fraction scheduler's queue layout, with
     ``antennas`` transmit antennas behind every rate.  Returns a float
     array of shape (runs,)."""
-    _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
+    _validate_common(n_users, n_groups, power, packet_nats, coherence_interval, antennas)
     if alpha < 1 or alpha > n_users or n_users % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
     return _coupled_queue_delay(
@@ -132,6 +132,10 @@ def ir_renewal_cycle(
         raise ValueError("rate target must be positive and finite")
     if attempt_cap is not None and attempt_cap < 1:
         raise ValueError("attempt cap must be at least 1")
+    # Jensen: an attempt adds E[log1p(P g)] <= log1p(P) nats to each user
+    if attempt_cap is None and rate_target > 2.0 ** 53 * math.log1p(power):
+        raise ValueError("uncapped rate target exceeds 2**53 * log1p(P), "
+                         "so it needs over 2**53 attempts on average")
     if runs < 1:
         raise ValueError("need at least one run")
     accumulated = np.zeros((runs, n_users))

@@ -29,10 +29,9 @@ __all__ = [
     "static_schedule",
 ]
 
-# A static chunk draws at most _CHUNK gains, whatever G N L is.  A
-# cooperative slot also draws G N^2 inter-user gains: _COOP_CHUNK // (G N) slots.
+# A chunk draws at most _CHUNK gains (one slot when a single slot needs
+# more): G N L per static slot, G N (N + 1) per cooperative slot.
 _CHUNK = 2 ** 19
-_COOP_CHUNK = 8192
 
 
 def _as_gains(gains, name: str = "gains") -> np.ndarray:
@@ -131,20 +130,21 @@ def slot_rates(
     fixed-fraction scheduler when ``alpha`` is given, the cooperative one
     otherwise, over the best of ``n_groups`` groups.
 
-    This is the only place fading is drawn for a scheduler.  Slots go in
-    chunks, each one draw and one kernel call.  A static chunk consumes the
-    generator like one draw per slot; a cooperative chunk draws all its
-    base-station gains before its inter-user gains."""
+    This is the only place fading is drawn for these two schedulers; the
+    retransmission scheme draws its own in ``queueing.ir_renewal_cycle``.
+    Slots go in chunks of at most ``_CHUNK`` gains, each one draw and one
+    kernel call.  A static chunk consumes the generator like one draw per
+    slot; a cooperative chunk draws all its base-station gains before its
+    inter-user gains, so coop streams depend on the chunk size."""
     if count < 1:
         raise ValueError("need at least one slot")
     coop = alpha is None
     groups = () if n_groups == 1 else (n_groups,)
     if coop:
-        chunk = max(1, _COOP_CHUNK // (n_groups * n_users))
         kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
     else:
-        chunk = max(1, _CHUNK // (n_groups * n_users * antennas))
         kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
+    chunk = max(1, _CHUNK // (n_groups * n_users * (n_users + 1 if coop else antennas)))
     parts = []
     for start in range(0, count, chunk):
         batch = (min(chunk, count - start), *groups)

@@ -7,7 +7,6 @@ from the config seed, so identical configs give bit-identical records.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -128,14 +127,10 @@ def _child_seed(seed: int, index: int) -> int:
 
 def _mean_se(values) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
-    n = values.size
-    mean = math.fsum(values.tolist()) / n
-    if n < 2:
+    mean = float(values.mean())
+    if values.size < 2:
         return mean, 0.0
-    # squares by libm pow, as a scalar ** 2 computes them: numpy's x * x
-    # differs in the last bit on about one value in a thousand
-    var = math.fsum(map(math.pow, (values - mean).tolist(), itertools.repeat(2.0))) / (n - 1)
-    return mean, math.sqrt(var / n)
+    return mean, float(values.std(ddof=1)) / math.sqrt(values.size)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +140,8 @@ def _mean_se(values) -> tuple[float, float]:
 def estimate_throughput(config: SimConfig) -> MetricsRecord:
     """Mean delivered nats per slot over config.iterations independent
     slots (renewal cycles for the retransmission scheme), with a standard
-    error, plus the analytic value where a closed form exists.  Draws from
-    stream 0 of the config seed."""
+    error, plus the analytic value for the static schemes, which have a
+    closed form.  Draws from stream 0 of the config seed."""
     rng = _rng_for(config.seed, 0)
     iters = config.iterations
     record = MetricsRecord()
@@ -174,9 +169,7 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
             record.throughput_mean = reward * ok_mean / tau_mean
             # one cycle has no covariance: its SE is 0, as for one sample
             if ok_mean > 0 and iters > 1:
-                cov = math.fsum(
-                    ((decoded - ok_mean) * (taus - tau_mean)).tolist()
-                ) / (iters - 1) / iters
+                cov = np.cov(decoded, taus)[0, 1] / iters
                 rel_var = (
                     (ok_se / ok_mean) ** 2
                     + (tau_se / tau_mean) ** 2
@@ -186,7 +179,10 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
             else:
                 record.throughput_se = 0.0
 
-    record.analytic_throughput = analytic_throughput_for(config)
+    if config.scheme in _STATIC_SCHEMES:
+        record.analytic_throughput = analytic.throughput_quadrature(
+            config.n_users, config.alpha, config.power, config.n_groups, config.antennas
+        )
     return record
 
 
@@ -215,15 +211,6 @@ def estimate_delay(config: SimConfig) -> MetricsRecord:
     record = MetricsRecord()
     record.delay_mean, record.delay_se = _mean_se(delays)
     return record
-
-
-def analytic_throughput_for(config: SimConfig) -> float | None:
-    """Closed-form mean throughput where one exists (static schemes)."""
-    if config.scheme not in _STATIC_SCHEMES:
-        return None
-    return analytic.throughput_quadrature(
-        config.n_users, config.alpha, config.power, config.n_groups, config.antennas
-    )
 
 
 def run_config(config: SimConfig) -> MetricsRecord:

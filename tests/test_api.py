@@ -1,9 +1,10 @@
-"""Every public name of the package is used by the package itself.
+"""Every name the package defines is used by the package itself.
 
-A name listed in a module's ``__all__`` must be read somewhere in
-``src/``: as a name, an attribute or an import.  Its own definition (a
-def, a class or an assignment) and its ``__all__`` entry (a string) do
-not count.  Functions that only the tests call belong in
+A name listed in a module's ``__all__``, and every other module-level
+def, class or assignment in ``src/`` except dunders, must be read
+somewhere in ``src/``: as a name, an attribute or an import.  Its own
+definition (a def, a class or an assignment) and its ``__all__`` entry
+(a string) do not count.  Functions that only the tests call belong in
 ``tests/oracles.py`` instead.
 """
 import ast
@@ -28,18 +29,33 @@ def _read_names() -> set:
     return names
 
 
+def _defined_names(path: pathlib.Path) -> list:
+    """Module-level defs, classes and assignment targets, dunders excepted."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 _READ = _read_names()
 
 
 _PUBLIC = [
     (path.stem, name)
     for path in sorted(SRC.glob("*.py"))
-    for name in importlib.import_module(
-        "mcastsim" if path.stem == "__init__" else f"mcastsim.{path.stem}"
-    ).__all__
+    for name in dict.fromkeys([
+        *importlib.import_module(
+            "mcastsim" if path.stem == "__init__" else f"mcastsim.{path.stem}"
+        ).__all__,
+        *_defined_names(path),
+    ])
 ]
 
 
 @pytest.mark.parametrize("module, name", _PUBLIC, ids=[f"{m}.{n}" for m, n in _PUBLIC])
 def test_public_name_is_used_in_src(module, name):
-    assert name in _READ, f"{module}.{name} is public but unused in src/"
+    assert name in _READ, f"{module}.{name} is defined but unused in src/"

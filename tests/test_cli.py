@@ -153,6 +153,16 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, message)
     assert not out.exists()
 
 
+def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):
+    # each hit drains under 2**-53 of the packet, so the run would never end
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                     "--iterations", "10", "--packet-nats", "1e300", "--out", str(out)])
+    assert code == 1
+    assert "2**53 * Tc" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("settings", [
     dict(scheme="coop", n_users=2, packet_nats=math.inf),
     dict(scheme="ir", n_users=2, rate_target=math.inf),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -102,8 +103,18 @@ def _same_law_p_value(a, b):
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 1 / 3, 0.05, 1e-12])
 def test_gaps_equal_numpy_geometric_draws(p):
-    gaps = queueing._gaps(p, 10000, np.random.default_rng(160))
-    assert np.array_equal(gaps, np.random.default_rng(160).geometric(p, 10000))
+    # equal in law: integers >= 1 with mean 1/p (variance (1 - p) / p^2)
+    rng = np.random.default_rng(160)
+    state = rng.bit_generator.state
+    gaps = queueing._gaps(p, 10000, rng)
+    assert gaps.shape == (10000,)
+    assert np.all(gaps >= 1) and np.array_equal(gaps, np.floor(gaps))
+    if p == 1.0:
+        # every slot hits: nothing is drawn
+        assert np.all(gaps == 1) and rng.bit_generator.state == state
+    else:
+        se = math.sqrt((1 - p) / p ** 2 / gaps.size)
+        assert abs(gaps.mean() - 1 / p) <= 4 * se
 
 
 @pytest.mark.parametrize("n,alpha,groups,seed", [(4, 2, 1, 161), (4, 2, 2, 162)])
@@ -190,16 +201,21 @@ def test_single_queue_delay_tracks_service_rate():
 
 
 def test_delay_monotone_in_power_and_packet_size():
-    common = dict(n_users=4, n_groups=1, alpha=2, coherence_interval=1.0)
-    for seed in range(200):
-        low = queueing.tagged_delay_static(
-            power=1.0, packet_nats=1.0, rng=np.random.default_rng(seed), **common)
-        high = queueing.tagged_delay_static(
-            power=2.0, packet_nats=1.0, rng=np.random.default_rng(seed), **common)
-        small = queueing.tagged_delay_static(
-            power=1.0, packet_nats=0.5, rng=np.random.default_rng(seed), **common)
-        assert high <= low
-        assert small <= low
+    # alpha = 2 draws gaps; alpha = 1 and coop at G = 1 hit every slot
+    engines = [
+        functools.partial(queueing.tagged_delay_static, n_users=4, n_groups=1, alpha=alpha)
+        for alpha in (2, 1)
+    ] + [functools.partial(queueing.tagged_delay_coop, n_users=4, n_groups=1)]
+    for engine in engines:
+        for seed in range(200):
+            low = engine(power=1.0, packet_nats=1.0, coherence_interval=1.0,
+                         rng=np.random.default_rng(seed))
+            high = engine(power=2.0, packet_nats=1.0, coherence_interval=1.0,
+                          rng=np.random.default_rng(seed))
+            small = engine(power=1.0, packet_nats=0.5, coherence_interval=1.0,
+                           rng=np.random.default_rng(seed))
+            assert high <= low
+            assert small <= low
 
 
 def test_static_delay_validates_arguments():
@@ -217,6 +233,37 @@ def test_delay_engines_reject_non_finite_sizes(packet_nats, coherence_interval):
     # an infinite packet would never drain, so the check must come first
     with pytest.raises(ValueError, match="finite"):
         queueing._validate_common(2, 1, 1.0, packet_nats, coherence_interval)
+
+
+@pytest.mark.parametrize("engine, power, packet_nats", [
+    ("coop", 1e-300, 1.0), ("static", 1.0, 1e300), ("static", 1.0, 1e17),
+])
+def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_nats):
+    # 1e17 nats at P = 1, N = 2: the bound is 2**53 * log1p(1 + log 2) = 8.9e15.
+    # No generator: the check must come before any draw.
+    with pytest.raises(ValueError, match=r"2\*\*53 \* Tc"):
+        if engine == "coop":
+            queueing.tagged_delay_coop(2, 1, power, packet_nats, 1.0, None)
+        else:
+            queueing.tagged_delay_static(2, 1, 1, power, packet_nats, 1.0, None)
+
+
+def test_delay_bound_counts_antennas():
+    # N G L = 2 * 3 * 4 at P = 1: 2**53 * log1p(1 + log 24) = 1.4e16
+    queueing._validate_common(2, 3, 1.0, 1.3e16, 1.0, antennas=4)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        queueing._validate_common(2, 3, 1.0, 1.3e16, 1.0, antennas=1)
+
+
+@pytest.mark.parametrize("power, rate_target", [(1.0, 1e300), (1e-300, 1.0)])
+def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
+    # uncapped, and no generator: the check must come before any draw
+    with pytest.raises(ValueError, match=r"2\*\*53 \* log1p\(P\)"):
+        queueing.ir_renewal_cycle(2, power, rate_target, None, None)
+    # a cap ends every cycle, so the same target runs
+    attempts, decoded = queueing.ir_renewal_cycle(
+        2, power, rate_target, 3, np.random.default_rng(0), runs=4)
+    assert np.all(attempts == 3) and not decoded.any()
 
 
 def test_ir_rejects_non_finite_rate_target():

@@ -115,6 +115,28 @@ def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(monkeypatch, antennas
     assert np.array_equal(rates, schedulers.static_schedule(gains, 2, 1.0))
 
 
+def test_coop_chunks_hold_the_same_gain_budget(monkeypatch):
+    # at N = 64 a chunk of 8192 // N slots would draw 532,480 gains
+    sizes = []
+    draws = {name: getattr(channel, name) for name in ("draw_gains", "draw_interuser_gains")}
+
+    def spy(name):
+        def draw(*args):
+            gains = draws[name](*args)
+            sizes.append((name, gains.size))
+            return gains
+        return draw
+
+    for name in draws:
+        monkeypatch.setattr(channel, name, spy(name))
+    rates = schedulers.slot_rates(64, 1, 1.0, 300, np.random.default_rng(48))
+    assert rates.shape == (300,) and len(sizes) > 2
+    # one chunk is one base-station draw followed by one inter-user draw
+    names, counts = zip(*sizes)
+    assert names == ("draw_gains", "draw_interuser_gains") * (len(sizes) // 2)
+    assert max(a + b for a, b in zip(counts[::2], counts[1::2])) <= schedulers._CHUNK
+
+
 def test_vectorized_multigroup_rates_match_scalar_path():
     vec = schedulers.slot_rates(4, 3, 1.0, 200, np.random.default_rng(43), alpha=2)
     rng = np.random.default_rng(43)
@@ -240,7 +262,7 @@ def test_ir_vanishing_target_throughput_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# the vectorized reductions equal the generator-loop formulas bit for bit
+# the numpy reductions equal the loop formulas to rounding (O(eps log n))
 # ---------------------------------------------------------------------------
 
 def _loop_mean_se(values):
@@ -261,8 +283,7 @@ def test_mean_se_equals_loop_formula():
         rng.pareto(1.1, 400) * 1e18,
         np.array([4.0]),
     ]
-    # samples whose SE changes in the last bit when squares are taken as x * x
-    # rather than by the libm pow behind a scalar ** 2
+    # short mixed-sign samples
     for hexes in (
         ["-0x1.513a0671d147bp-8", "0x1.2a3e6aa82e6a8p-12", "-0x1.69045ab18298bp-10"],
         ["0x1.3841813659215p+2", "-0x1.3db135ec8e311p+4", "0x1.94245e30d87adp+5",
@@ -270,7 +291,7 @@ def test_mean_se_equals_loop_formula():
     ):
         samples.append(np.array([float.fromhex(h) for h in hexes]))
     for values in samples:
-        assert simcore._mean_se(values) == _loop_mean_se(values)
+        assert simcore._mean_se(values) == pytest.approx(_loop_mean_se(values), rel=1e-12)
 
 
 def test_capped_ir_throughput_se_equals_loop_formula():
@@ -291,8 +312,8 @@ def test_capped_ir_throughput_se_equals_loop_formula():
     rel_var = (ok_se / ok_mean) ** 2 + (tau_se / tau_mean) ** 2 - 2 * cov / (ok_mean * tau_mean)
     mean = 3 * 1.0 * ok_mean / tau_mean
     assert 0 < ok_mean < 1
-    assert record.throughput_mean == mean
-    assert record.throughput_se == mean * math.sqrt(max(rel_var, 0.0))
+    assert record.throughput_mean == pytest.approx(mean, rel=1e-12)
+    assert record.throughput_se == pytest.approx(mean * math.sqrt(max(rel_var, 0.0)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
