@@ -80,15 +80,17 @@ def draw_gains(shape, antennas: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw_interuser_gains(n: int, rng: np.random.Generator, batch=()) -> np.ndarray:
-    """Matrices of i.i.d. unit-mean exponential gains between users, of
-    shape ``batch + (n, n)``.
+    """Relay gains of the weak half of ``n`` cooperating users, of shape
+    ``batch + (n/2,)``: i.i.d. Gamma(n/2, 1) variates.
 
-    Entry (i, j) is the gain from user i transmitting to user j; (i, j) and
-    (j, i) are independent.  The diagonal is drawn but zeroed, and never
-    used by a scheduler.
+    Every ordered pair of users sees an i.i.d. unit-mean exponential gain.
+    Weak user j hears the sum of the gains from the n/2 strong users, a sum
+    of n/2 unit exponentials, hence Gamma(n/2, 1).  The weak users' sums
+    use disjoint pairs, so they are independent of each other, and the pair
+    gains are independent of the base-station gains that pick the halves,
+    so these sums are independent of them too.  That sum is all a
+    cooperative rate reads of the pair gains.
     """
-    if n < 2:
-        raise ValueError("inter-user gains need at least two users")
-    gains = rng.exponential(1.0, (*batch, n, n))
-    gains.reshape(-1, n * n)[:, :: n + 1] = 0.0
-    return gains
+    if n < 2 or n % 2 != 0:
+        raise ValueError("relay gains need an even number of users, at least 2")
+    return rng.gamma(n // 2, 1.0, (*batch, n // 2))

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # A chunk draws at most _CHUNK gains (one slot when a single slot needs
-# more): G N L per static slot, G N (N + 1) per cooperative slot.
+# more): G N L per static slot, G (N + N/2) per cooperative slot.
 _CHUNK = 2 ** 19
 
 
@@ -90,32 +90,27 @@ def ir_advance(accumulated, gains, power: float) -> np.ndarray:
 def cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
     """Two-stage effective rates of shape ``bs_gains.shape[:-1]``.
 
-    Stage 1 reaches the top half at the median-user rate; stage 2 has that
-    half relay with power P/(N/2) each, rated for the worst remaining user;
-    the packet moves at the lesser stage rate.  ``interuser_gains`` has
-    shape ``[..., N, N]``, entry (i, j) being the gain from user i to user
-    j.  Ties in the base-station gains go to the lowest user index.
+    Stage 1 reaches the top half at the median-user rate (the alpha = 2
+    static rate); stage 2 has that half relay with power P/(N/2) each,
+    rated for the worst weak user; the packet moves at the lesser stage
+    rate.  ``interuser_gains`` holds the weak users' relay gains, each the
+    sum of the gains from the N/2 strong users, of shape
+    ``bs_gains.shape[:-1] + (N/2,)`` (see ``channel.draw_interuser_gains``).
     """
     g = _as_gains(bs_gains)
-    n = g.shape[-1]
-    if n < 2 or n % 2 != 0:
-        raise ValueError("cooperation needs an even number of users, at least 2")
-    _check_power(power)
-    u = _as_gains(interuser_gains, "inter-user gains")
-    if u.shape != g.shape + (n,):
-        raise ValueError("inter-user gains must have shape bs_gains.shape + (N,)")
-    half = n // 2
-    order = np.argsort(-g, axis=-1, kind="stable")
-    rs1 = np.log1p(power * np.take_along_axis(g, order[..., half - 1:half], axis=-1)[..., 0])
-    relayed = np.take_along_axis(u, order[..., :half, None], axis=-2).sum(axis=-2)
-    received = np.take_along_axis(relayed, order[..., half:], axis=-1) / half
-    rs2 = np.log1p(power * received.min(axis=-1))
-    return np.minimum(rs1, rs2)
+    half = g.shape[-1] // 2
+    if g.shape[-1] != 2 * half:
+        raise ValueError("cooperation needs an even number of users")
+    rs1 = static_schedule(g, 2, power)
+    relay = _as_gains(interuser_gains, "relay gains")
+    if relay.shape != g.shape[:-1] + (half,):
+        raise ValueError("relay gains must have shape bs_gains.shape[:-1] + (N/2,)")
+    return np.minimum(rs1, np.log1p(power / half * relay.min(axis=-1)))
 
 
 def multigroup_cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
-    """Cooperative rates over gains of shape ``[..., G, N]`` (inter-user
-    ``[..., G, N, N]``): each slot serves the group offering the largest
+    """Cooperative rates over gains of shape ``[..., G, N]`` (relay gains
+    ``[..., G, N/2]``): each slot serves the group offering the largest
     effective rate, hence the largest (N/2) * rate."""
     g = np.asarray(bs_gains, dtype=float)
     _check_groups(g)
@@ -135,7 +130,7 @@ def slot_rates(
     Slots go in chunks of at most ``_CHUNK`` gains, each one draw and one
     kernel call.  A static chunk consumes the generator like one draw per
     slot; a cooperative chunk draws all its base-station gains before its
-    inter-user gains, so coop streams depend on the chunk size."""
+    relay gains, so coop streams depend on the chunk size."""
     if count < 1:
         raise ValueError("need at least one slot")
     coop = alpha is None
@@ -144,7 +139,8 @@ def slot_rates(
         kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
     else:
         kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
-    chunk = max(1, _CHUNK // (n_groups * n_users * (n_users + 1 if coop else antennas)))
+    per_group = n_users + n_users // 2 if coop else n_users * antennas
+    chunk = max(1, _CHUNK // (n_groups * per_group))
     parts = []
     for start in range(0, count, chunk):
         batch = (min(chunk, count - start), *groups)

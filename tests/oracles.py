@@ -6,8 +6,10 @@ order-statistic density or from alternating sums over groups,
 order-statistic survival functions are exact integer binomial sums, the
 order-statistic CDF is the lower binomial tail, the coupon-collector
 reference solves the absorbing chain as a linear system, the memoryless
-server's service law is a shifted Poisson law, and the retransmission
-reference convolves the per-attempt information law on a grid.
+server's service law is a shifted Poisson law, the retransmission
+reference convolves the per-attempt information law on a grid, and the
+cooperative rates come from the full N x N pair-gain model or, for the
+throughput, from quadrature of the effective-gain survival function.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from math import comb, exp, log1p
 
 import mpmath
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from mcastsim.analytic import UnsupportedSizeError
 
@@ -306,3 +308,61 @@ def ir_expected_attempts(n: int, target: float, power: float, cells: int = 2048)
     k = min(coarse.size, fine.size)
     cdfs = (4.0 * fine[:k] - coarse[:k]) / 3.0
     return 1.0 + math.fsum((-np.expm1(n * np.log1p(-cdfs))).tolist())
+
+
+def same_law_p_value(a, b):
+    """Chi-square homogeneity p-value of two samples, binned at twenty
+    pooled quantiles."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 21)))
+    table = [np.histogram(x, edges)[0] for x in (a, b)]
+    return stats.chi2_contingency(table)[1]
+
+
+def cooperative_rate_from_matrix(bs, inter, power: float) -> np.ndarray:
+    """Two-stage cooperative rates by the N x N pair-gain model, over any
+    leading batch dimensions of ``bs`` (``[..., N]``) and ``inter``
+    (``[..., N, N]``, entry (i, j) the gain from user i to user j).
+
+    Users are ordered by descending base-station gain, ties to the lower
+    index.  Stage 1 runs at the rate of the (N/2)-th strongest user; in
+    stage 2 each of the N/2 strongest relays at power P/(N/2), and the
+    weakest sum it delivers to a remaining user sets the rate.  The packet
+    moves at the lesser stage rate."""
+    bs = np.asarray(bs, dtype=float)
+    inter = np.asarray(inter, dtype=float)
+    half = bs.shape[-1] // 2
+    order = np.argsort(-bs, axis=-1, kind="stable")
+    stage1 = np.log1p(power * np.take_along_axis(bs, order[..., half - 1:half], axis=-1)[..., 0])
+    relayed = np.take_along_axis(inter, order[..., :half, None], axis=-2).sum(axis=-2)
+    received = np.take_along_axis(relayed, order[..., half:], axis=-1) / half
+    return np.minimum(stage1, np.log1p(power * received.min(axis=-1)))
+
+
+def matrix_coop_rates(n: int, groups: int, power: float, count: int, rng) -> np.ndarray:
+    """``count`` slot rates of the matrix model on fresh Rayleigh fading:
+    base-station gains and an N x N pair-gain matrix (zero diagonal) per
+    group, the best of ``groups`` groups served."""
+    bs = rng.exponential(1.0, (count, groups, n))
+    inter = rng.exponential(1.0, (count, groups, n, n))
+    inter[..., np.arange(n), np.arange(n)] = 0.0
+    return cooperative_rate_from_matrix(bs, inter, power).max(axis=-1)
+
+
+def coop_throughput(n: int, groups: int, power: float) -> float:
+    """Exact cooperative throughput (N/2) E[rate], best of ``groups`` groups:
+    (N/2) int P/(1+Py) sf(y) dy, where one group's effective gain exceeds y
+    when the (N/2)-th strongest base-station gain does, with probability
+    I_{e^-y}(N/2, N/2+1), and each of the N/2 weak users' Gamma(N/2, 1)
+    relay sums exceeds (N/2) y, with probability Q(N/2, N y/2)."""
+    half = n // 2
+
+    def sf(y):
+        one = special.betainc(half, half + 1, math.exp(-y)) * special.gammaincc(half, half * y) ** half
+        return _best_of_groups(one, groups)
+
+    val, _ = integrate.quad(
+        lambda y: power / (1.0 + power * y) * sf(y), 0, np.inf,
+        epsabs=1e-13, epsrel=1e-11, limit=300,
+    )
+    return half * val

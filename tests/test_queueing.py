@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mcastsim import analytic, queueing, schedulers
+from mcastsim import analytic, queueing
 
 from oracles import (
     ServiceLaw,
+    coop_throughput,
     ir_expected_attempts,
+    matrix_coop_rates,
+    same_law_p_value,
     service_time_pmf,
     slot_by_slot_delays,
     throughput_reference,
@@ -92,15 +95,6 @@ def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
 # the geometric-gap shortcut against slot-by-slot simulation
 # ---------------------------------------------------------------------------
 
-def _same_law_p_value(a, b):
-    """Chi-square homogeneity p-value of two slot-count samples, binned at
-    twenty pooled quantiles."""
-    pooled = np.concatenate([a, b])
-    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 21)))
-    table = [np.histogram(x, edges)[0] for x in (a, b)]
-    return stats.chi2_contingency(table)[1]
-
-
 @pytest.mark.parametrize("p", [1.0, 0.5, 1 / 3, 0.05, 1e-12])
 def test_gaps_equal_numpy_geometric_draws(p):
     # equal in law: integers >= 1 with mean 1/p (variance (1 - p) / p^2)
@@ -125,23 +119,20 @@ def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
         np.random.default_rng(seed), 20000,
     )
     delays = _exponential_server_delays(20000, seed + 100, n, groups, alpha, 1.0)
-    assert _same_law_p_value(reference, delays) > 0.001
+    assert same_law_p_value(reference, delays) > 0.001
 
 
 def test_coop_gaps_match_slot_by_slot_reference():
     n, power = 4, 1.0
 
     def coop_rates(rng, count):
-        bs = rng.exponential(1.0, (count, n))
-        inter = rng.exponential(1.0, (count, n, n))
-        inter[:, np.arange(n), np.arange(n)] = 0.0
-        return schedulers.cooperative_schedule(bs, inter, power)
+        return matrix_coop_rates(n, 1, power, count, rng)
 
     reference = slot_by_slot_delays(2, 1, 1.0, coop_rates, np.random.default_rng(163), 20000)
     delays = queueing.tagged_delay_coop(
         n, 2, power, 1.0, 1.0, np.random.default_rng(263), runs=20000
     )
-    assert _same_law_p_value(reference, delays) > 0.001
+    assert same_law_p_value(reference, delays) > 0.001
 
 
 def test_engines_are_deterministic():
@@ -324,11 +315,7 @@ def test_coop_delay_single_slot_for_tiny_packet():
 def test_coop_delay_follows_service_formula():
     # mean slots ~ (Tc + S/E[min rate])/Tc once several slots are needed
     n, power = 8, 1.0
-    rng = np.random.default_rng(142)
-    bs = rng.exponential(1.0, (20000, n))
-    inter = rng.exponential(1.0, (20000, n, n))
-    inter[:, np.arange(n), np.arange(n)] = 0.0
-    mean_rate = schedulers.cooperative_schedule(bs, inter, power).mean()
+    mean_rate = coop_throughput(n, 1, power) / (n // 2)
 
     packet = 20 * mean_rate
     delays = queueing.tagged_delay_coop(

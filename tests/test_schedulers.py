@@ -5,7 +5,15 @@ import pytest
 
 from mcastsim import channel, queueing, schedulers
 
-from oracles import OrderStatSpec, ks_distance, order_stat_cdf
+from oracles import (
+    OrderStatSpec,
+    cooperative_rate_from_matrix,
+    coop_throughput,
+    ks_distance,
+    matrix_coop_rates,
+    order_stat_cdf,
+    same_law_p_value,
+)
 
 
 class FixedGains:
@@ -39,10 +47,14 @@ def test_static_schedule_breaks_ties_toward_low_index():
     tied = pytest.approx(math.log1p(1.0))
     assert schedulers.static_schedule([1.0, 1.0, 1.0, 1.0], 2, 1.0) == tied
     assert schedulers.static_schedule([0.5, 1.0, 1.0, 0.2], 4, 1.0) == tied
-    # cooperation: of two tied users the lower index relays (u[0, 1], not u[1, 0])
+    # the matrix model of cooperation: of two tied users the lower index
+    # relays (u[0, 1], not u[1, 0])
     inter = np.array([[0.0, 0.25], [4.0, 0.0]])
-    rate = schedulers.cooperative_schedule([1.0, 1.0], inter, 1.0)
+    rate = cooperative_rate_from_matrix([1.0, 1.0], inter, 1.0)
     assert rate == pytest.approx(math.log1p(0.25))
+    # the kernel orders no users: tied gains still rate stage 1 at the tied value
+    assert schedulers.cooperative_schedule([1.0, 1.0], [0.25], 1.0) == pytest.approx(math.log1p(0.25))
+    assert schedulers.cooperative_schedule([1.0, 1.0], [4.0], 1.0) == tied
 
 
 def test_static_schedule_validates_input():
@@ -188,31 +200,34 @@ def test_ir_failure_probability_structure():
 # cooperation
 # ---------------------------------------------------------------------------
 
-def _coop_reference(bs, inter, power):
-    """Stage rates by the definition, one user at a time."""
+def _relay_gains(bs, inter):
+    """Each weak user's relay gain, one user at a time: the sum of the gains
+    from the N/2 users of largest base-station gain (ties to the lower
+    index) to each of the others, in descending base-station order."""
     n = len(bs)
-    half = n // 2
     order = sorted(range(n), key=lambda i: (-bs[i], i))
-    stage1 = math.log1p(power * bs[order[half - 1]])
-    received = [sum(inter[i][j] for i in order[:half]) / half for j in order[half:]]
-    stage2 = math.log1p(power * min(received))
-    return stage1, stage2
+    return [sum(inter[i][j] for i in order[: n // 2]) for j in order[n // 2:]]
 
 
 def test_coop_hand_example():
-    inter = np.array([[0.0, 1.5], [0.7, 0.0]])
     # stage 1 at log 3; user 0 relays to user 1 at log 2.5, which binds
-    assert schedulers.cooperative_schedule([2.0, 0.3], inter, 1.0) == pytest.approx(math.log(2.5))
-    strong = np.array([[0.0, 1e12], [0.7, 0.0]])
-    assert schedulers.cooperative_schedule([2.0, 0.3], strong, 1.0) == pytest.approx(math.log(3.0))
+    assert schedulers.cooperative_schedule([2.0, 0.3], [1.5], 1.0) == pytest.approx(math.log(2.5))
+    assert schedulers.cooperative_schedule([2.0, 0.3], [1e12], 1.0) == pytest.approx(math.log(3.0))
+    # N = 4: stage 1 rates the second-largest gain, log 1.8; the two strong
+    # users relay at P/2 each, so relay gains 5 and 3 give stage 2 log 2.5,
+    # and 5 and 1 give log 1.5, which binds
+    assert schedulers.cooperative_schedule(
+        [0.1, 2.0, 0.8, 0.4], [5.0, 3.0], 1.0
+    ) == pytest.approx(math.log(1.8))
+    assert schedulers.cooperative_schedule(
+        [0.1, 2.0, 0.8, 0.4], [5.0, 1.0], 1.0
+    ) == pytest.approx(math.log(1.5))
 
 
 def test_coop_strong_relays_never_bind():
     rng = np.random.default_rng(5)
     bs = rng.exponential(1.0, 6)
-    inter = np.full((6, 6), 1e12)
-    np.fill_diagonal(inter, 0.0)
-    rate = schedulers.cooperative_schedule(bs, inter, 1.0)
+    rate = schedulers.cooperative_schedule(bs, np.full(3, 1e12), 1.0)
     assert rate == pytest.approx(math.log1p(np.sort(bs)[3]))      # the stage-1 (median) rate
 
 
@@ -221,22 +236,25 @@ def test_coop_effective_rate_is_min_and_half_split():
     for _ in range(100):
         n = 8
         bs = rng.exponential(1.0, n)
-        inter = channel.draw_interuser_gains(n, rng)
-        rate = schedulers.cooperative_schedule(bs, inter, 1.0)
-        stage1, stage2 = _coop_reference(bs.tolist(), inter.tolist(), 1.0)
+        inter = rng.exponential(1.0, (n, n))
+        relay = _relay_gains(bs.tolist(), inter.tolist())
+        rate = schedulers.cooperative_schedule(bs, relay, 1.0)
+        stage1 = math.log1p(np.sort(bs)[n // 2])       # the median position gain
+        stage2 = math.log1p(min(relay) / (n // 2))
         assert rate == pytest.approx(min(stage1, stage2), rel=1e-14)
-        # stage 1 rates the median position gain
-        assert stage1 == pytest.approx(math.log1p(np.sort(bs)[n // 2]))
+        # the matrix model reads nothing of the pair gains but these sums
+        assert rate == pytest.approx(cooperative_rate_from_matrix(bs, inter, 1.0), rel=1e-14)
 
 
 def test_coop_rejects_odd_user_count():
-    inter = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        schedulers.cooperative_schedule([1.0, 2.0, 3.0], inter, 1.0)
-    with pytest.raises(ValueError):
-        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((3, 3)), 1.0)
-    with pytest.raises(ValueError):
-        schedulers.cooperative_schedule([1.0, 2.0], [[0.0, -1.0], [1.0, 0.0]], 1.0)
+    with pytest.raises(ValueError, match="even"):
+        schedulers.cooperative_schedule([1.0, 2.0, 3.0], np.zeros(1), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        schedulers.cooperative_schedule([1.0, 2.0], np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        schedulers.cooperative_schedule([1.0, 2.0], [-1.0], 1.0)
 
 
 def test_multigroup_coop_reduction_and_argmax():
@@ -249,7 +267,6 @@ def test_multigroup_coop_reduction_and_argmax():
     # second group has uniformly stronger channels, so it must win
     strong_bs = bs + 5.0
     strong_inter = inter + 5.0
-    np.fill_diagonal(strong_inter, 0.0)
     rate = schedulers.multigroup_cooperative_schedule(
         [bs, strong_bs], [inter, strong_inter], 1.0
     )
@@ -268,6 +285,26 @@ def test_multigroup_coop_argmax_contract():
             for b, u in zip(bs_groups, inter_groups)
         ]
         assert 2 * rate == max(2 * r for r in rates)
+
+
+@pytest.mark.parametrize("groups", [1, 5])
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_coop_rates_have_the_matrix_model_law(n, groups):
+    # one Gamma(N/2) relay gain per weak user in place of the N x N matrix
+    seed = 190 + 10 * groups + n
+    rates = schedulers.slot_rates(n, groups, 1.0, 10000, np.random.default_rng(seed))
+    reference = matrix_coop_rates(n, groups, 1.0, 10000, np.random.default_rng(seed + 100))
+    assert same_law_p_value(rates, reference) > 0.001
+
+
+@pytest.mark.parametrize("n,groups,power", [
+    (2, 1, 1.0), (4, 1, 0.1), (10, 1, 1.0), (10, 5, 1.0), (4, 5, 10.0), (64, 1, 1.0),
+])
+def test_coop_throughput_matches_exact_quadrature(n, groups, power):
+    rng = np.random.default_rng(300 + 10 * groups + n)
+    served = n // 2 * schedulers.slot_rates(n, groups, power, 40000, rng)
+    se = served.std(ddof=1) / math.sqrt(served.size)
+    assert abs(served.mean() - coop_throughput(n, groups, power)) <= 4 * se
 
 
 # ---------------------------------------------------------------------------

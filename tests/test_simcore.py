@@ -115,8 +115,9 @@ def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(monkeypatch, antennas
     assert np.array_equal(rates, schedulers.static_schedule(gains, 2, 1.0))
 
 
-def test_coop_chunks_hold_the_same_gain_budget(monkeypatch):
-    # at N = 64 a chunk of 8192 // N slots would draw 532,480 gains
+def _assert_coop_chunks_hold_budget(monkeypatch, n, count, seed):
+    """``count`` cooperative slots take more than one chunk, and no chunk
+    draws more than ``_CHUNK`` base-station plus relay gains."""
     sizes = []
     draws = {name: getattr(channel, name) for name in ("draw_gains", "draw_interuser_gains")}
 
@@ -129,12 +130,23 @@ def test_coop_chunks_hold_the_same_gain_budget(monkeypatch):
 
     for name in draws:
         monkeypatch.setattr(channel, name, spy(name))
-    rates = schedulers.slot_rates(64, 1, 1.0, 300, np.random.default_rng(48))
-    assert rates.shape == (300,) and len(sizes) > 2
-    # one chunk is one base-station draw followed by one inter-user draw
+    rates = schedulers.slot_rates(n, 1, 1.0, count, np.random.default_rng(seed))
+    assert rates.shape == (count,)
+    # one chunk is one base-station draw followed by one relay draw
     names, counts = zip(*sizes)
     assert names == ("draw_gains", "draw_interuser_gains") * (len(sizes) // 2)
+    assert len(sizes) > 2
     assert max(a + b for a, b in zip(counts[::2], counts[1::2])) <= schedulers._CHUNK
+
+
+def test_coop_chunks_hold_the_same_gain_budget(monkeypatch):
+    # at N = 64 a chunk holds 2^19 // 96 = 5461 slots, so 6000 take two
+    _assert_coop_chunks_hold_budget(monkeypatch, 64, 6000, 48)
+
+
+def test_coop_chunks_hold_the_gain_budget_at_large_n(monkeypatch):
+    # an N x N pair-gain draw would put 1,001,000 gains in one slot at N = 1000
+    _assert_coop_chunks_hold_budget(monkeypatch, 1000, 800, 49)
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
@@ -168,9 +180,8 @@ def test_single_group_rates_equal_one_group_multigroup_kernels():
     coop = schedulers.slot_rates(4, 1, 1.0, 100, np.random.default_rng(46))
     rng = np.random.default_rng(46)
     gains = rng.exponential(1.0, (100, 1, 4))
-    inter = rng.exponential(1.0, (100, 1, 4, 4))
-    inter[..., np.arange(4), np.arange(4)] = 0.0
-    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(gains, inter, 1.0))
+    relay = rng.gamma(2, 1.0, (100, 1, 2))
+    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(gains, relay, 1.0))
 
     with pytest.raises(ValueError):
         schedulers.slot_rates(4, 1, 1.0, 0, rng, alpha=2)
