@@ -13,10 +13,10 @@ import csv
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
+import mpmath
 
 from mcastsim import analytic, simcore
 from mcastsim.channel import CoherencePolicy
@@ -308,15 +308,17 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def _check_ei() -> tuple[bool, str]:
     worst = 0.0
     for x in (0.1, 1.0, 5.0, 20.0, 50.0):
-        reference, _ = integrate.quad(
-            lambda u: math.exp(-u) / u, x, np.inf, epsabs=1e-14, epsrel=1e-13, limit=300
+        # Ei(-x) = -int_x^inf e^-u / u du = -e^-x int_0^inf e^-s / (x + s) ds
+        reference = -math.exp(-x) * float(
+            mpmath.quad(lambda s: mpmath.exp(-s) / (x + s), [0, mpmath.inf])
         )
-        worst = max(worst, abs(analytic.expint_ei(-x) - (-reference)))
+        worst = max(worst, abs(analytic.expint_ei(-x) - reference))
     return worst <= 1e-10, f"max abs deviation {worst:.3e} (tol 1e-10)"
 
 
@@ -371,11 +373,15 @@ _CHECKS = {
 
 def run_verification(name_filter: str | None = None) -> list[CheckResult]:
     """Run the oracle cross-checks, optionally only those whose name
-    contains the filter substring."""
-    return [
-        CheckResult(name, *check()) for name, check in _CHECKS.items()
-        if not name_filter or name_filter in name
-    ]
+    contains the filter substring, timing each."""
+    results = []
+    for name, check in _CHECKS.items():
+        if name_filter and name_filter not in name:
+            continue
+        start = time.perf_counter()
+        passed, detail = check()
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+    return results
 
 
 def cmd_verify(args) -> int:
@@ -386,7 +392,7 @@ def cmd_verify(args) -> int:
     failures = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {result.name}: {result.detail}")
+        print(f"[{status}] {result.name}: {result.detail}, {result.seconds:.3f} s")
         if not result.passed:
             failures.append(result.name)
     if failures:

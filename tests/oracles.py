@@ -10,6 +10,8 @@ server's service law is a shifted Poisson law, the retransmission
 reference convolves the per-attempt information law on a grid, and the
 cooperative rates come from the full N x N pair-gain model or, for the
 throughput, from quadrature of the effective-gain survival function.
+Integrals over [0, inf) use scipy's adaptive quadrature, which the package
+does not import, as the reference for its double-exponential rule.
 """
 from __future__ import annotations
 
@@ -56,6 +58,26 @@ def throughput_reference(n: int, alpha: int, power: float, groups: int = 1) -> f
     val, _ = integrate.quad(
         lambda x: log1p(power * x) * density(x), 0, np.inf,
         epsabs=1e-13, epsrel=1e-11, limit=300,
+    )
+    return (n / alpha) * val
+
+
+def fixed_fraction_quad_throughput(
+    n: int, alpha: int, power: float, groups: int = 1, antennas: int = 1
+) -> float:
+    """(N/alpha) int P/(1+Px) P(gain > x) dx by scipy's adaptive quadrature,
+    one scalar node at a time.  The scheduled gain's survival function is
+    the complement of the lower binomial tail, betaincc(pos, n-pos+1, F),
+    at the per-user Chi-square CDF F (the package uses the upper tail)."""
+    pos = n - n // alpha + 1
+
+    def sf(x):
+        cdf = special.gammainc(antennas, antennas * x)
+        return _best_of_groups(float(special.betaincc(pos, n - pos + 1, cdf)), groups)
+
+    val, _ = integrate.quad(
+        lambda x: power / (1.0 + power * x) * sf(x), 0, np.inf,
+        epsabs=1e-15, epsrel=1e-11, limit=300,
     )
     return (n / alpha) * val
 

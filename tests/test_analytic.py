@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     coupon_reference,
     ei_reference,
     expected_log1p_reference,
+    fixed_fraction_quad_throughput,
     multigroup_best_throughput,
     multigroup_worst_throughput,
     order_stat_cdf,
@@ -116,6 +118,30 @@ def test_order_stat_sf_matches_binomial_sums(n):
                 assert abs(cdf - (1.0 - order_stat_sf_sum(n, pos, groups, x))) <= 1e-12
 
 
+def test_order_stat_sf_on_arrays_equals_scalar_calls():
+    xs = np.concatenate(([0.0], np.geomspace(1e-5, 30.0, 40)))
+    for n, pos in ((1, 1), (10, 6), (200, 1), (200, 101), (1000, 1000)):
+        for groups in (1, 5):
+            for user_sf in (np.exp(-xs), special.gammaincc(3, 3 * xs)):
+                sf = analytic._order_stat_sf(n, pos, groups, user_sf)
+                assert sf.shape == xs.shape
+                assert np.array_equal(
+                    sf, [analytic._order_stat_sf(n, pos, groups, float(u)) for u in user_sf]
+                )
+
+
+def test_order_stat_sf_saturates_without_warnings():
+    # the best of 5 groups' maxima of 1000 gains: sf is exactly 1 below
+    # x of about 3, where log1p(-sf) is -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sf = analytic._order_stat_sf(1000, 1000, 5, np.exp(-np.linspace(0.0, 40.0, 81)))
+        assert sf[0] == 1.0 and np.sum(sf == 1.0) > 1 and np.all(sf[1:] <= sf[:-1])
+        assert analytic._order_stat_sf(1000, 1000, 5, 1.0) == 1.0
+        value = analytic.throughput_quadrature(1000, 1000, 1.0, n_groups=5)
+    assert value == pytest.approx(fixed_fraction_quad_throughput(1000, 1000, 1.0, 5), rel=1e-10)
+
+
 def test_chisquare_cdf_matches_log_space_sum():
     for antennas in (1, 2, 3, 8, 40):
         for x in np.geomspace(1e-4, 20.0, 50):
@@ -167,6 +193,42 @@ def test_quadrature_matches_closed_form_at_large_n(n):
         assert analytic.throughput_quadrature(n, alpha, 1.0) == pytest.approx(
             analytic.static_throughput_closed_form(n, alpha, 1.0), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])
+def test_quadrature_matches_adaptive_quadrature(n):
+    # the double-exponential rule against scipy's adaptive quadrature
+    for alpha in sorted(a for a in {1, 2, n} if n % a == 0):
+        for groups in (1, 5):
+            for antennas in (1, 3):
+                for power in (0.1, 1.0, 10.0):
+                    value = analytic.throughput_quadrature(n, alpha, power, groups, antennas)
+                    assert value == pytest.approx(
+                        fixed_fraction_quad_throughput(n, alpha, power, groups, antennas),
+                        rel=1e-10,
+                    )
+
+
+def test_double_exponential_rule_integrals():
+    integrate = analytic._integrate_0_inf
+    assert integrate(lambda x: np.exp(-x)) == pytest.approx(1.0, rel=1e-14)
+    assert integrate(lambda x: np.exp(-1e4 * x)) == pytest.approx(1e-4, rel=1e-14)
+    assert integrate(lambda x: x ** 2 * np.exp(-x / 50)) == pytest.approx(2 * 50 ** 3, rel=1e-13)
+    assert integrate(lambda x: np.exp(-x) / np.sqrt(x)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    assert integrate(lambda x: (1 + x) ** -3.0) == pytest.approx(0.5, rel=1e-13)
+    assert integrate(np.zeros_like) == 0.0
+
+
+def test_double_exponential_rule_fails_loudly():
+    # a 1/x^2 tail is still 1e-11 of the integral at the window's right end
+    with pytest.raises(ArithmeticError, match="ends"):
+        analytic._integrate_0_inf(lambda x: (1 + x) ** -2.0)
+    # an integrand that never settles
+    rng = np.random.default_rng(5)
+    with pytest.raises(ArithmeticError, match="settle"):
+        analytic._integrate_0_inf(lambda x: np.exp(-x) * (1 + 1e-6 * rng.random(x.shape)))
+    with pytest.raises(ArithmeticError, match="settle"):
+        analytic._integrate_0_inf(lambda x: np.full_like(x, np.nan))
 
 
 def test_closed_form_rejects_sizes_past_its_cap():
@@ -276,15 +338,15 @@ def test_coupon_degenerate_and_classic_cases():
 
 
 def test_coupon_matches_markov_oracle():
-    for q in (2, 3, 5, 10):
+    for q in (2, 3, 5, 10, 40):
         for coupled in (1, 2, 3):
             if coupled > q:
                 continue
-            for m in (1, 2, 3):
+            for m in (1, 2, 3, 4):
                 integral = analytic.coupon_collector_expected_trials(q, coupled, m)
                 markov = analytic.coupon_collector_markov(q, coupled, m)
                 linear = coupon_reference(q, coupled, m)
-                assert abs(integral - markov) <= 1e-4 * markov
+                assert integral == pytest.approx(markov, rel=1e-10)
                 assert markov == pytest.approx(linear, rel=1e-10)
 
 

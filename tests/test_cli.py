@@ -296,6 +296,16 @@ def test_verification_filter_runs_subset(capsys):
     assert "ei-quadrature" not in out
 
 
+def test_verification_times_each_check(capsys):
+    results = cli.run_verification("coupon")
+    assert [r.name for r in results] == ["coupon-markov-oracle"]
+    assert results[0].passed and results[0].seconds > 0
+    assert results[0].detail.endswith("(tol 1e-4)")
+    assert cli.main(["verify", "--filter", "coupon"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"\[PASS\] coupon-markov-oracle: .* \(tol 1e-4\), \d+\.\d{3} s", line)
+
+
 def test_verification_flags_corrupted_ei(monkeypatch, capsys):
     monkeypatch.setattr(analytic, "expint_ei", lambda x: -0.5)
     assert cli.main(["verify", "--filter", "ei"]) == 1
