@@ -76,6 +76,7 @@ def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf):
     The pos-th smallest of n gains exceeds x iff fewer than pos gains lie
     below x, a binomial tail: I_{user_sf}(n - pos + 1, pos).  The best of
     n_groups groups exceeds x unless every group's statistic lies below.
+    ``channel.draw_scheduled_gains`` samples by the same identity.
     """
     # float parameters spare the ufunc a mixed-type dispatch on every call
     sf = special.betainc(float(n - pos + 1), float(pos), user_sf)

@@ -1,8 +1,11 @@
 """Fading-gain generation and coherence-interval policies.
 
-All gains are dimensionless channel power gains with unit mean.  Draws are
-pure functions of the supplied generator, so per-worker streams stay
-independent and every realization is reproducible from its seed.
+All gains are dimensionless channel power gains; each user's gain has unit
+mean.  A scheduler that rates a slot for one user draws only that user's
+gain, an order statistic, by inversion of one Beta variate, so a slot
+costs the same at every population size.  Draws are pure functions of the
+supplied generator, so per-worker streams stay independent and every
+realization is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -10,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "CoherencePolicy",
     "coherence_interval",
     "draw_gains",
     "draw_interuser_gains",
+    "draw_scheduled_gains",
 ]
 
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
@@ -56,41 +61,58 @@ def coherence_interval(policy: CoherencePolicy, n_users: int, n_groups: int = 1)
     return policy.value / math.log(math.log(population))
 
 
-def draw_gains(shape, antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """Base-station power gains of the given shape, i.i.d. over entries.
-
-    Each is the effective gain of a transmitter splitting power equally
-    over ``antennas`` antennas: the mean of that many unit exponentials
-    (Rayleigh fading when ``antennas`` is 1).  This is the only place the
-    simulation draws base-station fading, so throughput and delay see the
-    same antenna law.
-    """
-    if antennas < 1:
-        raise ValueError("need at least one antenna")
-    if antennas == 1:
-        # the mean of one draw is the draw itself; skipping it matters
-        # on the delay path, which draws once per hit
-        gains = rng.exponential(1.0, shape)
-    else:
-        per_antenna = (shape, antennas) if np.ndim(shape) == 0 else (*shape, antennas)
-        gains = rng.exponential(1.0, per_antenna).mean(axis=-1)
+def draw_gains(shape, rng: np.random.Generator) -> np.ndarray:
+    """Rayleigh base-station power gains of the given shape: i.i.d. unit
+    exponentials.  The retransmission cycle reads every user's gain, so it
+    draws them all here; the other schedulers draw only the gain they
+    rate (``draw_scheduled_gains``)."""
+    gains = rng.exponential(1.0, shape)
     if gains.size < 1:
         raise ValueError("need at least one gain")
     return gains
 
 
-def draw_interuser_gains(n: int, rng: np.random.Generator, batch=()) -> np.ndarray:
-    """Relay gains of the weak half of ``n`` cooperating users, of shape
-    ``batch + (n/2,)``: i.i.d. Gamma(n/2, 1) variates.
+def draw_scheduled_gains(
+    n_users: int, position: int, shape, antennas: int, rng: np.random.Generator,
+) -> np.ndarray:
+    """The gain at ascending position ``position`` of ``n_users`` i.i.d.
+    base-station gains, one per entry of ``shape``, with ``antennas``
+    transmit antennas splitting the power equally (each gain the mean of
+    that many unit exponentials; Rayleigh fading at one antenna).
+
+    With S(x) = P(gain > x), the order statistic X satisfies
+    S(X) ~ Beta(N - pos + 1, pos), the order statistics of uniforms
+    (David & Nagaraja, *Order Statistics*, 2003).  So X = S^-1(V) for one
+    Beta variate V: -log V at one antenna, Q^-1(L, V) / L for L antennas,
+    with Q the regularized upper incomplete gamma function.  This is the
+    only place the schedulers draw base-station fading, so throughput and
+    delay see the same antenna law.
+    """
+    if not 1 <= position <= n_users:
+        raise ValueError(f"position {position} is not among the {n_users} users")
+    if antennas < 1:
+        raise ValueError("need at least one antenna")
+    v = rng.beta(n_users - position + 1, position, shape)
+    if antennas == 1:
+        return -np.log(v)
+    return special.gammainccinv(antennas, v) / antennas
+
+
+def draw_interuser_gains(n: int, rng: np.random.Generator, batch) -> np.ndarray:
+    """The weakest relay gain of the weak half of ``n`` cooperating users,
+    one per entry of ``batch``.
 
     Every ordered pair of users sees an i.i.d. unit-mean exponential gain.
     Weak user j hears the sum of the gains from the n/2 strong users, a sum
     of n/2 unit exponentials, hence Gamma(n/2, 1).  The weak users' sums
     use disjoint pairs, so they are independent of each other, and the pair
     gains are independent of the base-station gains that pick the halves,
-    so these sums are independent of them too.  That sum is all a
-    cooperative rate reads of the pair gains.
+    so these sums are independent of them too.  The cooperative rate reads
+    only the least of the n/2 sums, Y, with P(Y > y) = Q(n/2, y)^(n/2).
+    Inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
+    standard exponential E, never takes the log of zero.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("relay gains need an even number of users, at least 2")
-    return rng.gamma(n // 2, 1.0, (*batch, n // 2))
+    half = n // 2
+    return special.gammaincinv(half, -np.expm1(-rng.standard_exponential(batch) / half))

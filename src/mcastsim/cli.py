@@ -318,8 +318,9 @@ def _check_ei() -> tuple[bool, str]:
         reference = -math.exp(-x) * float(
             mpmath.quad(lambda s: mpmath.exp(-s) / (x + s), [0, mpmath.inf])
         )
-        worst = max(worst, abs(analytic.expint_ei(-x) - reference))
-    return worst <= 1e-10, f"max abs deviation {worst:.3e} (tol 1e-10)"
+        worst = max(worst, abs(analytic.expint_ei(-x) / reference - 1.0))
+    # relative: Ei(-50) = -3.8e-24, so any absolute bound passes a zero there
+    return worst <= 1e-12, f"max rel deviation {worst:.3e} (tol 1e-12)"
 
 
 def _check_coupon() -> tuple[bool, str]:

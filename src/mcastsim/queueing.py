@@ -13,14 +13,15 @@ Picks are simulated with geometric gaps between hits, so a run costs
 O(number of hits) however large Q grows, and the slot count is
 distributed exactly as in the slot-by-slot Bernoulli process.  Gaps are
 float inversions, so counts never saturate; a hit probability below the
-smallest normal float, a count past the float range, or a packet needing
-over 2**53 hits on average raises ValueError.
+smallest normal float, a count past the float range, or a packet whose
+lower bound on the mean hit count exceeds ``_HIT_BUDGET`` raises
+ValueError.
 
 The engine runs ``runs`` independent runs in lockstep: each round draws a
 gap (unless every slot hits), a queue index (when there are several
 coupled queues) and a rate for every unfinished run, in that order, the
 rates in one sampler call.  A row costs O(its largest hit count) numpy
-calls, and the sampler's chunks bound a round's memory.  At runs=1 what
+calls, and a round holds O(runs) values whatever N is.  At runs=1 what
 a hit draws does not depend on the rates, which keeps paired-seed runs
 coupled (e.g. raising P can only remove slots).
 """
@@ -32,6 +33,10 @@ import sys
 import numpy as np
 
 from mcastsim import channel, schedulers
+
+# Mean hits (attempts, for an uncapped retransmission cycle) a run may need
+# by a lower bound: about a minute per row at tens of microseconds a round.
+_HIT_BUDGET = 2 ** 20
 
 __all__ = [
     "ir_renewal_cycle",
@@ -52,9 +57,10 @@ def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval, 
     # a scheduled gain is at most the best of N G L unit exponentials, whose
     # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
     rate_bound = math.log1p(power * (1 + math.log(n_users * n_groups * antennas)))
-    if packet_nats > 2.0 ** 53 * coherence_interval * rate_bound:
-        raise ValueError("packet size exceeds 2**53 * Tc * log1p(P (1 + log(N G L))), "
-                         "so it needs over 2**53 hits on average")
+    hits = packet_nats / coherence_interval / rate_bound
+    if hits > _HIT_BUDGET:
+        raise ValueError(f"packet needs at least {hits:.3g} hits on average, "
+                         "S / (Tc log1p(P (1 + log(N G L)))), over the budget of 2**20")
 
 
 def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,14 +134,17 @@ def ir_renewal_cycle(
     the rate target, and fails when the attempt cap comes first."""
     if n_users < 1:
         raise ValueError("need at least one user")
+    if not power > 0:
+        raise ValueError("power must be positive")
     if not 0 < rate_target < math.inf:
         raise ValueError("rate target must be positive and finite")
     if attempt_cap is not None and attempt_cap < 1:
         raise ValueError("attempt cap must be at least 1")
     # Jensen: an attempt adds E[log1p(P g)] <= log1p(P) nats to each user
-    if attempt_cap is None and rate_target > 2.0 ** 53 * math.log1p(power):
-        raise ValueError("uncapped rate target exceeds 2**53 * log1p(P), "
-                         "so it needs over 2**53 attempts on average")
+    attempts_bound = rate_target / math.log1p(power)
+    if attempt_cap is None and attempts_bound > _HIT_BUDGET:
+        raise ValueError(f"uncapped rate target needs at least {attempts_bound:.3g} attempts "
+                         "on average, R / log1p(P), over the budget of 2**20")
     if runs < 1:
         raise ValueError("need at least one run")
     accumulated = np.zeros((runs, n_users))
@@ -144,7 +153,7 @@ def ir_renewal_cycle(
     active = np.arange(runs)
     while active.size:
         grown = schedulers.ir_advance(
-            accumulated[active], channel.draw_gains((active.size, n_users), 1, rng), power
+            accumulated[active], channel.draw_gains((active.size, n_users), rng), power
         )
         accumulated[active] = grown
         attempts[active] += 1

@@ -1,16 +1,18 @@
 """Per-slot rate laws for every scheme: the one place a rate is computed.
 
 Every kernel takes gains with arbitrary leading batch dimensions.
-``slot_rates`` draws fresh fading for a batch of slots and schedules it,
-and is the one sampler behind both the throughput estimates and the
-delay engine's per-hit rates.
+``slot_rates`` draws the gains a batch of slots is rated on and schedules
+them, and is the one sampler behind both the throughput estimates and
+the delay engine's per-hit rates.
 
 The fixed-fraction scheduler keys the rate to the gain at the ascending
-position N - N/alpha + 1, so exactly N/alpha users decode.  The
-retransmission scheme accumulates mutual information across attempts until
-the slowest user crosses the rate target.  The cooperative scheme serves
-the stronger half first and lets it relay to the weaker half.  The
-multigroup forms serve the group with the largest rate this slot.
+position N - N/alpha + 1, so exactly N/alpha users decode; a slot draws
+that one gain per group (``channel.draw_scheduled_gains``), never the N
+gains it is the order statistic of.  The retransmission scheme
+accumulates mutual information across attempts until the slowest user
+crosses the rate target.  The cooperative scheme serves the stronger half
+first and lets it relay to the weaker half.  The multigroup forms serve
+the group with the largest rate this slot.
 
 Rates are in nats per channel use.
 """
@@ -29,15 +31,11 @@ __all__ = [
     "static_schedule",
 ]
 
-# A chunk draws at most _CHUNK gains (one slot when a single slot needs
-# more): G N L per static slot, G (N + N/2) per cooperative slot.
-_CHUNK = 2 ** 19
-
 
 def _as_gains(gains, name: str = "gains") -> np.ndarray:
     g = np.asarray(gains, dtype=float)
     if g.ndim < 1 or g.shape[-1] < 1:
-        raise ValueError(f"{name} need a nonempty last (user) axis")
+        raise ValueError(f"{name} need a nonempty last axis")
     # min >= 0 is false for NaN, max < inf for +inf and NaN
     if g.size and not (g.min() >= 0 and g.max() < np.inf):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -49,30 +47,19 @@ def _check_power(power: float) -> None:
         raise ValueError("power must be positive")
 
 
-def _check_groups(g: np.ndarray) -> None:
-    if g.ndim < 2 or g.shape[-2] < 1:
-        raise ValueError("multigroup gains need a nonempty group axis before the user axis")
-
-
-def static_schedule(gains, alpha: int, power: float) -> np.ndarray:
-    """Rates of shape ``gains.shape[:-1]``: each slot is rated for the user
-    at ascending position N - N/alpha + 1 of its N gains, so everyone at
-    or above that gain decodes."""
+def static_schedule(gains, power: float) -> np.ndarray:
+    """Rates log(1 + P g) of slots whose scheduled gains are ``gains``:
+    the gain at ascending position N - N/alpha + 1, so everyone at or
+    above it decodes."""
     g = _as_gains(gains)
-    n = g.shape[-1]
-    if alpha < 1 or n % alpha != 0:
-        raise ValueError(f"alpha={alpha} must divide the user count {n}")
     _check_power(power)
-    pos = n - n // alpha          # 0-based ascending index of the rated gain
-    return np.log1p(power * np.partition(g, pos, axis=-1)[..., pos])
+    return np.log1p(power * g)
 
 
-def multigroup_static_schedule(gains, alpha: int, power: float) -> np.ndarray:
-    """Fixed-fraction rates over gains of shape ``[..., G, N]``: each slot
-    serves the group whose scheduled order statistic is largest."""
-    g = np.asarray(gains, dtype=float)
-    _check_groups(g)
-    return static_schedule(g, alpha, power).max(axis=-1)
+def multigroup_static_schedule(gains, power: float) -> np.ndarray:
+    """Fixed-fraction rates over scheduled gains of shape ``[..., G]``:
+    each slot serves the group whose scheduled gain is largest."""
+    return static_schedule(gains, power).max(axis=-1)
 
 
 def ir_advance(accumulated, gains, power: float) -> np.ndarray:
@@ -87,34 +74,30 @@ def ir_advance(accumulated, gains, power: float) -> np.ndarray:
     return acc + np.log1p(power * g)
 
 
-def cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
-    """Two-stage effective rates of shape ``bs_gains.shape[:-1]``.
+def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
+    """Two-stage effective rates of slots with the given gains, of their
+    common shape.
 
     Stage 1 reaches the top half at the median-user rate (the alpha = 2
-    static rate); stage 2 has that half relay with power P/(N/2) each,
-    rated for the worst weak user; the packet moves at the lesser stage
-    rate.  ``interuser_gains`` holds the weak users' relay gains, each the
-    sum of the gains from the N/2 strong users, of shape
-    ``bs_gains.shape[:-1] + (N/2,)`` (see ``channel.draw_interuser_gains``).
+    static rate, on the gain at ascending position N/2 + 1); stage 2 has
+    that half relay with power P/(N/2) each, rated for the weakest relay
+    gain of the weak half (see ``channel.draw_interuser_gains``); the
+    packet moves at the lesser stage rate.
     """
-    g = _as_gains(bs_gains)
-    half = g.shape[-1] // 2
-    if g.shape[-1] != 2 * half:
-        raise ValueError("cooperation needs an even number of users")
-    rs1 = static_schedule(g, 2, power)
-    relay = _as_gains(interuser_gains, "relay gains")
-    if relay.shape != g.shape[:-1] + (half,):
-        raise ValueError("relay gains must have shape bs_gains.shape[:-1] + (N/2,)")
-    return np.minimum(rs1, np.log1p(power / half * relay.min(axis=-1)))
+    if n_users < 2 or n_users % 2 != 0:
+        raise ValueError("cooperation needs an even number of users, at least 2")
+    rs1 = static_schedule(median_gains, power)
+    relay = _as_gains(relay_gains, "relay gains")
+    if relay.shape != rs1.shape:
+        raise ValueError("relay gains must have the shape of the median gains")
+    return np.minimum(rs1, np.log1p(power / (n_users // 2) * relay))
 
 
-def multigroup_cooperative_schedule(bs_gains, interuser_gains, power: float) -> np.ndarray:
-    """Cooperative rates over gains of shape ``[..., G, N]`` (relay gains
-    ``[..., G, N/2]``): each slot serves the group offering the largest
-    effective rate, hence the largest (N/2) * rate."""
-    g = np.asarray(bs_gains, dtype=float)
-    _check_groups(g)
-    return cooperative_schedule(g, interuser_gains, power).max(axis=-1)
+def multigroup_cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
+    """Cooperative rates over gains of shape ``[..., G]``: each slot serves
+    the group offering the largest effective rate, hence the largest
+    (N/2) * rate."""
+    return cooperative_schedule(median_gains, relay_gains, n_users, power).max(axis=-1)
 
 
 def slot_rates(
@@ -127,26 +110,18 @@ def slot_rates(
 
     This is the only place fading is drawn for these two schedulers; the
     retransmission scheme draws its own in ``queueing.ir_renewal_cycle``.
-    Slots go in chunks of at most ``_CHUNK`` gains, each one draw and one
-    kernel call.  A static chunk consumes the generator like one draw per
-    slot; a cooperative chunk draws all its base-station gains before its
-    relay gains, so coop streams depend on the chunk size."""
+    A slot draws one scheduled gain per group, plus one relay gain per
+    group under cooperation, so memory is O(count * G) at every N."""
     if count < 1:
         raise ValueError("need at least one slot")
-    coop = alpha is None
-    groups = () if n_groups == 1 else (n_groups,)
-    if coop:
+    shape = (count,) if n_groups == 1 else (count, n_groups)
+    if alpha is None:
+        median = channel.draw_scheduled_gains(n_users, n_users // 2 + 1, shape, 1, rng)
+        relay = channel.draw_interuser_gains(n_users, rng, shape)
         kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
-    else:
-        kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
-    per_group = n_users + n_users // 2 if coop else n_users * antennas
-    chunk = max(1, _CHUNK // (n_groups * per_group))
-    parts = []
-    for start in range(0, count, chunk):
-        batch = (min(chunk, count - start), *groups)
-        gains = channel.draw_gains((*batch, n_users), antennas, rng)
-        if coop:
-            parts.append(kernel(gains, channel.draw_interuser_gains(n_users, rng, batch), power))
-        else:
-            parts.append(kernel(gains, alpha, power))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return kernel(median, relay, n_users, power)
+    if alpha < 1 or n_users % alpha != 0:
+        raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
+    gains = channel.draw_scheduled_gains(n_users, n_users - n_users // alpha + 1, shape, antennas, rng)
+    kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
+    return kernel(gains, power)

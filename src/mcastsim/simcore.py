@@ -159,25 +159,14 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
             config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
             runs=iters,
         )
+        # renewal reward: throughput = reward * ratio of the means, with the
+        # ratio estimator's SE, SE(decoded - ratio * tau) / mean(tau)
         reward = config.n_users * config.rate_target
-        tau_mean, tau_se = _mean_se(taus)
-        if config.attempt_cap is None:
-            record.throughput_mean = reward / tau_mean
-            record.throughput_se = reward * tau_se / tau_mean ** 2
-        else:
-            ok_mean, ok_se = _mean_se(decoded)
-            record.throughput_mean = reward * ok_mean / tau_mean
-            # one cycle has no covariance: its SE is 0, as for one sample
-            if ok_mean > 0 and iters > 1:
-                cov = np.cov(decoded, taus)[0, 1] / iters
-                rel_var = (
-                    (ok_se / ok_mean) ** 2
-                    + (tau_se / tau_mean) ** 2
-                    - 2 * cov / (ok_mean * tau_mean)
-                )
-                record.throughput_se = record.throughput_mean * math.sqrt(max(rel_var, 0.0))
-            else:
-                record.throughput_se = 0.0
+        taus, decoded = taus.astype(float), decoded.astype(float)
+        tau_mean, ok_mean = float(taus.mean()), float(decoded.mean())
+        _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus)
+        record.throughput_mean = reward * ok_mean / tau_mean
+        record.throughput_se = reward * residual_se / tau_mean
 
     if config.scheme in _STATIC_SCHEMES:
         record.analytic_throughput = analytic.throughput_quadrature(

@@ -32,12 +32,14 @@ _ALTERNATING_SUM_CAP = 1000
 
 
 def ei_reference(x: float) -> float:
-    """Ei(x) for x < 0 by adaptive quadrature of the defining integral."""
+    """Ei(x) for x < 0 by adaptive quadrature of the defining integral,
+    shifted to [0, inf) so that the tolerance is relative at every x:
+    Ei(x) = -e^x int_0^inf e^-s / (s - x) ds."""
     assert x < 0
     val, _ = integrate.quad(
-        lambda u: math.exp(-u) / u, -x, np.inf, epsabs=1e-14, epsrel=1e-13, limit=300
+        lambda s: math.exp(-s) / (s - x), 0, np.inf, epsabs=0, epsrel=1e-13, limit=300
     )
-    return -val
+    return -math.exp(x) * val
 
 
 def throughput_reference(n: int, alpha: int, power: float, groups: int = 1) -> float:
@@ -339,6 +341,21 @@ def same_law_p_value(a, b):
     edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 21)))
     table = [np.histogram(x, edges)[0] for x in (a, b)]
     return stats.chi2_contingency(table)[1]
+
+
+def full_vector_static_rates(gains, alpha: int, power: float) -> np.ndarray:
+    """Fixed-fraction rates by the full-vector model, over any leading batch
+    dimensions of ``gains`` (``[..., N]``): each slot is rated for the gain
+    at ascending position N - N/alpha + 1 of its N gains, so everyone at or
+    above that gain decodes; tied gains rate the slot at the tied value."""
+    g = np.asarray(gains, dtype=float)
+    n = g.shape[-1]
+    if alpha < 1 or n % alpha != 0:
+        raise ValueError(f"alpha={alpha} must divide the user count {n}")
+    if not power > 0:
+        raise ValueError("power must be positive")
+    pos = n - n // alpha          # 0-based ascending index of the rated gain
+    return np.log1p(power * np.partition(g, pos, axis=-1)[..., pos])
 
 
 def cooperative_rate_from_matrix(bs, inter, power: float) -> np.ndarray:

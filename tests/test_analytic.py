@@ -33,7 +33,7 @@ from oracles import (
 
 def test_ei_against_quadrature():
     for x in (0.1, 1.0, 2.5, 5.0, 5.9, 6.0, 6.1, 20.0, 50.0):
-        assert abs(analytic.expint_ei(-x) - ei_reference(-x)) <= 1e-10
+        assert analytic.expint_ei(-x) == pytest.approx(ei_reference(-x), rel=1e-12, abs=0)
 
 
 def test_ei_minus_one_value():

@@ -2,103 +2,113 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from mcastsim import channel
 from mcastsim.channel import CoherencePolicy
 
-from oracles import ks_distance
+from oracles import ks_distance, same_law_p_value
 
 
 def test_rayleigh_reproducible_for_fixed_seed():
-    a = channel.draw_gains(3, 1, np.random.default_rng(7))
-    b = channel.draw_gains(3, 1, np.random.default_rng(7))
+    a = channel.draw_gains(3, np.random.default_rng(7))
+    b = channel.draw_gains(3, np.random.default_rng(7))
     assert a.shape == (3,)
     assert np.all(a >= 0)
     assert np.array_equal(a, b)
 
 
 def test_rayleigh_unit_mean():
-    draws = channel.draw_gains(10 ** 6, 1, np.random.default_rng(11))
+    draws = channel.draw_gains(10 ** 6, np.random.default_rng(11))
     assert abs(draws.mean() - 1.0) < 0.01
+    # one user's scheduled gain is the user's gain: V ~ Beta(1, 1), -log V
+    scheduled = channel.draw_scheduled_gains(1, 1, 10 ** 6, 1, np.random.default_rng(11))
+    assert abs(scheduled.mean() - 1.0) < 0.01
 
 
 def test_rayleigh_cdf_point():
-    draws = channel.draw_gains(10 ** 6, 1, np.random.default_rng(12))
+    draws = channel.draw_gains(10 ** 6, np.random.default_rng(12))
     empirical = np.mean(draws <= 0.5)
     assert abs(empirical - (1 - math.exp(-0.5))) < 0.005
 
 
 def test_rayleigh_ks_distance():
-    draws = channel.draw_gains(10 ** 5, 1, np.random.default_rng(13))
+    draws = channel.draw_gains(10 ** 5, np.random.default_rng(13))
     assert ks_distance(draws, lambda x: 1 - math.exp(-x)) < 0.01
+    scheduled = channel.draw_scheduled_gains(1, 1, 10 ** 5, 1, np.random.default_rng(13))
+    assert ks_distance(scheduled, lambda x: 1 - math.exp(-x)) < 0.01
 
 
 def test_rayleigh_rejects_empty():
     with pytest.raises(ValueError):
-        channel.draw_gains(0, 1, np.random.default_rng(0))
+        channel.draw_gains(0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        channel.draw_gains((3, 0), 2, np.random.default_rng(0))
+        channel.draw_gains((3, 0), np.random.default_rng(0))
 
 
 def test_chisquare_single_antenna_matches_rayleigh_stream():
-    # one antenna: the antenna mean of a single exponential, same stream
-    a = channel.draw_gains(1000, 1, np.random.default_rng(21))
-    b = np.random.default_rng(21).exponential(1.0, (1000, 1)).mean(axis=1)
-    assert np.array_equal(a, b)
+    # one antenna: Q^-1(1, V) / 1 = -log V, on the same Beta variates
+    a = channel.draw_scheduled_gains(5, 2, 1000, 1, np.random.default_rng(21))
+    v = np.random.default_rng(21).beta(4, 2, 1000)
+    assert np.array_equal(a, -np.log(v))
+    assert np.allclose(a, special.gammainccinv(1, v), rtol=1e-12, atol=0)
 
 
 def test_chisquare_two_antenna_cdf_point():
-    draws = channel.draw_gains(10 ** 6, 2, np.random.default_rng(22))
+    draws = channel.draw_scheduled_gains(1, 1, 10 ** 6, 2, np.random.default_rng(22))
     empirical = np.mean(draws <= 1.0)
     assert abs(empirical - (1 - 3 * math.exp(-2))) < 0.005
 
 
 def test_chisquare_four_antenna_unit_mean():
-    draws = channel.draw_gains(10 ** 6, 4, np.random.default_rng(23))
+    draws = channel.draw_scheduled_gains(1, 1, 10 ** 6, 4, np.random.default_rng(23))
     assert abs(draws.mean() - 1.0) < 0.01
+    # the best of three such gains: mean int_0^inf 1 - P(4, 4x)^3 dx
+    best = channel.draw_scheduled_gains(3, 3, 10 ** 5, 4, np.random.default_rng(24))
+    mean, _ = integrate.quad(lambda x: 1 - special.gammainc(4, 4 * x) ** 3, 0, np.inf)
+    assert abs(best.mean() - mean) < 4 * best.std() / math.sqrt(best.size)
 
 
 def test_chisquare_rejects_zero_antennas():
     with pytest.raises(ValueError):
-        channel.draw_gains(10, 0, np.random.default_rng(0))
+        channel.draw_scheduled_gains(4, 2, 10, 0, np.random.default_rng(0))
 
 
 def test_interuser_shape_and_diagonal():
-    # one relay gain per weak user; no user relays to itself
-    gains = channel.draw_interuser_gains(2, np.random.default_rng(31))
+    # one weakest relay gain per batch entry, reproducible from the seed
+    gains = channel.draw_interuser_gains(2, np.random.default_rng(31), (1,))
     assert gains.shape == (1,)
     assert gains[0] > 0
-    again = channel.draw_interuser_gains(2, np.random.default_rng(31))
+    again = channel.draw_interuser_gains(2, np.random.default_rng(31), (1,))
     assert np.array_equal(gains, again)
-    assert channel.draw_interuser_gains(6, np.random.default_rng(31)).shape == (3,)
+    assert channel.draw_interuser_gains(6, np.random.default_rng(31), (4, 3)).shape == (4, 3)
 
 
 def test_interuser_offdiagonal_unit_mean():
-    # each relay gain sums 16 unit-mean pair gains: Gamma(16, 1)
-    rng = np.random.default_rng(32)
-    relay = np.concatenate([channel.draw_interuser_gains(32, rng) for _ in range(1000)])
-    assert abs(relay.mean() / 16 - 1.0) < 0.01
-    assert stats.kstest(relay, stats.gamma(16).cdf).pvalue > 0.001
+    # the least of 16 relay sums of 16 unit-mean pair gains: the minimum of
+    # 16 Gamma(16, 1) variates, P(Y > y) = Q(16, y)^16
+    relay = channel.draw_interuser_gains(32, np.random.default_rng(32), (16000,))
+    reference = np.random.default_rng(132).gamma(16, 1.0, (16000, 16)).min(axis=1)
+    assert stats.kstest(relay, lambda y: 1 - special.gammaincc(16, y) ** 16).pvalue > 0.001
+    assert same_law_p_value(relay, reference) > 0.001
+    # at N = 2 the one weak user hears one unit exponential
+    single = channel.draw_interuser_gains(2, np.random.default_rng(33), (16000,))
+    assert stats.kstest(single, stats.expon.cdf).pvalue > 0.001
 
 
 def test_interuser_directions_independent():
-    rng = np.random.default_rng(33)
-    fwd = np.empty(4000)
-    back = np.empty(4000)
-    for i in range(4000):
-        # two weak users' sums use disjoint pair gains
-        fwd[i], back[i] = channel.draw_interuser_gains(4, rng)
-    corr = np.corrcoef(fwd, back)[0, 1]
+    # groups draw disjoint pair gains, so their relay gains are independent
+    pairs = channel.draw_interuser_gains(4, np.random.default_rng(33), (4000, 2))
+    corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) < 0.05
-    assert not np.allclose(fwd, back)
+    assert not np.allclose(pairs[:, 0], pairs[:, 1])
 
 
 def test_interuser_rejects_single_user():
     with pytest.raises(ValueError):
-        channel.draw_interuser_gains(1, np.random.default_rng(0))
+        channel.draw_interuser_gains(1, np.random.default_rng(0), (1,))
     with pytest.raises(ValueError):
-        channel.draw_interuser_gains(3, np.random.default_rng(0))
+        channel.draw_interuser_gains(3, np.random.default_rng(0), (1,))
 
 
 def test_coherence_fixed_is_verbatim():
@@ -143,14 +153,20 @@ def test_coherence_rejects_non_finite(value):
 
 def test_draw_gains_batch_shapes():
     # a batch of slots consumes the generator like one draw per slot
-    batch = channel.draw_gains((5, 2, 4), 3, np.random.default_rng(41))
+    batch = channel.draw_gains((5, 2, 4), np.random.default_rng(41))
     rng = np.random.default_rng(41)
-    per_slot = [channel.draw_gains((2, 4), 3, rng) for _ in range(5)]
+    per_slot = [channel.draw_gains((2, 4), rng) for _ in range(5)]
     assert batch.shape == (5, 2, 4)
     assert np.array_equal(batch, np.stack(per_slot))
 
+    scheduled = channel.draw_scheduled_gains(6, 4, (5, 2), 3, np.random.default_rng(43))
+    rng = np.random.default_rng(43)
+    per_slot = [channel.draw_scheduled_gains(6, 4, 2, 3, rng) for _ in range(5)]
+    assert scheduled.shape == (5, 2)
+    assert np.array_equal(scheduled, np.stack(per_slot))
+
     inter = channel.draw_interuser_gains(4, np.random.default_rng(42), (5, 2))
     rng = np.random.default_rng(42)
-    per_slot = [[channel.draw_interuser_gains(4, rng) for _ in range(2)] for _ in range(5)]
-    assert inter.shape == (5, 2, 2)
+    per_slot = [[channel.draw_interuser_gains(4, rng, (1,))[0] for _ in range(2)] for _ in range(5)]
+    assert inter.shape == (5, 2)
     assert np.array_equal(inter, np.array(per_slot))

@@ -2,6 +2,7 @@ import csv
 import math
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -154,13 +155,17 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, message)
 
 
 def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):
-    # each hit drains under 2**-53 of the packet, so the run would never end
+    # S / (Tc log1p(P (1 + log 2))) hits at least: 1e12 nats would run for
+    # hours and 1e300 forever, so both exit 1 before the first hit
     out = tmp_path / "x.csv"
-    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
-                     "--iterations", "10", "--packet-nats", "1e300", "--out", str(out)])
-    assert code == 1
-    assert "2**53 * Tc" in capsys.readouterr().err
-    assert not out.exists()
+    for packet_nats, hits in (("1e12", "1.01e+12"), ("1e300", "1.01e+300")):
+        start = time.perf_counter()
+        code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                         "--iterations", "10", "--packet-nats", packet_nats, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"at least {hits} hits on average" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("settings", [
@@ -312,6 +317,15 @@ def test_verification_flags_corrupted_ei(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "[FAIL] ei-quadrature" in captured.out
     assert "ei-quadrature" in captured.err
+
+
+def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
+    # Ei(-20) = -9.8e-11 and Ei(-50) = -3.8e-24: only a relative bound sees a zero there
+    real = analytic.expint_ei
+    monkeypatch.setattr(analytic, "expint_ei", lambda x: 0.0 if x < -15 else real(x))
+    passed, detail = cli._check_ei()
+    assert not passed
+    assert detail == "max rel deviation 1.000e+00 (tol 1e-12)"
 
 
 def test_verification_unmatched_filter(capsys):

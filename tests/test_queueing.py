@@ -231,9 +231,10 @@ def test_delay_engines_reject_non_finite_sizes(packet_nats, coherence_interval):
     ("coop", 1e-300, 1.0), ("static", 1.0, 1e300), ("static", 1.0, 1e17),
 ])
 def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_nats):
-    # 1e17 nats at P = 1, N = 2: the bound is 2**53 * log1p(1 + log 2) = 8.9e15.
-    # No generator: the check must come before any draw.
-    with pytest.raises(ValueError, match=r"2\*\*53 \* Tc"):
+    # far past the 2**20 hit budget, and past 2**53 hits too, where float64
+    # could not even register a hit's drain.  No generator: the check must
+    # come before any draw.
+    with pytest.raises(ValueError, match=r"hits on average, S / \(Tc log1p"):
         if engine == "coop":
             queueing.tagged_delay_coop(2, 1, power, packet_nats, 1.0, None)
         else:
@@ -241,21 +242,39 @@ def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_
 
 
 def test_delay_bound_counts_antennas():
-    # N G L = 2 * 3 * 4 at P = 1: 2**53 * log1p(1 + log 24) = 1.4e16
-    queueing._validate_common(2, 3, 1.0, 1.3e16, 1.0, antennas=4)
-    with pytest.raises(ValueError, match=r"2\*\*53"):
-        queueing._validate_common(2, 3, 1.0, 1.3e16, 1.0, antennas=1)
+    # N G L = 2 * 3 * 4 at P = 1: 1.7e6 nats need at least
+    # 1.7e6 / log1p(1 + log 24) = 1.03e6 hits, under the 2**20 budget;
+    # with one antenna the bound is 1.7e6 / log1p(1 + log 6) = 1.28e6
+    queueing._validate_common(2, 3, 1.0, 1.7e6, 1.0, antennas=4)
+    with pytest.raises(ValueError, match=r"at least 1.28e\+06 hits .* budget of 2\*\*20"):
+        queueing._validate_common(2, 3, 1.0, 1.7e6, 1.0, antennas=1)
+    # the coherence interval scales the budget: half as long, twice the hits
+    queueing._validate_common(2, 3, 1.0, 0.85e6, 0.5, antennas=4)
+    with pytest.raises(ValueError, match="budget"):
+        queueing._validate_common(2, 3, 1.0, 0.9e6, 0.5, antennas=4)
 
 
 @pytest.mark.parametrize("power, rate_target", [(1.0, 1e300), (1e-300, 1.0)])
 def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
     # uncapped, and no generator: the check must come before any draw
-    with pytest.raises(ValueError, match=r"2\*\*53 \* log1p\(P\)"):
+    with pytest.raises(ValueError, match=r"attempts on average, R / log1p\(P\), over the budget"):
         queueing.ir_renewal_cycle(2, power, rate_target, None, None)
     # a cap ends every cycle, so the same target runs
     attempts, decoded = queueing.ir_renewal_cycle(
         2, power, rate_target, 3, np.random.default_rng(0), runs=4)
     assert np.all(attempts == 3) and not decoded.any()
+
+
+def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
+    # R / log1p(P) attempts at least: 2**20 log 2 nats at P = 1 sit at the
+    # budget, and 1 % more is rejected
+    budget = 2 ** 20 * math.log(2.0)
+    with pytest.raises(ValueError, match=r"1.06e\+06 attempts"):
+        queueing.ir_renewal_cycle(2, 1.0, 1.01 * budget, None, None)
+    with pytest.raises(ValueError, match="power"):
+        queueing.ir_renewal_cycle(2, 0.0, 1.0, None, None)
+    attempts, _ = queueing.ir_renewal_cycle(2, 1.0, 1.0, 1, np.random.default_rng(0))
+    assert attempts.tolist() == [1]
 
 
 def test_ir_rejects_non_finite_rate_target():

@@ -9,6 +9,7 @@ from oracles import (
     OrderStatSpec,
     cooperative_rate_from_matrix,
     coop_throughput,
+    full_vector_static_rates,
     ks_distance,
     matrix_coop_rates,
     order_stat_cdf,
@@ -28,55 +29,67 @@ class FixedGains:
 
 
 # ---------------------------------------------------------------------------
-# fixed-fraction scheduler
+# fixed-fraction scheduler: the kernel rates the scheduled gain; the
+# full-vector model (tests/oracles.py) picks it from the N gains
 # ---------------------------------------------------------------------------
 
 def test_static_schedule_hand_example():
-    rate = schedulers.static_schedule([0.1, 0.9, 0.4, 2.0], 2, 1.0)
-    assert rate == pytest.approx(math.log(1.9), abs=1e-12)
+    # ascending position 3 of (0.1, 0.9, 0.4, 2.0) holds 0.9
+    assert full_vector_static_rates([0.1, 0.9, 0.4, 2.0], 2, 1.0) == pytest.approx(math.log(1.9))
+    assert schedulers.static_schedule([0.9], 1.0) == pytest.approx([math.log(1.9)], abs=1e-12)
+    assert schedulers.static_schedule([0.9, 0.0], 3.0) == pytest.approx([math.log(3.7), 0.0])
 
 
 def test_static_schedule_worst_and_best_reductions():
     gains = [0.5, 2.0, 0.1, 1.3]
-    assert schedulers.static_schedule(gains, 1, 1.0) == pytest.approx(math.log1p(0.1))
-    assert schedulers.static_schedule(gains, 4, 1.0) == pytest.approx(math.log1p(2.0))
+    assert full_vector_static_rates(gains, 1, 1.0) == pytest.approx(math.log1p(0.1))
+    assert full_vector_static_rates(gains, 4, 1.0) == pytest.approx(math.log1p(2.0))
 
 
 def test_static_schedule_breaks_ties_toward_low_index():
     # tied gains rate the slot at the tied value
     tied = pytest.approx(math.log1p(1.0))
-    assert schedulers.static_schedule([1.0, 1.0, 1.0, 1.0], 2, 1.0) == tied
-    assert schedulers.static_schedule([0.5, 1.0, 1.0, 0.2], 4, 1.0) == tied
+    assert full_vector_static_rates([1.0, 1.0, 1.0, 1.0], 2, 1.0) == tied
+    assert full_vector_static_rates([0.5, 1.0, 1.0, 0.2], 4, 1.0) == tied
     # the matrix model of cooperation: of two tied users the lower index
     # relays (u[0, 1], not u[1, 0])
     inter = np.array([[0.0, 0.25], [4.0, 0.0]])
     rate = cooperative_rate_from_matrix([1.0, 1.0], inter, 1.0)
     assert rate == pytest.approx(math.log1p(0.25))
-    # the kernel orders no users: tied gains still rate stage 1 at the tied value
-    assert schedulers.cooperative_schedule([1.0, 1.0], [0.25], 1.0) == pytest.approx(math.log1p(0.25))
-    assert schedulers.cooperative_schedule([1.0, 1.0], [4.0], 1.0) == tied
+    # the kernel orders no users: a tied median still rates stage 1 at the tied value
+    assert schedulers.cooperative_schedule([1.0], [0.25], 2, 1.0) == pytest.approx([math.log1p(0.25)])
+    assert schedulers.cooperative_schedule([1.0], [4.0], 2, 1.0) == tied
 
 
 def test_static_schedule_validates_input():
     with pytest.raises(ValueError):
-        schedulers.static_schedule([1.0, 2.0, 3.0], 2, 1.0)
+        full_vector_static_rates([1.0, 2.0, 3.0], 2, 1.0)
     with pytest.raises(ValueError):
-        schedulers.static_schedule([1.0, -2.0], 1, 1.0)
+        full_vector_static_rates([1.0, 2.0], 1, 0.0)
     with pytest.raises(ValueError):
-        schedulers.static_schedule([1.0, 2.0], 1, 0.0)
+        schedulers.static_schedule([1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
-        schedulers.static_schedule([1.0, np.inf], 1, 1.0)
+        schedulers.static_schedule([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
-        schedulers.static_schedule([[1.0, np.nan], [1.0, 2.0]], 1, 1.0)
+        schedulers.static_schedule([1.0, np.inf], 1.0)
     with pytest.raises(ValueError):
-        schedulers.multigroup_static_schedule([1.0, 2.0], 1, 1.0)
+        schedulers.static_schedule([[1.0, np.nan], [1.0, 2.0]], 1.0)
+    with pytest.raises(ValueError):
+        schedulers.static_schedule(1.0, 1.0)
+    with pytest.raises(ValueError):
+        schedulers.multigroup_static_schedule(np.zeros((2, 0)), 1.0)
+    with pytest.raises(ValueError, match="divide"):
+        schedulers.slot_rates(6, 1, 1.0, 10, np.random.default_rng(0), alpha=4)
+    with pytest.raises(ValueError, match="position"):
+        channel.draw_scheduled_gains(6, 7, 10, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="antenna"):
+        channel.draw_scheduled_gains(6, 3, 10, 0, np.random.default_rng(0))
 
 
 def test_static_rate_distribution_matches_order_statistic():
     n, alpha, power = 6, 3, 1.0
     spec = OrderStatSpec(n_users=n, position=n - n // alpha + 1)
-    rng = np.random.default_rng(515)
-    rates = schedulers.static_schedule(rng.exponential(1.0, (10 ** 5, n)), alpha, power)
+    rates = schedulers.slot_rates(n, 1, power, 10 ** 5, np.random.default_rng(515), alpha)
 
     def rate_cdf(r):
         return order_stat_cdf(spec, math.expm1(r) / power)
@@ -86,16 +99,43 @@ def test_static_rate_distribution_matches_order_statistic():
 
 def test_static_schedule_scale_invariance():
     gains = np.random.default_rng(99).exponential(1.0, (200, 8))
-    base = schedulers.static_schedule(gains, 2, 1.0)
+    base = full_vector_static_rates(gains, 2, 1.0)
+    scheduled = channel.draw_scheduled_gains(8, 5, 200, 1, np.random.default_rng(98))
+    kernel = schedulers.static_schedule(scheduled, 1.0)
     for lam in (1.5, 3.0, 10.0):
-        assert np.all(schedulers.static_schedule(lam * gains, 2, 1.0) >= base)
+        assert np.all(full_vector_static_rates(lam * gains, 2, 1.0) >= base)
+        assert np.all(schedulers.static_schedule(lam * scheduled, 1.0) >= kernel)
 
 
 def test_static_alpha_two_targets_median_position():
     for n in (2, 4, 8, 12):
         # gains 1..n: ascending position n/2 + 1 holds the gain n/2 + 1
-        rate = schedulers.static_schedule(np.arange(1.0, n + 1.0), 2, 1.0)
+        rate = full_vector_static_rates(np.arange(1.0, n + 1.0), 2, 1.0)
         assert rate == pytest.approx(math.log1p(n // 2 + 1))
+
+
+@pytest.mark.parametrize("n,alpha,groups,antennas", [
+    (1, 1, 1, 1), (2, 1, 1, 1), (6, 3, 1, 1), (10, 2, 5, 1), (10, 10, 5, 1), (8, 2, 1, 3),
+    (1000, 2, 1, 1),
+])
+def test_static_rates_have_the_full_vector_law(n, alpha, groups, antennas):
+    # one Beta variate per group in place of N gains and a partition; the
+    # quadrature rests on the same identity, so this is the independent check
+    count = 10000 if n < 1000 else 4000
+    seed = 520 + n + 10 * alpha + groups + antennas
+    rates = schedulers.slot_rates(
+        n, groups, 1.0, count, np.random.default_rng(seed), alpha, antennas
+    )
+    rng = np.random.default_rng(seed + 1000)
+    block = max(1, 2 ** 20 // (groups * n * antennas))
+    reference = np.concatenate([
+        full_vector_static_rates(
+            rng.exponential(1.0, (min(block, count - start), groups, n, antennas)).mean(axis=-1),
+            alpha, 1.0,
+        ).max(axis=-1)
+        for start in range(0, count, block)
+    ])
+    assert same_law_p_value(rates, reference) >= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +144,24 @@ def test_static_alpha_two_targets_median_position():
 
 def test_multigroup_reduces_to_single_group():
     gains = [0.3, 1.2, 0.8, 0.5]
-    single = schedulers.static_schedule(gains, 2, 1.0)
-    multi = schedulers.multigroup_static_schedule([gains], 2, 1.0)
-    assert multi == single
+    single = schedulers.static_schedule(gains, 1.0)
+    multi = schedulers.multigroup_static_schedule(np.reshape(gains, (4, 1)), 1.0)
+    assert np.array_equal(multi, single)
 
 
 def test_multigroup_picks_best_group_minimum():
     groups = [[0.2, 0.7], [0.5, 0.6]]
-    rate = schedulers.multigroup_static_schedule(groups, 1, 1.0)
+    assert full_vector_static_rates(groups, 1, 1.0).max() == pytest.approx(math.log1p(0.5))
+    rate = schedulers.multigroup_static_schedule([0.2, 0.5], 1.0)
     assert rate == pytest.approx(math.log1p(0.5))
 
 
 def test_multigroup_argmax_contract():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        groups = rng.exponential(1.0, (3, 6))
-        rate = schedulers.multigroup_static_schedule(groups, 2, 1.0)
-        per_group = [schedulers.static_schedule(g, 2, 1.0) for g in groups]
+        groups = channel.draw_scheduled_gains(6, 4, 3, 1, rng)
+        rate = schedulers.multigroup_static_schedule(groups, 1.0)
+        per_group = [schedulers.static_schedule([g], 1.0)[0] for g in groups]
         assert rate == max(per_group)
 
 
@@ -211,24 +252,20 @@ def _relay_gains(bs, inter):
 
 def test_coop_hand_example():
     # stage 1 at log 3; user 0 relays to user 1 at log 2.5, which binds
-    assert schedulers.cooperative_schedule([2.0, 0.3], [1.5], 1.0) == pytest.approx(math.log(2.5))
-    assert schedulers.cooperative_schedule([2.0, 0.3], [1e12], 1.0) == pytest.approx(math.log(3.0))
+    assert schedulers.cooperative_schedule([2.0], [1.5], 2, 1.0) == pytest.approx([math.log(2.5)])
+    assert schedulers.cooperative_schedule([2.0], [1e12], 2, 1.0) == pytest.approx([math.log(3.0)])
     # N = 4: stage 1 rates the second-largest gain, log 1.8; the two strong
-    # users relay at P/2 each, so relay gains 5 and 3 give stage 2 log 2.5,
-    # and 5 and 1 give log 1.5, which binds
-    assert schedulers.cooperative_schedule(
-        [0.1, 2.0, 0.8, 0.4], [5.0, 3.0], 1.0
-    ) == pytest.approx(math.log(1.8))
-    assert schedulers.cooperative_schedule(
-        [0.1, 2.0, 0.8, 0.4], [5.0, 1.0], 1.0
-    ) == pytest.approx(math.log(1.5))
+    # users relay at P/2 each, so a weakest relay gain of 3 gives stage 2
+    # log 2.5, and 1 gives log 1.5, which binds
+    assert schedulers.cooperative_schedule([0.8], [3.0], 4, 1.0) == pytest.approx([math.log(1.8)])
+    assert schedulers.cooperative_schedule([0.8], [1.0], 4, 1.0) == pytest.approx([math.log(1.5)])
 
 
 def test_coop_strong_relays_never_bind():
     rng = np.random.default_rng(5)
-    bs = rng.exponential(1.0, 6)
-    rate = schedulers.cooperative_schedule(bs, np.full(3, 1e12), 1.0)
-    assert rate == pytest.approx(math.log1p(np.sort(bs)[3]))      # the stage-1 (median) rate
+    median = channel.draw_scheduled_gains(6, 4, 50, 1, rng)
+    rate = schedulers.cooperative_schedule(median, np.full(50, 1e12), 6, 1.0)
+    assert np.array_equal(rate, np.log1p(median))      # the stage-1 (median) rate
 
 
 def test_coop_effective_rate_is_min_and_half_split():
@@ -238,63 +275,70 @@ def test_coop_effective_rate_is_min_and_half_split():
         bs = rng.exponential(1.0, n)
         inter = rng.exponential(1.0, (n, n))
         relay = _relay_gains(bs.tolist(), inter.tolist())
-        rate = schedulers.cooperative_schedule(bs, relay, 1.0)
-        stage1 = math.log1p(np.sort(bs)[n // 2])       # the median position gain
+        median = np.sort(bs)[n // 2]                  # the median position gain
+        rate = schedulers.cooperative_schedule([median], [min(relay)], n, 1.0)[0]
+        stage1 = math.log1p(median)
         stage2 = math.log1p(min(relay) / (n // 2))
         assert rate == pytest.approx(min(stage1, stage2), rel=1e-14)
-        # the matrix model reads nothing of the pair gains but these sums
+        # the matrix model reads nothing of the pair gains but these gains
         assert rate == pytest.approx(cooperative_rate_from_matrix(bs, inter, 1.0), rel=1e-14)
 
 
 def test_coop_rejects_odd_user_count():
     with pytest.raises(ValueError, match="even"):
-        schedulers.cooperative_schedule([1.0, 2.0, 3.0], np.zeros(1), 1.0)
+        schedulers.cooperative_schedule([1.0], [1.0], 3, 1.0)
+    with pytest.raises(ValueError, match="even"):
+        schedulers.slot_rates(3, 1, 1.0, 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
-        schedulers.cooperative_schedule([1.0, 2.0], np.zeros(2), 1.0)
+        schedulers.cooperative_schedule([1.0], np.zeros(2), 2, 1.0)
     with pytest.raises(ValueError, match="shape"):
-        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((2, 2)), 1.0)
+        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((2, 2)), 2, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        schedulers.cooperative_schedule([1.0, 2.0], [-1.0], 1.0)
+        schedulers.cooperative_schedule([1.0], [-1.0], 2, 1.0)
 
 
 def test_multigroup_coop_reduction_and_argmax():
     rng = np.random.default_rng(8)
-    bs = rng.exponential(1.0, 4)
-    inter = channel.draw_interuser_gains(4, rng)
-    single = schedulers.cooperative_schedule(bs, inter, 1.0)
-    assert schedulers.multigroup_cooperative_schedule([bs], [inter], 1.0) == single
+    median = channel.draw_scheduled_gains(4, 3, 1, 1, rng)
+    relay = channel.draw_interuser_gains(4, rng, (1,))
+    single = schedulers.cooperative_schedule(median, relay, 4, 1.0)
+    one_group = schedulers.multigroup_cooperative_schedule([median], [relay], 4, 1.0)
+    assert np.array_equal(one_group, single)
 
     # second group has uniformly stronger channels, so it must win
-    strong_bs = bs + 5.0
-    strong_inter = inter + 5.0
     rate = schedulers.multigroup_cooperative_schedule(
-        [bs, strong_bs], [inter, strong_inter], 1.0
+        [median[0], median[0] + 5.0], [relay[0], relay[0] + 5.0], 4, 1.0
     )
-    assert rate == schedulers.cooperative_schedule(strong_bs, strong_inter, 1.0)
-    assert rate >= single
+    assert rate == schedulers.cooperative_schedule(median + 5.0, relay + 5.0, 4, 1.0)[0]
+    assert rate >= single[0]
 
 
 def test_multigroup_coop_argmax_contract():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        bs_groups = rng.exponential(1.0, (3, 4))
-        inter_groups = channel.draw_interuser_gains(4, rng, (3,))
-        rate = schedulers.multigroup_cooperative_schedule(bs_groups, inter_groups, 1.0)
-        rates = [
-            schedulers.cooperative_schedule(b, u, 1.0)
-            for b, u in zip(bs_groups, inter_groups)
-        ]
+        median = channel.draw_scheduled_gains(4, 3, 3, 1, rng)
+        relay = channel.draw_interuser_gains(4, rng, (3,))
+        rate = schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0)
+        rates = schedulers.cooperative_schedule(median, relay, 4, 1.0)
         assert 2 * rate == max(2 * r for r in rates)
 
 
-@pytest.mark.parametrize("groups", [1, 5])
-@pytest.mark.parametrize("n", [2, 4, 10])
+@pytest.mark.parametrize("n,groups", [
+    (2, 1), (4, 1), (10, 1), (2, 5), (4, 5), (10, 5), (64, 1),
+])
 def test_coop_rates_have_the_matrix_model_law(n, groups):
-    # one Gamma(N/2) relay gain per weak user in place of the N x N matrix
-    seed = 190 + 10 * groups + n
-    rates = schedulers.slot_rates(n, groups, 1.0, 10000, np.random.default_rng(seed))
-    reference = matrix_coop_rates(n, groups, 1.0, 10000, np.random.default_rng(seed + 100))
-    assert same_law_p_value(rates, reference) > 0.001
+    # one median and one weakest-relay variate per group in place of N gains
+    # and an N x N pair-gain matrix; the matrix is drawn in blocks of at
+    # most 2**22 pair gains
+    count, seed = 10000, 190 + 10 * groups + n
+    rates = schedulers.slot_rates(n, groups, 1.0, count, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 100)
+    block = max(1, 2 ** 22 // (groups * n * n))
+    reference = np.concatenate([
+        matrix_coop_rates(n, groups, 1.0, min(block, count - start), rng)
+        for start in range(0, count, block)
+    ])
+    assert same_law_p_value(rates, reference) >= 0.01
 
 
 @pytest.mark.parametrize("n,groups,power", [
@@ -318,18 +362,19 @@ def test_batch_call_equals_single_slot_calls(kernel):
     rng = np.random.default_rng(10)
     batch, groups, n = 64, 3, 6
     if kernel == "static":
-        args = (rng.exponential(1.0, (batch, n)),)
-        call = lambda g: schedulers.static_schedule(g, 2, 1.5)
+        args = (channel.draw_scheduled_gains(n, 4, (batch, 1), 1, rng),)
+        call = lambda g: schedulers.static_schedule(g, 1.5)
     elif kernel == "multigroup-static":
-        args = (rng.exponential(1.0, (batch, groups, n)),)
-        call = lambda g: schedulers.multigroup_static_schedule(g, 3, 1.5)
+        args = (channel.draw_scheduled_gains(n, 5, (batch, groups), 1, rng),)
+        call = lambda g: schedulers.multigroup_static_schedule(g, 1.5)
     elif kernel == "coop":
-        args = (rng.exponential(1.0, (batch, n)), channel.draw_interuser_gains(n, rng, (batch,)))
-        call = lambda g, u: schedulers.cooperative_schedule(g, u, 1.5)
+        args = (channel.draw_scheduled_gains(n, 4, (batch, 1), 1, rng),
+                channel.draw_interuser_gains(n, rng, (batch, 1)))
+        call = lambda g, u: schedulers.cooperative_schedule(g, u, n, 1.5)
     elif kernel == "multigroup-coop":
-        inter = channel.draw_interuser_gains(n, rng, (batch, groups))
-        args = (rng.exponential(1.0, (batch, groups, n)), inter)
-        call = lambda g, u: schedulers.multigroup_cooperative_schedule(g, u, 1.5)
+        args = (channel.draw_scheduled_gains(n, 4, (batch, groups), 1, rng),
+                channel.draw_interuser_gains(n, rng, (batch, groups)))
+        call = lambda g, u: schedulers.multigroup_cooperative_schedule(g, u, n, 1.5)
     else:
         args = (rng.exponential(2.0, (batch, n)), rng.exponential(1.0, (batch, n)))
         call = lambda acc, g: schedulers.ir_advance(acc, g, 1.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,76 +85,60 @@ def test_distinct_seeds_differ():
 
 
 # ---------------------------------------------------------------------------
-# the chunked rate sampler equals per-slot kernel calls on the same stream
+# the batch rate sampler equals per-slot kernel calls on the same stream
 # ---------------------------------------------------------------------------
 
-def test_vectorized_static_rates_match_scalar_path(monkeypatch):
-    monkeypatch.setattr(schedulers, "_CHUNK", 64)       # cross chunk boundaries
+def test_vectorized_static_rates_match_scalar_path():
     vec = schedulers.slot_rates(6, 1, 1.0, 300, np.random.default_rng(42), alpha=2)
     rng = np.random.default_rng(42)
     per_slot = [
-        schedulers.static_schedule(rng.exponential(1.0, 6), 2, 1.0)
+        schedulers.static_schedule(channel.draw_scheduled_gains(6, 4, 1, 1, rng), 1.0)[0]
         for _ in range(300)
     ]
     assert np.array_equal(vec, np.array(per_slot))
 
 
+def _assert_peak_memory_flat_in_n(n_groups=1, **kwargs):
+    """``slot_rates`` for 1000 slots peaks under the same bound at N = 10
+    and N = 1000: a slot draws one value per group (two under
+    cooperation), never its N gains or an N x N pair-gain matrix."""
+    for n in (10, 1000):
+        rng = np.random.default_rng(47)
+        tracemalloc.start()
+        try:
+            schedulers.slot_rates(n, n_groups, 1.0, 1000, rng, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few arrays of 1000 floats per group (25 to 40 kB); drawing N
+        # gains per slot and partitioning them peaks near 170 kB at N = 10
+        # and 8.4 MB at N = 1000
+        assert peak < 100_000 * n_groups, (n, peak)
+
+
 @pytest.mark.parametrize("antennas", [1, 2])
-def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(monkeypatch, antennas):
-    # at N = 1000 one chunk of 8192 slots would draw 8.2e6 gains per antenna
-    sizes = []
-    draw = channel.draw_gains
-
-    def spy(shape, per_gain, rng):
-        sizes.append(math.prod(shape) * per_gain)
-        return draw(shape, per_gain, rng)
-
-    monkeypatch.setattr(channel, "draw_gains", spy)
-    rates = schedulers.slot_rates(1000, 1, 1.0, 1000, np.random.default_rng(47), 2, antennas)
-    assert len(sizes) > 1 and max(sizes) <= schedulers._CHUNK
-    gains = np.random.default_rng(47).exponential(1.0, (1000, 1000, antennas)).mean(axis=-1)
-    assert np.array_equal(rates, schedulers.static_schedule(gains, 2, 1.0))
+def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(antennas):
+    # static slots hold O(G) values at every N and antenna count
+    _assert_peak_memory_flat_in_n(alpha=2, antennas=antennas)
 
 
-def _assert_coop_chunks_hold_budget(monkeypatch, n, count, seed):
-    """``count`` cooperative slots take more than one chunk, and no chunk
-    draws more than ``_CHUNK`` base-station plus relay gains."""
-    sizes = []
-    draws = {name: getattr(channel, name) for name in ("draw_gains", "draw_interuser_gains")}
-
-    def spy(name):
-        def draw(*args):
-            gains = draws[name](*args)
-            sizes.append((name, gains.size))
-            return gains
-        return draw
-
-    for name in draws:
-        monkeypatch.setattr(channel, name, spy(name))
-    rates = schedulers.slot_rates(n, 1, 1.0, count, np.random.default_rng(seed))
-    assert rates.shape == (count,)
-    # one chunk is one base-station draw followed by one relay draw
-    names, counts = zip(*sizes)
-    assert names == ("draw_gains", "draw_interuser_gains") * (len(sizes) // 2)
-    assert len(sizes) > 2
-    assert max(a + b for a, b in zip(counts[::2], counts[1::2])) <= schedulers._CHUNK
+def test_coop_chunks_hold_the_same_gain_budget():
+    # the same bound per group holds for multigroup cooperation
+    _assert_peak_memory_flat_in_n(n_groups=5)
 
 
-def test_coop_chunks_hold_the_same_gain_budget(monkeypatch):
-    # at N = 64 a chunk holds 2^19 // 96 = 5461 slots, so 6000 take two
-    _assert_coop_chunks_hold_budget(monkeypatch, 64, 6000, 48)
-
-
-def test_coop_chunks_hold_the_gain_budget_at_large_n(monkeypatch):
-    # an N x N pair-gain draw would put 1,001,000 gains in one slot at N = 1000
-    _assert_coop_chunks_hold_budget(monkeypatch, 1000, 800, 49)
+def test_coop_chunks_hold_the_gain_budget_at_large_n():
+    # the relay stage draws one weakest-relay gain per slot, not N/2 sums
+    relay = channel.draw_interuser_gains(1000, np.random.default_rng(49), (1000,))
+    assert relay.shape == (1000,)
+    _assert_peak_memory_flat_in_n()
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
     vec = schedulers.slot_rates(4, 3, 1.0, 200, np.random.default_rng(43), alpha=2)
     rng = np.random.default_rng(43)
     per_slot = [
-        schedulers.multigroup_static_schedule(rng.exponential(1.0, (3, 4)), 2, 1.0)
+        schedulers.multigroup_static_schedule(channel.draw_scheduled_gains(4, 3, 3, 1, rng), 1.0)
         for _ in range(200)
     ]
     assert np.array_equal(vec, np.array(per_slot))
@@ -163,25 +148,24 @@ def test_vectorized_chisquare_rates_match_scalar_path():
     vec = schedulers.slot_rates(4, 1, 1.0, 150, np.random.default_rng(44), alpha=1, antennas=2)
     rng = np.random.default_rng(44)
     per_slot = [
-        schedulers.static_schedule(rng.exponential(1.0, (4, 2)).mean(axis=1), 1, 1.0)
+        schedulers.static_schedule(channel.draw_scheduled_gains(4, 1, 1, 2, rng), 1.0)[0]
         for _ in range(150)
     ]
     assert np.array_equal(vec, np.array(per_slot))
 
 
 def test_single_group_rates_equal_one_group_multigroup_kernels():
-    # one group goes straight to the single-group kernels; drawing (c, N)
-    # consumes the generator like (c, 1, N), so the rates are unchanged
+    # one group goes straight to the single-group kernels; drawing (c,)
+    # consumes the generator like (c, 1), so the rates are unchanged
     static = schedulers.slot_rates(6, 1, 1.0, 100, np.random.default_rng(45), alpha=3)
-    rng = np.random.default_rng(45)
-    gains = rng.exponential(1.0, (100, 1, 6))
-    assert np.array_equal(static, schedulers.multigroup_static_schedule(gains, 3, 1.0))
+    gains = channel.draw_scheduled_gains(6, 5, (100, 1), 1, np.random.default_rng(45))
+    assert np.array_equal(static, schedulers.multigroup_static_schedule(gains, 1.0))
 
     coop = schedulers.slot_rates(4, 1, 1.0, 100, np.random.default_rng(46))
     rng = np.random.default_rng(46)
-    gains = rng.exponential(1.0, (100, 1, 4))
-    relay = rng.gamma(2, 1.0, (100, 1, 2))
-    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(gains, relay, 1.0))
+    median = channel.draw_scheduled_gains(4, 3, (100, 1), 1, rng)
+    relay = channel.draw_interuser_gains(4, rng, (100, 1))
+    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0))
 
     with pytest.raises(ValueError):
         schedulers.slot_rates(4, 1, 1.0, 0, rng, alpha=2)
@@ -192,7 +176,8 @@ def test_single_group_rates_equal_one_group_multigroup_kernels():
 # ---------------------------------------------------------------------------
 
 def test_static_throughput_matches_closed_form():
-    cfg = SimConfig(scheme="static", n_users=4, alpha=2, iterations=30000, seed=2024)
+    # 3.6e6 slots put the 1e-3 relative bound at about 4.5 SE
+    cfg = SimConfig(scheme="static", n_users=4, alpha=2, iterations=3_600_000, seed=2024)
     record = simcore.estimate_throughput(cfg)
     closed = analytic.static_throughput_closed_form(4, 2, 1.0)
     assert record.analytic_throughput == pytest.approx(closed, rel=1e-6)
@@ -206,8 +191,9 @@ def test_single_user_throughput_estimate():
 
 
 def test_multigroup_throughput_matches_quadrature():
+    # 860,000 slots put the bound at about 4.5 SE
     cfg = SimConfig(
-        scheme="multigroup-static", n_users=4, alpha=1, n_groups=2, iterations=30000, seed=2025
+        scheme="multigroup-static", n_users=4, alpha=1, n_groups=2, iterations=860_000, seed=2025
     )
     record = simcore.estimate_throughput(cfg)
     reference = throughput_reference(4, 1, 1.0, groups=2)
@@ -224,7 +210,8 @@ def test_coop_throughput_two_users_semi_analytic():
         return 1 - (1 - fmax) * (1 - fu)
 
     expected = expected_log1p_reference(1.0, min_cdf)
-    cfg = SimConfig(scheme="coop", n_users=2, iterations=40000, seed=2026)
+    # 10**6 slots put the bound at about 4.5 SE
+    cfg = SimConfig(scheme="coop", n_users=2, iterations=10 ** 6, seed=2026)
     record = simcore.estimate_throughput(cfg)
     assert abs(record.throughput_mean - expected) < 3 * record.throughput_se + 1e-3 * expected
 
