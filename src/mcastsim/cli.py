@@ -333,7 +333,7 @@ def _check_coupon() -> tuple[bool, str]:
                 exact = analytic.coupon_collector_markov(q, coupled, m)
                 integral = analytic.coupon_collector_expected_trials(q, coupled, m)
                 worst = max(worst, abs(integral - exact) / exact)
-    return worst <= 1e-4, f"max rel deviation {worst:.3e} (tol 1e-4)"
+    return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
 
 
 def _check_closedform() -> tuple[bool, str]:
@@ -344,7 +344,7 @@ def _check_closedform() -> tuple[bool, str]:
                 closed = analytic.static_throughput_closed_form(n, alpha, power)
                 quad_val = analytic.throughput_quadrature(n, alpha, power)
                 worst = max(worst, abs(closed - quad_val) / abs(quad_val))
-    return worst <= 1e-6, f"max rel deviation {worst:.3e} (tol 1e-6)"
+    return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
 
 
 def _check_renewal() -> tuple[bool, str]:

@@ -231,9 +231,18 @@ def test_double_exponential_rule_fails_loudly():
         analytic._integrate_0_inf(lambda x: np.full_like(x, np.nan))
 
 
+@pytest.mark.parametrize("alpha", [2, 4, 256])
+def test_closed_form_holds_its_precision_at_the_cap(alpha):
+    # alpha = 4 has the largest coefficient at N = 256 (118 digits), so the
+    # working precision derived from it is tested where it matters most
+    assert analytic.static_throughput_closed_form(256, alpha, 1.0) == pytest.approx(
+        analytic.throughput_quadrature(256, alpha, 1.0), rel=1e-10
+    )
+
+
 def test_closed_form_rejects_sizes_past_its_cap():
-    # the alternating sums take about 31 s at N = 1000; past the cap the
-    # call raises before any work
+    # the alternating sum takes about 21 s at N = 1000, alpha = 2; past the
+    # cap the call raises before any work
     with pytest.raises(UnsupportedSizeError):
         analytic.static_throughput_closed_form(258, 2, 1.0)
 
@@ -241,6 +250,15 @@ def test_closed_form_rejects_sizes_past_its_cap():
 def test_closed_form_rejects_bad_alpha():
     with pytest.raises(ValueError):
         analytic.static_throughput_closed_form(10, 3, 1.0)
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "evaluator", [analytic.static_throughput_closed_form, analytic.throughput_quadrature]
+)
+def test_evaluators_reject_power_that_is_not_positive_and_finite(evaluator, power):
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        evaluator(4, 2, power)
 
 
 def test_quadrature_evaluator_handles_groups_and_antennas():

@@ -305,10 +305,10 @@ def test_verification_times_each_check(capsys):
     results = cli.run_verification("coupon")
     assert [r.name for r in results] == ["coupon-markov-oracle"]
     assert results[0].passed and results[0].seconds > 0
-    assert results[0].detail.endswith("(tol 1e-4)")
+    assert results[0].detail.endswith("(tol 1e-10)")
     assert cli.main(["verify", "--filter", "coupon"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    assert re.fullmatch(r"\[PASS\] coupon-markov-oracle: .* \(tol 1e-4\), \d+\.\d{3} s", line)
+    assert re.fullmatch(r"\[PASS\] coupon-markov-oracle: .* \(tol 1e-10\), \d+\.\d{3} s", line)
 
 
 def test_verification_flags_corrupted_ei(monkeypatch, capsys):
@@ -326,6 +326,22 @@ def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
     passed, detail = cli._check_ei()
     assert not passed
     assert detail == "max rel deviation 1.000e+00 (tol 1e-12)"
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("throughput_quadrature", cli._check_closedform),
+        ("coupon_collector_expected_trials", cli._check_coupon),
+    ],
+)
+def test_verification_flags_a_1e_8_relative_error(monkeypatch, name, check):
+    # both checks measure about 2e-16, so a 1e-8 error is far outside them
+    real = getattr(analytic, name)
+    monkeypatch.setattr(analytic, name, lambda *args: real(*args) * (1 + 1e-8))
+    passed, detail = check()
+    assert not passed
+    assert detail.endswith("(tol 1e-10)")
 
 
 def test_verification_unmatched_filter(capsys):
