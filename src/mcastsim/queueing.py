@@ -17,13 +17,16 @@ smallest normal float, a count past the float range, or a packet whose
 lower bound on the mean hit count exceeds ``_HIT_BUDGET`` raises
 ValueError.
 
-The engine runs ``runs`` independent runs in lockstep: each round draws a
-gap (unless every slot hits), a queue index (when there are several
-coupled queues) and a rate for every unfinished run, in that order, the
-rates in one sampler call.  A row costs O(its largest hit count) numpy
-calls, and a round holds O(runs) values whatever N is.  At runs=1 what
-a hit draws does not depend on the rates, which keeps paired-seed runs
-coupled (e.g. raising P can only remove slots).
+Each entry takes a ``simcore.SimConfig``, whose construction has already
+checked every setting, and a generator; it reads only its own scheme
+family's settings and rejects a config of another family before any draw.
+The engine runs ``config.iterations`` independent runs in lockstep: each
+round draws a gap (unless every slot hits), a queue index (when there are
+several coupled queues) and a rate for every unfinished run, in that
+order, the rates in one sampler call.  A row costs O(its largest hit
+count) numpy calls, and a round holds O(runs) values whatever N is.  At
+one iteration what a hit draws does not depend on the rates, which keeps
+paired-seed runs coupled (e.g. raising P can only remove slots).
 """
 from __future__ import annotations
 
@@ -45,19 +48,17 @@ __all__ = [
 ]
 
 
-def _validate_common(n_users, n_groups, power, packet_nats, coherence_interval, antennas=1):
-    if n_users < 1 or n_groups < 1:
-        raise ValueError("n_users and n_groups must be at least 1")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    if not 0 < packet_nats < math.inf:
-        raise ValueError("packet size must be positive and finite")
-    if not 0 < coherence_interval < math.inf:
-        raise ValueError("coherence interval must be positive and finite")
+def _check_family(config: "SimConfig", family: str) -> None:
+    if config.scheme.removeprefix("multigroup-") != family:
+        raise ValueError(f"scheme {config.scheme!r} is not of the {family} delay engine's family")
+
+
+def _check_hit_budget(config: "SimConfig") -> None:
     # a scheduled gain is at most the best of N G L unit exponentials, whose
     # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
-    rate_bound = math.log1p(power * (1 + math.log(n_users * n_groups * antennas)))
-    hits = packet_nats / coherence_interval / rate_bound
+    rate_bound = math.log1p(config.power * (1 + math.log(
+        config.n_users * config.n_groups * config.antennas)))
+    hits = config.packet_nats / config.coherence_value / rate_bound
     if hits > _HIT_BUDGET:
         raise ValueError(f"packet needs at least {hits:.3g} hits on average, "
                          "S / (Tc log1p(P (1 + log(N G L)))), over the budget of 2**20")
@@ -80,8 +81,6 @@ def _coupled_queue_delay(
     uniformly served queues has drained ``packet_nats``; ``rates(count)``
     returns the service rates of ``count`` hits.  A float array of shape
     (runs,)."""
-    if runs < 1:
-        raise ValueError("need at least one run")
     p_hit = coupled / queues
     if not p_hit >= sys.float_info.min:
         raise ValueError(f"hit probability {coupled}/{queues} is not a positive normal float")
@@ -101,52 +100,38 @@ def _coupled_queue_delay(
     return slots
 
 
-def tagged_delay_static(
-    n_users: int, n_groups: int, alpha: int, power: float, packet_nats: float,
-    coherence_interval: float, rng: np.random.Generator, antennas: int = 1, runs: int = 1,
-) -> np.ndarray:
+def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
     """Slots, per run, until a tagged packet leaves all alpha coupled
     queues under the fixed-fraction scheduler's queue layout, with
-    ``antennas`` transmit antennas behind every rate.  Returns a float
-    array of shape (runs,)."""
-    _validate_common(n_users, n_groups, power, packet_nats, coherence_interval, antennas)
-    if alpha < 1 or alpha > n_users or n_users % alpha != 0:
-        raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
+    ``config.antennas`` transmit antennas behind every rate.  Returns a
+    float array of shape (config.iterations,)."""
+    _check_family(config, "static")
+    _check_hit_budget(config)
+    n, alpha = config.n_users, config.alpha
     return _coupled_queue_delay(
-        alpha, n_groups * math.comb(n_users, n_users // alpha), packet_nats, coherence_interval,
-        lambda count: schedulers.slot_rates(n_users, n_groups, power, count, rng, alpha, antennas),
-        rng, runs,
+        alpha, config.n_groups * math.comb(n, n // alpha), config.packet_nats,
+        config.coherence_value,
+        lambda count: schedulers.slot_rates(
+            n, config.n_groups, config.power, count, rng, alpha, config.antennas),
+        rng, config.iterations,
     )
 
 
-def ir_renewal_cycle(
-    n_users: int,
-    power: float,
-    rate_target: float,
-    attempt_cap: int | None,
-    rng: np.random.Generator,
-    runs: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Renewal cycles of the retransmission scheme: (attempts, decoded),
-    integer and boolean arrays of shape (runs,).
+    integer and boolean arrays of shape (config.iterations,).
 
     A cycle decodes once every user's accumulated information exceeds
     the rate target, and fails when the attempt cap comes first."""
-    if n_users < 1:
-        raise ValueError("need at least one user")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    if not 0 < rate_target < math.inf:
-        raise ValueError("rate target must be positive and finite")
-    if attempt_cap is not None and attempt_cap < 1:
-        raise ValueError("attempt cap must be at least 1")
+    _check_family(config, "ir")
+    n_users, power = config.n_users, config.power
+    rate_target, attempt_cap = config.rate_target, config.attempt_cap
     # Jensen: an attempt adds E[log1p(P g)] <= log1p(P) nats to each user
     attempts_bound = rate_target / math.log1p(power)
     if attempt_cap is None and attempts_bound > _HIT_BUDGET:
         raise ValueError(f"uncapped rate target needs at least {attempts_bound:.3g} attempts "
                          "on average, R / log1p(P), over the budget of 2**20")
-    if runs < 1:
-        raise ValueError("need at least one run")
+    runs = config.iterations
     accumulated = np.zeros((runs, n_users))
     attempts = np.zeros(runs, dtype=np.int64)
     decoded = np.zeros(runs, dtype=bool)
@@ -165,13 +150,10 @@ def ir_renewal_cycle(
     return attempts, decoded
 
 
-def tagged_delay_coop(
-    n_users: int, n_groups: int, power: float, packet_nats: float,
-    coherence_interval: float, rng: np.random.Generator, runs: int = 1,
-) -> np.ndarray:
+def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
     """Slots, per run, until a cooperative transmission delivers the
     packet to all users of the tagged group.  Returns a float array of
-    shape (runs,).
+    shape (config.iterations,).
 
     A slot reaches every user of the group it serves, so the group keeps a
     single queue; with G groups the tagged one is served with probability
@@ -179,11 +161,10 @@ def tagged_delay_coop(
     rate (one group into the sampler), not the rate of the group a
     multigroup scheduler would select (ROADMAP, D3).
     """
-    _validate_common(n_users, n_groups, power, packet_nats, coherence_interval)
-    if n_users % 2 != 0 or n_users < 2:
-        raise ValueError("cooperation needs an even number of users, at least 2")
+    _check_family(config, "coop")
+    _check_hit_budget(config)
     return _coupled_queue_delay(
-        1, n_groups, packet_nats, coherence_interval,
-        lambda count: schedulers.slot_rates(n_users, 1, power, count, rng),
-        rng, runs,
+        1, config.n_groups, config.packet_nats, config.coherence_value,
+        lambda count: schedulers.slot_rates(config.n_users, 1, config.power, count, rng),
+        rng, config.iterations,
     )

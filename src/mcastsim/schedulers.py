@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mcastsim import channel
+from mcastsim import analytic, channel
 
 __all__ = [
     "cooperative_schedule",
@@ -42,17 +42,12 @@ def _as_gains(gains, name: str = "gains") -> np.ndarray:
     return g
 
 
-def _check_power(power: float) -> None:
-    if not power > 0:
-        raise ValueError("power must be positive")
-
-
 def static_schedule(gains, power: float) -> np.ndarray:
     """Rates log(1 + P g) of slots whose scheduled gains are ``gains``:
     the gain at ascending position N - N/alpha + 1, so everyone at or
     above it decodes."""
     g = _as_gains(gains)
-    _check_power(power)
+    analytic._check_power(power)
     return np.log1p(power * g)
 
 
@@ -70,7 +65,7 @@ def ir_advance(accumulated, gains, power: float) -> np.ndarray:
     acc = np.asarray(accumulated, dtype=float)
     if acc.shape != g.shape:
         raise ValueError("gain shape does not match the accumulation shape")
-    _check_power(power)
+    analytic._check_power(power)
     return acc + np.log1p(power * g)
 
 

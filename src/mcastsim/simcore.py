@@ -68,8 +68,7 @@ class SimConfig:
             raise ValueError("n_groups must be at least 1")
         if self.antennas < 1:
             raise ValueError("antennas must be at least 1")
-        if not 0 < self.power < math.inf:
-            raise ValueError("power must be positive and finite")
+        analytic._check_power(self.power)
         if not 0 < self.packet_nats < math.inf:
             raise ValueError("packet_nats must be positive and finite")
         if self.iterations < 1:
@@ -79,10 +78,7 @@ class SimConfig:
         if self.scheme in _STATIC_SCHEMES:
             if self.alpha is None:
                 raise ValueError(f"{self.scheme} needs alpha")
-            if self.alpha < 1 or self.alpha > self.n_users or self.n_users % self.alpha != 0:
-                raise ValueError(
-                    f"alpha={self.alpha} must divide n_users={self.n_users}"
-                )
+            analytic._check_alpha(self.n_users, self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha does not apply to scheme {self.scheme!r}")
         if self.scheme in _COOP_SCHEMES and self.n_users % 2 != 0:
@@ -155,10 +151,7 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
         )
         record.throughput_mean, record.throughput_se = _mean_se(served * rates)
     else:
-        taus, decoded = queueing.ir_renewal_cycle(
-            config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
-            runs=iters,
-        )
+        taus, decoded = queueing.ir_renewal_cycle(config, rng)
         # renewal reward: throughput = reward * ratio of the means, with the
         # ratio estimator's SE, SE(decoded - ratio * tau) / mean(tau)
         reward = config.n_users * config.rate_target
@@ -180,23 +173,12 @@ def estimate_delay(config: SimConfig) -> MetricsRecord:
     scheme) over config.iterations independent runs.  Draws from stream 1
     of the config seed."""
     rng = _rng_for(config.seed, 1)
-    iters = config.iterations
-    tc = config.coherence_value
     if config.scheme in _STATIC_SCHEMES:
-        delays = queueing.tagged_delay_static(
-            config.n_users, config.n_groups, config.alpha, config.power,
-            config.packet_nats, tc, rng, config.antennas, runs=iters,
-        )
+        delays = queueing.tagged_delay_static(config, rng)
     elif config.scheme in _COOP_SCHEMES:
-        delays = queueing.tagged_delay_coop(
-            config.n_users, config.n_groups, config.power, config.packet_nats, tc, rng,
-            runs=iters,
-        )
+        delays = queueing.tagged_delay_coop(config, rng)
     else:
-        delays, _ = queueing.ir_renewal_cycle(
-            config.n_users, config.power, config.rate_target, config.attempt_cap, rng,
-            runs=iters,
-        )
+        delays, _ = queueing.ir_renewal_cycle(config, rng)
     record = MetricsRecord()
     record.delay_mean, record.delay_se = _mean_se(delays)
     return record

@@ -164,9 +164,8 @@ def test_criterion_6_scaling_laws():
 
     # worst-user delay grows linearly: D(40)/D(20)
     def worst_delay(n, seed):
-        return float(queueing.tagged_delay_static(
-            n, 1, 1, 1.0, 5.0, 1.0, np.random.default_rng(seed), runs=3000,
-        ).mean())
+        config = SimConfig(scheme="static", n_users=n, alpha=1, packet_nats=5.0, iterations=3000)
+        return float(queueing.tagged_delay_static(config, np.random.default_rng(seed)).mean())
 
     ratio = worst_delay(40, 602) / worst_delay(20, 601)
     ok &= 1.7 <= ratio <= 2.3

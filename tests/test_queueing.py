@@ -1,11 +1,13 @@
-import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from mcastsim import analytic, queueing
+from mcastsim.channel import CoherencePolicy
+from mcastsim.simcore import SimConfig
 
 from oracles import (
     ServiceLaw,
@@ -19,8 +21,20 @@ from oracles import (
 )
 
 
-def _static_delays(runs, seed, **kwargs):
-    return queueing.tagged_delay_static(rng=np.random.default_rng(seed), runs=runs, **kwargs)
+def _config(scheme, n_users, n_groups=1, coherence_interval=1.0, iterations=1, **settings):
+    """A SimConfig of the scheme's single- or multigroup form at a fixed
+    coherence interval."""
+    return SimConfig(
+        scheme=scheme if n_groups == 1 else f"multigroup-{scheme}", n_users=n_users,
+        n_groups=n_groups, coherence=CoherencePolicy.fixed(coherence_interval),
+        iterations=iterations, **settings,
+    )
+
+
+def _static_delays(iterations, seed, **settings):
+    return queueing.tagged_delay_static(
+        _config("static", iterations=iterations, **settings), np.random.default_rng(seed)
+    )
 
 
 def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats):
@@ -131,7 +145,7 @@ def test_coop_gaps_match_slot_by_slot_reference():
 
     reference = slot_by_slot_delays(2, 1, 1.0, coop_rates, np.random.default_rng(163), 20000)
     delays = queueing.tagged_delay_coop(
-        n, 2, power, 1.0, 1.0, np.random.default_rng(263), runs=20000
+        _config("coop", n, 2, power=power, iterations=20000), np.random.default_rng(263)
     )
     assert same_law_p_value(reference, delays) > 0.001
 
@@ -140,11 +154,10 @@ def test_engines_are_deterministic():
     def runs(seed):
         rng = np.random.default_rng(seed)
         return (
-            queueing.tagged_delay_static(
-                6, 2, 2, 1.0, 1.0, 1.0, rng, runs=500
-            ),
-            queueing.tagged_delay_coop(6, 2, 1.0, 1.0, 1.0, rng, runs=500),
-            *queueing.ir_renewal_cycle(6, 1.0, 1.0, 4, rng, runs=500),
+            queueing.tagged_delay_static(_config("static", 6, 2, alpha=2, iterations=500), rng),
+            queueing.tagged_delay_coop(_config("coop", 6, 2, iterations=500), rng),
+            *queueing.ir_renewal_cycle(
+                _config("ir", 6, rate_target=1.0, attempt_cap=4, iterations=500), rng),
         )
 
     for first, second in zip(runs(171), runs(171)):
@@ -157,9 +170,7 @@ def test_engines_are_deterministic():
 
 def test_static_delay_clears_coupon_floor_at_n72():
     # C(72, 36) * H_2 = 6.6e20 slots; int64 geometric gaps saturated near 6e19
-    delays = queueing.tagged_delay_static(
-        72, 1, 2, 1.0, 1.0, 1.0, np.random.default_rng(181), runs=300
-    )
+    delays = _static_delays(300, 181, n_users=72, alpha=2)
     floor = math.comb(72, 36) * 1.5
     se = delays.std(ddof=1) / math.sqrt(delays.size)
     assert delays.mean() >= floor - 4.5 * se
@@ -168,7 +179,7 @@ def test_static_delay_clears_coupon_floor_at_n72():
 def test_static_delay_rejects_unrepresentable_counts():
     rng = np.random.default_rng(182)
     with pytest.raises(ValueError, match="normal float"):
-        queueing.tagged_delay_static(2000, 1, 2, 1.0, 1.0, 1.0, rng)
+        queueing.tagged_delay_static(_config("static", 2000, alpha=2), rng)
     # the hit probability 1.1e-307 is a normal float, but the sum of some
     # hundred gaps of about 1e307 slots each is not
     with pytest.raises(ValueError, match="float range"):
@@ -195,36 +206,27 @@ def test_single_queue_delay_tracks_service_rate():
 def test_delay_monotone_in_power_and_packet_size():
     # alpha = 2 draws gaps; alpha = 1 and coop at G = 1 hit every slot
     engines = [
-        functools.partial(queueing.tagged_delay_static, n_users=4, n_groups=1, alpha=alpha)
-        for alpha in (2, 1)
-    ] + [functools.partial(queueing.tagged_delay_coop, n_users=4, n_groups=1)]
-    for engine in engines:
+        (queueing.tagged_delay_static, _config("static", 4, alpha=alpha)) for alpha in (2, 1)
+    ] + [(queueing.tagged_delay_coop, _config("coop", 4))]
+    for engine, config in engines:
         for seed in range(200):
-            low = engine(power=1.0, packet_nats=1.0, coherence_interval=1.0,
-                         rng=np.random.default_rng(seed))
-            high = engine(power=2.0, packet_nats=1.0, coherence_interval=1.0,
-                          rng=np.random.default_rng(seed))
-            small = engine(power=1.0, packet_nats=0.5, coherence_interval=1.0,
-                           rng=np.random.default_rng(seed))
+            low = engine(config, np.random.default_rng(seed))
+            high = engine(replace(config, power=2.0), np.random.default_rng(seed))
+            small = engine(replace(config, packet_nats=0.5), np.random.default_rng(seed))
             assert high <= low
             assert small <= low
-
-
-def test_static_delay_validates_arguments():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        queueing.tagged_delay_static(6, 1, 4, 1.0, 1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        queueing.tagged_delay_static(4, 1, 2, 1.0, -1.0, 1.0, rng)
 
 
 @pytest.mark.parametrize("packet_nats, coherence_interval", [
     (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
 ])
 def test_delay_engines_reject_non_finite_sizes(packet_nats, coherence_interval):
-    # an infinite packet would never drain, so the check must come first
-    with pytest.raises(ValueError, match="finite"):
-        queueing._validate_common(2, 1, 1.0, packet_nats, coherence_interval)
+    # an infinite packet would never drain, so no config of either engine
+    # may carry one: building it raises
+    for scheme, settings in (("static", {"alpha": 1}), ("coop", {})):
+        with pytest.raises(ValueError, match="finite"):
+            _config(scheme, 2, coherence_interval=coherence_interval,
+                    packet_nats=packet_nats, **settings)
 
 
 @pytest.mark.parametrize("engine, power, packet_nats", [
@@ -236,32 +238,39 @@ def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_
     # come before any draw.
     with pytest.raises(ValueError, match=r"hits on average, S / \(Tc log1p"):
         if engine == "coop":
-            queueing.tagged_delay_coop(2, 1, power, packet_nats, 1.0, None)
+            queueing.tagged_delay_coop(_config("coop", 2, power=power, packet_nats=packet_nats), None)
         else:
-            queueing.tagged_delay_static(2, 1, 1, power, packet_nats, 1.0, None)
+            queueing.tagged_delay_static(
+                _config("static", 2, alpha=1, power=power, packet_nats=packet_nats), None)
 
 
 def test_delay_bound_counts_antennas():
-    # N G L = 2 * 3 * 4 at P = 1: 1.7e6 nats need at least
+    # N G L = 6 * 1 * 4 at P = 1: 1.7e6 nats need at least
     # 1.7e6 / log1p(1 + log 24) = 1.03e6 hits, under the 2**20 budget;
     # with one antenna the bound is 1.7e6 / log1p(1 + log 6) = 1.28e6
-    queueing._validate_common(2, 3, 1.0, 1.7e6, 1.0, antennas=4)
+    def budget(antennas, packet_nats, coherence_interval):
+        queueing._check_hit_budget(_config(
+            "static", 6, coherence_interval=coherence_interval, alpha=1,
+            antennas=antennas, packet_nats=packet_nats))
+
+    budget(4, 1.7e6, 1.0)
     with pytest.raises(ValueError, match=r"at least 1.28e\+06 hits .* budget of 2\*\*20"):
-        queueing._validate_common(2, 3, 1.0, 1.7e6, 1.0, antennas=1)
+        budget(1, 1.7e6, 1.0)
     # the coherence interval scales the budget: half as long, twice the hits
-    queueing._validate_common(2, 3, 1.0, 0.85e6, 0.5, antennas=4)
+    budget(4, 0.85e6, 0.5)
     with pytest.raises(ValueError, match="budget"):
-        queueing._validate_common(2, 3, 1.0, 0.9e6, 0.5, antennas=4)
+        budget(4, 0.9e6, 0.5)
 
 
 @pytest.mark.parametrize("power, rate_target", [(1.0, 1e300), (1e-300, 1.0)])
 def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
     # uncapped, and no generator: the check must come before any draw
+    config = _config("ir", 2, power=power, rate_target=rate_target)
     with pytest.raises(ValueError, match=r"attempts on average, R / log1p\(P\), over the budget"):
-        queueing.ir_renewal_cycle(2, power, rate_target, None, None)
+        queueing.ir_renewal_cycle(config, None)
     # a cap ends every cycle, so the same target runs
     attempts, decoded = queueing.ir_renewal_cycle(
-        2, power, rate_target, 3, np.random.default_rng(0), runs=4)
+        replace(config, attempt_cap=3, iterations=4), np.random.default_rng(0))
     assert np.all(attempts == 3) and not decoded.any()
 
 
@@ -270,17 +279,13 @@ def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
     # budget, and 1 % more is rejected
     budget = 2 ** 20 * math.log(2.0)
     with pytest.raises(ValueError, match=r"1.06e\+06 attempts"):
-        queueing.ir_renewal_cycle(2, 1.0, 1.01 * budget, None, None)
+        queueing.ir_renewal_cycle(_config("ir", 2, rate_target=1.01 * budget), None)
+    # at P = 0 the bound would divide by zero: no config carries it
     with pytest.raises(ValueError, match="power"):
-        queueing.ir_renewal_cycle(2, 0.0, 1.0, None, None)
-    attempts, _ = queueing.ir_renewal_cycle(2, 1.0, 1.0, 1, np.random.default_rng(0))
+        _config("ir", 2, power=0.0, rate_target=1.0)
+    attempts, _ = queueing.ir_renewal_cycle(
+        _config("ir", 2, rate_target=1.0, attempt_cap=1), np.random.default_rng(0))
     assert attempts.tolist() == [1]
-
-
-def test_ir_rejects_non_finite_rate_target():
-    # capped, so the cycle would end even if the target were accepted
-    with pytest.raises(ValueError, match="finite"):
-        queueing.ir_renewal_cycle(2, 1.0, math.inf, 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +294,12 @@ def test_ir_rejects_non_finite_rate_target():
 
 def test_ir_delay_trivial_cases():
     attempts, _ = queueing.ir_renewal_cycle(
-        3, 1.0, 1e-12, None, np.random.default_rng(131), runs=50
+        _config("ir", 3, rate_target=1e-12, iterations=50), np.random.default_rng(131)
     )
     assert np.all(attempts == 1)
     attempts, decoded = queueing.ir_renewal_cycle(
-        3, 1.0, 50.0, 1, np.random.default_rng(132), runs=50
+        _config("ir", 3, rate_target=50.0, attempt_cap=1, iterations=50),
+        np.random.default_rng(132),
     )
     assert np.all(attempts == 1) and not decoded.any()
 
@@ -303,10 +309,9 @@ def test_ir_mean_attempts_match_failure_sum():
     # the sum evaluated exactly by grid convolution
     target, runs = 0.5, 40000
     # one cycle per call, each drawing its attempts in sequence on the stream
+    config = _config("ir", 1, rate_target=target)
     rng = np.random.default_rng(133)
-    taus = np.concatenate([
-        queueing.ir_renewal_cycle(1, 1.0, target, None, rng)[0] for _ in range(runs)
-    ])
+    taus = np.concatenate([queueing.ir_renewal_cycle(config, rng)[0] for _ in range(runs)])
     se_tau = taus.std(ddof=1) / math.sqrt(runs)
     assert abs(taus.mean() - ir_expected_attempts(1, target, 1.0)) <= 2 * se_tau
 
@@ -316,7 +321,7 @@ def test_ir_mean_attempts_match_exact_reference(n_users, seed):
     # E[tau] by grid convolution of the per-attempt information law
     target, runs = 0.5, 40000
     attempts, decoded = queueing.ir_renewal_cycle(
-        n_users, 1.0, target, None, np.random.default_rng(seed), runs=runs
+        _config("ir", n_users, rate_target=target, iterations=runs), np.random.default_rng(seed)
     )
     assert decoded.all()
     se = attempts.std(ddof=1) / math.sqrt(runs)
@@ -328,7 +333,9 @@ def test_ir_mean_attempts_match_exact_reference(n_users, seed):
 # ---------------------------------------------------------------------------
 
 def test_coop_delay_single_slot_for_tiny_packet():
-    delays = queueing.tagged_delay_coop(4, 1, 1.0, 1e-12, 1.0, np.random.default_rng(141), runs=50)
+    delays = queueing.tagged_delay_coop(
+        _config("coop", 4, packet_nats=1e-12, iterations=50), np.random.default_rng(141)
+    )
     assert np.all(delays == 1)
 
 
@@ -339,23 +346,51 @@ def test_coop_delay_follows_service_formula():
 
     packet = 20 * mean_rate
     delays = queueing.tagged_delay_coop(
-        n, 1, power, packet, 1.0, np.random.default_rng(143), runs=3000
+        _config("coop", n, power=power, packet_nats=packet, iterations=3000),
+        np.random.default_rng(143),
     )
     predicted = 1.0 + packet / mean_rate
     assert abs(delays.mean() - predicted) <= 0.05 * predicted
 
 
 def test_coop_delay_scales_with_group_count():
-    kwargs = dict(n_users=4, power=1.0, packet_nats=2.0, coherence_interval=1.0)
     single = queueing.tagged_delay_coop(
-        n_groups=1, rng=np.random.default_rng(144), runs=4000, **kwargs
+        _config("coop", 4, 1, packet_nats=2.0, iterations=4000), np.random.default_rng(144)
     )
     multi = queueing.tagged_delay_coop(
-        n_groups=4, rng=np.random.default_rng(145), runs=4000, **kwargs
+        _config("coop", 4, 4, packet_nats=2.0, iterations=4000), np.random.default_rng(145)
     )
     assert abs(multi.mean() / single.mean() - 4.0) <= 0.4
 
 
-def test_coop_delay_rejects_odd_users():
-    with pytest.raises(ValueError):
-        queueing.tagged_delay_coop(3, 1, 1.0, 1.0, 1.0, np.random.default_rng(0))
+
+# ---------------------------------------------------------------------------
+# each entry drives its own scheme family only
+# ---------------------------------------------------------------------------
+
+class _NoDraws:
+    """Generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+_FAMILY_CONFIGS = {
+    "static": [_config("static", 4, alpha=2), _config("static", 4, 2, alpha=2)],
+    "coop": [_config("coop", 4), _config("coop", 4, 2)],
+    "ir": [_config("ir", 4, rate_target=1.0)],
+}
+_ENTRIES = {
+    "static": queueing.tagged_delay_static,
+    "coop": queueing.tagged_delay_coop,
+    "ir": queueing.ir_renewal_cycle,
+}
+
+
+@pytest.mark.parametrize("family, config", [
+    (family, config) for family in _ENTRIES
+    for other, configs in _FAMILY_CONFIGS.items() if other != family for config in configs
+], ids=lambda value: getattr(value, "scheme", value))
+def test_entries_reject_other_families_before_any_draw(family, config):
+    with pytest.raises(ValueError, match=f"scheme '{config.scheme}' is not of the {family} delay"):
+        _ENTRIES[family](config, _NoDraws())

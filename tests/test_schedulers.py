@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcastsim import channel, queueing, schedulers
+from mcastsim.simcore import SimConfig
 
 from oracles import (
     OrderStatSpec,
@@ -15,6 +16,11 @@ from oracles import (
     order_stat_cdf,
     same_law_p_value,
 )
+
+
+def _ir_config(n_users, rate_target, attempt_cap=None):
+    return SimConfig(scheme="ir", n_users=n_users, rate_target=rate_target,
+                     attempt_cap=attempt_cap, iterations=1)
 
 
 class FixedGains:
@@ -84,6 +90,21 @@ def test_static_schedule_validates_input():
         channel.draw_scheduled_gains(6, 7, 10, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="antenna"):
         channel.draw_scheduled_gains(6, 3, 10, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+def test_rate_kernels_reject_power_outside_0_inf(power):
+    # an infinite power rates every slot inf; the rule is SimConfig's
+    match = "power must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        schedulers.static_schedule([1.0], power)
+    with pytest.raises(ValueError, match=match):
+        schedulers.cooperative_schedule([1.0], [1.0], 2, power)
+    with pytest.raises(ValueError, match=match):
+        schedulers.ir_advance(np.zeros(2), [0.5, 0.5], power)
+    for alpha in (1, None):
+        with pytest.raises(ValueError, match=match):
+            schedulers.slot_rates(4, 1, power, 3, np.random.default_rng(2), alpha)
 
 
 def test_static_rate_distribution_matches_order_statistic():
@@ -172,13 +193,14 @@ def test_multigroup_argmax_contract():
 def test_ir_single_user_success():
     acc = schedulers.ir_advance(np.zeros(1), [1.0], 1.0)
     assert acc[0] == pytest.approx(math.log(2.0))
-    assert queueing.ir_renewal_cycle(1, 1.0, 0.5, None, FixedGains([[1.0]])) == (1, True)
+    assert queueing.ir_renewal_cycle(_ir_config(1, 0.5), FixedGains([[1.0]])) == (1, True)
 
 
 def test_ir_tiny_target_succeeds_first_attempt():
     rows = [[0.4, 0.1, 2.0, 0.9, 0.3]]
-    assert queueing.ir_renewal_cycle(5, 1.0, 1e-12, None, FixedGains(rows)) == (1, True)
-    assert queueing.ir_renewal_cycle(5, 1.0, 1e-12, None, np.random.default_rng(1)) == (1, True)
+    config = _ir_config(5, 1e-12)
+    assert queueing.ir_renewal_cycle(config, FixedGains(rows)) == (1, True)
+    assert queueing.ir_renewal_cycle(config, np.random.default_rng(1)) == (1, True)
 
 
 def test_ir_two_users_continue():
@@ -186,9 +208,9 @@ def test_ir_two_users_continue():
     assert acc.min() == pytest.approx(math.log(1.1))
     # log 1.1 < 1 after one attempt, so the cycle continues to the second
     rows = [[1.0, 0.1], [1.0, 0.1]]
-    assert queueing.ir_renewal_cycle(2, 1.0, 1.0, 2, FixedGains(rows)) == (2, False)
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows)) == (2, False)
     rows = [[1.0, 0.1], [1.0, 5.0]]
-    assert queueing.ir_renewal_cycle(2, 1.0, 1.0, None, FixedGains(rows)) == (2, True)
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0), FixedGains(rows)) == (2, True)
 
 
 def test_ir_accumulation_is_monotone():
@@ -203,15 +225,17 @@ def test_ir_accumulation_is_monotone():
 
 def test_ir_cap_and_stopped_state():
     rng = np.random.default_rng(4)
-    assert queueing.ir_renewal_cycle(2, 1.0, 100.0, 1, rng) == (1, False)
+    config = _ir_config(2, 100.0, 1)
+    assert queueing.ir_renewal_cycle(config, rng) == (1, False)
     rows = [[0.5, 0.5]]
-    assert queueing.ir_renewal_cycle(2, 1.0, 100.0, 1, FixedGains(rows)) == (1, False)
+    assert queueing.ir_renewal_cycle(config, FixedGains(rows)) == (1, False)
     with pytest.raises(ValueError):
         schedulers.ir_advance(np.zeros(2), [0.5, 0.5, 0.5], 1.0)
+    # a cycle with no attempt or no target is not a config
     with pytest.raises(ValueError):
-        queueing.ir_renewal_cycle(2, 1.0, 100.0, 0, rng)
+        _ir_config(2, 100.0, 0)
     with pytest.raises(ValueError):
-        queueing.ir_renewal_cycle(2, 1.0, 0.0, None, rng)
+        _ir_config(2, 0.0)
 
 
 def test_ir_failure_probability_structure():

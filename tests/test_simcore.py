@@ -33,6 +33,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(scheme="coop", n_users=4, antennas=2)
     with pytest.raises(ValueError):
+        SimConfig(scheme="static", n_users=4, alpha=2, packet_nats=-1.0)
+    with pytest.raises(ValueError):
         SimConfig(scheme="static", n_users=4, alpha=2, iterations=0)
     with pytest.raises(ValueError):
         SimConfig(scheme="static", n_users=4, alpha=2, seed=-1)
@@ -297,9 +299,7 @@ def test_capped_ir_throughput_se_equals_loop_formula():
         scheme="ir", n_users=3, rate_target=1.0, attempt_cap=2, iterations=3000, seed=2030
     )
     record = simcore.estimate_throughput(cfg)
-    taus, decoded = queueing.ir_renewal_cycle(
-        3, 1.0, 1.0, 2, simcore._rng_for(cfg.seed, 0), runs=cfg.iterations
-    )
+    taus, decoded = queueing.ir_renewal_cycle(cfg, simcore._rng_for(cfg.seed, 0))
     taus, decoded = taus.astype(float), decoded.astype(float)
     iters = cfg.iterations
     tau_mean, tau_se = _loop_mean_se(taus)

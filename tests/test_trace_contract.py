@@ -30,6 +30,7 @@ def test_tracer_metrics_cover_every_scheme():
         SimConfig(scheme="static", n_users=4, alpha=2, iterations=20, seed=1),
         SimConfig(scheme="multigroup-static", n_users=4, alpha=2, n_groups=3, iterations=20, seed=2),
         SimConfig(scheme="coop", n_users=4, iterations=20, seed=3),
+        SimConfig(scheme="multigroup-coop", n_users=4, n_groups=3, iterations=20, seed=5),
         SimConfig(scheme="ir", n_users=4, rate_target=1.0, iterations=20, seed=4),
     ]
     with tracer.Tracer() as trace:
