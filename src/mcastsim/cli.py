@@ -59,12 +59,7 @@ def _parse_coherence(text: str) -> CoherencePolicy:
     mode, sep, raw = text.partition(":")
     if not sep:
         raise ValueError("expected MODE:VALUE, e.g. fixed:1.0 or scaled:2.0")
-    value = float(raw)
-    if mode == "fixed":
-        return CoherencePolicy.fixed(value)
-    if mode == "scaled":
-        return CoherencePolicy.scaled(value)
-    raise ValueError(f"unknown coherence mode {mode!r}")
+    return CoherencePolicy(mode, float(raw))
 
 
 def _parse_sweep(text: str) -> tuple[str, list[str]]:
@@ -274,7 +269,7 @@ def cmd_run(args) -> int:
             results = simcore.run_sweep(configs[0], *settings["sweep"])
         else:
             results = [(cfg, simcore.run_config(cfg)) for cfg in configs]
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

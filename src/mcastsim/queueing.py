@@ -1,13 +1,14 @@
 """Head-of-line transmission delay under the coupled-queue model.
 
-A tagged packet sits at the head of ``coupled`` of Q queues: the alpha
-queues that jointly cover its group under fixed-fraction scheduling
-(Q = G * C(N, N/alpha)), or its group's one queue under cooperation
-(Q = G).  Each slot the server picks one of the Q queues uniformly; a
-pick landing on a coupled queue drains it by Tc times that slot's rate,
-drawn by ``schedulers.slot_rates``, the sampler of the throughput path.
-The packet is delivered once every coupled queue has drained its copy.
-One engine, ``_coupled_queue_delay``, simulates both schemes.
+A tagged packet sits at the head of ``coupled`` of Q = G * C(N, N/coupled)
+queues: under fixed-fraction scheduling the coupled = alpha queues that
+jointly cover its group, and under cooperation, the alpha = 1 layout,
+its group's one queue of Q = G.  Each slot the server picks one of the Q
+queues uniformly; a pick landing on a coupled queue drains it by Tc times
+that slot's rate, drawn by ``schedulers.slot_rates``, the sampler of the
+throughput path.  The packet is delivered once every coupled queue has
+drained its copy.  One engine, ``_coupled_queue_delay``, simulates both
+schemes and derives the layout from the config it is given.
 
 Picks are simulated with geometric gaps between hits, so a run costs
 O(number of hits) however large Q grows, and the slot count is
@@ -17,21 +18,23 @@ smallest normal float, a count past the float range, or a packet whose
 lower bound on the mean hit count exceeds ``_HIT_BUDGET`` raises
 ValueError.
 
-Each entry takes a ``simcore.SimConfig``, whose construction has already
-checked every setting, and a generator; it reads only its own scheme
-family's settings and rejects a config of another family before any draw.
-The engine runs ``config.iterations`` independent runs in lockstep: each
-round draws a gap (unless every slot hits), a queue index (when there are
-several coupled queues) and a rate for every unfinished run, in that
-order, the rates in one sampler call.  A row costs O(its largest hit
-count) numpy calls, and a round holds O(runs) values whatever N is.  At
-one iteration what a hit draws does not depend on the rates, which keeps
-paired-seed runs coupled (e.g. raising P can only remove slots).
+Each entry, and the engine, takes a ``simcore.SimConfig``, whose
+construction has already checked every setting, and a generator; an
+entry rejects a config of another scheme family (``SimConfig.family``)
+before any draw.  The engine runs ``config.iterations`` independent runs
+in lockstep: each round draws a gap (unless every slot hits), a queue
+index (when there are several coupled queues) and a rate for every
+unfinished run, in that order, the rates in one sampler call.  A row
+costs O(its largest hit count) numpy calls, and a round holds O(runs)
+values whatever N is.  At one iteration what a hit draws does not depend
+on the rates, which keeps paired-seed runs coupled (e.g. raising P can
+only remove slots).
 """
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,7 +52,7 @@ __all__ = [
 
 
 def _check_family(config: "SimConfig", family: str) -> None:
-    if config.scheme.removeprefix("multigroup-") != family:
+    if config.family != family:
         raise ValueError(f"scheme {config.scheme!r} is not of the {family} delay engine's family")
 
 
@@ -73,18 +76,19 @@ def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(np.ceil(-rng.standard_exponential(count) / math.log1p(-p)), 1.0)
 
 
-def _coupled_queue_delay(
-    coupled: int, queues: int, packet_nats: float, coherence_interval: float,
-    rates, rng: np.random.Generator, runs: int,
-) -> np.ndarray:
-    """Slots, per run, until every one of ``coupled`` of ``queues``
-    uniformly served queues has drained ``packet_nats``; ``rates(count)``
-    returns the service rates of ``count`` hits.  A float array of shape
-    (runs,)."""
+def _coupled_queue_delay(config: "SimConfig", rates, rng: np.random.Generator) -> np.ndarray:
+    """Slots, per run, until each of the tagged packet's coupled queues
+    (cooperation is the alpha = 1 layout) has drained
+    ``config.packet_nats``; ``rates(count)`` returns the service rates of
+    ``count`` hits.  A float array of shape (config.iterations,)."""
+    _check_hit_budget(config)
+    n, coupled, runs = config.n_users, config.alpha or 1, config.iterations
+    queues = config.n_groups * math.comb(n, n // coupled)
     p_hit = coupled / queues
     if not p_hit >= sys.float_info.min:
         raise ValueError(f"hit probability {coupled}/{queues} is not a positive normal float")
-    residual = np.full((runs, coupled), float(packet_nats))
+    coherence_interval = config.coherence_value
+    residual = np.full((runs, coupled), float(config.packet_nats))
     slots = np.zeros(runs)
     active = np.arange(runs)
     while active.size:
@@ -106,15 +110,8 @@ def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.nda
     ``config.antennas`` transmit antennas behind every rate.  Returns a
     float array of shape (config.iterations,)."""
     _check_family(config, "static")
-    _check_hit_budget(config)
-    n, alpha = config.n_users, config.alpha
     return _coupled_queue_delay(
-        alpha, config.n_groups * math.comb(n, n // alpha), config.packet_nats,
-        config.coherence_value,
-        lambda count: schedulers.slot_rates(
-            n, config.n_groups, config.power, count, rng, alpha, config.antennas),
-        rng, config.iterations,
-    )
+        config, lambda count: schedulers.slot_rates(config, count, rng), rng)
 
 
 def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +159,6 @@ def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarr
     multigroup scheduler would select (ROADMAP, D3).
     """
     _check_family(config, "coop")
-    _check_hit_budget(config)
+    one_group = replace(config, n_groups=1)
     return _coupled_queue_delay(
-        1, config.n_groups, config.packet_nats, config.coherence_value,
-        lambda count: schedulers.slot_rates(config.n_users, 1, config.power, count, rng),
-        rng, config.iterations,
-    )
+        config, lambda count: schedulers.slot_rates(one_group, count, rng), rng)

@@ -3,7 +3,9 @@
 Every kernel takes gains with arbitrary leading batch dimensions.
 ``slot_rates`` draws the gains a batch of slots is rated on and schedules
 them, and is the one sampler behind both the throughput estimates and
-the delay engine's per-hit rates.
+the delay engine's per-hit rates.  It takes a validated
+``simcore.SimConfig``, whose scheme family (``SimConfig.family``) picks
+the rate law.
 
 The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode; a slot draws
@@ -95,28 +97,28 @@ def multigroup_cooperative_schedule(median_gains, relay_gains, n_users: int, pow
     return cooperative_schedule(median_gains, relay_gains, n_users, power).max(axis=-1)
 
 
-def slot_rates(
-    n_users: int, n_groups: int, power: float, count: int, rng: np.random.Generator,
-    alpha: int | None = None, antennas: int = 1,
-) -> np.ndarray:
-    """Scheduled rates of ``count`` independent slots on fresh fading: the
-    fixed-fraction scheduler when ``alpha`` is given, the cooperative one
-    otherwise, over the best of ``n_groups`` groups.
+def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.ndarray:
+    """Scheduled rates of ``count`` independent slots on fresh fading under
+    the validated ``config``: its scheme family picks the fixed-fraction or
+    the cooperative scheduler, served over the best of its G groups.
 
     This is the only place fading is drawn for these two schedulers; the
-    retransmission scheme draws its own in ``queueing.ir_renewal_cycle``.
-    A slot draws one scheduled gain per group, plus one relay gain per
-    group under cooperation, so memory is O(count * G) at every N."""
+    retransmission scheme draws its own in ``queueing.ir_renewal_cycle``,
+    and a config of its family is rejected before any draw.  A slot draws
+    one scheduled gain per group, plus one relay gain per group under
+    cooperation, so memory is O(count * G) at every N."""
+    if config.family == "ir":
+        raise ValueError(f"scheme {config.scheme!r} has no per-slot rate law")
     if count < 1:
         raise ValueError("need at least one slot")
-    shape = (count,) if n_groups == 1 else (count, n_groups)
-    if alpha is None:
-        median = channel.draw_scheduled_gains(n_users, n_users // 2 + 1, shape, 1, rng)
-        relay = channel.draw_interuser_gains(n_users, rng, shape)
-        kernel = cooperative_schedule if n_groups == 1 else multigroup_cooperative_schedule
-        return kernel(median, relay, n_users, power)
-    if alpha < 1 or n_users % alpha != 0:
-        raise ValueError(f"alpha={alpha} must divide the user count {n_users}")
-    gains = channel.draw_scheduled_gains(n_users, n_users - n_users // alpha + 1, shape, antennas, rng)
-    kernel = static_schedule if n_groups == 1 else multigroup_static_schedule
+    n, groups, power = config.n_users, config.n_groups, config.power
+    shape = (count,) if groups == 1 else (count, groups)
+    if config.family == "coop":
+        median = channel.draw_scheduled_gains(n, n // 2 + 1, shape, 1, rng)
+        relay = channel.draw_interuser_gains(n, rng, shape)
+        kernel = cooperative_schedule if groups == 1 else multigroup_cooperative_schedule
+        return kernel(median, relay, n, power)
+    position = n - n // config.alpha + 1
+    gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
+    kernel = static_schedule if groups == 1 else multigroup_static_schedule
     return kernel(gains, power)

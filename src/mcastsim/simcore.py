@@ -28,9 +28,6 @@ __all__ = [
 
 SCHEMES = ("static", "multigroup-static", "ir", "coop", "multigroup-coop")
 
-_STATIC_SCHEMES = ("static", "multigroup-static")
-_COOP_SCHEMES = ("coop", "multigroup-coop")
-
 # sweep axis name -> SimConfig field
 SWEEP_AXES = {
     "N": "n_users",
@@ -75,13 +72,13 @@ class SimConfig:
             raise ValueError("iterations must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.scheme in _STATIC_SCHEMES:
+        if self.family == "static":
             if self.alpha is None:
                 raise ValueError(f"{self.scheme} needs alpha")
             analytic._check_alpha(self.n_users, self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha does not apply to scheme {self.scheme!r}")
-        if self.scheme in _COOP_SCHEMES and self.n_users % 2 != 0:
+        if self.family == "coop" and self.n_users % 2 != 0:
             raise ValueError("cooperative schemes need an even n_users")
         if self.scheme == "ir":
             if self.rate_target is None or not 0 < self.rate_target < math.inf:
@@ -95,6 +92,12 @@ class SimConfig:
             raise ValueError(f"{self.scheme} is single-group; use the multigroup variant")
         if self.antennas > 1 and self.scheme != "static":
             raise ValueError("multiple antennas are modeled for the static scheme only")
+
+    @property
+    def family(self) -> str:
+        """The scheme family, ``static``, ``coop`` or ``ir``: a multigroup
+        scheme belongs to the family of its single-group form."""
+        return self.scheme.removeprefix("multigroup-")
 
     @property
     def coherence_value(self) -> float:
@@ -139,16 +142,12 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     error, plus the analytic value for the static schemes, which have a
     closed form.  Draws from stream 0 of the config seed."""
     rng = _rng_for(config.seed, 0)
-    iters = config.iterations
     record = MetricsRecord()
 
-    if config.scheme != "ir":
+    if config.family != "ir":
         # alpha is None for the cooperative schemes, which serve half the users
         served = config.n_users / (config.alpha or 2)
-        rates = schedulers.slot_rates(
-            config.n_users, config.n_groups, config.power, iters, rng,
-            config.alpha, config.antennas,
-        )
+        rates = schedulers.slot_rates(config, config.iterations, rng)
         record.throughput_mean, record.throughput_se = _mean_se(served * rates)
     else:
         taus, decoded = queueing.ir_renewal_cycle(config, rng)
@@ -161,7 +160,7 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
         record.throughput_mean = reward * ok_mean / tau_mean
         record.throughput_se = reward * residual_se / tau_mean
 
-    if config.scheme in _STATIC_SCHEMES:
+    if config.family == "static":
         record.analytic_throughput = analytic.throughput_quadrature(
             config.n_users, config.alpha, config.power, config.n_groups, config.antennas
         )
@@ -173,9 +172,9 @@ def estimate_delay(config: SimConfig) -> MetricsRecord:
     scheme) over config.iterations independent runs.  Draws from stream 1
     of the config seed."""
     rng = _rng_for(config.seed, 1)
-    if config.scheme in _STATIC_SCHEMES:
+    if config.family == "static":
         delays = queueing.tagged_delay_static(config, rng)
-    elif config.scheme in _COOP_SCHEMES:
+    elif config.family == "coop":
         delays = queueing.tagged_delay_coop(config, rng)
     else:
         delays, _ = queueing.ir_renewal_cycle(config, rng)

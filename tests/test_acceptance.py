@@ -17,12 +17,13 @@ from oracles import ServiceLaw, ei_reference, ols_slope, service_time_pmf, throu
 
 
 def _exponential_server_delays(n_users, n_groups, alpha, packet_nats, rng, runs):
-    """The engine on the fixed-fraction queue layout, every hit served at
-    a unit-mean exponential rate instead of a scheduled one."""
-    queues = n_groups * math.comb(n_users, n_users // alpha)
-    return queueing._coupled_queue_delay(
-        alpha, queues, packet_nats, 1.0, lambda count: rng.exponential(1.0, count), rng, runs
+    """The engine on the fixed-fraction queue layout at Tc = 1, every hit
+    served at a unit-mean exponential rate instead of a scheduled one."""
+    config = SimConfig(
+        scheme="static" if n_groups == 1 else "multigroup-static", n_users=n_users,
+        alpha=alpha, n_groups=n_groups, packet_nats=packet_nats, iterations=runs,
     )
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count), rng)
 
 
 def _report(criterion: str, passed: bool, detail: str):

@@ -154,6 +154,33 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("bogus:1", "unknown coherence mode 'bogus'"),
+    ("1.0", "expected MODE:VALUE"),
+], ids=["mode", "separator"])
+def test_run_rejects_malformed_coherence(tmp_path, capsys, value, message):
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                     "--iterations", "10", "--coherence", value, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["--power", "1e20"], ["--sweep", "P=1,1e20"],
+], ids=["single", "sweep"])
+def test_run_reports_a_quadrature_failure(tmp_path, capsys, settings):
+    # the static throughput quadrature cannot settle at P = 1e20: an
+    # ArithmeticError is a runtime failure, reported without a traceback
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                     "--iterations", "10", *settings, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):
     # S / (Tc log1p(P (1 + log 2))) hits at least: 1e12 nats would run for
     # hours and 1e300 forever, so both exit 1 before the first hit

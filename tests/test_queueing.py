@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mcastsim import analytic, queueing
+from mcastsim import analytic, queueing, schedulers
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import SimConfig
 
@@ -38,13 +38,12 @@ def _static_delays(iterations, seed, **settings):
 
 
 def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats):
-    """The engine on the fixed-fraction queue layout, every hit served at
-    a unit-mean exponential rate instead of a scheduled one."""
+    """The engine on the fixed-fraction queue layout at Tc = 1, every hit
+    served at a unit-mean exponential rate instead of a scheduled one."""
     rng = np.random.default_rng(seed)
-    queues = n_groups * math.comb(n_users, n_users // alpha)
-    return queueing._coupled_queue_delay(
-        alpha, queues, packet_nats, 1.0, lambda count: rng.exponential(1.0, count), rng, runs
-    )
+    config = _config("static", n_users, n_groups, alpha=alpha, packet_nats=packet_nats,
+                     iterations=runs)
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +303,10 @@ def test_ir_delay_trivial_cases():
     assert np.all(attempts == 1) and not decoded.any()
 
 
-def test_ir_mean_attempts_match_failure_sum():
-    # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target),
-    # the sum evaluated exactly by grid convolution
-    target, runs = 0.5, 40000
-    # one cycle per call, each drawing its attempts in sequence on the stream
-    config = _config("ir", 1, rate_target=target)
-    rng = np.random.default_rng(133)
-    taus = np.concatenate([queueing.ir_renewal_cycle(config, rng)[0] for _ in range(runs)])
-    se_tau = taus.std(ddof=1) / math.sqrt(runs)
-    assert abs(taus.mean() - ir_expected_attempts(1, target, 1.0)) <= 2 * se_tau
-
-
 @pytest.mark.parametrize("n_users, seed", [(1, 135), (4, 136)])
 def test_ir_mean_attempts_match_exact_reference(n_users, seed):
-    # E[tau] by grid convolution of the per-attempt information law
+    # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target),
+    # the sum evaluated exactly by grid convolution of the per-attempt law
     target, runs = 0.5, 40000
     attempts, decoded = queueing.ir_renewal_cycle(
         _config("ir", n_users, rate_target=target, iterations=runs), np.random.default_rng(seed)
@@ -381,16 +369,20 @@ _FAMILY_CONFIGS = {
     "ir": [_config("ir", 4, rate_target=1.0)],
 }
 _ENTRIES = {
-    "static": queueing.tagged_delay_static,
-    "coop": queueing.tagged_delay_coop,
-    "ir": queueing.ir_renewal_cycle,
+    "static": (queueing.tagged_delay_static, "is not of the static delay"),
+    "coop": (queueing.tagged_delay_coop, "is not of the coop delay"),
+    "ir": (queueing.ir_renewal_cycle, "is not of the ir delay"),
+    # the rate sampler serves the static and coop families only
+    "rates": (lambda config, rng: schedulers.slot_rates(config, 1, rng), "has no per-slot rate law"),
 }
 
 
 @pytest.mark.parametrize("family, config", [
-    (family, config) for family in _ENTRIES
+    (family, config) for family in ("static", "coop", "ir")
     for other, configs in _FAMILY_CONFIGS.items() if other != family for config in configs
-], ids=lambda value: getattr(value, "scheme", value))
+] + [("rates", config) for config in _FAMILY_CONFIGS["ir"]],
+    ids=lambda value: getattr(value, "scheme", value))
 def test_entries_reject_other_families_before_any_draw(family, config):
-    with pytest.raises(ValueError, match=f"scheme '{config.scheme}' is not of the {family} delay"):
-        _ENTRIES[family](config, _NoDraws())
+    entry, message = _ENTRIES[family]
+    with pytest.raises(ValueError, match=f"scheme '{config.scheme}' {message}"):
+        entry(config, _NoDraws())

@@ -18,6 +18,12 @@ from oracles import (
 )
 
 
+def _config(scheme, n_users, n_groups=1, **settings):
+    """A SimConfig of the scheme's single- or multigroup form."""
+    return SimConfig(scheme=scheme if n_groups == 1 else f"multigroup-{scheme}",
+                     n_users=n_users, n_groups=n_groups, **settings)
+
+
 def _ir_config(n_users, rate_target, attempt_cap=None):
     return SimConfig(scheme="ir", n_users=n_users, rate_target=rate_target,
                      attempt_cap=attempt_cap, iterations=1)
@@ -85,7 +91,7 @@ def test_static_schedule_validates_input():
     with pytest.raises(ValueError):
         schedulers.multigroup_static_schedule(np.zeros((2, 0)), 1.0)
     with pytest.raises(ValueError, match="divide"):
-        schedulers.slot_rates(6, 1, 1.0, 10, np.random.default_rng(0), alpha=4)
+        _config("static", 6, alpha=4)
     with pytest.raises(ValueError, match="position"):
         channel.draw_scheduled_gains(6, 7, 10, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="antenna"):
@@ -94,7 +100,8 @@ def test_static_schedule_validates_input():
 
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
 def test_rate_kernels_reject_power_outside_0_inf(power):
-    # an infinite power rates every slot inf; the rule is SimConfig's
+    # an infinite power rates every slot inf; the rule is SimConfig's, so
+    # no config that reaches slot_rates carries such a power
     match = "power must be positive and finite"
     with pytest.raises(ValueError, match=match):
         schedulers.static_schedule([1.0], power)
@@ -102,15 +109,16 @@ def test_rate_kernels_reject_power_outside_0_inf(power):
         schedulers.cooperative_schedule([1.0], [1.0], 2, power)
     with pytest.raises(ValueError, match=match):
         schedulers.ir_advance(np.zeros(2), [0.5, 0.5], power)
-    for alpha in (1, None):
+    for scheme, settings in (("static", {"alpha": 1}), ("coop", {})):
         with pytest.raises(ValueError, match=match):
-            schedulers.slot_rates(4, 1, power, 3, np.random.default_rng(2), alpha)
+            _config(scheme, 4, power=power, **settings)
 
 
 def test_static_rate_distribution_matches_order_statistic():
     n, alpha, power = 6, 3, 1.0
     spec = OrderStatSpec(n_users=n, position=n - n // alpha + 1)
-    rates = schedulers.slot_rates(n, 1, power, 10 ** 5, np.random.default_rng(515), alpha)
+    rates = schedulers.slot_rates(
+        _config("static", n, alpha=alpha, power=power), 10 ** 5, np.random.default_rng(515))
 
     def rate_cdf(r):
         return order_stat_cdf(spec, math.expm1(r) / power)
@@ -145,7 +153,8 @@ def test_static_rates_have_the_full_vector_law(n, alpha, groups, antennas):
     count = 10000 if n < 1000 else 4000
     seed = 520 + n + 10 * alpha + groups + antennas
     rates = schedulers.slot_rates(
-        n, groups, 1.0, count, np.random.default_rng(seed), alpha, antennas
+        _config("static", n, groups, alpha=alpha, antennas=antennas), count,
+        np.random.default_rng(seed),
     )
     rng = np.random.default_rng(seed + 1000)
     block = max(1, 2 ** 20 // (groups * n * antennas))
@@ -312,7 +321,7 @@ def test_coop_rejects_odd_user_count():
     with pytest.raises(ValueError, match="even"):
         schedulers.cooperative_schedule([1.0], [1.0], 3, 1.0)
     with pytest.raises(ValueError, match="even"):
-        schedulers.slot_rates(3, 1, 1.0, 10, np.random.default_rng(0))
+        _config("coop", 3)
     with pytest.raises(ValueError, match="shape"):
         schedulers.cooperative_schedule([1.0], np.zeros(2), 2, 1.0)
     with pytest.raises(ValueError, match="shape"):
@@ -355,7 +364,7 @@ def test_coop_rates_have_the_matrix_model_law(n, groups):
     # and an N x N pair-gain matrix; the matrix is drawn in blocks of at
     # most 2**22 pair gains
     count, seed = 10000, 190 + 10 * groups + n
-    rates = schedulers.slot_rates(n, groups, 1.0, count, np.random.default_rng(seed))
+    rates = schedulers.slot_rates(_config("coop", n, groups), count, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 100)
     block = max(1, 2 ** 22 // (groups * n * n))
     reference = np.concatenate([
@@ -370,7 +379,7 @@ def test_coop_rates_have_the_matrix_model_law(n, groups):
 ])
 def test_coop_throughput_matches_exact_quadrature(n, groups, power):
     rng = np.random.default_rng(300 + 10 * groups + n)
-    served = n // 2 * schedulers.slot_rates(n, groups, power, 40000, rng)
+    served = n // 2 * schedulers.slot_rates(_config("coop", n, groups, power=power), 40000, rng)
     se = served.std(ddof=1) / math.sqrt(served.size)
     assert abs(served.mean() - coop_throughput(n, groups, power)) <= 4 * se
 

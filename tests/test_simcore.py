@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcastsim import analytic, channel, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
@@ -86,12 +88,48 @@ def test_distinct_seeds_differ():
     assert a.throughput_mean != b.throughput_mean
 
 
+@st.composite
+def _small_configs(draw):
+    """Valid configs of every scheme, small enough to run in milliseconds."""
+    scheme = draw(st.sampled_from(simcore.SCHEMES))
+    fields = dict(
+        n_groups=1 if scheme in ("static", "ir", "coop") else draw(st.integers(1, 3)),
+        power=draw(st.floats(0.1, 10.0)),
+        coherence=CoherencePolicy(draw(st.sampled_from(["fixed", "scaled"])),
+                                  draw(st.floats(0.5, 2.0))),
+        iterations=draw(st.integers(1, 16)),
+        seed=draw(st.integers(0, 2 ** 32)),
+    )
+    if scheme == "ir":
+        n = draw(st.integers(1, 8))
+        fields.update(rate_target=draw(st.floats(0.05, 2.0)),
+                      attempt_cap=draw(st.none() | st.integers(1, 4)))
+    elif scheme.endswith("coop"):
+        n = 2 * draw(st.integers(1, 4))
+        fields.update(packet_nats=draw(st.floats(0.01, 4.0)))
+    else:
+        n = draw(st.integers(1, 8))
+        fields.update(alpha=draw(st.sampled_from([a for a in range(1, n + 1) if n % a == 0])),
+                      antennas=draw(st.integers(1, 3)) if scheme == "static" else 1,
+                      packet_nats=draw(st.floats(0.01, 4.0)))
+    return SimConfig(scheme=scheme, n_users=n, **fields)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_small_configs())
+def test_small_configs_run_finite_and_reproducible(config):
+    record = simcore.run_config(config)
+    assert math.isfinite(record.throughput_mean) and record.delay_mean >= 1
+    assert simcore.run_config(config) == record
+
+
 # ---------------------------------------------------------------------------
 # the batch rate sampler equals per-slot kernel calls on the same stream
 # ---------------------------------------------------------------------------
 
 def test_vectorized_static_rates_match_scalar_path():
-    vec = schedulers.slot_rates(6, 1, 1.0, 300, np.random.default_rng(42), alpha=2)
+    vec = schedulers.slot_rates(
+        SimConfig(scheme="static", n_users=6, alpha=2), 300, np.random.default_rng(42))
     rng = np.random.default_rng(42)
     per_slot = [
         schedulers.static_schedule(channel.draw_scheduled_gains(6, 4, 1, 1, rng), 1.0)[0]
@@ -100,44 +138,73 @@ def test_vectorized_static_rates_match_scalar_path():
     assert np.array_equal(vec, np.array(per_slot))
 
 
-def _assert_peak_memory_flat_in_n(n_groups=1, **kwargs):
+def test_sampler_reads_the_row_config(monkeypatch):
+    # throughput and static delay hand the sampler the row's own config;
+    # coop delay hands it the one-group copy (ROADMAP D3, which flips this)
+    seen = []
+    sampler = schedulers.slot_rates
+
+    def recording(config, count, rng):
+        seen.append(config)
+        return sampler(config, count, rng)
+
+    monkeypatch.setattr(schedulers, "slot_rates", recording)
+    static = SimConfig(scheme="multigroup-static", n_users=4, alpha=2, n_groups=2, iterations=20)
+    coop = SimConfig(scheme="multigroup-coop", n_users=4, n_groups=2, iterations=20)
+    calls = [
+        (lambda: simcore.estimate_throughput(static), static),
+        (lambda: simcore.estimate_throughput(coop), coop),
+        (lambda: queueing.tagged_delay_static(static, np.random.default_rng(48)), static),
+        (lambda: queueing.tagged_delay_coop(coop, np.random.default_rng(48)),
+         replace(coop, n_groups=1)),
+    ]
+    for call, expected in calls:
+        seen.clear()
+        call()
+        assert seen and all(config == expected for config in seen)
+
+
+def _assert_peak_memory_flat_in_n(scheme, **settings):
     """``slot_rates`` for 1000 slots peaks under the same bound at N = 10
     and N = 1000: a slot draws one value per group (two under
     cooperation), never its N gains or an N x N pair-gain matrix."""
     for n in (10, 1000):
+        config = SimConfig(scheme=scheme, n_users=n, **settings)
         rng = np.random.default_rng(47)
         tracemalloc.start()
         try:
-            schedulers.slot_rates(n, n_groups, 1.0, 1000, rng, **kwargs)
+            schedulers.slot_rates(config, 1000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a few arrays of 1000 floats per group (25 to 40 kB); drawing N
         # gains per slot and partitioning them peaks near 170 kB at N = 10
         # and 8.4 MB at N = 1000
-        assert peak < 100_000 * n_groups, (n, peak)
+        assert peak < 100_000 * config.n_groups, (n, peak)
 
 
 @pytest.mark.parametrize("antennas", [1, 2])
 def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(antennas):
     # static slots hold O(G) values at every N and antenna count
-    _assert_peak_memory_flat_in_n(alpha=2, antennas=antennas)
+    _assert_peak_memory_flat_in_n("static", alpha=2, antennas=antennas)
 
 
 def test_coop_chunks_hold_the_same_gain_budget():
     # the same bound per group holds for multigroup cooperation
-    _assert_peak_memory_flat_in_n(n_groups=5)
+    _assert_peak_memory_flat_in_n("multigroup-coop", n_groups=5)
 
 
 def test_coop_chunks_hold_the_gain_budget_at_large_n():
     # the relay stage draws one weakest-relay gain per slot, not N/2 sums
     relay = channel.draw_interuser_gains(1000, np.random.default_rng(49), (1000,))
     assert relay.shape == (1000,)
-    _assert_peak_memory_flat_in_n()
+    _assert_peak_memory_flat_in_n("coop")
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
-    vec = schedulers.slot_rates(4, 3, 1.0, 200, np.random.default_rng(43), alpha=2)
+    vec = schedulers.slot_rates(
+        SimConfig(scheme="multigroup-static", n_users=4, alpha=2, n_groups=3), 200,
+        np.random.default_rng(43))
     rng = np.random.default_rng(43)
     per_slot = [
         schedulers.multigroup_static_schedule(channel.draw_scheduled_gains(4, 3, 3, 1, rng), 1.0)
@@ -147,7 +214,8 @@ def test_vectorized_multigroup_rates_match_scalar_path():
 
 
 def test_vectorized_chisquare_rates_match_scalar_path():
-    vec = schedulers.slot_rates(4, 1, 1.0, 150, np.random.default_rng(44), alpha=1, antennas=2)
+    vec = schedulers.slot_rates(
+        SimConfig(scheme="static", n_users=4, alpha=1, antennas=2), 150, np.random.default_rng(44))
     rng = np.random.default_rng(44)
     per_slot = [
         schedulers.static_schedule(channel.draw_scheduled_gains(4, 1, 1, 2, rng), 1.0)[0]
@@ -159,18 +227,19 @@ def test_vectorized_chisquare_rates_match_scalar_path():
 def test_single_group_rates_equal_one_group_multigroup_kernels():
     # one group goes straight to the single-group kernels; drawing (c,)
     # consumes the generator like (c, 1), so the rates are unchanged
-    static = schedulers.slot_rates(6, 1, 1.0, 100, np.random.default_rng(45), alpha=3)
+    static_config = SimConfig(scheme="static", n_users=6, alpha=3)
+    static = schedulers.slot_rates(static_config, 100, np.random.default_rng(45))
     gains = channel.draw_scheduled_gains(6, 5, (100, 1), 1, np.random.default_rng(45))
     assert np.array_equal(static, schedulers.multigroup_static_schedule(gains, 1.0))
 
-    coop = schedulers.slot_rates(4, 1, 1.0, 100, np.random.default_rng(46))
+    coop = schedulers.slot_rates(SimConfig(scheme="coop", n_users=4), 100, np.random.default_rng(46))
     rng = np.random.default_rng(46)
     median = channel.draw_scheduled_gains(4, 3, (100, 1), 1, rng)
     relay = channel.draw_interuser_gains(4, rng, (100, 1))
     assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0))
 
     with pytest.raises(ValueError):
-        schedulers.slot_rates(4, 1, 1.0, 0, rng, alpha=2)
+        schedulers.slot_rates(static_config, 0, rng)
 
 
 # ---------------------------------------------------------------------------
