@@ -2,20 +2,22 @@
 
 Closed-form throughputs built from the exponential integral, order
 statistics of exponential and Chi-square fading, the coupon-collector
-waiting time of coupled queues, and each scheme's throughput growth law,
-which run rows carry as their ``predicted_scaling`` reference.
+waiting time of coupled queues with equal or unequal needs, and each
+scheme's throughput growth law, which run rows carry as their
+``predicted_scaling`` reference.
 
 The evaluators rest on scipy.special: Ei is ``expi``, the order-statistic
 survival function is a binomial tail, i.e. a regularized incomplete beta
 function, and the Chi-square and Gamma laws are regularized incomplete
 gamma functions.  Integrals over [0, inf) use one double-exponential
 (exp-sinh) rule whose integrands take the whole node array, so each
-refinement is one ufunc call.  The static-throughput closed form is one
+refinement is one ufunc call, for one integrand or a row per integrand.  The static-throughput closed form is one
 alternating binomial sum, which cancels catastrophically in double
 precision once systems get moderately large; it is taken over exact
 integer coefficients in mpmath, at a precision read from the largest of
 them, and serves as the oracle for the quadrature evaluator.  Everything
-returned is an ordinary float.
+returned is an ordinary float, except the per-run coupon-collector
+means, a float array.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from scipy import special
 
 __all__ = [
     "UnsupportedSizeError",
+    "coupon_collector_expected_picks",
     "coupon_collector_expected_trials",
     "coupon_collector_markov",
     "expint_ei",
@@ -106,26 +109,27 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weight
 
 
-def _integrate_0_inf(f) -> float:
+def _integrate_0_inf(f):
     """int_0^inf f(x) dx for f decaying at both ends, by the exp-sinh
     double-exponential rule (Takahasi & Mori, 1974): the trapezoid rule in t
     for x = exp(pi/2 sinh t), the step halved until the estimate moves by
-    at most a relative 1e-12.  ``f`` maps a node array to a value array.
-    Raises ArithmeticError if the estimate does not settle or the integrand
-    is not negligible at the window's ends."""
+    at most a relative 1e-12.  ``f`` maps a node array to a value array,
+    or to one row of values per integrand, whose integrals come back as an
+    array.  Raises ArithmeticError if an estimate does not settle or an
+    integrand is not negligible at the window's ends."""
     total = 0.0
     previous = None
     for level in range(_DE_MAX_HALVINGS + 1):
         x, weight = _de_nodes(level)
         terms = f(x) * weight
         if level == 0:
-            ends = _DE_FIRST_STEP * max(abs(terms[0]), abs(terms[-1]))
-        total += terms.sum()
-        estimate = float(total * _DE_FIRST_STEP / 2 ** level)
-        if previous is not None and abs(estimate - previous) <= _DE_RTOL * abs(estimate):
-            if ends > _DE_RTOL * abs(estimate):
+            ends = _DE_FIRST_STEP * np.maximum(abs(terms[..., 0]), abs(terms[..., -1]))
+        total = total + terms.sum(axis=-1)
+        estimate = total * _DE_FIRST_STEP / 2 ** level
+        if previous is not None and np.all(abs(estimate - previous) <= _DE_RTOL * abs(estimate)):
+            if np.any(ends > _DE_RTOL * abs(estimate)):
                 raise ArithmeticError("integrand is not negligible at the ends of the window")
-            return estimate
+            return estimate if np.ndim(estimate) else float(estimate)
         previous = estimate
     raise ArithmeticError(f"quadrature did not settle within {_DE_MAX_HALVINGS} halvings")
 
@@ -201,26 +205,52 @@ def throughput_quadrature(
 # coupled-queue waiting times
 # ---------------------------------------------------------------------------
 
-def coupon_collector_expected_trials(total_queues: int, coupled: int, services_needed: int) -> float:
+def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     """Expected uniform server picks over ``total_queues`` queues until each
-    of ``coupled`` designated queues has been picked ``services_needed``
-    times: Q * int_0^inf [1 - (1 - S_m(t) e^{-t})^alpha] dt."""
+    coupled queue j has been picked needs[i, j] times, for each row i of
+    ``needs``: Q int_0^inf [1 - prod_j P(Pois(t) >= K_j)] dt, the picks
+    Poissonized (Flajolet, Gardy & Thimonier, 1992), and Q K for one queue.
+    The product is exp(counts @ log P(Pois(t) >= k)) over the distinct
+    needs k, integrated once per distinct pattern of counts, in t over the
+    largest need, so that every pattern's step lies at or below 1."""
+    needs = np.asarray(needs)
+    coupled = needs.shape[1]
     if coupled < 1:
         raise ValueError("need at least one coupled queue")
     if total_queues < coupled:
         raise ValueError(
             f"coupled queues ({coupled}) cannot exceed total queues ({total_queues})"
         )
-    if services_needed < 1:
+    if needs.min() < 1:
         raise ValueError("each queue needs at least one service")
     if coupled == 1:
-        return float(total_queues * services_needed)
+        return float(total_queues) * needs[:, 0]
 
-    # the last of the coupled queues to finish: the maximum of ``coupled``
-    # Gamma(services_needed) completion times, each past t w.p. Q(m, t)
-    return total_queues * _integrate_0_inf(
-        lambda t: _order_stat_sf(coupled, coupled, 1, special.gammaincc(services_needed, t))
-    )
+    # a pattern is a sorted need vector, compared as one opaque value, which
+    # np.unique sorts far faster than rows
+    rows = np.sort(needs, axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * coupled)))[:, 0]
+    _, first, pattern_of = np.unique(keys, return_index=True, return_inverse=True)
+    patterns = rows[first]
+    ks = np.unique(patterns)
+    counts = (patterns[:, :, None] == ks).sum(axis=1)
+    scale = float(ks[-1])
+
+    def integrand(x):
+        # P(Pois(t) >= k) = 1 - Q(k, t); a log of 0 is floored, since a count
+        # of 0 times -inf would read nan
+        with np.errstate(divide="ignore"):
+            logs = np.log1p(-special.gammaincc(ks[:, None], scale * x))
+        return -np.expm1(counts @ np.maximum(logs, -1e300))
+
+    return (float(total_queues) * scale * _integrate_0_inf(integrand))[pattern_of]
+
+
+def coupon_collector_expected_trials(total_queues: int, coupled: int, services_needed: int) -> float:
+    """Expected uniform server picks over ``total_queues`` queues until each
+    of ``coupled`` designated queues has been picked ``services_needed``
+    times: the equal-needs case of ``coupon_collector_expected_picks``."""
+    return float(coupon_collector_expected_picks(total_queues, [[services_needed] * coupled])[0])
 
 
 def coupon_collector_markov(total_queues: int, coupled: int, services_needed: int) -> float:
@@ -252,10 +282,11 @@ def coupon_collector_markov(total_queues: int, coupled: int, services_needed: in
 # ---------------------------------------------------------------------------
 
 def throughput_growth_law(
-    scheme: str, n_users: float, alpha: int | None = None, n_groups: int = 1, antennas: int = 1
+    family: str, n_users: float, alpha: int | None = None, n_groups: int = 1, antennas: int = 1
 ) -> float | None:
-    """Unit-constant throughput growth law of a scheme, or None where no
-    law is known.  Only how the value moves with N, G and L means anything.
+    """Unit-constant throughput growth law of a scheme family (``static``,
+    ``coop`` or ``ir``; ``SimConfig.family``), or None where no law is
+    known.  Only how the value moves with N, G and L means anything.
 
     A static scheme follows the user its rate is keyed to: alpha = N the
     best, log log(N G), or log(1 + (log N + (L-1) log log N)/L) with L
@@ -265,11 +296,11 @@ def throughput_growth_law(
     log log N = 1.  A log log needs its argument above e.
     """
     n, g, ell = n_users, n_groups, antennas
-    if scheme == "ir":
+    if family == "ir":
         if n <= math.e:
             return None
         return n / (math.log(n) / (math.e * math.log(math.log(n))))
-    if scheme in ("coop", "multigroup-coop"):
+    if family == "coop":
         return float(n)
     if alpha == n:
         if n * g <= math.e:

@@ -7,38 +7,41 @@ its group's one queue of Q = G.  Each slot the server picks one of the Q
 queues uniformly; a pick landing on a coupled queue drains it by Tc times
 that slot's rate, drawn by ``schedulers.slot_rates``, the sampler of the
 throughput path.  The packet is delivered once every coupled queue has
-drained its copy.  One engine, ``_coupled_queue_delay``, simulates both
+drained its copy.  One engine, ``_coupled_queue_delay``, serves both
 schemes and derives the layout from the config it is given.
 
-Picks are simulated with geometric gaps between hits, so a run costs
-O(number of hits) however large Q grows, and the slot count is
-distributed exactly as in the slot-by-slot Bernoulli process.  Gaps are
-float inversions, so counts never saturate; a hit probability below the
-smallest normal float, a count past the float range, or a packet whose
-lower bound on the mean hit count exceeds ``_HIT_BUDGET`` raises
-ValueError.
+The picks are not simulated.  A run draws only the rates of the hits on
+its coupled queues, which fix K_j, the hits queue j needs to drain its
+copy, and reports the mean slot count given them,
+E[T | K] = Q int_0^inf [1 - prod_j P(Pois(t) >= K_j)] dt
+(``analytic.coupon_collector_expected_picks``): the pick simulation
+averaged over the picks, exactly, because the picks can be Poissonized.
+With one coupled queue (alpha = 1, and cooperation) it is Q K.  A run
+costs O(its largest need) whatever Q is, and a row's variance is only
+that of its needs: a row whose runs all need the same hits reports SE 0.
+A queue count or a mean slot count that is not a finite float, or a
+packet whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
+raises ValueError.
 
 Each entry, and the engine, takes a ``simcore.SimConfig``, whose
 construction has already checked every setting, and a generator; an
 entry rejects a config of another scheme family (``SimConfig.family``)
 before any draw.  The engine runs ``config.iterations`` independent runs
-in lockstep: each round draws a gap (unless every slot hits), a queue
-index (when there are several coupled queues) and a rate for every
-unfinished run, in that order, the rates in one sampler call.  A row
-costs O(its largest hit count) numpy calls, and a round holds O(runs)
-values whatever N is.  At one iteration what a hit draws does not depend
-on the rates, which keeps paired-seed runs coupled (e.g. raising P can
-only remove slots).
+in lockstep: each round draws, in one sampler call, a rate for every
+coupled queue of every unfinished run, drained or not.  A row costs
+O(its largest need) numpy calls, and a round holds O(runs alpha) values.
+At one iteration a round draws the same values whatever came before,
+which keeps paired-seed runs coupled: raising P or shrinking S can only
+lower each need, and E[T | K] grows with every need.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from mcastsim import channel, schedulers
+from mcastsim import analytic, channel, schedulers
 
 # Mean hits (attempts, for an uncapped retransmission cycle) a run may need
 # by a lower bound: about a minute per row at tens of microseconds a round.
@@ -67,48 +70,46 @@ def _check_hit_budget(config: "SimConfig") -> None:
                          "S / (Tc log1p(P (1 + log(N G L)))), over the budget of 2**20")
 
 
-def _gaps(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Geometric(p) slot gaps on 1, 2, ... by inversion, as floats:
-    ceil(-E / log(1 - p)), at least 1, with E a standard exponential.
-    At p = 1 every slot hits: the gaps are ones and nothing is drawn."""
-    if p == 1.0:
-        return np.ones(count)
-    return np.maximum(np.ceil(-rng.standard_exponential(count) / math.log1p(-p)), 1.0)
+def _check_slots(slots) -> None:
+    # a count past the float range compares above the largest float, and so
+    # do inf and nan
+    if not np.all(slots <= sys.float_info.max):
+        raise ValueError("queue count G C(N, N/alpha), or a mean slot count, is not a finite float")
 
 
 def _coupled_queue_delay(config: "SimConfig", rates, rng: np.random.Generator) -> np.ndarray:
-    """Slots, per run, until each of the tagged packet's coupled queues
-    (cooperation is the alpha = 1 layout) has drained
-    ``config.packet_nats``; ``rates(count)`` returns the service rates of
-    ``count`` hits.  A float array of shape (config.iterations,)."""
+    """Mean slots, per run, until each of the tagged packet's coupled
+    queues (cooperation is the alpha = 1 layout) has drained
+    ``config.packet_nats``, given the hits each queue needs;
+    ``rates(count)`` returns the service rates of ``count`` hits.  A float
+    array of shape (config.iterations,).  Nothing but the rates is drawn,
+    so ``rng`` is not read."""
     _check_hit_budget(config)
     n, coupled, runs = config.n_users, config.alpha or 1, config.iterations
     queues = config.n_groups * math.comb(n, n // coupled)
-    p_hit = coupled / queues
-    if not p_hit >= sys.float_info.min:
-        raise ValueError(f"hit probability {coupled}/{queues} is not a positive normal float")
+    _check_slots(queues)
     coherence_interval = config.coherence_value
     residual = np.full((runs, coupled), float(config.packet_nats))
-    slots = np.zeros(runs)
+    needs = np.zeros((runs, coupled), dtype=np.int64)
     active = np.arange(runs)
     while active.size:
-        with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
-            slots[active] += _gaps(p_hit, active.size, rng)
-        # one queue needs no pick: integers(1) would draw nothing
-        queue = rng.integers(coupled, size=active.size) if coupled > 1 else 0
-        # a hit on a drained queue only pushes it further below zero
-        residual[active, queue] -= coherence_interval * rates(active.size)
-        active = active[(residual[active] > 0.0).any(axis=1)]
-    if not np.isfinite(slots).all():
-        raise ValueError("slot count exceeds the float range")
+        left = residual[active]
+        needs[active] += left > 0.0
+        # a drained queue's rate only pushes it further below zero
+        left -= coherence_interval * rates(active.size * coupled).reshape(active.size, coupled)
+        residual[active] = left
+        active = active[(left > 0.0).any(axis=1)]
+    with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
+        slots = analytic.coupon_collector_expected_picks(queues, needs)
+    _check_slots(slots)
     return slots
 
 
 def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
-    """Slots, per run, until a tagged packet leaves all alpha coupled
-    queues under the fixed-fraction scheduler's queue layout, with
-    ``config.antennas`` transmit antennas behind every rate.  Returns a
-    float array of shape (config.iterations,)."""
+    """Mean slots, per run, until a tagged packet leaves all alpha coupled
+    queues under the fixed-fraction scheduler's queue layout, given the
+    hits each queue needs, with ``config.antennas`` transmit antennas
+    behind every rate.  Returns a float array of shape (config.iterations,)."""
     _check_family(config, "static")
     return _coupled_queue_delay(
         config, lambda count: schedulers.slot_rates(config, count, rng), rng)
@@ -148,17 +149,16 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
 
 
 def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
-    """Slots, per run, until a cooperative transmission delivers the
-    packet to all users of the tagged group.  Returns a float array of
-    shape (config.iterations,).
+    """Mean slots, per run, until a cooperative transmission delivers the
+    packet to all users of the tagged group, given the hits it needs.
+    Returns a float array of shape (config.iterations,).
 
     A slot reaches every user of the group it serves, so the group keeps a
-    single queue; with G groups the tagged one is served with probability
-    1/G per slot (group symmetry).  Each hit draws the tagged group's own
-    rate (one group into the sampler), not the rate of the group a
-    multigroup scheduler would select (ROADMAP, D3).
+    single queue; with G groups the tagged one is selected with
+    probability 1/G per slot (group symmetry), and a slot that selects it
+    serves it at the best of G group rates, the rate the sampler draws for
+    the row's own config.  So E[T | K] = G K.
     """
     _check_family(config, "coop")
-    one_group = replace(config, n_groups=1)
     return _coupled_queue_delay(
-        config, lambda count: schedulers.slot_rates(one_group, count, rng), rng)
+        config, lambda count: schedulers.slot_rates(config, count, rng), rng)

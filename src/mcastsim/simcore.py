@@ -191,7 +191,7 @@ def run_config(config: SimConfig) -> MetricsRecord:
     record.delay_mean = delay.delay_mean
     record.delay_se = delay.delay_se
     record.predicted_scaling_value = analytic.throughput_growth_law(
-        config.scheme, config.n_users, config.alpha, config.n_groups, config.antennas
+        config.family, config.n_users, config.alpha, config.n_groups, config.antennas
     )
     return record
 

@@ -5,11 +5,13 @@ exponential integral is integrated directly, throughputs come from the
 order-statistic density or from alternating sums over groups,
 order-statistic survival functions are exact integer binomial sums, the
 order-statistic CDF is the lower binomial tail, the coupon-collector
-reference solves the absorbing chain as a linear system, the memoryless
-server's service law is a shifted Poisson law, the retransmission
-reference convolves the per-attempt information law on a grid, and the
-cooperative rates come from the full N x N pair-gain model or, for the
-throughput, from quadrature of the effective-gain survival function.
+reference solves the absorbing chain as a linear system, for equal or
+unequal needs, the memoryless server's service law is a shifted Poisson
+law, the coupled-queue delay is simulated slot by slot or pick by pick,
+the retransmission reference and the expected hit count of a queue come
+from renewal functions convolved on a grid, and the cooperative rates
+come from the full N x N pair-gain model or, for the throughput and the
+rate law, from the effective-gain survival function.
 Integrals over [0, inf) use scipy's adaptive quadrature, which the package
 does not import, as the reference for its double-exponential rule.
 """
@@ -236,10 +238,13 @@ def expected_log1p_reference(power: float, cdf, upper: float = np.inf) -> float:
     return val
 
 
-def coupon_reference(total_queues: int, coupled: int, needed: int) -> float:
-    """Expected trials until each coupled queue is hit `needed` times,
-    solved exactly as a linear system over all remaining-service vectors."""
-    states = list(itertools.product(range(needed + 1), repeat=coupled))
+def coupon_reference(total_queues: int, coupled: int, needed) -> float:
+    """Expected trials until each coupled queue is hit as often as it needs,
+    `needed` times each or `needed[j]` times queue j, solved exactly as a
+    linear system over all remaining-service vectors."""
+    needs = (needed,) * coupled if isinstance(needed, int) else tuple(needed)
+    assert len(needs) == coupled
+    states = list(itertools.product(*(range(k + 1) for k in needs)))
     index = {s: i for i, s in enumerate(states)}
     size = len(states)
     a = np.zeros((size, size))
@@ -258,7 +263,7 @@ def coupon_reference(total_queues: int, coupled: int, needed: int) -> float:
             else:
                 a[i, index[nxt]] -= 1.0 / total_queues
         a[i, i] -= stay
-    return float(np.linalg.solve(a, b)[index[(needed,) * coupled]])
+    return float(np.linalg.solve(a, b)[index[needs]])
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -298,40 +303,76 @@ def slot_by_slot_delays(
     return slots
 
 
-def _attempt_sum_cdfs(target: float, power: float, cells: int) -> np.ndarray:
-    """P(S_t <= target) for t = 1, 2, ... until it falls below 1e-18, where S_t
-    sums t i.i.d. increments log(1 + P g), g ~ Exp(1).  Densities of S_t on a
-    grid of `cells` cells over [0, target] come from trapezoid-rule
-    convolutions, done by FFT; only increments below the target matter."""
+def pick_simulation_delays(
+    queues: int, coupled: int, packet: float, rates, rng, runs: int
+) -> np.ndarray:
+    """Slots until each of the first `coupled` of `queues` queues has
+    drained `packet`, the uniform picks simulated hit by hit: each round
+    draws, for every unfinished run, a geometric gap of slots up to its
+    next hit on a coupled queue (unless every slot hits), then which
+    coupled queue it hits (when there are several), then a rate from
+    ``rates(rng, count)``.  The slot counts have the slot-by-slot law at
+    O(hits) cost; float gaps never saturate."""
+    p_hit = coupled / queues
+    residual = np.full((runs, coupled), float(packet))
+    slots = np.zeros(runs)
+    active = np.arange(runs)
+    while active.size:
+        if p_hit == 1.0:
+            slots[active] += 1.0
+        else:
+            # Geometric(p) on 1, 2, ... by inversion: ceil(-E / log(1 - p))
+            slots[active] += np.maximum(
+                np.ceil(-rng.standard_exponential(active.size) / math.log1p(-p_hit)), 1.0)
+        queue = rng.integers(coupled, size=active.size) if coupled > 1 else 0
+        residual[active, queue] -= rates(rng, active.size)
+        active = active[(residual[active] > 0.0).any(axis=1)]
+    return slots
+
+
+def _renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
+    """P(R_1 + ... + R_m <= target) for m = 1, 2, ... until it falls below
+    1e-18, for i.i.d. increments R with the continuous CDF `cdf`, 0 at 0.
+    On a grid of `cells` cells over [0, target], each sum's CDF is the
+    Stieltjes convolution of the last one with `cdf`, by the midpoint rule
+    in each cell (an error of second order in the cell width), done by FFT."""
     h = target / cells
-    y = np.arange(cells + 1) * h
-    g = np.exp(y - np.expm1(y) / power) / power
+    # kernel[k] = cdf((k - 1/2) h): a cell's mass at its midpoint, k cells back
+    kernel = cdf((np.arange(cells + 1) - 0.5) * h)
+    kernel[0] = 0.0
     size = 1 << (2 * cells + 1).bit_length()
-    g_hat = np.fft.rfft(g, size)
-    weights = np.full(cells + 1, h)
-    weights[[0, -1]] = h / 2
+    kernel_hat = np.fft.rfft(kernel, size)
+    sum_cdf = cdf(np.arange(cells + 1) * h)
     cdfs = []
-    f = g
     while True:
-        cdfs.append(float(weights @ f))
+        cdfs.append(float(sum_cdf[-1]))
         if cdfs[-1] < 1e-18:
             return np.array(cdfs)
-        conv = np.fft.irfft(np.fft.rfft(f, size) * g_hat, size)[: cells + 1]
-        f = h * (conv - 0.5 * (g[0] * f + f[0] * g))
+        sum_cdf = np.fft.irfft(np.fft.rfft(np.diff(sum_cdf), size) * kernel_hat, size)[: cells + 1]
+
+
+def _extrapolated_renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
+    """``_renewal_cdfs`` over `cells` and 2 * `cells` cells, combined by
+    Richardson extrapolation, which leaves an error of fourth order."""
+    coarse = _renewal_cdfs(target, cdf, cells)
+    fine = _renewal_cdfs(target, cdf, 2 * cells)
+    k = min(coarse.size, fine.size)
+    return (4.0 * fine[:k] - coarse[:k]) / 3.0
 
 
 def ir_expected_attempts(n: int, target: float, power: float, cells: int = 2048) -> float:
     """Exact mean attempts of a retransmission cycle without a cap:
-    E[tau] = sum_{t>=0} [1 - (1 - P(S_t <= target))^n].
+    E[tau] = sum_{t>=0} [1 - (1 - P(S_t <= target))^n], where S_t sums t
+    i.i.d. increments log(1 + P g), g ~ Exp(1), of CDF 1 - exp(-(e^u - 1)/P)."""
+    cdfs = _extrapolated_renewal_cdfs(target, lambda u: -np.expm1(-np.expm1(u) / power), cells)
+    with np.errstate(divide="ignore"):      # a sum surely below the target: log1p(-1)
+        return 1.0 + math.fsum((-np.expm1(n * np.log1p(-cdfs))).tolist())
 
-    The trapezoid rule's error is a series in even powers of the cell
-    width, so Richardson extrapolation over `cells` and 2 * `cells` cells
-    leaves an error of fourth order."""
-    coarse = _attempt_sum_cdfs(target, power, cells)
-    fine = _attempt_sum_cdfs(target, power, 2 * cells)
-    k = min(coarse.size, fine.size)
-    cdfs = (4.0 * fine[:k] - coarse[:k]) / 3.0
-    return 1.0 + math.fsum((-np.expm1(n * np.log1p(-cdfs))).tolist())
+
+def renewal_expected_hits(target: float, cdf, cells: int = 2048) -> float:
+    """Exact mean count of i.i.d. increments of CDF `cdf` whose sum first
+    reaches `target`: the renewal function E[K] = sum_{m>=0} P(R_1 + ... + R_m < target)."""
+    return 1.0 + math.fsum(_extrapolated_renewal_cdfs(target, cdf, cells).tolist())
 
 
 def same_law_p_value(a, b):
@@ -388,20 +429,27 @@ def matrix_coop_rates(n: int, groups: int, power: float, count: int, rng) -> np.
     return cooperative_rate_from_matrix(bs, inter, power).max(axis=-1)
 
 
+def _coop_gain_sf(n: int, y):
+    """P(one group's effective cooperative gain > y): the (N/2)-th strongest
+    base-station gain exceeds y with probability I_{e^-y}(N/2, N/2+1), and
+    each of the N/2 weak users' Gamma(N/2, 1) relay sums exceeds (N/2) y
+    with probability Q(N/2, N y/2)."""
+    half = n // 2
+    return special.betainc(half, half + 1, np.exp(-y)) * special.gammaincc(half, half * y) ** half
+
+
+def coop_rate_cdf(n: int, groups: int, power: float):
+    """CDF of the cooperative slot rate log1p(P Y), best of ``groups``
+    groups: (1 - sf((e^u - 1)/P))^G, sf the effective-gain survival function."""
+    return lambda u: (1.0 - _coop_gain_sf(n, np.expm1(u) / power)) ** groups
+
+
 def coop_throughput(n: int, groups: int, power: float) -> float:
     """Exact cooperative throughput (N/2) E[rate], best of ``groups`` groups:
-    (N/2) int P/(1+Py) sf(y) dy, where one group's effective gain exceeds y
-    when the (N/2)-th strongest base-station gain does, with probability
-    I_{e^-y}(N/2, N/2+1), and each of the N/2 weak users' Gamma(N/2, 1)
-    relay sums exceeds (N/2) y, with probability Q(N/2, N y/2)."""
-    half = n // 2
-
-    def sf(y):
-        one = special.betainc(half, half + 1, math.exp(-y)) * special.gammaincc(half, half * y) ** half
-        return _best_of_groups(one, groups)
-
+    (N/2) int P/(1+Py) sf(y) dy over the survival function of the best
+    group's effective gain."""
     val, _ = integrate.quad(
-        lambda y: power / (1.0 + power * y) * sf(y), 0, np.inf,
-        epsabs=1e-13, epsrel=1e-11, limit=300,
+        lambda y: power / (1.0 + power * y) * _best_of_groups(_coop_gain_sf(n, y), groups),
+        0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300,
     )
-    return half * val
+    return n // 2 * val

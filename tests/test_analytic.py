@@ -391,28 +391,28 @@ def test_predicted_scaling_pinned_values():
 def test_predicted_scaling_directions():
     law = analytic.throughput_growth_law
     assert law("static", 50, alpha=1) == 1.0
-    assert law("multigroup-static", 50, alpha=1, n_groups=4) == pytest.approx(25.0 / 12.0)
+    assert law("static", 50, alpha=1, n_groups=4) == pytest.approx(25.0 / 12.0)
     assert law("static", 100, alpha=100) == pytest.approx(math.log(math.log(100)))
     assert law("coop", 16) == 16.0
-    assert law("multigroup-coop", 16, n_groups=5) == 16.0
+    assert law("coop", 16, n_groups=5) == 16.0
     # multi-antenna worst user grows as N^((L-1)/L)
     v16 = law("static", 16, alpha=1, antennas=2)
     v64 = law("static", 64, alpha=1, antennas=2)
     assert v64 / v16 == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("scheme, n_users, alpha, n_groups, antennas", [
+@pytest.mark.parametrize("family, n_users, alpha, n_groups, antennas", [
     ("static", 2, 2, 1, 1),                 # best: N G <= e
-    ("multigroup-static", 1, 1, 2, 1),      # best: N G <= e
+    ("static", 1, 1, 2, 1),                 # best: N G <= e
     ("static", 2, 2, 1, 3),                 # best, L > 1: N <= e
-    ("multigroup-static", 8, 1, 3, 2),      # worst with L > 1 and G > 1
-    ("multigroup-static", 8, 8, 3, 2),      # best with L > 1 and G > 1
+    ("static", 8, 1, 3, 2),                 # worst with L > 1 and G > 1
+    ("static", 8, 8, 3, 2),                 # best with L > 1 and G > 1
     ("static", 8, 2, 1, 2),                 # median with L > 1
     ("static", 12, 3, 1, 1),                # alpha not in {1, 2, N}
-    ("multigroup-static", 12, 4, 5, 1),     # alpha not in {1, 2, N}
+    ("static", 12, 4, 5, 1),                # alpha not in {1, 2, N}
     ("ir", 2, None, 1, 1),                  # ir: N <= e
     ("ir", 1, None, 1, 1),
 ], ids=["best-n2", "best-n1g2", "best-l3-n2", "worst-l2-g3", "best-l2-g3", "median-l2",
         "alpha3", "alpha4-g5", "ir-n2", "ir-n1"])
-def test_predicted_scaling_none_without_a_law(scheme, n_users, alpha, n_groups, antennas):
-    assert analytic.throughput_growth_law(scheme, n_users, alpha, n_groups, antennas) is None
+def test_predicted_scaling_none_without_a_law(family, n_users, alpha, n_groups, antennas):
+    assert analytic.throughput_growth_law(family, n_users, alpha, n_groups, antennas) is None

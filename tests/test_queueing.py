@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mcastsim import analytic, queueing, schedulers
@@ -11,9 +12,12 @@ from mcastsim.simcore import SimConfig
 
 from oracles import (
     ServiceLaw,
+    coop_rate_cdf,
     coop_throughput,
+    coupon_reference,
     ir_expected_attempts,
     matrix_coop_rates,
+    renewal_expected_hits,
     same_law_p_value,
     service_time_pmf,
     slot_by_slot_delays,
@@ -97,7 +101,8 @@ def test_two_coupled_queues_collect_in_three_slots():
 def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
     q_total = groups * math.comb(n, n // alpha)
     expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
-    # 32000 runs put the 2 % bound at about 4.9 SE at [6-2-2]
+    # a vanishing packet needs one hit per queue, so every run reports the
+    # coupon mean itself; criterion 5 holds the pick simulation to it
     delays = _static_delays(
         32000, 113 + n + alpha + groups, n_users=n, n_groups=groups, alpha=alpha,
         power=1.0, packet_nats=1e-12, coherence_interval=1.0,
@@ -106,23 +111,46 @@ def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
 
 
 # ---------------------------------------------------------------------------
-# the geometric-gap shortcut against slot-by-slot simulation
+# the conditional mean given the hit needs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [1.0, 0.5, 1 / 3, 0.05, 1e-12])
-def test_gaps_equal_numpy_geometric_draws(p):
-    # equal in law: integers >= 1 with mean 1/p (variance (1 - p) / p^2)
-    rng = np.random.default_rng(160)
-    state = rng.bit_generator.state
-    gaps = queueing._gaps(p, 10000, rng)
-    assert gaps.shape == (10000,)
-    assert np.all(gaps >= 1) and np.array_equal(gaps, np.floor(gaps))
-    if p == 1.0:
-        # every slot hits: nothing is drawn
-        assert np.all(gaps == 1) and rng.bit_generator.state == state
-    else:
-        se = math.sqrt((1 - p) / p ** 2 / gaps.size)
-        assert abs(gaps.mean() - 1 / p) <= 4 * se
+@pytest.mark.parametrize("queues, needs", [
+    (2, (1, 2)), (3, (2, 1, 3)), (6, (1, 2, 4)), (10, (3, 1)), (4, (2, 2, 2, 1)),
+])
+def test_conditional_mean_matches_exact_chain(queues, needs):
+    # the absorbing chain over remaining-service vectors, with unequal needs
+    exact = coupon_reference(queues, len(needs), needs)
+    picks = analytic.coupon_collector_expected_picks(queues, [needs])
+    assert picks.shape == (1,) and picks[0] == pytest.approx(exact, rel=1e-10)
+
+
+def test_conditional_mean_is_taken_per_run_in_any_queue_order():
+    needs = np.array([[1, 2, 4], [4, 1, 2], [1, 1, 1], [2, 4, 1], [1, 1, 1]])
+    picks = analytic.coupon_collector_expected_picks(6, needs)
+    exact = [coupon_reference(6, 3, tuple(row)) for row in needs]
+    assert picks.shape == (5,) and picks == pytest.approx(exact, rel=1e-10)
+    assert picks[0] == picks[1] == picks[3] and picks[2] == picks[4]
+
+
+def test_engine_reports_conditional_mean_of_its_hit_needs():
+    # N = alpha = 3 at G = 2: three coupled queues of six; at Tc = 1 the
+    # rates 1, 1/2 and 1/4 drain a unit packet in exactly 1, 2 and 4 hits
+    config = _config("static", 3, 2, alpha=3, iterations=7)
+
+    def rates(count):
+        return np.tile([1.0, 0.5, 0.25], count // 3)
+
+    delays = queueing._coupled_queue_delay(config, rates, _NoDraws())
+    assert delays == pytest.approx(np.full(7, coupon_reference(6, 3, (1, 2, 4))), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the conditional mean against slot-by-slot simulation
+# ---------------------------------------------------------------------------
+
+def _assert_same_mean(reference, delays):
+    se = math.hypot(*(x.std(ddof=1) / math.sqrt(x.size) for x in (reference, delays)))
+    assert abs(delays.mean() - reference.mean()) <= 4 * se
 
 
 @pytest.mark.parametrize("n,alpha,groups,seed", [(4, 2, 1, 161), (4, 2, 2, 162)])
@@ -133,20 +161,21 @@ def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
         np.random.default_rng(seed), 20000,
     )
     delays = _exponential_server_delays(20000, seed + 100, n, groups, alpha, 1.0)
-    assert same_law_p_value(reference, delays) > 0.001
+    _assert_same_mean(reference, delays)
 
 
 def test_coop_gaps_match_slot_by_slot_reference():
+    # a hit on the tagged group draws the rate of the best of G = 2 groups
     n, power = 4, 1.0
 
     def coop_rates(rng, count):
-        return matrix_coop_rates(n, 1, power, count, rng)
+        return matrix_coop_rates(n, 2, power, count, rng)
 
     reference = slot_by_slot_delays(2, 1, 1.0, coop_rates, np.random.default_rng(163), 20000)
     delays = queueing.tagged_delay_coop(
         _config("coop", n, 2, power=power, iterations=20000), np.random.default_rng(263)
     )
-    assert same_law_p_value(reference, delays) > 0.001
+    _assert_same_mean(reference, delays)
 
 
 def test_engines_are_deterministic():
@@ -176,12 +205,12 @@ def test_static_delay_clears_coupon_floor_at_n72():
 
 
 def test_static_delay_rejects_unrepresentable_counts():
-    rng = np.random.default_rng(182)
-    with pytest.raises(ValueError, match="normal float"):
-        queueing.tagged_delay_static(_config("static", 2000, alpha=2), rng)
-    # the hit probability 1.1e-307 is a normal float, but the sum of some
-    # hundred gaps of about 1e307 slots each is not
-    with pytest.raises(ValueError, match="float range"):
+    # C(2000, 1000) queues are past the float range: rejected before any draw
+    with pytest.raises(ValueError, match="is not a finite float"):
+        queueing.tagged_delay_static(_config("static", 2000, alpha=2), _NoDraws())
+    # 1.8e307 queues are a float, but their product with the some hundred
+    # picks each run needs is not
+    with pytest.raises(ValueError, match="is not a finite float"):
         _exponential_server_delays(2, 182, n_users=1026, n_groups=1, alpha=2, packet_nats=50.0)
 
 
@@ -203,7 +232,6 @@ def test_single_queue_delay_tracks_service_rate():
 
 
 def test_delay_monotone_in_power_and_packet_size():
-    # alpha = 2 draws gaps; alpha = 1 and coop at G = 1 hit every slot
     engines = [
         (queueing.tagged_delay_static, _config("static", 4, alpha=alpha)) for alpha in (2, 1)
     ] + [(queueing.tagged_delay_coop, _config("coop", 4))]
@@ -214,6 +242,39 @@ def test_delay_monotone_in_power_and_packet_size():
             small = engine(replace(config, packet_nats=0.5), np.random.default_rng(seed))
             assert high <= low
             assert small <= low
+
+
+@st.composite
+def _coupled_pairs(draw):
+    """A small static or coop config at one iteration, a generator seed,
+    and a power raised and a packet shrunk from the config's."""
+    family = draw(st.sampled_from(["static", "coop"]))
+    groups = draw(st.integers(1, 3))
+    if family == "coop":
+        n, settings = 2 * draw(st.integers(1, 4)), {}
+    else:
+        n = draw(st.integers(1, 8))
+        settings = {"alpha": draw(st.sampled_from(sorted({1, n} | ({2} if n % 2 == 0 else set()))))}
+    config = _config(family, n, groups, coherence_interval=draw(st.floats(0.5, 2.0)),
+                     power=draw(st.floats(0.1, 10.0)), packet_nats=draw(st.floats(0.01, 4.0)),
+                     **settings)
+    return (config, draw(st.integers(0, 2 ** 32)), draw(st.floats(1.0, 4.0)),
+            draw(st.floats(0.25, 1.0)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_coupled_pairs())
+def test_paired_seeds_couple_monotonically(pair):
+    # at one iteration a round draws one rate per coupled queue whatever
+    # came before, so raising P or shrinking S only lowers each queue's
+    # hit need, and the conditional mean grows with every need
+    config, seed, power_factor, packet_factor = pair
+    engine = queueing.tagged_delay_static if config.family == "static" else queueing.tagged_delay_coop
+    low = engine(config, np.random.default_rng(seed))
+    high = engine(replace(config, power=config.power * power_factor), np.random.default_rng(seed))
+    small = engine(replace(config, packet_nats=config.packet_nats * packet_factor),
+                   np.random.default_rng(seed))
+    assert high <= low and small <= low
 
 
 @pytest.mark.parametrize("packet_nats, coherence_interval", [
@@ -342,14 +403,17 @@ def test_coop_delay_follows_service_formula():
 
 
 def test_coop_delay_scales_with_group_count():
+    # E[T] = G E[K_G]: the tagged group is served one slot in G, at the rate
+    # of the best of G groups, so it needs fewer hits than alone
     single = queueing.tagged_delay_coop(
         _config("coop", 4, 1, packet_nats=2.0, iterations=4000), np.random.default_rng(144)
     )
     multi = queueing.tagged_delay_coop(
         _config("coop", 4, 4, packet_nats=2.0, iterations=4000), np.random.default_rng(145)
     )
-    assert abs(multi.mean() / single.mean() - 4.0) <= 0.4
-
+    expected = 4 * renewal_expected_hits(2.0, coop_rate_cdf(4, 4, 1.0)) / renewal_expected_hits(
+        2.0, coop_rate_cdf(4, 1, 1.0))
+    assert abs(multi.mean() / single.mean() - expected) <= 0.1 * expected
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ def test_vectorized_static_rates_match_scalar_path():
 
 
 def test_sampler_reads_the_row_config(monkeypatch):
-    # throughput and static delay hand the sampler the row's own config;
-    # coop delay hands it the one-group copy (ROADMAP D3, which flips this)
+    # throughput and both delay engines hand the sampler the row's own
+    # config: a coop hit draws the rate of the group that is selected
     seen = []
     sampler = schedulers.slot_rates
 
@@ -155,8 +155,7 @@ def test_sampler_reads_the_row_config(monkeypatch):
         (lambda: simcore.estimate_throughput(static), static),
         (lambda: simcore.estimate_throughput(coop), coop),
         (lambda: queueing.tagged_delay_static(static, np.random.default_rng(48)), static),
-        (lambda: queueing.tagged_delay_coop(coop, np.random.default_rng(48)),
-         replace(coop, n_groups=1)),
+        (lambda: queueing.tagged_delay_coop(coop, np.random.default_rng(48)), coop),
     ]
     for call, expected in calls:
         seen.clear()
@@ -443,14 +442,17 @@ def test_run_config_attaches_references():
     assert record.predicted_scaling_value == 4.0           # median law: Theta(N)
     assert record.delay_mean is not None and record.delay_se >= 0
 
-    ir_record = simcore.run_config(
-        SimConfig(scheme="ir", n_users=4, rate_target=1.0, iterations=300, seed=14)
-    )
+    ir_config = SimConfig(scheme="ir", n_users=4, rate_target=1.0, iterations=300, seed=14)
+    ir_record = simcore.run_config(ir_config)
     assert ir_record.analytic_throughput is None
     assert ir_record.predicted_scaling_value == pytest.approx(
-        analytic.throughput_growth_law("ir", 4)
+        analytic.throughput_growth_law(ir_config.family, ir_config.n_users)
     )
 
     coop_record = simcore.run_config(SimConfig(scheme="coop", n_users=4, iterations=300, seed=15))
     assert coop_record.predicted_scaling_value == 4.0
     assert coop_record.analytic_throughput is None
+    # the growth law reads the scheme family: multigroup-coop grows as coop
+    multi_record = simcore.run_config(
+        SimConfig(scheme="multigroup-coop", n_users=4, n_groups=2, iterations=30, seed=16))
+    assert multi_record.predicted_scaling_value == 4.0
