@@ -6,18 +6,19 @@ waiting time of coupled queues with equal or unequal needs, and each
 scheme's throughput growth law, which run rows carry as their
 ``predicted_scaling`` reference.
 
-The evaluators rest on scipy.special: Ei is ``expi``, the order-statistic
-survival function is a binomial tail, i.e. a regularized incomplete beta
+The evaluators rest on scipy.special: the order-statistic survival
+function is a binomial tail, i.e. a regularized incomplete beta
 function, and the Chi-square and Gamma laws are regularized incomplete
 gamma functions.  Integrals over [0, inf) use one double-exponential
 (exp-sinh) rule whose integrands take the whole node array, so each
-refinement is one ufunc call, for one integrand or a row per integrand.  The static-throughput closed form is one
-alternating binomial sum, which cancels catastrophically in double
-precision once systems get moderately large; it is taken over exact
-integer coefficients in mpmath, at a precision read from the largest of
-them, and serves as the oracle for the quadrature evaluator.  Everything
-returned is an ordinary float, except the per-run coupon-collector
-means, a float array.
+refinement is one ufunc call, for one integrand or a row per integrand.
+The static-throughput closed form is one alternating binomial sum,
+which cancels catastrophically in double precision once systems get
+moderately large; it is taken over exact integer coefficients in
+mpmath, at a precision read from the largest of them, and serves as the
+oracle for the quadrature evaluator.  Everything returned is an
+ordinary float, except the per-run coupon-collector means, a float
+array.
 """
 from __future__ import annotations
 
@@ -31,9 +32,7 @@ from scipy import special
 __all__ = [
     "UnsupportedSizeError",
     "coupon_collector_expected_picks",
-    "coupon_collector_expected_trials",
     "coupon_collector_markov",
-    "expint_ei",
     "static_throughput_closed_form",
     "throughput_growth_law",
     "throughput_quadrature",
@@ -55,17 +54,6 @@ _ALTERNATING_SUM_CAP = 256
 
 class UnsupportedSizeError(ValueError):
     """The requested size exceeds the range a closed form is evaluated over."""
-
-
-# ---------------------------------------------------------------------------
-# special functions
-# ---------------------------------------------------------------------------
-
-def expint_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative arguments."""
-    if not x < 0:
-        raise ValueError(f"expint_ei requires x < 0, got {x}")
-    return float(special.expi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +234,13 @@ def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     return (float(total_queues) * scale * _integrate_0_inf(integrand))[pattern_of]
 
 
-def coupon_collector_expected_trials(total_queues: int, coupled: int, services_needed: int) -> float:
-    """Expected uniform server picks over ``total_queues`` queues until each
-    of ``coupled`` designated queues has been picked ``services_needed``
-    times: the equal-needs case of ``coupon_collector_expected_picks``."""
-    return float(coupon_collector_expected_picks(total_queues, [[services_needed] * coupled])[0])
-
-
-def coupon_collector_markov(total_queues: int, coupled: int, services_needed: int) -> float:
-    """Exact expected trials from the absorbing chain over per-queue
-    remaining-service vectors.  State count is (m+1)^alpha, so this is a
-    cross-check for small instances, not a production path."""
-    if coupled < 1 or total_queues < coupled or services_needed < 1:
+def coupon_collector_markov(total_queues: int, needs) -> float:
+    """Exact expected picks over ``total_queues`` queues until coupled queue
+    j has been picked needs[j] times, from the absorbing chain over
+    remaining-service vectors.  State count is prod_j (needs[j] + 1), so
+    this is a cross-check for small instances, not a production path."""
+    needs = tuple(sorted(needs))
+    if not needs or total_queues < len(needs) or needs[0] < 1:
         raise ValueError("invalid coupon-collector instance")
 
     @lru_cache(maxsize=None)
@@ -272,7 +255,7 @@ def coupon_collector_markov(total_queues: int, coupled: int, services_needed: in
         return (1.0 + hit_sum / total_queues) / (len(active) / total_queues)
 
     try:
-        return expected(tuple(sorted((services_needed,) * coupled)))
+        return expected(needs)
     finally:
         expected.cache_clear()
 

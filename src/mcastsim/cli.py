@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-
-import mpmath
 
 from mcastsim import analytic, simcore
 from mcastsim.channel import CoherencePolicy
@@ -306,27 +305,15 @@ class CheckResult:
     seconds: float
 
 
-def _check_ei() -> tuple[bool, str]:
-    worst = 0.0
-    for x in (0.1, 1.0, 5.0, 20.0, 50.0):
-        # Ei(-x) = -int_x^inf e^-u / u du = -e^-x int_0^inf e^-s / (x + s) ds
-        reference = -math.exp(-x) * float(
-            mpmath.quad(lambda s: mpmath.exp(-s) / (x + s), [0, mpmath.inf])
-        )
-        worst = max(worst, abs(analytic.expint_ei(-x) / reference - 1.0))
-    # relative: Ei(-50) = -3.8e-24, so any absolute bound passes a zero there
-    return worst <= 1e-12, f"max rel deviation {worst:.3e} (tol 1e-12)"
-
-
 def _check_coupon() -> tuple[bool, str]:
     worst = 0.0
     for q in (2, 3, 4, 6, 10):
-        for coupled in (1, 2, 3):
-            if coupled > q:
-                continue
-            for m in (1, 2, 3):
-                exact = analytic.coupon_collector_markov(q, coupled, m)
-                integral = analytic.coupon_collector_expected_trials(q, coupled, m)
+        for coupled in range(1, min(q, 3) + 1):
+            # every sorted need vector over {1, 2, 3}, in one evaluator call
+            needs = list(itertools.combinations_with_replacement((1, 2, 3), coupled))
+            integrals = analytic.coupon_collector_expected_picks(q, needs).tolist()
+            for row, integral in zip(needs, integrals):
+                exact = analytic.coupon_collector_markov(q, row)
                 worst = max(worst, abs(integral - exact) / exact)
     return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
 
@@ -360,7 +347,6 @@ def _check_renewal() -> tuple[bool, str]:
 
 
 _CHECKS = {
-    "ei-quadrature": _check_ei,
     "coupon-markov-oracle": _check_coupon,
     "closedform-vs-quadrature": _check_closedform,
     "renewal-reward": _check_renewal,

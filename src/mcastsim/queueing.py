@@ -23,16 +23,17 @@ A queue count or a mean slot count that is not a finite float, or a
 packet whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
 raises ValueError.
 
-Each entry, and the engine, takes a ``simcore.SimConfig``, whose
-construction has already checked every setting, and a generator; an
-entry rejects a config of another scheme family (``SimConfig.family``)
-before any draw.  The engine runs ``config.iterations`` independent runs
-in lockstep: each round draws, in one sampler call, a rate for every
-coupled queue of every unfinished run, drained or not.  A row costs
-O(its largest need) numpy calls, and a round holds O(runs alpha) values.
-At one iteration a round draws the same values whatever came before,
-which keeps paired-seed runs coupled: raising P or shrinking S can only
-lower each need, and E[T | K] grows with every need.
+Each entry takes a ``simcore.SimConfig``, whose construction has
+already checked every setting, and a generator, which the engine reads
+only through the rate sampler it is handed; an entry rejects a config
+of another scheme family (``SimConfig.family``) before any draw.  The
+engine runs ``config.iterations`` independent runs in lockstep: each
+round draws, in one sampler call, a rate for every coupled queue of
+every unfinished run, drained or not.  A row costs O(its largest need)
+numpy calls, and a round holds O(runs alpha) values.  At one iteration
+a round draws the same values whatever came before, which keeps
+paired-seed runs coupled: raising P or shrinking S can only lower each
+need, and E[T | K] grows with every need.
 """
 from __future__ import annotations
 
@@ -77,13 +78,12 @@ def _check_slots(slots) -> None:
         raise ValueError("queue count G C(N, N/alpha), or a mean slot count, is not a finite float")
 
 
-def _coupled_queue_delay(config: "SimConfig", rates, rng: np.random.Generator) -> np.ndarray:
+def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
     """Mean slots, per run, until each of the tagged packet's coupled
     queues (cooperation is the alpha = 1 layout) has drained
     ``config.packet_nats``, given the hits each queue needs;
     ``rates(count)`` returns the service rates of ``count`` hits.  A float
-    array of shape (config.iterations,).  Nothing but the rates is drawn,
-    so ``rng`` is not read."""
+    array of shape (config.iterations,)."""
     _check_hit_budget(config)
     n, coupled, runs = config.n_users, config.alpha or 1, config.iterations
     queues = config.n_groups * math.comb(n, n // coupled)
@@ -112,7 +112,7 @@ def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.nda
     behind every rate.  Returns a float array of shape (config.iterations,)."""
     _check_family(config, "static")
     return _coupled_queue_delay(
-        config, lambda count: schedulers.slot_rates(config, count, rng), rng)
+        config, lambda count: schedulers.slot_rates(config, count, rng))
 
 
 def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -161,4 +161,4 @@ def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarr
     """
     _check_family(config, "coop")
     return _coupled_queue_delay(
-        config, lambda count: schedulers.slot_rates(config, count, rng), rng)
+        config, lambda count: schedulers.slot_rates(config, count, rng))

@@ -125,11 +125,18 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 def _mean_se(values) -> tuple[float, float]:
+    # reduced as deviations from the first value in units of the largest
+    # deviation, which cannot overflow where the values themselves are
+    # finite; identical values give exactly (value, 0)
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1)) / math.sqrt(values.size)
+    first = float(values[0])
+    deviations = values - first
+    scale = float(np.abs(deviations).max())
+    if scale == 0.0:
+        return first, 0.0
+    deviations /= scale
+    se = scale * float(deviations.std(ddof=1)) / math.sqrt(values.size)
+    return first + scale * float(deviations.mean()), se
 
 
 # ---------------------------------------------------------------------------

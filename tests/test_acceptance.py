@@ -30,7 +30,7 @@ def _exponential_server_delays(n_users, n_groups, alpha, packet_nats, rng, runs)
         scheme="static" if n_groups == 1 else "multigroup-static", n_users=n_users,
         alpha=alpha, n_groups=n_groups, packet_nats=packet_nats, iterations=runs,
     )
-    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count), rng)
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))
 
 
 def _simulated_picks(queues, coupled, rng, runs):
@@ -52,9 +52,12 @@ def _report(criterion: str, passed: bool, detail: str):
 
 def test_criterion_1_exponential_integral():
     start = time.perf_counter()
-    # relative: Ei(-50) = -3.8e-24, so any absolute bound passes a zero there
+    # the closed form's Ei: at N = alpha = 1 it is -e^x Ei(-x) with x = 1/P;
+    # relative, since Ei(-50) = -3.8e-24 and any absolute bound passes a zero there
     worst = max(
-        abs(analytic.expint_ei(-x) / ei_reference(-x) - 1.0) for x in (0.1, 1.0, 5.0, 20.0, 50.0)
+        abs(analytic.static_throughput_closed_form(1, 1, 1 / x)
+            / (-math.exp(x) * ei_reference(-x)) - 1.0)
+        for x in (0.1, 1.0, 5.0, 20.0, 50.0)
     )
     elapsed = time.perf_counter() - start
     _report(
@@ -144,8 +147,8 @@ def test_criterion_5_coupon_collector():
             if coupled > q:
                 continue
             for m in (1, 2, 3):
-                integral = analytic.coupon_collector_expected_trials(q, coupled, m)
-                exact = analytic.coupon_collector_markov(q, coupled, m)
+                integral = analytic.coupon_collector_expected_picks(q, [[m] * coupled])[0]
+                exact = analytic.coupon_collector_markov(q, (m,) * coupled)
                 worst_oracle = max(worst_oracle, abs(integral - exact) / exact)
 
     worst_sim, worst_case = 0.0, ""
@@ -153,7 +156,7 @@ def test_criterion_5_coupon_collector():
         for alpha in sorted({1, 2, n}):
             for groups in (1, 2):
                 q_total = groups * math.comb(n, n // alpha)
-                expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
+                expected = analytic.coupon_collector_expected_picks(q_total, [[1] * alpha])[0]
                 rng = np.random.default_rng(5000 + 100 * n + 10 * alpha + groups)
                 mean = _simulated_picks(q_total, alpha, rng, 20000).mean()
                 rel = abs(mean - expected) / expected

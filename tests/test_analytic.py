@@ -28,39 +28,6 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# exponential integral
-# ---------------------------------------------------------------------------
-
-def test_ei_against_quadrature():
-    for x in (0.1, 1.0, 2.5, 5.0, 5.9, 6.0, 6.1, 20.0, 50.0):
-        assert analytic.expint_ei(-x) == pytest.approx(ei_reference(-x), rel=1e-12, abs=0)
-
-
-def test_ei_minus_one_value():
-    # frozen from the quadrature reference
-    assert analytic.expint_ei(-1.0) == pytest.approx(-0.21938393439552026, abs=1e-10)
-
-
-def test_ei_large_argument_asymptote():
-    # Ei(-x) ~ -e^{-x}/x (1 + eps) with eps vanishing
-    ratio = analytic.expint_ei(-50.0) / (-math.exp(-50.0) / 50.0)
-    assert abs(ratio - 1.0) < 0.03
-
-
-def test_ei_monotone_toward_zero():
-    xs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
-    values = [analytic.expint_ei(-x) for x in xs]
-    assert all(v < 0 for v in values)
-    assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_ei_rejects_nonnegative():
-    for x in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            analytic.expint_ei(x)
-
-
-# ---------------------------------------------------------------------------
 # order statistics and chi-square CDFs
 # ---------------------------------------------------------------------------
 
@@ -168,7 +135,7 @@ def test_single_user_throughput():
 
 def test_worst_user_two_users_matches_scaled_ei():
     # N=2, alpha=1 collapses to -2 e^2 Ei(-2)
-    expected = -2 * math.exp(2) * analytic.expint_ei(-2.0)
+    expected = -2 * math.exp(2) * ei_reference(-2.0)
     assert analytic.static_throughput_closed_form(2, 1, 1.0) == pytest.approx(expected, rel=1e-10)
 
 
@@ -350,9 +317,10 @@ def test_service_pmf_mean_identity():
 # ---------------------------------------------------------------------------
 
 def test_coupon_degenerate_and_classic_cases():
-    assert analytic.coupon_collector_expected_trials(5, 1, 3) == 15.0
-    assert analytic.coupon_collector_expected_trials(2, 2, 1) == pytest.approx(3.0, abs=1e-9)
-    assert analytic.coupon_collector_expected_trials(3, 3, 1) == pytest.approx(5.5, abs=1e-9)
+    picks = analytic.coupon_collector_expected_picks
+    assert picks(5, [[3]])[0] == 15.0
+    assert picks(2, [[1, 1]])[0] == pytest.approx(3.0, abs=1e-9)
+    assert picks(3, [[1, 1, 1]])[0] == pytest.approx(5.5, abs=1e-9)
 
 
 def test_coupon_matches_markov_oracle():
@@ -361,8 +329,8 @@ def test_coupon_matches_markov_oracle():
             if coupled > q:
                 continue
             for m in (1, 2, 3, 4):
-                integral = analytic.coupon_collector_expected_trials(q, coupled, m)
-                markov = analytic.coupon_collector_markov(q, coupled, m)
+                integral = analytic.coupon_collector_expected_picks(q, [[m] * coupled])[0]
+                markov = analytic.coupon_collector_markov(q, (m,) * coupled)
                 linear = coupon_reference(q, coupled, m)
                 assert integral == pytest.approx(markov, rel=1e-10)
                 assert markov == pytest.approx(linear, rel=1e-10)
@@ -370,11 +338,12 @@ def test_coupon_matches_markov_oracle():
 
 def test_coupon_rejects_bad_instances():
     with pytest.raises(ValueError):
-        analytic.coupon_collector_expected_trials(2, 3, 1)
+        analytic.coupon_collector_expected_picks(2, [[1, 1, 1]])
     with pytest.raises(ValueError):
-        analytic.coupon_collector_expected_trials(2, 2, 0)
-    with pytest.raises(ValueError):
-        analytic.coupon_collector_markov(2, 3, 1)
+        analytic.coupon_collector_expected_picks(2, [[0, 0]])
+    for needs in ((1, 1, 1), (), (2, 0)):
+        with pytest.raises(ValueError):
+            analytic.coupon_collector_markov(2, needs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pathlib
 import re
 import time
 
+import mpmath
+import numpy as np
 import pytest
 
 from mcastsim import analytic, cli
@@ -35,6 +37,19 @@ def test_run_single_config_writes_csv(tmp_path, capsys):
     assert float(row["delay_slots"]) >= 1
     assert float(row["analytic_throughput"]) > 0
     assert "wrote 1 row" in capsys.readouterr().out
+
+
+def test_run_reports_finite_delay_at_n1024(tmp_path):
+    # each run's mean is of order C(1024, 512) = 4.5e306, so the sum of 200
+    # of them, or of their squared deviations, overflows
+    out = tmp_path / "big.csv"
+    code = cli.main([
+        "run", "--scheme", "static", "--n-users", "1024", "--alpha", "2",
+        "--iterations", "200", "--out", str(out),
+    ])
+    assert code == 0
+    row = _read_csv(out)[1][0]
+    assert math.isfinite(float(row["delay_slots"])) and math.isfinite(float(row["delay_se"]))
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -316,50 +331,52 @@ def test_readme_lists_every_csv_column():
 def test_verification_passes_on_fresh_tree(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    for name in ("ei-quadrature", "coupon-markov-oracle", "closedform-vs-quadrature",
-                 "renewal-reward"):
+    for name in ("coupon-markov-oracle", "closedform-vs-quadrature", "renewal-reward"):
         assert f"[PASS] {name}" in out
+    assert "all 3 check(s) passed" in out
 
 
 def test_verification_filter_runs_subset(capsys):
     assert cli.main(["verify", "--filter", "coupon"]) == 0
     out = capsys.readouterr().out
     assert "coupon-markov-oracle" in out
-    assert "ei-quadrature" not in out
+    assert "closedform-vs-quadrature" not in out
 
 
 def test_verification_times_each_check(capsys):
     results = cli.run_verification("coupon")
     assert [r.name for r in results] == ["coupon-markov-oracle"]
-    assert results[0].passed and results[0].seconds > 0
+    # a plain bool, as a JSON report of the checks needs
+    assert results[0].passed is True and results[0].seconds > 0
     assert results[0].detail.endswith("(tol 1e-10)")
     assert cli.main(["verify", "--filter", "coupon"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert re.fullmatch(r"\[PASS\] coupon-markov-oracle: .* \(tol 1e-10\), \d+\.\d{3} s", line)
 
 
-def test_verification_flags_corrupted_ei(monkeypatch, capsys):
-    monkeypatch.setattr(analytic, "expint_ei", lambda x: -0.5)
-    assert cli.main(["verify", "--filter", "ei"]) == 1
+def test_verification_flags_corrupted_quadrature(monkeypatch, capsys):
+    monkeypatch.setattr(analytic, "throughput_quadrature", lambda *args: 0.5)
+    assert cli.main(["verify", "--filter", "closedform"]) == 1
     captured = capsys.readouterr()
-    assert "[FAIL] ei-quadrature" in captured.out
-    assert "ei-quadrature" in captured.err
+    assert "[FAIL] closedform-vs-quadrature" in captured.out
+    assert "closedform-vs-quadrature" in captured.err
 
 
 def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
-    # Ei(-20) = -9.8e-11 and Ei(-50) = -3.8e-24: only a relative bound sees a zero there
-    real = analytic.expint_ei
-    monkeypatch.setattr(analytic, "expint_ei", lambda x: 0.0 if x < -15 else real(x))
-    passed, detail = cli._check_ei()
+    # Ei(-a/P) is under 2e-8 in magnitude from a/P = 15 on; the closed form
+    # scales it by e^(a/P) and is held to the quadrature at a/P up to 320
+    real = mpmath.ei
+    monkeypatch.setattr(mpmath, "ei", lambda x: mpmath.mpf(0) if x < -15 else real(x))
+    passed, detail = cli._check_closedform()
     assert not passed
-    assert detail == "max rel deviation 1.000e+00 (tol 1e-12)"
+    assert detail.endswith("(tol 1e-10)")
 
 
 @pytest.mark.parametrize(
     "name, check",
     [
         ("throughput_quadrature", cli._check_closedform),
-        ("coupon_collector_expected_trials", cli._check_coupon),
+        ("coupon_collector_expected_picks", cli._check_coupon),
     ],
 )
 def test_verification_flags_a_1e_8_relative_error(monkeypatch, name, check):
@@ -367,6 +384,22 @@ def test_verification_flags_a_1e_8_relative_error(monkeypatch, name, check):
     real = getattr(analytic, name)
     monkeypatch.setattr(analytic, name, lambda *args: real(*args) * (1 + 1e-8))
     passed, detail = check()
+    assert not passed
+    assert detail.endswith("(tol 1e-10)")
+
+
+def test_coupon_check_covers_unequal_needs(monkeypatch):
+    # wrong by 1e-8 only where a row's needs differ, which a check of
+    # equal needs alone would pass
+    real = analytic.coupon_collector_expected_picks
+
+    def corrupted(total_queues, needs):
+        needs = np.asarray(needs)
+        unequal = (needs != needs[:, :1]).any(axis=1)
+        return real(total_queues, needs) * np.where(unequal, 1 + 1e-8, 1.0)
+
+    monkeypatch.setattr(analytic, "coupon_collector_expected_picks", corrupted)
+    passed, detail = cli._check_coupon()
     assert not passed
     assert detail.endswith("(tol 1e-10)")
 

@@ -47,7 +47,7 @@ def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats
     rng = np.random.default_rng(seed)
     config = _config("static", n_users, n_groups, alpha=alpha, packet_nats=packet_nats,
                      iterations=runs)
-    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count), rng)
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_two_coupled_queues_collect_in_three_slots():
 ])
 def test_vanishing_packet_matches_coupon_formula(n, alpha, groups):
     q_total = groups * math.comb(n, n // alpha)
-    expected = analytic.coupon_collector_expected_trials(q_total, alpha, 1)
+    expected = analytic.coupon_collector_expected_picks(q_total, [[1] * alpha])[0]
     # a vanishing packet needs one hit per queue, so every run reports the
     # coupon mean itself; criterion 5 holds the pick simulation to it
     delays = _static_delays(
@@ -140,7 +140,7 @@ def test_engine_reports_conditional_mean_of_its_hit_needs():
     def rates(count):
         return np.tile([1.0, 0.5, 0.25], count // 3)
 
-    delays = queueing._coupled_queue_delay(config, rates, _NoDraws())
+    delays = queueing._coupled_queue_delay(config, rates)
     assert delays == pytest.approx(np.full(7, coupon_reference(6, 3, (1, 2, 4))), rel=1e-10)
 
 

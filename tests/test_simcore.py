@@ -362,6 +362,38 @@ def test_mean_se_equals_loop_formula():
         assert simcore._mean_se(values) == pytest.approx(_loop_mean_se(values), rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [146.4484126984127, 108.71428571428572, 0.1, 1e300])
+@pytest.mark.parametrize("n", [2, 300, 5000])
+def test_mean_se_of_identical_values_is_exact(value, n):
+    # numpy's mean of n copies of a value can round off it, and a nonzero
+    # SE would then come from that rounding alone
+    assert simcore._mean_se(np.full(n, value)) == (value, 0.0)
+
+
+def test_all_one_hit_row_reports_exact_coupon_mean():
+    # a vanishing packet needs one hit per coupled queue in every run, so the
+    # row's delay is the coupon mean G C(N, 1) H_N itself, with SE exactly 0
+    n, groups = 10, 5
+    config = SimConfig(scheme="multigroup-static", n_users=n, alpha=n, n_groups=groups,
+                       packet_nats=1e-9, iterations=300)
+    record = simcore.estimate_delay(config)
+    assert record.delay_se == 0.0
+    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
+    assert record.delay_mean == pytest.approx(groups * n * harmonic, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_users, runs", [(530, 500), (1024, 200)])
+def test_delay_mean_and_se_stay_finite_at_large_queue_counts(n_users, runs):
+    # static alpha = 2 runs report means of order C(N, N/2), 1.2e158 at
+    # N = 530 and 4.5e306 at N = 1024: their sum or squared deviations overflow
+    config = SimConfig(scheme="static", n_users=n_users, alpha=2, iterations=runs, seed=1)
+    record = simcore.estimate_delay(config)
+    assert math.isfinite(record.delay_mean) and math.isfinite(record.delay_se)
+    # no run's mean lies below the coupon floor C(N, N/2) H_2
+    assert record.delay_mean >= 1.5 * math.comb(n_users, n_users // 2)
+    assert 0 < record.delay_se < record.delay_mean
+
+
 def test_capped_ir_throughput_se_equals_loop_formula():
     cfg = SimConfig(
         scheme="ir", n_users=3, rate_target=1.0, attempt_cap=2, iterations=3000, seed=2030
