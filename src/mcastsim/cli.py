@@ -79,7 +79,7 @@ _SETTINGS = {
     "n_users": (int, "users per group N (required)"),
     "alpha": (int, "fixed-fraction divisor: N/alpha users decode (static schemes)"),
     "groups": (int, "group count G (multigroup schemes)"),
-    "antennas": (int, "base-station antennas L (static)"),
+    "antennas": (int, "base-station antennas L (static schemes)"),
     "power": (float, "transmit SNR P"),
     "packet_nats": (float, "packet size S in nats"),
     "coherence": (_parse_coherence, "fixed:TC or scaled:C"),

@@ -34,21 +34,17 @@ __all__ = [
 ]
 
 
-def _as_gains(gains, name: str = "gains") -> np.ndarray:
-    g = np.asarray(gains, dtype=float)
-    if g.ndim < 1 or g.shape[-1] < 1:
-        raise ValueError(f"{name} need a nonempty last axis")
-    # min >= 0 is false for NaN, max < inf for +inf and NaN
-    if g.size and not (g.min() >= 0 and g.max() < np.inf):
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return g
-
-
 def static_schedule(gains, power: float) -> np.ndarray:
     """Rates log(1 + P g) of slots whose scheduled gains are ``gains``:
     the gain at ascending position N - N/alpha + 1, so everyone at or
-    above it decodes."""
-    g = _as_gains(gains)
+    above it decodes.  Every scheme's rates come from this one law, the
+    one place gains and power are checked."""
+    g = np.asarray(gains, dtype=float)
+    if g.ndim < 1 or g.shape[-1] < 1:
+        raise ValueError("gains need a nonempty last axis")
+    # min >= 0 is false for NaN, max < inf for +inf and NaN
+    if g.size and not (g.min() >= 0 and g.max() < np.inf):
+        raise ValueError("gains must be finite and nonnegative")
     analytic._check_power(power)
     return np.log1p(power * g)
 
@@ -63,12 +59,10 @@ def ir_advance(accumulated, gains, power: float) -> np.ndarray:
     """One more transmission attempt: every user's accumulated mutual
     information grows by log(1 + gain * P).  Returns the new accumulation,
     of the shape of ``accumulated`` and ``gains``."""
-    g = _as_gains(gains)
     acc = np.asarray(accumulated, dtype=float)
-    if acc.shape != g.shape:
+    if acc.shape != np.shape(gains):
         raise ValueError("gain shape does not match the accumulation shape")
-    analytic._check_power(power)
-    return acc + np.log1p(power * g)
+    return acc + static_schedule(gains, power)
 
 
 def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
@@ -83,11 +77,11 @@ def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) 
     """
     if n_users < 2 or n_users % 2 != 0:
         raise ValueError("cooperation needs an even number of users, at least 2")
-    rs1 = static_schedule(median_gains, power)
-    relay = _as_gains(relay_gains, "relay gains")
-    if relay.shape != rs1.shape:
+    stage1 = static_schedule(median_gains, power)
+    stage2 = static_schedule(relay_gains, power / (n_users // 2))
+    if stage2.shape != stage1.shape:
         raise ValueError("relay gains must have the shape of the median gains")
-    return np.minimum(rs1, np.log1p(power / (n_users // 2) * relay))
+    return np.minimum(stage1, stage2)
 
 
 def multigroup_cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
@@ -111,14 +105,12 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
         raise ValueError(f"scheme {config.scheme!r} has no per-slot rate law")
     if count < 1:
         raise ValueError("need at least one slot")
-    n, groups, power = config.n_users, config.n_groups, config.power
-    shape = (count,) if groups == 1 else (count, groups)
+    n, power = config.n_users, config.power
+    shape = (count, config.n_groups)
     if config.family == "coop":
         median = channel.draw_scheduled_gains(n, n // 2 + 1, shape, 1, rng)
         relay = channel.draw_interuser_gains(n, rng, shape)
-        kernel = cooperative_schedule if groups == 1 else multigroup_cooperative_schedule
-        return kernel(median, relay, n, power)
+        return multigroup_cooperative_schedule(median, relay, n, power)
     position = n - n // config.alpha + 1
     gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
-    kernel = static_schedule if groups == 1 else multigroup_static_schedule
-    return kernel(gains, power)
+    return multigroup_static_schedule(gains, power)

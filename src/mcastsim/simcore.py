@@ -90,8 +90,8 @@ class SimConfig:
                 raise ValueError("rate_target/attempt_cap apply only to ir")
         if self.scheme in ("static", "ir", "coop") and self.n_groups != 1:
             raise ValueError(f"{self.scheme} is single-group; use the multigroup variant")
-        if self.antennas > 1 and self.scheme != "static":
-            raise ValueError("multiple antennas are modeled for the static scheme only")
+        if self.antennas > 1 and self.family != "static":
+            raise ValueError("multiple antennas are modeled for the static schemes only")
 
     @property
     def family(self) -> str:

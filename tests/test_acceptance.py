@@ -16,6 +16,7 @@ from mcastsim.simcore import SimConfig
 from oracles import (
     ServiceLaw,
     ei_reference,
+    ir_expected_attempts,
     ols_slope,
     pick_simulation_delays,
     service_time_pmf,
@@ -291,7 +292,11 @@ def test_criterion_7_figure_orderings():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_renewal_reward():
+    # the MC identity throughput x delay = N Rbar, and each metric against
+    # the exact mean attempts E[tau] of an uncapped cycle: delay E[tau],
+    # throughput N Rbar / E[tau]
     worst_dev, worst_case, ok = 0.0, "", True
+    worst_z, worst_z_case, exact_ok = 0.0, "", True
     for n in (4, 16):
         for target in (0.5, 2.0):
             cfg = SimConfig(
@@ -309,10 +314,19 @@ def test_criterion_8_renewal_reward():
             ok &= deviation <= 3 * rel_se
             if deviation / (3 * rel_se) > worst_dev:
                 worst_dev, worst_case = deviation / (3 * rel_se), f"N={n},Rbar={target}"
+
+            attempts = ir_expected_attempts(n, target, cfg.power)
+            z_delay = (delay.delay_mean - attempts) / delay.delay_se
+            z_throughput = (throughput.throughput_mean - n * target / attempts) / throughput.throughput_se
+            exact_ok &= max(abs(z_delay), abs(z_throughput)) <= 4.5
+            for name, z in (("delay", z_delay), ("throughput", z_throughput)):
+                if abs(z) > abs(worst_z):
+                    worst_z, worst_z_case = z, f"{name} at N={n},Rbar={target}"
     _report(
         "criterion 8 (renewal-reward identity)",
-        ok,
-        f"worst deviation {worst_dev:.2f}x the 3-se tolerance at {worst_case}",
+        ok and exact_ok,
+        f"worst deviation {worst_dev:.2f}x the 3-se tolerance at {worst_case}; "
+        f"worst z against the exact E[tau] {worst_z:+.2f} (limit 4.5) at {worst_z_case}",
     )
 
 

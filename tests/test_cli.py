@@ -2,11 +2,13 @@ import csv
 import math
 import pathlib
 import re
+import tempfile
 import time
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcastsim import analytic, cli
 
@@ -426,6 +428,31 @@ def test_plotdata_round_trip(tmp_path):
     assert len(data_lines) == 3
     xs = [line.split()[0] for line in data_lines]
     assert xs == ["2", "4", "6"]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(scheme=st.sampled_from(["static", "coop", "ir"]),
+       multiples=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2 ** 32))
+def test_plotdata_round_trips_any_n_sweep(scheme, multiples, seed):
+    # each metric's series file lists the CSV rows sorted by N, with the
+    # value and SE text of the CSV
+    step, extra = {"static": (2, ["--alpha", "2"]), "coop": (2, []),
+                   "ir": (1, ["--rate-target", "0.5"])}[scheme]
+    ns = ",".join(str(step * m) for m in multiples)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "sweep.csv"
+        assert cli.main([
+            "run", "--scheme", scheme, "--n-users", str(step), *extra, "--sweep", f"N={ns}",
+            "--iterations", "20", "--seed", str(seed), "--out", str(out),
+        ]) == 0
+        assert cli.main(["plotdata", str(out), "--out-dir", tmp]) == 0
+        rows = sorted(_read_csv(out)[1], key=lambda r: int(r["N"]))
+        for metric, value_col, se_col in (("throughput", "throughput_nats", "throughput_se"),
+                                          ("delay", "delay_slots", "delay_se")):
+            (dat,) = pathlib.Path(tmp).glob(f"sweep__*__{metric}.dat")
+            lines = [l for l in dat.read_text().splitlines() if not l.startswith("#")]
+            assert lines == [f"{r['N']} {r[value_col]} {r[se_col]}" for r in rows]
 
 
 def test_plotdata_splits_mixed_groups(tmp_path):

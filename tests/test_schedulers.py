@@ -98,6 +98,29 @@ def test_static_schedule_validates_input():
         channel.draw_scheduled_gains(6, 3, 10, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (5, 3), (2, 3, 4)])
+@pytest.mark.parametrize("n", [2, 6, 64])
+def test_every_rate_is_static_schedule_of_a_gain(shape, n):
+    # one rate law: the retransmission step and both cooperative stages are
+    # static_schedule of a gain, bit for bit
+    rng = np.random.default_rng(40 + n + len(shape))
+    gains, relay, acc = (rng.exponential(1.0, shape) for _ in range(3))
+    power = 1.7
+    assert np.array_equal(schedulers.ir_advance(acc, gains, power),
+                          acc + schedulers.static_schedule(gains, power))
+    assert np.array_equal(
+        schedulers.cooperative_schedule(gains, relay, n, power),
+        np.minimum(schedulers.static_schedule(gains, power),
+                   schedulers.static_schedule(relay, power / (n // 2))),
+    )
+
+
+@pytest.mark.parametrize("scheme, settings", [("static", {"alpha": 2}), ("coop", {})])
+def test_single_group_slot_rates_are_one_per_slot(scheme, settings):
+    rates = schedulers.slot_rates(_config(scheme, 4, **settings), 9, np.random.default_rng(41))
+    assert rates.shape == (9,)
+
+
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
 def test_rate_kernels_reject_power_outside_0_inf(power):
     # an infinite power rates every slot inf; the rule is SimConfig's, so

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from mcastsim import analytic, channel, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import MetricsRecord, SimConfig
 
-from oracles import expected_log1p_reference, throughput_reference
+from oracles import antenna_order_stat_sf_sum, expected_log1p_reference, throughput_reference
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +431,23 @@ def test_sweep_reproducible_and_append_stable():
     assert len(set(seeds)) == 3
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(base=_small_configs(), axis=st.sampled_from(["N", "P", "S"]), data=st.data())
+def test_sweep_reproducible_and_append_stable_property(base, axis, data):
+    # N is swept over multiples of the base N, which keep alpha a divisor
+    # and cooperation's N even
+    if axis == "N":
+        value = st.integers(1, 3).map(lambda k: k * base.n_users)
+    else:
+        value = st.floats(0.1, 10.0) if axis == "P" else st.floats(0.01, 4.0)
+    values = data.draw(st.lists(value, min_size=1, max_size=4))
+    kept = data.draw(st.integers(0, len(values)))
+    full = simcore.run_sweep(base, axis, values)
+    assert simcore.run_sweep(base, axis, values) == full
+    assert simcore.run_sweep(base, axis, values[:kept]) == full[:kept]
+    assert len({cfg.seed for cfg, _ in full}) == len(values)
+
+
 def test_sweep_alpha_over_divisors():
     base = SimConfig(scheme="static", n_users=12, alpha=1, iterations=200, seed=10)
     results = simcore.run_sweep(base, "alpha", [1, 2, 3, 4, 6, 12])
@@ -452,6 +470,26 @@ def test_antennas_shorten_static_delay():
     one = simcore.estimate_delay(SimConfig(antennas=1, **base))
     four = simcore.estimate_delay(SimConfig(antennas=4, **base))
     assert one.delay_mean - four.delay_mean > 5 * math.hypot(one.delay_se, four.delay_se)
+
+
+@pytest.mark.parametrize("n, alpha, groups, antennas", [(8, 2, 3, 2), (6, 1, 5, 3), (10, 10, 5, 2)])
+def test_multigroup_static_takes_antennas(n, alpha, groups, antennas):
+    # antennas mean the same for both fixed-fraction schemes: the sampler,
+    # the quadrature and the hit budget take G and L together
+    pos = n - n // alpha + 1
+    integral, _ = integrate.quad(
+        lambda x: antenna_order_stat_sf_sum(n, pos, groups, antennas, x) / (1.0 + x),
+        0, np.inf, epsabs=1e-15, epsrel=1e-12, limit=300,
+    )
+    exact = n / alpha * integral
+    record = simcore.run_config(SimConfig(
+        scheme="multigroup-static", n_users=n, alpha=alpha, n_groups=groups,
+        antennas=antennas, iterations=20000, seed=460 + n + groups + antennas,
+    ))
+    assert record.analytic_throughput == pytest.approx(exact, rel=1e-9)
+    assert abs(record.throughput_mean - exact) <= 4.5 * record.throughput_se
+    assert math.isfinite(record.delay_mean) and record.delay_mean >= 1
+    assert record.predicted_scaling_value is None
 
 
 def test_sweep_rejects_bad_axis_and_value():
