@@ -115,12 +115,6 @@ def test_every_rate_is_static_schedule_of_a_gain(shape, n):
     )
 
 
-@pytest.mark.parametrize("scheme, settings", [("static", {"alpha": 2}), ("coop", {})])
-def test_single_group_slot_rates_are_one_per_slot(scheme, settings):
-    rates = schedulers.slot_rates(_config(scheme, 4, **settings), 9, np.random.default_rng(41))
-    assert rates.shape == (9,)
-
-
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
 def test_rate_kernels_reject_power_outside_0_inf(power):
     # an infinite power rates every slot inf; the rule is SimConfig's, so

@@ -225,8 +225,8 @@ def test_vectorized_chisquare_rates_match_scalar_path():
 
 
 def test_single_group_rates_equal_one_group_multigroup_kernels():
-    # one group goes straight to the single-group kernels; drawing (c,)
-    # consumes the generator like (c, 1), so the rates are unchanged
+    # a single-group config draws a (c, 1) batch and reduces it best-of-1,
+    # one rate per slot
     static_config = SimConfig(scheme="static", n_users=6, alpha=3)
     static = schedulers.slot_rates(static_config, 100, np.random.default_rng(45))
     gains = channel.draw_scheduled_gains(6, 5, (100, 1), 1, np.random.default_rng(45))
@@ -237,6 +237,7 @@ def test_single_group_rates_equal_one_group_multigroup_kernels():
     median = channel.draw_scheduled_gains(4, 3, (100, 1), 1, rng)
     relay = channel.draw_interuser_gains(4, rng, (100, 1))
     assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0))
+    assert static.shape == coop.shape == (100,)
 
     with pytest.raises(ValueError):
         schedulers.slot_rates(static_config, 0, rng)
