@@ -40,9 +40,9 @@ __all__ = [
 
 # The exp-sinh rule of _integrate_0_inf: x = exp(pi/2 sinh t) on this t-window,
 # the trapezoid step halved from the first step until the estimate moves by at
-# most the relative tolerance.  Twelve halvings reach 2^18 + 1 nodes; the
-# median of N = 10^6 gains needs ten.
-_DE_WINDOW = (-4.5, 3.5)
+# most the relative tolerance.  Level 0 has 73 nodes, twelve halvings 9 * 2^15 + 1;
+# the lower end, x = 3.5e-84, keeps static rows settled up to P of about 1e72.
+_DE_WINDOW = (-5.5, 3.5)
 _DE_FIRST_STEP = 1 / 8
 _DE_MAX_HALVINGS = 12
 _DE_RTOL = 1e-12
@@ -66,13 +66,11 @@ def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf):
 
     The pos-th smallest of n gains exceeds x iff fewer than pos gains lie
     below x, a binomial tail: I_{user_sf}(n - pos + 1, pos).  The best of
-    n_groups groups exceeds x unless every group's statistic lies below.
+    n_groups groups exceeds x unless all lie below: 1 - (1 - sf)^G, sf at G = 1.
     ``channel.draw_scheduled_gains`` samples by the same identity.
     """
     # float parameters spare the ufunc a mixed-type dispatch on every call
     sf = special.betainc(float(n - pos + 1), float(pos), user_sf)
-    if n_groups == 1:
-        return sf
     # sf = 1 gives log1p(-1) = -inf and so exactly 1 again
     with np.errstate(divide="ignore"):
         return -np.expm1(n_groups * np.log1p(-sf))

@@ -1,4 +1,4 @@
-"""Fading-gain generation and coherence-interval policies.
+"""Fading-gain generation and the coherence policy, which sets the slot length.
 
 All gains are dimensionless channel power gains; each user's gain has unit
 mean.  A scheduler that rates a slot for one user draws only that user's
@@ -17,7 +17,6 @@ from scipy import special
 
 __all__ = [
     "CoherencePolicy",
-    "coherence_interval",
     "draw_gains",
     "draw_interuser_gains",
     "draw_scheduled_gains",
@@ -42,23 +41,13 @@ class CoherencePolicy:
         if not 0 < self.value < math.inf:
             raise ValueError("coherence parameter must be positive and finite")
 
-    @classmethod
-    def fixed(cls, tc: float) -> "CoherencePolicy":
-        return cls("fixed", float(tc))
-
-    @classmethod
-    def scaled(cls, c: float) -> "CoherencePolicy":
-        return cls("scaled", float(c))
-
-
-def coherence_interval(policy: CoherencePolicy, n_users: int, n_groups: int = 1) -> float:
-    """Slot duration for ``n_groups`` groups of ``n_users`` each."""
-    if n_users < 1 or n_groups < 1:
-        raise ValueError("n_users and n_groups must be at least 1")
-    if policy.mode == "fixed":
-        return policy.value
-    population = max(n_users * n_groups, _LOGLOG_FLOOR)
-    return policy.value / math.log(math.log(population))
+    def interval(self, population: int) -> float:
+        """Slot duration Tc for ``population`` = N * G users in all."""
+        if population < 1:
+            raise ValueError("population must be at least 1")
+        if self.mode == "fixed":
+            return self.value
+        return self.value / math.log(math.log(max(population, _LOGLOG_FLOOR)))
 
 
 def draw_gains(shape, rng: np.random.Generator) -> np.ndarray:

@@ -27,13 +27,13 @@ Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which the engine reads
 only through the rate sampler it is handed; an entry rejects a config
 of another scheme family (``SimConfig.family``) before any draw.  The
-engine runs ``config.iterations`` independent runs in lockstep: each
-round draws, in one sampler call, a rate for every coupled queue of
-every unfinished run, drained or not.  A row costs O(its largest need)
-numpy calls, and a round holds O(runs alpha) values.  At one iteration
-a round draws the same values whatever came before, which keeps
-paired-seed runs coupled: raising P or shrinking S can only lower each
-need, and E[T | K] grows with every need.
+engine runs ``config.iterations`` independent runs in lockstep and keeps
+the residuals of the unfinished runs only: each round draws, in one
+sampler call, a rate for every coupled queue of each, drained or not.  A
+row costs O(its largest need) numpy calls and O(runs alpha) values.  At
+one iteration a round draws the same values whatever came before, which
+keeps paired-seed runs coupled: raising P or shrinking S can only lower
+each need, and E[T | K] grows with every need.
 """
 from __future__ import annotations
 
@@ -89,16 +89,15 @@ def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
     coherence_interval = config.coherence_value
-    residual = np.full((runs, coupled), float(config.packet_nats))
     needs = np.zeros((runs, coupled), dtype=np.int64)
     active = np.arange(runs)
+    left = np.full((runs, coupled), float(config.packet_nats))
     while active.size:
-        left = residual[active]
         needs[active] += left > 0.0
         # a drained queue's rate only pushes it further below zero
         left -= coherence_interval * rates(active.size * coupled).reshape(active.size, coupled)
-        residual[active] = left
-        active = active[(left > 0.0).any(axis=1)]
+        keep = (left > 0.0).any(axis=1)
+        active, left = active[keep], left[keep]
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
@@ -135,16 +134,15 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     decoded = np.zeros(runs, dtype=bool)
     active = np.arange(runs)
     while active.size:
-        grown = schedulers.ir_advance(
-            accumulated[active], channel.draw_gains((active.size, n_users), rng), power
+        accumulated = schedulers.ir_advance(
+            accumulated, channel.draw_gains((active.size, n_users), rng), power
         )
-        accumulated[active] = grown
         attempts[active] += 1
-        done = grown.min(axis=1) > rate_target
+        done = accumulated.min(axis=1) > rate_target
         decoded[active[done]] = True
         if attempt_cap is not None:
             done |= attempts[active] >= attempt_cap
-        active = active[~done]
+        active, accumulated = active[~done], accumulated[~done]
     return attempts, decoded
 
 

@@ -107,10 +107,11 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
         raise ValueError("need at least one slot")
     n, power = config.n_users, config.power
     shape = (count, config.n_groups)
+    # cooperation rates stage 1 at the median, the alpha = 2 position, and
+    # its config holds one antenna
+    gains = channel.draw_scheduled_gains(
+        n, n - n // (config.alpha or 2) + 1, shape, config.antennas, rng)
     if config.family == "coop":
-        median = channel.draw_scheduled_gains(n, n // 2 + 1, shape, 1, rng)
         relay = channel.draw_interuser_gains(n, rng, shape)
-        return multigroup_cooperative_schedule(median, relay, n, power)
-    position = n - n // config.alpha + 1
-    gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
+        return multigroup_cooperative_schedule(gains, relay, n, power)
     return multigroup_static_schedule(gains, power)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mcastsim import analytic, channel, queueing, schedulers
+from mcastsim import analytic, queueing, schedulers
 from mcastsim.channel import CoherencePolicy
 
 __all__ = [
@@ -50,7 +50,7 @@ class SimConfig:
     antennas: int = 1
     power: float = 1.0
     packet_nats: float = 1.0
-    coherence: CoherencePolicy = CoherencePolicy.fixed(1.0)
+    coherence: CoherencePolicy = CoherencePolicy("fixed", 1.0)
     rate_target: float | None = None
     attempt_cap: int | None = None
     iterations: int = 5000
@@ -101,7 +101,7 @@ class SimConfig:
 
     @property
     def coherence_value(self) -> float:
-        return channel.coherence_interval(self.coherence, self.n_users, self.n_groups)
+        return self.coherence.interval(self.n_users * self.n_groups)
 
 
 @dataclass
@@ -185,9 +185,8 @@ def estimate_delay(config: SimConfig) -> MetricsRecord:
         delays = queueing.tagged_delay_coop(config, rng)
     else:
         delays, _ = queueing.ir_renewal_cycle(config, rng)
-    record = MetricsRecord()
-    record.delay_mean, record.delay_se = _mean_se(delays)
-    return record
+    delay_mean, delay_se = _mean_se(delays)
+    return MetricsRecord(delay_mean=delay_mean, delay_se=delay_se)
 
 
 def run_config(config: SimConfig) -> MetricsRecord:
@@ -195,8 +194,7 @@ def run_config(config: SimConfig) -> MetricsRecord:
     analytic and growth-law references attached."""
     record = estimate_throughput(config)
     delay = estimate_delay(config)
-    record.delay_mean = delay.delay_mean
-    record.delay_se = delay.delay_se
+    record.delay_mean, record.delay_se = delay.delay_mean, delay.delay_se
     record.predicted_scaling_value = analytic.throughput_growth_law(
         config.family, config.n_users, config.alpha, config.n_groups, config.antennas
     )

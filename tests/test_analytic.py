@@ -162,6 +162,16 @@ def test_quadrature_matches_closed_form_at_large_n(n):
         )
 
 
+@pytest.mark.parametrize("power", [1e20, 1e40, 1e60])
+@pytest.mark.parametrize("n, alpha", [(2, 1), (10, 2), (10, 10), (32, 2)])
+def test_quadrature_settles_at_high_power(n, alpha, power):
+    # the lower end of the window must sit below where P/(1 + P x) sf(x)
+    # still carries weight, about x = 1/P
+    assert analytic.throughput_quadrature(n, alpha, power) == pytest.approx(
+        analytic.static_throughput_closed_form(n, alpha, power), rel=1e-10
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])
 def test_quadrature_matches_adaptive_quadrature(n):
     # the double-exponential rule against scipy's adaptive quadrature

@@ -4,8 +4,9 @@ A name listed in a module's ``__all__``, and every other module-level
 def, class or assignment in ``src/`` except dunders, must be read
 somewhere in ``src/``: as a name, an attribute or an import.  Its own
 definition (a def, a class or an assignment) and its ``__all__`` entry
-(a string) do not count.  Functions that only the tests call belong in
-``tests/oracles.py`` instead.
+(a string) do not count.  The same holds for every public method or
+property of a class defined in ``src/``.  Functions that only the tests
+call belong in ``tests/oracles.py`` instead.
 """
 import ast
 import importlib
@@ -41,6 +42,17 @@ def _defined_names(path: pathlib.Path) -> list:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
+def _public_members(path: pathlib.Path) -> list:
+    """``Class.member`` for every public def in a module-level class body:
+    methods, class methods and properties."""
+    return [
+        f"{node.name}.{member.name}"
+        for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    ]
+
+
 _READ = _read_names()
 
 
@@ -59,3 +71,13 @@ _PUBLIC = [
 @pytest.mark.parametrize("module, name", _PUBLIC, ids=[f"{m}.{n}" for m, n in _PUBLIC])
 def test_public_name_is_used_in_src(module, name):
     assert name in _READ, f"{module}.{name} is defined but unused in src/"
+
+
+_MEMBERS = [
+    (path.stem, member) for path in sorted(SRC.glob("*.py")) for member in _public_members(path)
+]
+
+
+@pytest.mark.parametrize("module, member", _MEMBERS, ids=[f"{m}.{c}" for m, c in _MEMBERS])
+def test_public_member_is_used_in_src(module, member):
+    assert member.split(".")[1] in _READ, f"{module}.{member} is defined but unused in src/"

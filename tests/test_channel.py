@@ -112,43 +112,48 @@ def test_interuser_rejects_single_user():
 
 
 def test_coherence_fixed_is_verbatim():
-    policy = CoherencePolicy.fixed(1.0)
-    for n, g in ((1, 1), (10, 1), (1000, 50)):
-        assert channel.coherence_interval(policy, n, g) == 1.0
+    policy = CoherencePolicy("fixed", 1.0)
+    for population in (1, 10, 1000 * 50):
+        assert policy.interval(population) == 1.0
 
 
 def test_coherence_scaled_values():
-    policy = CoherencePolicy.scaled(1.0)
-    assert channel.coherence_interval(policy, 16, 1) == pytest.approx(
-        1.0 / math.log(math.log(16)), abs=1e-15
-    )
-    assert channel.coherence_interval(policy, 10 ** 6, 1) == pytest.approx(
+    policy = CoherencePolicy("scaled", 1.0)
+    assert policy.interval(16) == pytest.approx(1.0 / math.log(math.log(16)), abs=1e-15)
+    assert policy.interval(10 ** 6) == pytest.approx(
         1.0 / math.log(math.log(10 ** 6)), abs=1e-15
     )
-    # small populations are floored rather than blowing up
-    assert channel.coherence_interval(policy, 2, 1) == channel.coherence_interval(policy, 16, 1)
+    # populations below N * G = 16 are floored rather than blowing up
+    for population in (1, 2, 15):
+        assert policy.interval(population) == policy.interval(16)
 
 
 def test_coherence_scaled_nonincreasing():
-    policy = CoherencePolicy.scaled(2.0)
-    values = [channel.coherence_interval(policy, n, 1) for n in (16, 32, 128, 4096, 10 ** 6)]
+    policy = CoherencePolicy("scaled", 2.0)
+    values = [policy.interval(n) for n in (16, 32, 128, 4096, 10 ** 6)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
 
 
+@pytest.mark.parametrize("mode", ["fixed", "scaled"])
+def test_coherence_interval_rejects_empty_population(mode):
+    with pytest.raises(ValueError, match="population must be at least 1"):
+        CoherencePolicy(mode, 1.0).interval(0)
+
+
 def test_coherence_rejects_nonpositive():
     with pytest.raises(ValueError):
-        CoherencePolicy.fixed(0.0)
+        CoherencePolicy("fixed", 0.0)
     with pytest.raises(ValueError):
-        CoherencePolicy.scaled(-1.0)
+        CoherencePolicy("scaled", -1.0)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_coherence_rejects_non_finite(value):
     with pytest.raises(ValueError, match="finite"):
-        CoherencePolicy.fixed(value)
+        CoherencePolicy("fixed", value)
     with pytest.raises(ValueError, match="finite"):
-        CoherencePolicy.scaled(value)
+        CoherencePolicy("scaled", value)
 
 
 def test_draw_gains_batch_shapes():

@@ -187,15 +187,34 @@ def test_run_rejects_malformed_coherence(tmp_path, capsys, value, message):
 @pytest.mark.parametrize("settings", [
     ["--power", "1e20"], ["--sweep", "P=1,1e20"],
 ], ids=["single", "sweep"])
-def test_run_reports_a_quadrature_failure(tmp_path, capsys, settings):
-    # the static throughput quadrature cannot settle at P = 1e20: an
-    # ArithmeticError is a runtime failure, reported without a traceback
+def test_run_reports_a_quadrature_failure(tmp_path, capsys, monkeypatch, settings):
+    # a throughput quadrature that cannot settle, here at P = 1e20, raises
+    # ArithmeticError: a runtime failure, reported without a traceback
+    quadrature = analytic.throughput_quadrature
+
+    def fail_at_high_power(n_users, alpha, power, *rest):
+        if power >= 1e20:
+            raise ArithmeticError("integrand is not negligible at the ends of the window")
+        return quadrature(n_users, alpha, power, *rest)
+
+    monkeypatch.setattr(analytic, "throughput_quadrature", fail_at_high_power)
     out = tmp_path / "x.csv"
     code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
                      "--iterations", "10", *settings, "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_run_at_high_power_reports_the_quadrature(tmp_path):
+    # the quadrature window reaches far enough below the scheduled gain's
+    # mass that static rows settle at P = 1e20
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
+                     "--iterations", "10", "--power", "1e20", "--out", str(out)])
+    assert code == 0
+    _, rows = _read_csv(out)
+    assert math.isfinite(float(rows[0]["analytic_throughput"]))
 
 
 def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):

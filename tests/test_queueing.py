@@ -30,7 +30,7 @@ def _config(scheme, n_users, n_groups=1, coherence_interval=1.0, iterations=1, *
     coherence interval."""
     return SimConfig(
         scheme=scheme if n_groups == 1 else f"multigroup-{scheme}", n_users=n_users,
-        n_groups=n_groups, coherence=CoherencePolicy.fixed(coherence_interval),
+        n_groups=n_groups, coherence=CoherencePolicy("fixed", coherence_interval),
         iterations=iterations, **settings,
     )
 

@@ -64,7 +64,7 @@ def test_config_rejects_non_finite_settings(settings, value):
 def test_scaled_coherence_reaches_delay_accounting():
     cfg = SimConfig(
         scheme="static", n_users=16, alpha=1, iterations=200, seed=4,
-        coherence=CoherencePolicy.scaled(1.0),
+        coherence=CoherencePolicy("scaled", 1.0),
     )
     assert cfg.coherence_value == pytest.approx(1 / math.log(math.log(16)))
     record = simcore.estimate_delay(cfg)
