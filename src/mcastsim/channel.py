@@ -52,9 +52,9 @@ class CoherencePolicy:
 
 def draw_gains(shape, rng: np.random.Generator) -> np.ndarray:
     """Rayleigh base-station power gains of the given shape: i.i.d. unit
-    exponentials.  The retransmission cycle reads every user's gain, so it
-    draws them all here; the other schedulers draw only the gain they
-    rate (``draw_scheduled_gains``)."""
+    exponentials.  A retransmission attempt reads every user's gain, so
+    ``schedulers.slot_rates`` draws them all here; the other schedulers
+    draw only the gain they rate (``draw_scheduled_gains``)."""
     gains = rng.exponential(1.0, shape)
     if gains.size < 1:
         raise ValueError("need at least one gain")
@@ -73,9 +73,9 @@ def draw_scheduled_gains(
     S(X) ~ Beta(N - pos + 1, pos), the order statistics of uniforms
     (David & Nagaraja, *Order Statistics*, 2003).  So X = S^-1(V) for one
     Beta variate V: -log V at one antenna, Q^-1(L, V) / L for L antennas,
-    with Q the regularized upper incomplete gamma function.  This is the
-    only place the schedulers draw base-station fading, so throughput and
-    delay see the same antenna law.
+    with Q the regularized upper incomplete gamma function.  Both the
+    fixed-fraction and the cooperative scheduler draw their base-station
+    fading here, so throughput and delay see the same antenna law.
     """
     if not 1 <= position <= n_users:
         raise ValueError(f"position {position} is not among the {n_users} users")

@@ -24,9 +24,9 @@ packet whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
 raises ValueError.
 
 Each entry takes a ``simcore.SimConfig``, whose construction has
-already checked every setting, and a generator, which the engine reads
-only through the rate sampler it is handed; an entry rejects a config
-of another scheme family (``SimConfig.family``) before any draw.  The
+already checked every setting, and a generator, which it reads only
+through ``schedulers.slot_rates``, the one place fading is drawn; an
+entry rejects a config of another scheme family before any draw.  The
 engine runs ``config.iterations`` independent runs in lockstep and keeps
 the residuals of the unfinished runs only: each round draws, in one
 sampler call, a rate for every coupled queue of each, drained or not.  A
@@ -42,9 +42,9 @@ import sys
 
 import numpy as np
 
-from mcastsim import analytic, channel, schedulers
+from mcastsim import analytic, schedulers
 
-# Mean hits (attempts, for an uncapped retransmission cycle) a run may need
+# Mean hits (attempts, for a retransmission cycle) a run may need
 # by a lower bound: about a minute per row at tens of microseconds a round.
 _HIT_BUDGET = 2 ** 20
 
@@ -119,24 +119,25 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     integer and boolean arrays of shape (config.iterations,).
 
     A cycle decodes once every user's accumulated information exceeds
-    the rate target, and fails when the attempt cap comes first."""
+    the rate target, and fails when the attempt cap comes first.  Each
+    attempt is one ``schedulers.ir_advance`` call on the unfinished cycles."""
     _check_family(config, "ir")
-    n_users, power = config.n_users, config.power
     rate_target, attempt_cap = config.rate_target, config.attempt_cap
-    # Jensen: an attempt adds E[log1p(P g)] <= log1p(P) nats to each user
-    attempts_bound = rate_target / math.log1p(power)
-    if attempt_cap is None and attempts_bound > _HIT_BUDGET:
-        raise ValueError(f"uncapped rate target needs at least {attempts_bound:.3g} attempts "
-                         "on average, R / log1p(P), over the budget of 2**20")
+    # an attempt adds E[log1p(P g)] <= log1p(P) nats to each user (Jensen);
+    # a cap C below R / log1p(P) still leaves at least C / 2 on average (Markov)
+    bound, name = rate_target / math.log1p(config.power), "R / log1p(P)"
+    if attempt_cap is not None:
+        bound, name = min(attempt_cap, bound), "min(cap, R / log1p(P))"
+    if bound > _HIT_BUDGET:
+        raise ValueError(f"rate target needs about {bound:.3g} attempts on average, {name}, "
+                         "over the budget of 2**20")
     runs = config.iterations
-    accumulated = np.zeros((runs, n_users))
+    accumulated = np.zeros((runs, config.n_users))
     attempts = np.zeros(runs, dtype=np.int64)
     decoded = np.zeros(runs, dtype=bool)
     active = np.arange(runs)
     while active.size:
-        accumulated = schedulers.ir_advance(
-            accumulated, channel.draw_gains((active.size, n_users), rng), power
-        )
+        accumulated = schedulers.ir_advance(accumulated, config, rng)
         attempts[active] += 1
         done = accumulated.min(axis=1) > rate_target
         decoded[active[done]] = True

@@ -2,8 +2,9 @@
 
 Every kernel takes gains with arbitrary leading batch dimensions.
 ``slot_rates`` draws the gains a batch of slots is rated on and schedules
-them, and is the one sampler behind both the throughput estimates and
-the delay engine's per-hit rates.  It takes a validated
+them.  It is the only place fading is drawn, and the one sampler behind
+the throughput estimates, the delay engine's per-hit rates and the
+retransmission cycle's attempts (``ir_advance``).  It takes a validated
 ``simcore.SimConfig``, whose scheme family (``SimConfig.family``) picks
 the rate law.
 
@@ -27,7 +28,6 @@ from mcastsim import analytic, channel
 __all__ = [
     "cooperative_schedule",
     "ir_advance",
-    "multigroup_cooperative_schedule",
     "multigroup_static_schedule",
     "slot_rates",
     "static_schedule",
@@ -55,14 +55,11 @@ def multigroup_static_schedule(gains, power: float) -> np.ndarray:
     return static_schedule(gains, power).max(axis=-1)
 
 
-def ir_advance(accumulated, gains, power: float) -> np.ndarray:
-    """One more transmission attempt: every user's accumulated mutual
-    information grows by log(1 + gain * P).  Returns the new accumulation,
-    of the shape of ``accumulated`` and ``gains``."""
-    acc = np.asarray(accumulated, dtype=float)
-    if acc.shape != np.shape(gains):
-        raise ValueError("gain shape does not match the accumulation shape")
-    return acc + static_schedule(gains, power)
+def ir_advance(accumulated, config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
+    """One more attempt of the retransmission ``config`` for each of the
+    len(accumulated) unfinished cycles: every user's accumulated mutual
+    information grows by log(1 + P g) on a fresh gain from ``slot_rates``."""
+    return accumulated + slot_rates(config, len(accumulated), rng)
 
 
 def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
@@ -84,28 +81,19 @@ def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) 
     return np.minimum(stage1, stage2)
 
 
-def multigroup_cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) -> np.ndarray:
-    """Cooperative rates over gains of shape ``[..., G]``: each slot serves
-    the group offering the largest effective rate, hence the largest
-    (N/2) * rate."""
-    return cooperative_schedule(median_gains, relay_gains, n_users, power).max(axis=-1)
-
-
 def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.ndarray:
-    """Scheduled rates of ``count`` independent slots on fresh fading under
-    the validated ``config``: its scheme family picks the fixed-fraction or
-    the cooperative scheduler, served over the best of its G groups.
-
-    This is the only place fading is drawn for these two schedulers; the
-    retransmission scheme draws its own in ``queueing.ir_renewal_cycle``,
-    and a config of its family is rejected before any draw.  A slot draws
-    one scheduled gain per group, plus one relay gain per group under
-    cooperation, so memory is O(count * G) at every N."""
-    if config.family == "ir":
-        raise ValueError(f"scheme {config.scheme!r} has no per-slot rate law")
+    """Rates of ``count`` independent slots on fresh fading under the
+    validated ``config``, whose scheme family picks the rate law: the only
+    place fading is drawn.  A retransmission config draws every user's
+    gain and returns the N users' rates of ``count`` attempts, shape
+    (count, N).  The other two draw one scheduled gain per group, plus one
+    relay gain per group under cooperation, and serve the best of the G
+    groups: shape (count,), and memory O(count * G) at every N."""
     if count < 1:
         raise ValueError("need at least one slot")
     n, power = config.n_users, config.power
+    if config.family == "ir":
+        return static_schedule(channel.draw_gains((count, n), rng), power)
     shape = (count, config.n_groups)
     # cooperation rates stage 1 at the median, the alpha = 2 position, and
     # its config holds one antenna
@@ -113,5 +101,5 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
         n, n - n // (config.alpha or 2) + 1, shape, config.antennas, rng)
     if config.family == "coop":
         relay = channel.draw_interuser_gains(n, rng, shape)
-        return multigroup_cooperative_schedule(gains, relay, n, power)
+        return cooperative_schedule(gains, relay, n, power).max(axis=-1)
     return multigroup_static_schedule(gains, power)

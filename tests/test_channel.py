@@ -74,7 +74,7 @@ def test_chisquare_rejects_zero_antennas():
         channel.draw_scheduled_gains(4, 2, 10, 0, np.random.default_rng(0))
 
 
-def test_interuser_shape_and_diagonal():
+def test_interuser_shape_and_reproducibility():
     # one weakest relay gain per batch entry, reproducible from the seed
     gains = channel.draw_interuser_gains(2, np.random.default_rng(31), (1,))
     assert gains.shape == (1,)
@@ -84,7 +84,7 @@ def test_interuser_shape_and_diagonal():
     assert channel.draw_interuser_gains(6, np.random.default_rng(31), (4, 3)).shape == (4, 3)
 
 
-def test_interuser_offdiagonal_unit_mean():
+def test_interuser_weakest_relay_law():
     # the least of 16 relay sums of 16 unit-mean pair gains: the minimum of
     # 16 Gamma(16, 1) variates, P(Y > y) = Q(16, y)^16
     relay = channel.draw_interuser_gains(32, np.random.default_rng(32), (16000,))
@@ -96,7 +96,7 @@ def test_interuser_offdiagonal_unit_mean():
     assert stats.kstest(single, stats.expon.cdf).pvalue > 0.001
 
 
-def test_interuser_directions_independent():
+def test_interuser_groups_independent():
     # groups draw disjoint pair gains, so their relay gains are independent
     pairs = channel.draw_interuser_gains(4, np.random.default_rng(33), (4000, 2))
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]

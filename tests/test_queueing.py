@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mcastsim import analytic, queueing, schedulers
+from mcastsim import analytic, queueing
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import SimConfig
 
@@ -154,7 +154,7 @@ def _assert_same_mean(reference, delays):
 
 
 @pytest.mark.parametrize("n,alpha,groups,seed", [(4, 2, 1, 161), (4, 2, 2, 162)])
-def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
+def test_static_delay_matches_slot_by_slot_reference(n, alpha, groups, seed):
     queues = groups * math.comb(n, n // alpha)
     reference = slot_by_slot_delays(
         queues, alpha, 1.0, lambda rng, count: rng.exponential(1.0, count),
@@ -164,7 +164,7 @@ def test_static_gaps_match_slot_by_slot_reference(n, alpha, groups, seed):
     _assert_same_mean(reference, delays)
 
 
-def test_coop_gaps_match_slot_by_slot_reference():
+def test_coop_delay_matches_slot_by_slot_reference():
     # a hit on the tagged group draws the rate of the best of G = 2 groups
     n, power = 4, 1.0
 
@@ -340,6 +340,10 @@ def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
     budget = 2 ** 20 * math.log(2.0)
     with pytest.raises(ValueError, match=r"1.06e\+06 attempts"):
         queueing.ir_renewal_cycle(_config("ir", 2, rate_target=1.01 * budget), None)
+    # a cap past the budget does not waive it
+    capped = _config("ir", 2, rate_target=1e12, attempt_cap=2 ** 21)
+    with pytest.raises(ValueError, match=r"2.1e\+06 attempts on average, min\(cap, R / log1p\(P\)\)"):
+        queueing.ir_renewal_cycle(capped, None)
     # at P = 0 the bound would divide by zero: no config carries it
     with pytest.raises(ValueError, match="power"):
         _config("ir", 2, power=0.0, rate_target=1.0)
@@ -436,16 +440,13 @@ _ENTRIES = {
     "static": (queueing.tagged_delay_static, "is not of the static delay"),
     "coop": (queueing.tagged_delay_coop, "is not of the coop delay"),
     "ir": (queueing.ir_renewal_cycle, "is not of the ir delay"),
-    # the rate sampler serves the static and coop families only
-    "rates": (lambda config, rng: schedulers.slot_rates(config, 1, rng), "has no per-slot rate law"),
 }
 
 
 @pytest.mark.parametrize("family, config", [
     (family, config) for family in ("static", "coop", "ir")
     for other, configs in _FAMILY_CONFIGS.items() if other != family for config in configs
-] + [("rates", config) for config in _FAMILY_CONFIGS["ir"]],
-    ids=lambda value: getattr(value, "scheme", value))
+], ids=lambda value: getattr(value, "scheme", value))
 def test_entries_reject_other_families_before_any_draw(family, config):
     entry, message = _ENTRIES[family]
     with pytest.raises(ValueError, match=f"scheme '{config.scheme}' {message}"):

@@ -24,9 +24,9 @@ def _config(scheme, n_users, n_groups=1, **settings):
                      n_users=n_users, n_groups=n_groups, **settings)
 
 
-def _ir_config(n_users, rate_target, attempt_cap=None):
+def _ir_config(n_users, rate_target, attempt_cap=None, power=1.0):
     return SimConfig(scheme="ir", n_users=n_users, rate_target=rate_target,
-                     attempt_cap=attempt_cap, iterations=1)
+                     attempt_cap=attempt_cap, iterations=1, power=power)
 
 
 class FixedGains:
@@ -106,8 +106,11 @@ def test_every_rate_is_static_schedule_of_a_gain(shape, n):
     rng = np.random.default_rng(40 + n + len(shape))
     gains, relay, acc = (rng.exponential(1.0, shape) for _ in range(3))
     power = 1.7
-    assert np.array_equal(schedulers.ir_advance(acc, gains, power),
-                          acc + schedulers.static_schedule(gains, power))
+    # an attempt's gains are (cycles, N): one row per unfinished cycle
+    cycles, cycle_acc = gains.reshape(-1, shape[-1]), acc.reshape(-1, shape[-1])
+    config = _ir_config(shape[-1], 1.0, power=power)
+    assert np.array_equal(schedulers.ir_advance(cycle_acc, config, FixedGains([cycles])),
+                          cycle_acc + schedulers.static_schedule(cycles, power))
     assert np.array_equal(
         schedulers.cooperative_schedule(gains, relay, n, power),
         np.minimum(schedulers.static_schedule(gains, power),
@@ -124,9 +127,7 @@ def test_rate_kernels_reject_power_outside_0_inf(power):
         schedulers.static_schedule([1.0], power)
     with pytest.raises(ValueError, match=match):
         schedulers.cooperative_schedule([1.0], [1.0], 2, power)
-    with pytest.raises(ValueError, match=match):
-        schedulers.ir_advance(np.zeros(2), [0.5, 0.5], power)
-    for scheme, settings in (("static", {"alpha": 1}), ("coop", {})):
+    for scheme, settings in (("static", {"alpha": 1}), ("coop", {}), ("ir", {"rate_target": 1.0})):
         with pytest.raises(ValueError, match=match):
             _config(scheme, 4, power=power, **settings)
 
@@ -216,9 +217,25 @@ def test_multigroup_argmax_contract():
 # mutual-information accumulation and the renewal cycle's stopping rule
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("count, n, power, seed", [
+    (1, 1, 1.0, 60), (7, 5, 0.3, 61), (300, 64, 10.0, 62),
+])
+def test_ir_attempts_are_static_rates_of_fresh_exponentials(count, n, power, seed):
+    # an attempt's fading comes from the one sampler: every user's unit
+    # exponential gain, rated by the one rate law, bit for bit
+    config = _ir_config(n, 1.0, power=power)
+    rates = schedulers.slot_rates(config, count, np.random.default_rng(seed))
+    assert rates.shape == (count, n)
+    reference = np.random.default_rng(seed).exponential(1.0, (count, n))
+    assert np.array_equal(rates, schedulers.static_schedule(reference, power))
+    acc = np.random.default_rng(seed + 100).exponential(2.0, (count, n))
+    assert np.array_equal(schedulers.ir_advance(acc, config, np.random.default_rng(seed)),
+                          acc + rates)
+
+
 def test_ir_single_user_success():
-    acc = schedulers.ir_advance(np.zeros(1), [1.0], 1.0)
-    assert acc[0] == pytest.approx(math.log(2.0))
+    acc = schedulers.ir_advance(np.zeros((1, 1)), _ir_config(1, 0.5), FixedGains([[1.0]]))
+    assert acc[0, 0] == pytest.approx(math.log(2.0))
     assert queueing.ir_renewal_cycle(_ir_config(1, 0.5), FixedGains([[1.0]])) == (1, True)
 
 
@@ -230,7 +247,7 @@ def test_ir_tiny_target_succeeds_first_attempt():
 
 
 def test_ir_two_users_continue():
-    acc = schedulers.ir_advance(np.zeros(2), [1.0, 0.1], 1.0)
+    acc = schedulers.ir_advance(np.zeros((1, 2)), _ir_config(2, 1.0), FixedGains([[1.0, 0.1]]))
     assert acc.min() == pytest.approx(math.log(1.1))
     # log 1.1 < 1 after one attempt, so the cycle continues to the second
     rows = [[1.0, 0.1], [1.0, 0.1]]
@@ -241,9 +258,10 @@ def test_ir_two_users_continue():
 
 def test_ir_accumulation_is_monotone():
     rng = np.random.default_rng(3)
-    acc = np.zeros(3)
+    config = _ir_config(3, 50.0)
+    acc = np.zeros((1, 3))
     for _ in range(10):
-        grown = schedulers.ir_advance(acc, rng.exponential(1.0, 3), 1.0)
+        grown = schedulers.ir_advance(acc, config, rng)
         assert np.all(grown >= acc)
         acc = grown
         assert acc.min() <= 50.0          # a target of 50 is not yet reached
@@ -255,8 +273,6 @@ def test_ir_cap_and_stopped_state():
     assert queueing.ir_renewal_cycle(config, rng) == (1, False)
     rows = [[0.5, 0.5]]
     assert queueing.ir_renewal_cycle(config, FixedGains(rows)) == (1, False)
-    with pytest.raises(ValueError):
-        schedulers.ir_advance(np.zeros(2), [0.5, 0.5, 0.5], 1.0)
     # a cycle with no attempt or no target is not a config
     with pytest.raises(ValueError):
         _ir_config(2, 100.0, 0)
@@ -348,29 +364,31 @@ def test_coop_rejects_odd_user_count():
 
 
 def test_multigroup_coop_reduction_and_argmax():
+    # the sampler draws a slot's median gain, then its relay gain
     rng = np.random.default_rng(8)
     median = channel.draw_scheduled_gains(4, 3, 1, 1, rng)
     relay = channel.draw_interuser_gains(4, rng, (1,))
     single = schedulers.cooperative_schedule(median, relay, 4, 1.0)
-    one_group = schedulers.multigroup_cooperative_schedule([median], [relay], 4, 1.0)
+    one_group = schedulers.slot_rates(_config("coop", 4), 1, np.random.default_rng(8))
     assert np.array_equal(one_group, single)
 
-    # second group has uniformly stronger channels, so it must win
-    rate = schedulers.multigroup_cooperative_schedule(
-        [median[0], median[0] + 5.0], [relay[0], relay[0] + 5.0], 4, 1.0
-    )
-    assert rate == schedulers.cooperative_schedule(median + 5.0, relay + 5.0, 4, 1.0)[0]
-    assert rate >= single[0]
+    # a stronger group wins: each slot rates at its best group
+    rng = np.random.default_rng(18)
+    median = channel.draw_scheduled_gains(4, 3, (200, 2), 1, rng)
+    relay = channel.draw_interuser_gains(4, rng, (200, 2))
+    rates = schedulers.slot_rates(_config("coop", 4, 2), 200, np.random.default_rng(18))
+    per_group = schedulers.cooperative_schedule(median, relay, 4, 1.0)
+    assert np.all(rates >= per_group[:, 0]) and np.all(rates >= per_group[:, 1])
+    assert np.any(rates > per_group[:, 0]) and np.any(rates > per_group[:, 1])
 
 
 def test_multigroup_coop_argmax_contract():
     rng = np.random.default_rng(9)
-    for _ in range(50):
-        median = channel.draw_scheduled_gains(4, 3, 3, 1, rng)
-        relay = channel.draw_interuser_gains(4, rng, (3,))
-        rate = schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0)
-        rates = schedulers.cooperative_schedule(median, relay, 4, 1.0)
-        assert 2 * rate == max(2 * r for r in rates)
+    median = channel.draw_scheduled_gains(4, 3, (50, 3), 1, rng)
+    relay = channel.draw_interuser_gains(4, rng, (50, 3))
+    rates = schedulers.slot_rates(_config("coop", 4, 3), 50, np.random.default_rng(9))
+    for rate, per_group in zip(rates, schedulers.cooperative_schedule(median, relay, 4, 1.0)):
+        assert 2 * rate == max(2 * r for r in per_group)
 
 
 @pytest.mark.parametrize("n,groups", [
@@ -424,10 +442,12 @@ def test_batch_call_equals_single_slot_calls(kernel):
     elif kernel == "multigroup-coop":
         args = (channel.draw_scheduled_gains(n, 4, (batch, groups), 1, rng),
                 channel.draw_interuser_gains(n, rng, (batch, groups)))
-        call = lambda g, u: schedulers.multigroup_cooperative_schedule(g, u, n, 1.5)
+        call = lambda g, u: schedulers.cooperative_schedule(g, u, n, 1.5).max(axis=-1)
     else:
         args = (rng.exponential(2.0, (batch, n)), rng.exponential(1.0, (batch, n)))
-        call = lambda acc, g: schedulers.ir_advance(acc, g, 1.5)
+        config = _ir_config(n, 1.0, power=1.5)
+        call = lambda acc, g: schedulers.ir_advance(
+            acc.reshape(-1, n), config, FixedGains([g])).reshape(acc.shape)
     batched = call(*args)
     single = np.array([call(*slot) for slot in zip(*args)])
     assert batched.shape == single.shape

@@ -184,17 +184,17 @@ def _assert_peak_memory_flat_in_n(scheme, **settings):
 
 
 @pytest.mark.parametrize("antennas", [1, 2])
-def test_static_chunks_hold_a_fixed_gain_budget_at_large_n(antennas):
+def test_static_slot_memory_is_flat_in_n(antennas):
     # static slots hold O(G) values at every N and antenna count
     _assert_peak_memory_flat_in_n("static", alpha=2, antennas=antennas)
 
 
-def test_coop_chunks_hold_the_same_gain_budget():
+def test_multigroup_coop_slot_memory_is_flat_in_n():
     # the same bound per group holds for multigroup cooperation
     _assert_peak_memory_flat_in_n("multigroup-coop", n_groups=5)
 
 
-def test_coop_chunks_hold_the_gain_budget_at_large_n():
+def test_coop_slot_memory_is_flat_in_n():
     # the relay stage draws one weakest-relay gain per slot, not N/2 sums
     relay = channel.draw_interuser_gains(1000, np.random.default_rng(49), (1000,))
     assert relay.shape == (1000,)
@@ -236,7 +236,7 @@ def test_single_group_rates_equal_one_group_multigroup_kernels():
     rng = np.random.default_rng(46)
     median = channel.draw_scheduled_gains(4, 3, (100, 1), 1, rng)
     relay = channel.draw_interuser_gains(4, rng, (100, 1))
-    assert np.array_equal(coop, schedulers.multigroup_cooperative_schedule(median, relay, 4, 1.0))
+    assert np.array_equal(coop, schedulers.cooperative_schedule(median, relay, 4, 1.0).max(axis=-1))
     assert static.shape == coop.shape == (100,)
 
     with pytest.raises(ValueError):
