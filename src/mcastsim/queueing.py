@@ -7,8 +7,10 @@ its group's one queue of Q = G.  Each slot the server picks one of the Q
 queues uniformly; a pick landing on a coupled queue drains it by Tc times
 that slot's rate, drawn by ``schedulers.slot_rates``, the sampler of the
 throughput path.  The packet is delivered once every coupled queue has
-drained its copy.  One engine, ``_coupled_queue_delay``, serves both
-schemes and derives the layout from the config it is given.
+drained its copy.  One lockstep loop, ``_hit_needs``, counts the hits of
+all three families under one budget: each coupled queue's K_j, for both
+queue schemes (``_coupled_queue_delay``), and a retransmission cycle's
+attempts, the largest of its N users' needs of the rate target.
 
 The picks are not simulated.  A run draws only the rates of the hits on
 its coupled queues, which fix K_j, the hits queue j needs to drain its
@@ -20,16 +22,16 @@ With one coupled queue (alpha = 1, and cooperation) it is Q K.  A run
 costs O(its largest need) whatever Q is, and a row's variance is only
 that of its needs: a row whose runs all need the same hits reports SE 0.
 A queue count or a mean slot count that is not a finite float, or a
-packet whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
+run whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
 raises ValueError.
 
 Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which it reads only
 through ``schedulers.slot_rates``, the one place fading is drawn; an
 entry rejects a config of another scheme family before any draw.  The
-engine runs ``config.iterations`` independent runs in lockstep and keeps
-the residuals of the unfinished runs only: each round draws, in one
-sampler call, a rate for every coupled queue of each, drained or not.  A
+loop runs ``config.iterations`` independent runs in lockstep and keeps
+the sums of the unfinished runs only: each round draws, in one sampler
+call, a rate for every coupled queue (or user) of each, done or not.  A
 row costs O(its largest need) numpy calls and O(runs alpha) values.  At
 one iteration a round draws the same values whatever came before, which
 keeps paired-seed runs coupled: raising P or shrinking S can only lower
@@ -60,22 +62,33 @@ def _check_family(config: "SimConfig", family: str) -> None:
         raise ValueError(f"scheme {config.scheme!r} is not of the {family} delay engine's family")
 
 
-def _check_hit_budget(config: "SimConfig") -> None:
-    # a scheduled gain is at most the best of N G L unit exponentials, whose
-    # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
-    rate_bound = math.log1p(config.power * (1 + math.log(
-        config.n_users * config.n_groups * config.antennas)))
-    hits = config.packet_nats / config.coherence_value / rate_bound
-    if hits > _HIT_BUDGET:
-        raise ValueError(f"packet needs at least {hits:.3g} hits on average, "
-                         "S / (Tc log1p(P (1 + log(N G L)))), over the budget of 2**20")
-
-
 def _check_slots(slots) -> None:
     # a count past the float range compares above the largest float, and so
     # do inf and nan
     if not np.all(slots <= sys.float_info.max):
         raise ValueError("queue count G C(N, N/alpha), or a mean slot count, is not a finite float")
+
+
+def _hit_needs(config: "SimConfig", width: int, target: float, rate_bound: float, what: str,
+               advance, cap: float = math.inf) -> np.ndarray:
+    """Hits, an int array of shape (config.iterations, width), until each
+    of a run's ``width`` sums reaches ``target``; ``advance(acc)`` returns
+    the next sums of the unfinished runs, and a sum still short after
+    ``cap`` rounds reads cap + 1.  With ``rate_bound`` over a round's mean
+    gain, a lower bound min(cap, target / rate_bound) on the mean rounds
+    past ``_HIT_BUDGET`` raises ValueError, ``what`` formatted with it."""
+    bound = min(cap, target / rate_bound if rate_bound > 0 else math.inf)
+    if bound > _HIT_BUDGET:
+        raise ValueError(what.format(bound) + ", over the budget of 2**20")
+    needs = np.ones((config.iterations, width), dtype=np.int64)
+    active, acc, rounds = np.arange(config.iterations), np.zeros(needs.shape), 0
+    while active.size and rounds < cap:
+        acc, rounds = advance(acc), rounds + 1
+        short = acc < target
+        needs[active] += short
+        keep = short.any(axis=1)
+        active, acc = active[keep], acc[keep]
+    return needs
 
 
 def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
@@ -84,20 +97,17 @@ def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
     ``config.packet_nats``, given the hits each queue needs;
     ``rates(count)`` returns the service rates of ``count`` hits.  A float
     array of shape (config.iterations,)."""
-    _check_hit_budget(config)
-    n, coupled, runs = config.n_users, config.alpha or 1, config.iterations
+    n, coupled = config.n_users, config.alpha or 1
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
-    coherence_interval = config.coherence_value
-    needs = np.zeros((runs, coupled), dtype=np.int64)
-    active = np.arange(runs)
-    left = np.full((runs, coupled), float(config.packet_nats))
-    while active.size:
-        needs[active] += left > 0.0
-        # a drained queue's rate only pushes it further below zero
-        left -= coherence_interval * rates(active.size * coupled).reshape(active.size, coupled)
-        keep = (left > 0.0).any(axis=1)
-        active, left = active[keep], left[keep]
+    tc = config.coherence_value
+    # a scheduled gain is at most the best of N G L unit exponentials, whose
+    # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
+    needs = _hit_needs(
+        config, coupled, config.packet_nats,
+        tc * math.log1p(config.power * (1 + math.log(n * config.n_groups * config.antennas))),
+        "packet needs at least {:.3g} hits on average, S / (Tc log1p(P (1 + log(N G L))))",
+        lambda acc: acc + tc * rates(acc.size).reshape(acc.shape))
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
@@ -118,33 +128,19 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     """Renewal cycles of the retransmission scheme: (attempts, decoded),
     integer and boolean arrays of shape (config.iterations,).
 
-    A cycle decodes once every user's accumulated information exceeds
+    A cycle decodes once every user's accumulated information reaches
     the rate target, and fails when the attempt cap comes first.  Each
     attempt is one ``schedulers.ir_advance`` call on the unfinished cycles."""
     _check_family(config, "ir")
-    rate_target, attempt_cap = config.rate_target, config.attempt_cap
+    cap = config.attempt_cap or math.inf
     # an attempt adds E[log1p(P g)] <= log1p(P) nats to each user (Jensen);
     # a cap C below R / log1p(P) still leaves at least C / 2 on average (Markov)
-    bound, name = rate_target / math.log1p(config.power), "R / log1p(P)"
-    if attempt_cap is not None:
-        bound, name = min(attempt_cap, bound), "min(cap, R / log1p(P))"
-    if bound > _HIT_BUDGET:
-        raise ValueError(f"rate target needs about {bound:.3g} attempts on average, {name}, "
-                         "over the budget of 2**20")
-    runs = config.iterations
-    accumulated = np.zeros((runs, config.n_users))
-    attempts = np.zeros(runs, dtype=np.int64)
-    decoded = np.zeros(runs, dtype=bool)
-    active = np.arange(runs)
-    while active.size:
-        accumulated = schedulers.ir_advance(accumulated, config, rng)
-        attempts[active] += 1
-        done = accumulated.min(axis=1) > rate_target
-        decoded[active[done]] = True
-        if attempt_cap is not None:
-            done |= attempts[active] >= attempt_cap
-        active, accumulated = active[~done], accumulated[~done]
-    return attempts, decoded
+    name = "R / log1p(P)" if cap == math.inf else "min(cap, R / log1p(P))"
+    needs = _hit_needs(
+        config, config.n_users, config.rate_target, math.log1p(config.power),
+        "rate target needs about {:.3g} attempts on average, " + name,
+        lambda acc: schedulers.ir_advance(acc, config, rng), cap).max(axis=1)
+    return np.minimum(needs, cap).astype(np.int64), needs <= cap
 
 
 def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:

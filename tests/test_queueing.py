@@ -308,10 +308,18 @@ def test_delay_bound_counts_antennas():
     # N G L = 6 * 1 * 4 at P = 1: 1.7e6 nats need at least
     # 1.7e6 / log1p(1 + log 24) = 1.03e6 hits, under the 2**20 budget;
     # with one antenna the bound is 1.7e6 / log1p(1 + log 6) = 1.28e6
+    # a config under the budget goes on to draw, which the sentinel stops
+    class FirstDraw(Exception):
+        pass
+
+    def first_draw(count):
+        raise FirstDraw
+
     def budget(antennas, packet_nats, coherence_interval):
-        queueing._check_hit_budget(_config(
-            "static", 6, coherence_interval=coherence_interval, alpha=1,
-            antennas=antennas, packet_nats=packet_nats))
+        with pytest.raises(FirstDraw):
+            queueing._coupled_queue_delay(_config(
+                "static", 6, coherence_interval=coherence_interval, alpha=1,
+                antennas=antennas, packet_nats=packet_nats), first_draw)
 
     budget(4, 1.7e6, 1.0)
     with pytest.raises(ValueError, match=r"at least 1.28e\+06 hits .* budget of 2\*\*20"):
@@ -320,6 +328,14 @@ def test_delay_bound_counts_antennas():
     budget(4, 0.85e6, 0.5)
     with pytest.raises(ValueError, match="budget"):
         budget(4, 0.9e6, 0.5)
+
+
+def test_delay_budget_holds_when_its_rate_bound_underflows():
+    # Tc log1p(P (1 + log 2)) rounds to 0 at Tc = P = 1e-200: no bound on
+    # the rate is no bound on the hits, and the budget rejects the packet
+    config = _config("static", 2, coherence_interval=1e-200, alpha=1, power=1e-200)
+    with pytest.raises(ValueError, match=r"at least inf hits on average"):
+        queueing.tagged_delay_static(config, None)
 
 
 @pytest.mark.parametrize("power, rate_target", [(1.0, 1e300), (1e-300, 1.0)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mcastsim import channel, queueing, schedulers
 from mcastsim.simcore import SimConfig
@@ -237,6 +238,9 @@ def test_ir_single_user_success():
     acc = schedulers.ir_advance(np.zeros((1, 1)), _ir_config(1, 0.5), FixedGains([[1.0]]))
     assert acc[0, 0] == pytest.approx(math.log(2.0))
     assert queueing.ir_renewal_cycle(_ir_config(1, 0.5), FixedGains([[1.0]])) == (1, True)
+    # a user done on reaching the target: log 2 nats of log 2 decode at the cap
+    config = _ir_config(1, math.log1p(1.0), 1)
+    assert queueing.ir_renewal_cycle(config, FixedGains([[1.0]])) == (1, True)
 
 
 def test_ir_tiny_target_succeeds_first_attempt():
@@ -254,6 +258,8 @@ def test_ir_two_users_continue():
     assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows)) == (2, False)
     rows = [[1.0, 0.1], [1.0, 5.0]]
     assert queueing.ir_renewal_cycle(_ir_config(2, 1.0), FixedGains(rows)) == (2, True)
+    # a cycle that finishes at its last allowed attempt decodes
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows)) == (2, True)
 
 
 def test_ir_accumulation_is_monotone():
@@ -281,26 +287,22 @@ def test_ir_cap_and_stopped_state():
 
 
 def test_ir_failure_probability_structure():
-    # failure after m attempts for N users = 1 - (1 - p1(m))^N with p1 the
-    # single-user failure probability, by independence across users
-    rng = np.random.default_rng(2024)
-    target, attempts, runs, n = 1.5, 2, 20000, 4
-
-    def failure_fraction(users, generator):
-        fails = 0
-        for _ in range(runs):
-            acc = np.zeros(users)
-            for _ in range(attempts):
-                acc += np.log1p(generator.exponential(1.0, users))
-            fails += acc.min() <= target
-        return fails / runs
-
-    p1 = failure_fraction(1, rng)
-    pn = failure_fraction(n, np.random.default_rng(2025))
-    predicted = 1 - (1 - p1) ** n
-    se1 = math.sqrt(p1 * (1 - p1) / runs) * n * (1 - p1) ** (n - 1)
-    sen = math.sqrt(pn * (1 - pn) / runs)
-    assert abs(pn - predicted) <= 2 * math.hypot(se1, sen)
+    # a cycle capped at 2 attempts fails for N users with probability
+    # 1 - (1 - p1)^N, p1 = P(log1p(E1) + log1p(E2) < R) for one user, by
+    # independence across users; p1 by quadrature over E1
+    target, runs = 1.5, 20000
+    p1, _ = integrate.quad(
+        lambda x: math.exp(-x) * -math.expm1(1 - math.exp(target) / (1 + x)),
+        0.0, math.expm1(target), epsabs=1e-14, epsrel=1e-13)
+    assert p1 == pytest.approx(0.71214467619, abs=1e-11)
+    for n, seed in ((1, 2024), (4, 2025)):
+        expected = 1 - (1 - p1) ** n
+        config = SimConfig(scheme="ir", n_users=n, rate_target=target, attempt_cap=2,
+                           iterations=runs)
+        attempts, decoded = queueing.ir_renewal_cycle(config, np.random.default_rng(seed))
+        assert np.all(attempts <= 2)
+        failed = 1.0 - decoded.mean()
+        assert abs(failed - expected) <= 4.5 * math.sqrt(expected * (1 - expected) / runs)
 
 
 # ---------------------------------------------------------------------------
