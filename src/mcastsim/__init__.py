@@ -2,7 +2,7 @@
 scheduling in a single-cell fading downlink."""
 
 from mcastsim.channel import CoherencePolicy
-from mcastsim.simcore import MetricsRecord, SimConfig, run_config, run_sweep
+from mcastsim.simcore import MetricsRecord, SimConfig, run_config
 
 __version__ = "0.1.0"
 
@@ -11,5 +11,4 @@ __all__ = [
     "MetricsRecord",
     "SimConfig",
     "run_config",
-    "run_sweep",
 ]

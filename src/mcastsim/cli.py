@@ -17,9 +17,11 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from mcastsim import analytic, simcore
 from mcastsim.channel import CoherencePolicy
-from mcastsim.simcore import SimConfig, _child_seed
+from mcastsim.simcore import SimConfig
 
 __all__ = [
     "CSV_COLUMNS",
@@ -61,15 +63,27 @@ def _parse_coherence(text: str) -> CoherencePolicy:
     return CoherencePolicy(mode, float(raw))
 
 
-def _parse_sweep(text: str) -> tuple[str, list[str]]:
+# sweep axis name, which is also its CSV column -> run setting
+SWEEP_AXES = {
+    "N": "n_users",
+    "G": "groups",
+    "alpha": "alpha",
+    "L": "antennas",
+    "P": "power",
+    "S": "packet_nats",
+}
+
+
+def _parse_sweep(text: str) -> list[dict]:
     axis, sep, raw = text.partition("=")
     axis = axis.strip()
     values = [v.strip() for v in raw.split(",") if v.strip()]
     if not sep or not values:
         raise ValueError("expected AXIS=v1,v2,..., e.g. N=2,4,8")
-    if axis not in simcore.SWEEP_AXES:
-        raise ValueError(f"axis must be one of {sorted(simcore.SWEEP_AXES)}, got {axis!r}")
-    return axis, values
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    key = SWEEP_AXES[axis]
+    return [{key: _SETTINGS[key][0](value)} for value in values]
 
 
 # Every run setting: its experiment-file key, which is also the flag
@@ -87,13 +101,17 @@ _SETTINGS = {
     "attempt_cap": (int, "attempt cap (ir); omit for unbounded"),
     "iterations": (int, "samples per metric"),
     "seed": (int, "root seed"),
-    "sweep": (_parse_sweep, f"AXIS=v1,v2,... with AXIS in {','.join(simcore.SWEEP_AXES)}"),
+    "sweep": (_parse_sweep, f"AXIS=v1,v2,... with AXIS in {','.join(SWEEP_AXES)}"),
     "out": (str, "output CSV path"),
 }
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _field(key: str) -> str:
+    return "n_groups" if key == "groups" else key
 
 
 def _parse_setting(key: str, text: str, where: str = ""):
@@ -131,10 +149,11 @@ def parse_experiment_file(path: str) -> tuple[dict, dict[str, int]]:
     return settings, lines
 
 
-def _config_from_settings(settings: dict, lines: dict[str, int] | None = None) -> SimConfig:
+def _config_from_settings(settings: dict, lines: dict | None = None, where: str = "") -> SimConfig:
     """The one SimConfig builder.  Only the keys present are passed, so
     SimConfig's defaults are the only defaults.  An invariant breach names
-    the line of the key it mentions first, when a file line set that key."""
+    the line of the key it mentions first, when a file line set that key,
+    and else starts with ``where``."""
     lines = lines or {}
     for key in ("scheme", "n_users"):
         if key not in settings:
@@ -142,8 +161,7 @@ def _config_from_settings(settings: dict, lines: dict[str, int] | None = None) -
                 f"missing required key {key!r} ({_flag(key)} or a --config file line)"
             )
     fields = {
-        "n_groups" if key == "groups" else key: value
-        for key, value in settings.items() if key not in ("sweep", "out")
+        _field(key): value for key, value in settings.items() if key not in ("sweep", "out")
     }
     try:
         return SimConfig(**fields)
@@ -151,12 +169,12 @@ def _config_from_settings(settings: dict, lines: dict[str, int] | None = None) -
         message = str(exc)
         mentioned = [(message.find(key), key) for key in lines if key in message]
         offender = min(mentioned)[1] if mentioned else "scheme"
-        where = f"line {lines[offender]}: " if offender in lines else ""
+        where = f"line {lines[offender]}: " if offender in lines else where
         raise ExperimentFileError(f"{where}{message}") from exc
 
 
 # ---------------------------------------------------------------------------
-# recipes for the reference experiments: one settings point per row
+# recipes for the reference experiments, and sweeps: one settings point per row
 # ---------------------------------------------------------------------------
 
 RECIPES = {
@@ -179,12 +197,21 @@ RECIPES = {
 }
 
 
-def _recipe(points: list[dict], settings: dict) -> list[SimConfig]:
-    """One config per point; each point's seed is drawn from the run seed
-    (1 unless given) and the point's index."""
-    seed = settings.get("seed", 1)
+def _child_seed(seed: int, index: int) -> int:
+    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
+
+
+def _expand(points: list[dict], settings: dict, root_seed: int, name: str) -> list[SimConfig]:
+    """One config per point, its settings over the run's; a breach names
+    the point.  Each point's seed is drawn from the run's seed (root_seed
+    unless given) and its index, so appending points keeps earlier seeds."""
+    seed = settings.get("seed", root_seed)
+    simcore._check_seed(seed)
     return [
-        _config_from_settings({**point, **settings, "seed": _child_seed(seed, index)})
+        _config_from_settings(
+            {**settings, **point, "seed": _child_seed(seed, index)},
+            where=f"{name} point {index} ({', '.join(f'{k}={v}' for k, v in point.items())}): ",
+        )
         for index, point in enumerate(points)
     ]
 
@@ -205,7 +232,7 @@ def _record_row(config: SimConfig, record: simcore.MetricsRecord) -> dict:
     return {
         "scheme": config.scheme,
         # the CSV names the swept fields by their axis names
-        **{column: getattr(config, field) for column, field in simcore.SWEEP_AXES.items()},
+        **{column: getattr(config, _field(key)) for column, key in SWEEP_AXES.items()},
         "iterations": config.iterations,
         "seed": config.seed,
         "throughput_nats": record.throughput_mean,
@@ -226,8 +253,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _run_settings(args) -> tuple[dict, list[SimConfig]]:
-    """The run's settings and configs: a recipe's, or the experiment
-    file's (if any) with the given flags on top."""
+    """The run's settings and every config it runs, each validated before
+    the first runs: a recipe's, or the experiment file's (if any) with the
+    given flags on top, at each sweep point if it sweeps."""
     flags = {
         key: _parse_setting(key, getattr(args, key))
         for key in _SETTINGS if getattr(args, key) is not None
@@ -243,12 +271,17 @@ def _run_settings(args) -> tuple[dict, list[SimConfig]]:
             raise ExperimentFileError(
                 f"--recipe takes only --iterations, --seed and --out, not {' '.join(extra)}"
             )
-        return flags, _recipe(RECIPES[args.recipe], flags)
+        return flags, _expand(RECIPES[args.recipe], flags, 1, args.recipe)
     settings, lines = parse_experiment_file(args.config) if args.config else ({}, {})
     for key in flags:
         lines.pop(key, None)
     settings.update(flags)
-    return settings, [_config_from_settings(settings, lines)]
+    configs = [_config_from_settings(settings, lines)]
+    if "sweep" in settings:
+        # the settings alone are valid, so a point that breaks an invariant is at fault
+        where = f"line {lines['sweep']}: " if "sweep" in lines else ""
+        configs = _expand(settings["sweep"], settings, 0, f"{where}sweep")
+    return settings, configs
 
 
 def cmd_run(args) -> int:
@@ -264,10 +297,7 @@ def cmd_run(args) -> int:
         return EXIT_PARSE
 
     try:
-        if "sweep" in settings:
-            results = simcore.run_sweep(configs[0], *settings["sweep"])
-        else:
-            results = [(cfg, simcore.run_config(cfg)) for cfg in configs]
+        results = [(cfg, simcore.run_config(cfg)) for cfg in configs]
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,14 +1,14 @@
 """Monte-Carlo experiment driver.
 
 Estimates per-slot throughput and tagged-packet delay with standard
-errors, attaches analytic references where a closed form exists, and runs
-deterministic parameter sweeps.  Every estimator derives its generator
-from the config seed, so identical configs give bit-identical records.
+errors, and attaches analytic references where a closed form exists.
+Every estimator derives its generator from the config seed, so identical
+configs give bit-identical records.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +18,18 @@ from mcastsim.channel import CoherencePolicy
 __all__ = [
     "MetricsRecord",
     "SCHEMES",
-    "SWEEP_AXES",
     "SimConfig",
     "estimate_delay",
     "estimate_throughput",
     "run_config",
-    "run_sweep",
 ]
 
 SCHEMES = ("static", "multigroup-static", "ir", "coop", "multigroup-coop")
 
-# sweep axis name -> SimConfig field
-SWEEP_AXES = {
-    "N": "n_users",
-    "G": "n_groups",
-    "alpha": "alpha",
-    "L": "antennas",
-    "P": "power",
-    "S": "packet_nats",
-}
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be non-negative and fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,7 @@ class SimConfig:
             raise ValueError("packet_nats must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.family == "static":
             if self.alpha is None:
                 raise ValueError(f"{self.scheme} needs alpha")
@@ -115,13 +107,9 @@ class MetricsRecord:
 
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    # streams are derived from (seed, stream index), so adding a stream or
-    # sweep point never perturbs existing ones
+    # streams are derived from (seed, stream index), so adding a stream
+    # never perturbs existing ones
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
-
-
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -200,22 +188,3 @@ def run_config(config: SimConfig) -> MetricsRecord:
     )
     return record
 
-
-def run_sweep(base: SimConfig, axis: str, values) -> list[tuple[SimConfig, MetricsRecord]]:
-    """One record per value along the axis.  Seeds are derived from
-    (base.seed, point index), so appending values never changes the
-    streams of earlier points."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    field_name = SWEEP_AXES[axis]
-    caster = float if axis in ("P", "S") else int
-    results = []
-    for index, value in enumerate(values):
-        try:
-            cfg = replace(
-                base, **{field_name: caster(value)}, seed=_child_seed(base.seed, index)
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"sweep value {value!r} for axis {axis}: {exc}") from exc
-        results.append((cfg, run_config(cfg)))
-    return results

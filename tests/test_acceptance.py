@@ -3,6 +3,7 @@
 Each test covers one release criterion at its stated tolerance and prints
 one [PASS]/[FAIL] line (run pytest with -s to see them on success).
 """
+import csv
 import math
 import time
 
@@ -248,7 +249,7 @@ def test_criterion_6_scaling_laws():
 # 7. figure orderings at the reference settings
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_figure_orderings():
+def test_criterion_7_figure_orderings(tmp_path):
     start = time.perf_counter()
     records = {}
     for label, kwargs in {
@@ -269,11 +270,13 @@ def test_criterion_7_figure_orderings():
         and dly["worst"] >= 2 * dly["coop"]
     )
 
-    base = SimConfig(
-        scheme="multigroup-static", n_users=10, alpha=1, iterations=5000, seed=702
-    )
-    sweep = simcore.run_sweep(base, "G", [1, 2, 3, 4, 5])
-    gains = [rec.throughput_mean for _, rec in sweep]
+    sweep = tmp_path / "groups.csv"
+    assert cli.main([
+        "run", "--scheme", "multigroup-static", "--n-users", "10", "--alpha", "1",
+        "--iterations", "5000", "--seed", "702", "--sweep", "G=1,2,3,4,5", "--out", str(sweep),
+    ]) == 0
+    with open(sweep, newline="") as handle:
+        gains = [float(row["throughput_nats"]) for row in csv.DictReader(handle)]
     monotone = all(a < b for a, b in zip(gains, gains[1:]))
 
     elapsed = time.perf_counter() - start

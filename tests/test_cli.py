@@ -10,13 +10,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcastsim import analytic, cli
+from mcastsim import analytic, cli, simcore
 
 
 def _read_csv(path):
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         return reader.fieldnames, list(reader)
+
+
+def _counted_run_config(monkeypatch):
+    """Route cli's run_config calls through a counter; returns the list of
+    configs run."""
+    calls, real = [], simcore.run_config
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(simcore, "run_config", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +132,17 @@ def test_run_requires_output(capsys):
     assert "out" in capsys.readouterr().err
 
 
-def test_run_invalid_sweep_value(tmp_path, capsys):
+def test_run_invalid_sweep_value(tmp_path, capsys, monkeypatch):
+    # every sweep point is validated before the first one runs
+    calls = _counted_run_config(monkeypatch)
+    out = tmp_path / "x.csv"
     code = cli.main([
         "run", "--scheme", "static", "--alpha", "2", "--n-users", "4",
-        "--sweep", "N=4,7", "--iterations", "50", "--out", str(tmp_path / "x.csv"),
+        "--sweep", "N=4,7", "--iterations", "50", "--out", str(out),
     ])
-    assert code == 1
+    assert code == 2
     assert "7" in capsys.readouterr().err
+    assert not calls and not out.exists()
 
 
 @pytest.mark.parametrize("sweep", ["N", "X=1,2", "N=,"])
@@ -156,6 +173,21 @@ def test_recipe_rejects_bad_settings(tmp_path, capsys, flag, value, message):
                      "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [
+    ["--recipe", "fig-tpos"],
+    ["--scheme", "static", "--alpha", "2", "--n-users", "4", "--sweep", "N=4,8"],
+], ids=["recipe", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", "46116860184273879040"], ids=["negative", "over-64-bits"])
+def test_root_seed_is_checked_before_any_row_runs(tmp_path, capsys, monkeypatch, mode, seed):
+    # the root seed of a recipe or a sweep is held to SimConfig's seed rule
+    calls = _counted_run_config(monkeypatch)
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", *mode, "--seed", seed, "--iterations", "10", "--out", str(out)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not calls and not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -300,6 +332,19 @@ def test_config_file_unknown_sweep_axis_names_line(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and "sweep" in err
+
+
+@pytest.mark.parametrize("values, named", [("4,7", "n_users=7"), ("4,x", "'x'")],
+                         ids=["invariant", "literal"])
+def test_config_file_invalid_sweep_value_names_line(tmp_path, capsys, monkeypatch, values, named):
+    calls = _counted_run_config(monkeypatch)
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scheme = static\nalpha = 2\nn_users = 4\nsweep = N={values}\nout = {out}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "sweep" in err and named in err
+    assert not calls and not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

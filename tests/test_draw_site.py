@@ -1,11 +1,13 @@
-"""Fading is drawn in one place: ``schedulers.slot_rates``; and hits are
-counted in one place: ``queueing._hit_needs``.
+"""Fading is drawn in one place: ``schedulers.slot_rates``; hits are
+counted in one place: ``queueing._hit_needs``; and rows are run in one
+place: ``cli.cmd_run``.
 
 Every call in ``src/`` of a ``channel.draw_*`` function, by attribute
 (``channel.draw_gains``) or by a bare name, must sit inside
 ``schedulers.slot_rates``, so that every scheme's rates ride the same
 sampler.  The draw functions themselves live in ``channel``.  The one
-``while`` loop of ``queueing`` sits inside ``_hit_needs``.
+``while`` loop of ``queueing`` sits inside ``_hit_needs``.  The one call
+of ``run_config`` is ``simcore.run_config(...)`` inside ``cli.cmd_run``.
 """
 import ast
 import pathlib
@@ -18,9 +20,10 @@ _DRAWS = {
 }
 
 
-def _draw_calls(tree: ast.Module, module: str):
-    """(module.function, callee) for every call of a channel draw, where
-    function is the outermost def around the call ("<module>" if none)."""
+def _calls(tree: ast.Module, module: str, callees):
+    """(module.function, callee, call) for every call of one of the
+    callees, where function is the outermost def around the call
+    ("<module>" if none)."""
     found = []
 
     def visit(node, outer):
@@ -29,8 +32,8 @@ def _draw_calls(tree: ast.Module, module: str):
         if isinstance(node, ast.Call):
             func = node.func
             callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if callee in _DRAWS:
-                found.append((f"{module}.{outer}", callee))
+            if callee in callees:
+                found.append((f"{module}.{outer}", callee, node))
         for child in ast.iter_child_nodes(node):
             visit(child, outer)
 
@@ -41,8 +44,8 @@ def _draw_calls(tree: ast.Module, module: str):
 def test_every_fading_draw_is_inside_slot_rates():
     assert {"draw_gains", "draw_scheduled_gains", "draw_interuser_gains"} <= _DRAWS
     calls = [
-        call for path in sorted(SRC.glob("*.py"))
-        for call in _draw_calls(ast.parse(path.read_text()), path.stem)
+        (owner, callee) for path in sorted(SRC.glob("*.py"))
+        for owner, callee, _ in _calls(ast.parse(path.read_text()), path.stem, _DRAWS)
     ]
     assert {callee for _, callee in calls} == _DRAWS, "some draw is never called"
     outside = [call for call in calls if call[0] != "schedulers.slot_rates"]
@@ -59,3 +62,14 @@ def test_queueing_counts_hits_in_one_lockstep_loop():
     ]
     total = sum(isinstance(node, ast.While) for node in ast.walk(tree))
     assert total == 1 and owners == ["_hit_needs"], (total, owners)
+
+
+def test_rows_run_in_one_loop():
+    # every run, single, swept or a recipe, is a list of configs that
+    # cmd_run runs; the recipes benchmark times each row by patching the
+    # module attribute simcore.run_config, which a bare-name call would miss
+    calls = [
+        (owner, ast.unparse(call.func)) for path in sorted(SRC.glob("*.py"))
+        for owner, _, call in _calls(ast.parse(path.read_text()), path.stem, {"run_config"})
+    ]
+    assert calls == [("cli.cmd_run", "simcore.run_config")], calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from mcastsim import analytic, channel, queueing, schedulers, simcore
+from mcastsim import analytic, channel, cli, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import MetricsRecord, SimConfig
 
@@ -417,16 +417,32 @@ def test_capped_ir_throughput_se_equals_loop_formula():
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# sweeps, as the command line expands them
 # ---------------------------------------------------------------------------
+
+def _sweep(base: SimConfig, axis: str, values) -> list[tuple[SimConfig, MetricsRecord]]:
+    """`mcastsim run --sweep AXIS=values` with base's settings as flags:
+    each config the command line expands, with its record."""
+    flags = []
+    for key in cli._SETTINGS.keys() - {"sweep", "out"}:
+        value = getattr(base, cli._field(key))
+        if isinstance(value, CoherencePolicy):
+            value = f"{value.mode}:{value.value!r}"
+        if value is not None:
+            flags += [cli._flag(key), repr(value) if isinstance(value, float) else str(value)]
+    sweep = f"{axis}={','.join(repr(value) for value in values)}"
+    args = cli._build_parser().parse_args(["run", *flags, "--sweep", sweep])
+    _, configs = cli._run_settings(args)
+    return [(cfg, simcore.run_config(cfg)) for cfg in configs]
+
 
 def test_sweep_reproducible_and_append_stable():
     base = SimConfig(scheme="static", n_users=2, alpha=2, iterations=500, seed=9)
-    first = simcore.run_sweep(base, "N", [2, 4, 8])
-    again = simcore.run_sweep(base, "N", [2, 4, 8])
+    first = _sweep(base, "N", [2, 4, 8])
+    again = _sweep(base, "N", [2, 4, 8])
     assert first == again
     assert len(first) == 3
-    short = simcore.run_sweep(base, "N", [2, 4])
+    short = _sweep(base, "N", [2, 4])
     assert short == first[:2]
     seeds = [cfg.seed for cfg, _ in first]
     assert len(set(seeds)) == 3
@@ -442,23 +458,28 @@ def test_sweep_reproducible_and_append_stable_property(base, axis, data):
     else:
         value = st.floats(0.1, 10.0) if axis == "P" else st.floats(0.01, 4.0)
     values = data.draw(st.lists(value, min_size=1, max_size=4))
-    kept = data.draw(st.integers(0, len(values)))
-    full = simcore.run_sweep(base, axis, values)
-    assert simcore.run_sweep(base, axis, values) == full
-    assert simcore.run_sweep(base, axis, values[:kept]) == full[:kept]
+    # a sweep holds at least one point
+    kept = data.draw(st.integers(1, len(values)))
+    full = _sweep(base, axis, values)
+    assert _sweep(base, axis, values) == full
+    assert _sweep(base, axis, values[:kept]) == full[:kept]
     assert len({cfg.seed for cfg, _ in full}) == len(values)
+    # each point is the base with the swept field and the seed changed
+    field = cli._field(cli.SWEEP_AXES[axis])
+    assert all(replace(cfg, **{field: getattr(base, field)}, seed=base.seed) == base
+               for cfg, _ in full)
 
 
 def test_sweep_alpha_over_divisors():
     base = SimConfig(scheme="static", n_users=12, alpha=1, iterations=200, seed=10)
-    results = simcore.run_sweep(base, "alpha", [1, 2, 3, 4, 6, 12])
+    results = _sweep(base, "alpha", [1, 2, 3, 4, 6, 12])
     assert len(results) == 6
     assert [cfg.alpha for cfg, _ in results] == [1, 2, 3, 4, 6, 12]
 
 
 def test_sweep_antennas_improves_worst_user():
     base = SimConfig(scheme="static", n_users=8, alpha=1, iterations=20000, seed=11)
-    results = simcore.run_sweep(base, "L", [1, 2, 4])
+    results = _sweep(base, "L", [1, 2, 4])
     means = [rec.throughput_mean for _, rec in results]
     assert means[0] < means[1] < means[2]
     for _, rec in results:
@@ -495,10 +516,10 @@ def test_multigroup_static_takes_antennas(n, alpha, groups, antennas):
 
 def test_sweep_rejects_bad_axis_and_value():
     base = SimConfig(scheme="static", n_users=12, alpha=1, iterations=100, seed=12)
-    with pytest.raises(ValueError):
-        simcore.run_sweep(base, "Q", [1, 2])
-    with pytest.raises(ValueError, match="5"):
-        simcore.run_sweep(base, "alpha", [5])
+    with pytest.raises(cli.ExperimentFileError, match="Q"):
+        _sweep(base, "Q", [1, 2])
+    with pytest.raises(cli.ExperimentFileError, match="5"):
+        _sweep(base, "alpha", [5])
 
 
 # ---------------------------------------------------------------------------
