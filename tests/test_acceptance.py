@@ -105,7 +105,9 @@ def test_criterion_3_mc_vs_analytic_throughput():
             )
             record = simcore.estimate_throughput(cfg)
             closed = analytic.static_throughput_closed_form(n, alpha, 1.0)
-            tolerance = max(3 * record.throughput_se, 1e-3 * closed)
+            # the closed form is exact, so only the estimate's own noise
+            # counts: |z| > 4.5 has chance 7e-6 per setting
+            tolerance = 4.5 * record.throughput_se
             ratio = abs(record.throughput_mean - closed) / tolerance
             if ratio > worst_ratio:
                 worst_ratio, worst_case = ratio, f"N={n},alpha={alpha}"

@@ -394,12 +394,13 @@ def test_multigroup_coop_argmax_contract():
 
 
 @pytest.mark.parametrize("n,groups", [
-    (2, 1), (4, 1), (10, 1), (2, 5), (4, 5), (10, 5), (64, 1),
+    (2, 1), (4, 1), (10, 1), (2, 5), (4, 5), (10, 5), (48, 1), (50, 1), (64, 1),
 ])
 def test_coop_rates_have_the_matrix_model_law(n, groups):
     # one median and one weakest-relay variate per group in place of N gains
     # and an N x N pair-gain matrix; the matrix is drawn in blocks of at
-    # most 2**22 pair gains
+    # most 2**22 pair gains.  N = 48 is the last N whose relay draw takes
+    # the least of the N/2 Gamma sums, N = 50 the first that inverts.
     count, seed = 10000, 190 + 10 * groups + n
     rates = schedulers.slot_rates(_config("coop", n, groups), count, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 100)
