@@ -125,8 +125,6 @@ def _integrate_0_inf(f):
 # ---------------------------------------------------------------------------
 
 def _check_alpha(n_users: int, alpha: int) -> None:
-    if n_users < 1:
-        raise ValueError("n_users must be at least 1")
     if alpha < 1 or alpha > n_users or n_users % alpha != 0:
         raise ValueError(f"alpha={alpha} must divide n_users={n_users}")
 

@@ -101,9 +101,9 @@ def draw_scheduled_gains(
     return special.gammainccinv(antennas, v) / antennas
 
 
-def draw_interuser_gains(n: int, rng: np.random.Generator, batch) -> np.ndarray:
+def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
     """The weakest relay gain of the weak half of ``n`` cooperating users,
-    one per entry of ``batch``.
+    an array of ``shape``.
 
     Every ordered pair of users sees an i.i.d. unit-mean exponential gain.
     Weak user j hears the sum of the gains from the n/2 strong users, a sum
@@ -117,7 +117,7 @@ def draw_interuser_gains(n: int, rng: np.random.Generator, batch) -> np.ndarray:
     their minimum: there they cost less than one inversion (7 against 292
     ns per value at n/2 = 1, 615 against 836 at n/2 = 24, on a 2-core
     x86-64 host; the two meet near n/2 = 32), and the switch caps their
-    memory at 24 floats per entry of ``batch``.  Above it, Y is drawn by
+    memory at 24 floats per value drawn.  Above it, Y is drawn by
     inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
     standard exponential E, which never takes the log of zero.
     """
@@ -125,6 +125,5 @@ def draw_interuser_gains(n: int, rng: np.random.Generator, batch) -> np.ndarray:
         raise ValueError("relay gains need an even number of users, at least 2")
     half = n // 2
     if half <= _GAMMA_MIN_MAX_HALF:
-        shape = tuple(batch) if np.iterable(batch) else (batch,)
         return rng.standard_gamma(half, (*shape, half)).min(axis=-1)
-    return special.gammaincinv(half, -np.expm1(-rng.standard_exponential(batch) / half))
+    return special.gammaincinv(half, -np.expm1(-rng.standard_exponential(shape) / half))

@@ -32,7 +32,6 @@ __all__ = [
     "cmd_run",
     "cmd_verify",
     "main",
-    "parse_experiment_file",
     "run_verification",
 ]
 
@@ -48,12 +47,11 @@ EXIT_PARSE = 2
 
 
 class ExperimentFileError(Exception):
-    """Configuration problem; the message names the key, and the line when
-    an experiment file line set it."""
+    """Configuration problem; the message names the key."""
 
 
 # ---------------------------------------------------------------------------
-# settings: experiment-file keys and run flags
+# settings: run flags, which are also the experiment-file keys
 # ---------------------------------------------------------------------------
 
 def _parse_coherence(text: str) -> CoherencePolicy:
@@ -114,63 +112,35 @@ def _field(key: str) -> str:
     return "n_groups" if key == "groups" else key
 
 
-def _parse_setting(key: str, text: str, where: str = ""):
+def _file_line_to_args(line: str) -> list[str]:
+    """An experiment-file line ``key = value`` as the flag pair
+    ``--key value``; text after ``#`` is a comment, and a line without
+    ``=`` reads as the arguments it holds, none if it is blank."""
+    key, sep, value = line.split("#", 1)[0].partition("=")
+    return [_flag(key.strip()), value.strip()] if sep else key.split()
+
+
+def _parse_setting(key: str, text: str):
     try:
         return _SETTINGS[key][0](text)
     except ValueError as exc:
-        raise ExperimentFileError(f"{where}{key}: {exc}") from exc
+        raise ExperimentFileError(f"{key}: {exc}") from exc
 
 
-def parse_experiment_file(path: str) -> tuple[dict, dict[str, int]]:
-    """Read a key = value experiment file into (settings, line of each key).
-
-    Unknown keys, duplicate keys and bad values raise ExperimentFileError
-    naming the offending key and line.
-    """
-    settings: dict = {}
-    lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ExperimentFileError(f"line {lineno}: expected 'key = value'")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise ExperimentFileError(f"line {lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ExperimentFileError(
-                    f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
-                )
-            settings[key] = _parse_setting(key, value.strip(), f"line {lineno}: ")
-            lines[key] = lineno
-    return settings, lines
-
-
-def _config_from_settings(settings: dict, lines: dict | None = None, where: str = "") -> SimConfig:
+def _config_from_settings(settings: dict, where: str = "") -> SimConfig:
     """The one SimConfig builder.  Only the keys present are passed, so
-    SimConfig's defaults are the only defaults.  An invariant breach names
-    the line of the key it mentions first, when a file line set that key,
-    and else starts with ``where``."""
-    lines = lines or {}
+    SimConfig's defaults are the only defaults.  An invariant breach
+    starts with ``where``."""
     for key in ("scheme", "n_users"):
         if key not in settings:
-            raise ExperimentFileError(
-                f"missing required key {key!r} ({_flag(key)} or a --config file line)"
-            )
+            raise ExperimentFileError(f"missing required key {key!r} ({_flag(key)})")
     fields = {
         _field(key): value for key, value in settings.items() if key not in ("sweep", "out")
     }
     try:
         return SimConfig(**fields)
     except ValueError as exc:
-        message = str(exc)
-        mentioned = [(message.find(key), key) for key in lines if key in message]
-        offender = min(mentioned)[1] if mentioned else "scheme"
-        where = f"line {lines[offender]}: " if offender in lines else where
-        raise ExperimentFileError(f"{where}{message}") from exc
+        raise ExperimentFileError(f"{where}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +224,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 def _run_settings(args) -> tuple[dict, list[SimConfig]]:
     """The run's settings and every config it runs, each validated before
-    the first runs: a recipe's, or the experiment file's (if any) with the
-    given flags on top, at each sweep point if it sweeps."""
-    flags = {
+    the first runs: a recipe's, or the flags' at each sweep point if they
+    sweep."""
+    settings = {
         key: _parse_setting(key, getattr(args, key))
         for key in _SETTINGS if getattr(args, key) is not None
     }
@@ -265,35 +235,28 @@ def _run_settings(args) -> tuple[dict, list[SimConfig]]:
             raise ExperimentFileError(
                 f"unknown recipe {args.recipe!r}; known: {', '.join(sorted(RECIPES))}"
             )
-        extra = ["--config"] if args.config else []
-        extra += [_flag(key) for key in flags if key not in ("iterations", "seed", "out")]
+        extra = [_flag(key) for key in settings if key not in ("iterations", "seed", "out")]
         if extra:
             raise ExperimentFileError(
                 f"--recipe takes only --iterations, --seed and --out, not {' '.join(extra)}"
             )
-        return flags, _expand(RECIPES[args.recipe], flags, 1, args.recipe)
-    settings, lines = parse_experiment_file(args.config) if args.config else ({}, {})
-    for key in flags:
-        lines.pop(key, None)
-    settings.update(flags)
-    configs = [_config_from_settings(settings, lines)]
+        return settings, _expand(RECIPES[args.recipe], settings, 1, args.recipe)
+    configs = [_config_from_settings(settings)]
     if "sweep" in settings:
         # the settings alone are valid, so a point that breaks an invariant is at fault
-        where = f"line {lines['sweep']}: " if "sweep" in lines else ""
-        configs = _expand(settings["sweep"], settings, 0, f"{where}sweep")
+        configs = _expand(settings["sweep"], settings, 0, "sweep")
     return settings, configs
 
 
 def cmd_run(args) -> int:
     try:
         settings, configs = _run_settings(args)
-    except (OSError, ValueError, ExperimentFileError) as exc:
-        where = f"{args.config}: " if args.config and not args.recipe else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
+    except (ValueError, ExperimentFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out_path = settings.get("out")
     if not out_path:
-        print("error: no output path (--out or 'out' in the config file)", file=sys.stderr)
+        print("error: no output path (--out)", file=sys.stderr)
         return EXIT_PARSE
 
     try:
@@ -312,14 +275,11 @@ def cmd_run(args) -> int:
     print(f"wrote {len(rows)} row(s) to {out_path}")
     for cfg, rec in results:
         label = cfg.scheme + (f"(alpha={cfg.alpha})" if cfg.alpha is not None else "")
-        parts = [f"{label} N={cfg.n_users} G={cfg.n_groups}"]
-        if rec.throughput_mean is not None:
-            parts.append(f"throughput={rec.throughput_mean:.4f}+-{rec.throughput_se:.4f}")
-        if rec.analytic_throughput is not None:
-            parts.append(f"analytic={rec.analytic_throughput:.4f}")
-        if rec.delay_mean is not None:
-            parts.append(f"delay={rec.delay_mean:.2f}+-{rec.delay_se:.2f}")
-        print("  " + "  ".join(parts))
+        reference = ("" if rec.analytic_throughput is None
+                     else f"  analytic={rec.analytic_throughput:.4f}")
+        print(f"  {label} N={cfg.n_users} G={cfg.n_groups}"
+              f"  throughput={rec.throughput_mean:.4f}+-{rec.throughput_se:.4f}"
+              f"{reference}  delay={rec.delay_mean:.2f}+-{rec.delay_se:.2f}")
     return EXIT_OK
 
 
@@ -483,11 +443,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mcastsim",
         description="Monte-Carlo simulator and analytics for multicast scheduling "
                     "in a fading downlink",
+        fromfile_prefix_chars="@",
     )
+    # an @FILE argument reads the file's key = value lines as flags
+    parser.convert_arg_line_to_args = _file_line_to_args
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment, a sweep, or a named recipe")
-    run_p.add_argument("--config", help="experiment file (key = value lines); flags override it")
+    # exact flags only, so an unknown experiment-file key is an error
+    run_p = sub.add_parser("run", allow_abbrev=False,
+                           help="run one experiment, a sweep, or a named recipe; "
+                                "@FILE reads flags from key = value lines")
     run_p.add_argument(
         "--recipe",
         help=f"named experiment: {', '.join(sorted(RECIPES))}; "

@@ -100,7 +100,7 @@ def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
     n, coupled = config.n_users, config.alpha or 1
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
-    tc = config.coherence_value
+    tc = config.coherence.interval(n * config.n_groups)
     # a scheduled gain is at most the best of N G L unit exponentials, whose
     # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
     needs = _hit_needs(

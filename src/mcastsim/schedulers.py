@@ -102,6 +102,6 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     gains = channel.draw_scheduled_gains(
         n, n - n // (config.alpha or 2) + 1, shape, config.antennas, rng)
     if config.family == "coop":
-        relay = channel.draw_interuser_gains(n, rng, shape)
+        relay = channel.draw_interuser_gains(n, shape, rng)
         return cooperative_schedule(gains, relay, n, power).max(axis=-1)
     return multigroup_static_schedule(gains, power)

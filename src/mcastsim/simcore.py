@@ -81,7 +81,8 @@ class SimConfig:
             if self.rate_target is not None or self.attempt_cap is not None:
                 raise ValueError("rate_target/attempt_cap apply only to ir")
         if self.scheme in ("static", "ir", "coop") and self.n_groups != 1:
-            raise ValueError(f"{self.scheme} is single-group; use the multigroup variant")
+            variant = "" if self.scheme == "ir" else f"; use multigroup-{self.scheme}"
+            raise ValueError(f"{self.scheme} takes one group{variant}")
         if self.antennas > 1 and self.family != "static":
             raise ValueError("multiple antennas are modeled for the static schemes only")
 
@@ -90,10 +91,6 @@ class SimConfig:
         """The scheme family, ``static``, ``coop`` or ``ir``: a multigroup
         scheme belongs to the family of its single-group form."""
         return self.scheme.removeprefix("multigroup-")
-
-    @property
-    def coherence_value(self) -> float:
-        return self.coherence.interval(self.n_users * self.n_groups)
 
 
 @dataclass

@@ -91,29 +91,29 @@ def test_chisquare_rejects_zero_antennas():
 
 def test_interuser_shape_and_reproducibility():
     # one weakest relay gain per batch entry, reproducible from the seed
-    gains = channel.draw_interuser_gains(2, np.random.default_rng(31), (1,))
+    gains = channel.draw_interuser_gains(2, (1,), np.random.default_rng(31))
     assert gains.shape == (1,)
     assert gains[0] > 0
-    again = channel.draw_interuser_gains(2, np.random.default_rng(31), (1,))
+    again = channel.draw_interuser_gains(2, (1,), np.random.default_rng(31))
     assert np.array_equal(gains, again)
-    assert channel.draw_interuser_gains(6, np.random.default_rng(31), (4, 3)).shape == (4, 3)
+    assert channel.draw_interuser_gains(6, (4, 3), np.random.default_rng(31)).shape == (4, 3)
 
 
 def test_interuser_weakest_relay_law():
     # the least of 16 relay sums of 16 unit-mean pair gains: the minimum of
     # 16 Gamma(16, 1) variates, P(Y > y) = Q(16, y)^16
-    relay = channel.draw_interuser_gains(32, np.random.default_rng(32), (16000,))
+    relay = channel.draw_interuser_gains(32, (16000,), np.random.default_rng(32))
     reference = np.random.default_rng(132).gamma(16, 1.0, (16000, 16)).min(axis=1)
     assert stats.kstest(relay, lambda y: 1 - special.gammaincc(16, y) ** 16).pvalue > 0.001
     assert same_law_p_value(relay, reference) > 0.001
     # at N = 2 the one weak user hears one unit exponential
-    single = channel.draw_interuser_gains(2, np.random.default_rng(33), (16000,))
+    single = channel.draw_interuser_gains(2, (16000,), np.random.default_rng(33))
     assert stats.kstest(single, stats.expon.cdf).pvalue > 0.001
 
 
 def test_interuser_groups_independent():
     # groups draw disjoint pair gains, so their relay gains are independent
-    pairs = channel.draw_interuser_gains(4, np.random.default_rng(33), (4000, 2))
+    pairs = channel.draw_interuser_gains(4, (4000, 2), np.random.default_rng(33))
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) < 0.05
     assert not np.allclose(pairs[:, 0], pairs[:, 1])
@@ -121,9 +121,9 @@ def test_interuser_groups_independent():
 
 def test_interuser_rejects_single_user():
     with pytest.raises(ValueError):
-        channel.draw_interuser_gains(1, np.random.default_rng(0), (1,))
+        channel.draw_interuser_gains(1, (1,), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        channel.draw_interuser_gains(3, np.random.default_rng(0), (1,))
+        channel.draw_interuser_gains(3, (1,), np.random.default_rng(0))
 
 
 def test_coherence_fixed_is_verbatim():
@@ -185,8 +185,8 @@ def test_draw_gains_batch_shapes():
     assert scheduled.shape == (5, 2)
     assert np.array_equal(scheduled, np.stack(per_slot))
 
-    inter = channel.draw_interuser_gains(4, np.random.default_rng(42), (5, 2))
+    inter = channel.draw_interuser_gains(4, (5, 2), np.random.default_rng(42))
     rng = np.random.default_rng(42)
-    per_slot = [[channel.draw_interuser_gains(4, rng, (1,))[0] for _ in range(2)] for _ in range(5)]
+    per_slot = [[channel.draw_interuser_gains(4, (1,), rng)[0] for _ in range(2)] for _ in range(5)]
     assert inter.shape == (5, 2)
     assert np.array_equal(inter, np.array(per_slot))

@@ -274,8 +274,13 @@ def test_settings_reject_non_finite_values(settings):
 
 
 # ---------------------------------------------------------------------------
-# experiment files
+# experiment files: @FILE reads key = value lines as flags
 # ---------------------------------------------------------------------------
+
+def _readme_example():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```\n# exp\.cfg\n(.*?)```", readme, re.S).group(1)
+
 
 def test_config_file_round_trip(tmp_path):
     out = tmp_path / "exp.csv"
@@ -291,9 +296,24 @@ def test_config_file_round_trip(tmp_path):
         "seed = 7\n"
         f"out = {out}\n"
     )
-    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert cli.main(["run", f"@{cfg}"]) == 0
     _, rows = _read_csv(out)
     assert len(rows) == 1 and rows[0]["N"] == "10"
+
+
+def test_config_file_writes_the_bytes_of_its_flags(tmp_path):
+    # the README's example file, run as a file and as the flags it spells
+    example = _readme_example()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(example)
+    flags = []
+    for line in example.splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        flags += [] if key == "out" else ["--" + key.replace("_", "-"), value]
+    small = ["--iterations", "150"]
+    assert cli.main(["run", f"@{cfg}", *small, "--out", str(tmp_path / "file.csv")]) == 0
+    assert cli.main(["run", *flags, *small, "--out", str(tmp_path / "flags.csv")]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 def test_config_file_sweep(tmp_path):
@@ -303,79 +323,114 @@ def test_config_file_sweep(tmp_path):
         "scheme = static\nalpha = 1\nn_users = 2\nsweep = N=2,4\n"
         f"iterations = 80\nout = {out}\n"
     )
-    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert cli.main(["run", f"@{cfg}"]) == 0
     _, rows = _read_csv(out)
-    assert len(rows) == 2
+    assert [row["N"] for row in rows] == ["2", "4"]
 
 
 def test_flags_override_config_file(tmp_path):
     out = tmp_path / "exp.csv"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"scheme = coop\nn_users = 4\niterations = 500\nseed = 1\nout = {out}\n")
-    assert cli.main(["run", "--config", str(cfg), "--iterations", "7", "--seed", "3"]) == 0
+    assert cli.main(["run", f"@{cfg}", "--iterations", "7", "--seed", "3"]) == 0
     _, rows = _read_csv(out)
     assert rows[0]["iterations"] == "7"
     assert rows[0]["seed"] == "3"
 
 
-def test_overridden_key_leaves_the_line_map(tmp_path, capsys):
+def test_overriding_flag_is_the_value_checked(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"scheme = static\nn_users = 10\nalpha = 2\nout = {tmp_path / 'x.csv'}\n")
-    assert cli.main(["run", "--config", str(cfg), "--alpha", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "alpha=3" in err and "line 3" not in err
+    assert cli.main(["run", f"@{cfg}", "--alpha", "3"]) == 2
+    assert "alpha=3" in capsys.readouterr().err
 
 
-def test_config_file_unknown_sweep_axis_names_line(tmp_path, capsys):
+def test_config_file_unknown_sweep_axis_names_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = static\nalpha = 1\nn_users = 2\nsweep = X=1,2\nout = x.csv\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert cli.main(["run", f"@{cfg}"]) == 2
     err = capsys.readouterr().err
-    assert "line 4" in err and "sweep" in err
+    assert "sweep" in err and "'X'" in err
 
 
 @pytest.mark.parametrize("values, named", [("4,7", "n_users=7"), ("4,x", "'x'")],
                          ids=["invariant", "literal"])
-def test_config_file_invalid_sweep_value_names_line(tmp_path, capsys, monkeypatch, values, named):
+def test_config_file_invalid_sweep_value_names_key(tmp_path, capsys, monkeypatch, values, named):
     calls = _counted_run_config(monkeypatch)
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"scheme = static\nalpha = 2\nn_users = 4\nsweep = N={values}\nout = {out}\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert cli.main(["run", f"@{cfg}"]) == 2
     err = capsys.readouterr().err
-    assert "line 4" in err and "sweep" in err and named in err
+    assert "sweep" in err and named in err
     assert not calls and not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = static\nn_users = 4\nwhatever = 3\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "line 3" in err and "whatever" in err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", f"@{cfg}"])
+    assert exit_info.value.code == 2
+    assert "--whatever" in capsys.readouterr().err
+
+
+def test_config_file_key_is_not_abbreviated(tmp_path, capsys):
+    # argparse would otherwise read "iter" as the unique prefix of --iterations
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scheme = coop\nn_users = 4\niter = 7\nout = {tmp_path / 'x.csv'}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", f"@{cfg}"])
+    assert exit_info.value.code == 2
+    assert "--iter" in capsys.readouterr().err
 
 
 def test_config_file_bad_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = static\nalpha = two\nn_users = 4\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err and "alpha" in err
+    assert cli.main(["run", f"@{cfg}"]) == 2
+    assert "alpha: invalid literal" in capsys.readouterr().err
 
 
-def test_config_file_invariant_breach_names_line(tmp_path, capsys):
+def test_config_file_invariant_breach_names_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = static\nn_users = 10\nalpha = 3\nout = x.csv\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "line 3" in err and "alpha" in err
+    assert cli.main(["run", f"@{cfg}"]) == 2
+    assert "alpha=3 must divide n_users=10" in capsys.readouterr().err
 
 
-def test_config_file_duplicate_key(tmp_path, capsys):
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    out = tmp_path / "exp.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "# coop run\n\n   \nscheme = coop   # two-stage\n# n_users = 6\n"
+        f"n_users = 4\niterations = 30\n\nout = {out}\n"
+    )
+    assert cli.main(["run", f"@{cfg}"]) == 0
+    _, rows = _read_csv(out)
+    assert (rows[0]["scheme"], rows[0]["N"]) == ("coop", "4")
+
+
+def test_config_file_duplicate_key(tmp_path):
+    # a repeated key acts as a repeated flag: the last one wins
+    out = tmp_path / "dup.csv"
     cfg = tmp_path / "dup.cfg"
-    cfg.write_text("scheme = static\nscheme = coop\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    cfg.write_text(f"scheme = static\nscheme = coop\nn_users = 4\niterations = 30\nout = {out}\n")
+    assert cli.main(["run", f"@{cfg}"]) == 0
+    _, rows = _read_csv(out)
+    assert rows[0]["scheme"] == "coop"
+
+
+def test_config_file_reads_a_nested_file(tmp_path):
+    # argparse expands an @FILE line inside a file too
+    out = tmp_path / "exp.csv"
+    base = tmp_path / "base.cfg"
+    base.write_text("scheme = coop\nn_users = 4\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"@{base}\niterations = 30\nout = {out}\n")
+    assert cli.main(["run", f"@{cfg}"]) == 0
+    _, rows = _read_csv(out)
+    assert (rows[0]["scheme"], rows[0]["iterations"]) == ("coop", "30")
 
 
 def test_readme_lists_every_setting():

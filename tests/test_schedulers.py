@@ -369,7 +369,7 @@ def test_multigroup_coop_reduction_and_argmax():
     # the sampler draws a slot's median gain, then its relay gain
     rng = np.random.default_rng(8)
     median = channel.draw_scheduled_gains(4, 3, 1, 1, rng)
-    relay = channel.draw_interuser_gains(4, rng, (1,))
+    relay = channel.draw_interuser_gains(4, (1,), rng)
     single = schedulers.cooperative_schedule(median, relay, 4, 1.0)
     one_group = schedulers.slot_rates(_config("coop", 4), 1, np.random.default_rng(8))
     assert np.array_equal(one_group, single)
@@ -377,7 +377,7 @@ def test_multigroup_coop_reduction_and_argmax():
     # a stronger group wins: each slot rates at its best group
     rng = np.random.default_rng(18)
     median = channel.draw_scheduled_gains(4, 3, (200, 2), 1, rng)
-    relay = channel.draw_interuser_gains(4, rng, (200, 2))
+    relay = channel.draw_interuser_gains(4, (200, 2), rng)
     rates = schedulers.slot_rates(_config("coop", 4, 2), 200, np.random.default_rng(18))
     per_group = schedulers.cooperative_schedule(median, relay, 4, 1.0)
     assert np.all(rates >= per_group[:, 0]) and np.all(rates >= per_group[:, 1])
@@ -387,7 +387,7 @@ def test_multigroup_coop_reduction_and_argmax():
 def test_multigroup_coop_argmax_contract():
     rng = np.random.default_rng(9)
     median = channel.draw_scheduled_gains(4, 3, (50, 3), 1, rng)
-    relay = channel.draw_interuser_gains(4, rng, (50, 3))
+    relay = channel.draw_interuser_gains(4, (50, 3), rng)
     rates = schedulers.slot_rates(_config("coop", 4, 3), 50, np.random.default_rng(9))
     for rate, per_group in zip(rates, schedulers.cooperative_schedule(median, relay, 4, 1.0)):
         assert 2 * rate == max(2 * r for r in per_group)
@@ -440,11 +440,11 @@ def test_batch_call_equals_single_slot_calls(kernel):
         call = lambda g: schedulers.multigroup_static_schedule(g, 1.5)
     elif kernel == "coop":
         args = (channel.draw_scheduled_gains(n, 4, (batch, 1), 1, rng),
-                channel.draw_interuser_gains(n, rng, (batch, 1)))
+                channel.draw_interuser_gains(n, (batch, 1), rng))
         call = lambda g, u: schedulers.cooperative_schedule(g, u, n, 1.5)
     elif kernel == "multigroup-coop":
         args = (channel.draw_scheduled_gains(n, 4, (batch, groups), 1, rng),
-                channel.draw_interuser_gains(n, rng, (batch, groups)))
+                channel.draw_interuser_gains(n, (batch, groups), rng))
         call = lambda g, u: schedulers.cooperative_schedule(g, u, n, 1.5).max(axis=-1)
     else:
         args = (rng.exponential(2.0, (batch, n)), rng.exponential(1.0, (batch, n)))

@@ -44,7 +44,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(scheme="turbo", n_users=4)
     cfg = SimConfig(scheme="multigroup-static", n_users=4, alpha=2, n_groups=3)
-    assert cfg.coherence_value == 1.0
+    assert cfg.coherence.interval(cfg.n_users * cfg.n_groups) == 1.0
+
+
+@pytest.mark.parametrize("settings", [
+    dict(scheme="static", alpha=2), dict(scheme="coop"),
+], ids=["static", "coop"])
+def test_single_group_scheme_names_its_multigroup_variant(settings):
+    with pytest.raises(ValueError, match=f"use multigroup-{settings['scheme']}$"):
+        SimConfig(n_users=4, n_groups=2, **settings)
+
+
+def test_ir_takes_one_group():
+    # there is no multigroup ir scheme to point to
+    with pytest.raises(ValueError, match="^ir takes one group$"):
+        SimConfig(scheme="ir", n_users=4, rate_target=1.0, n_groups=2)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -66,7 +80,7 @@ def test_scaled_coherence_reaches_delay_accounting():
         scheme="static", n_users=16, alpha=1, iterations=200, seed=4,
         coherence=CoherencePolicy("scaled", 1.0),
     )
-    assert cfg.coherence_value == pytest.approx(1 / math.log(math.log(16)))
+    assert cfg.coherence.interval(cfg.n_users) == pytest.approx(1 / math.log(math.log(16)))
     record = simcore.estimate_delay(cfg)
     assert record.delay_mean > 0
 
@@ -203,7 +217,7 @@ def test_multigroup_coop_slot_memory_is_flat_in_n():
 def test_coop_slot_memory_is_flat_in_n():
     # above N/2 = 24 the relay stage draws one weakest-relay gain per slot,
     # not N/2 sums
-    relay = channel.draw_interuser_gains(1000, np.random.default_rng(49), (1000,))
+    relay = channel.draw_interuser_gains(1000, (1000,), np.random.default_rng(49))
     assert relay.shape == (1000,)
     _assert_peak_memory_flat_in_n("coop")
 
@@ -252,7 +266,7 @@ def test_single_group_rates_equal_one_group_multigroup_kernels():
     coop = schedulers.slot_rates(SimConfig(scheme="coop", n_users=4), 100, np.random.default_rng(46))
     rng = np.random.default_rng(46)
     median = channel.draw_scheduled_gains(4, 3, (100, 1), 1, rng)
-    relay = channel.draw_interuser_gains(4, rng, (100, 1))
+    relay = channel.draw_interuser_gains(4, (100, 1), rng)
     assert np.array_equal(coop, schedulers.cooperative_schedule(median, relay, 4, 1.0).max(axis=-1))
     assert static.shape == coop.shape == (100,)
 
