@@ -8,7 +8,9 @@ at every population size.  A cooperative slot's weakest relay gain is the
 least of N/2 Gamma(N/2) variates up to N/2 = 24 and one inversion above, so
 its cost and memory grow with N only up to that switch.  Draws are pure
 functions of the supplied generator, so per-worker streams stay
-independent and every realization is reproducible from its seed.
+independent and every realization is reproducible from its seed.  The
+draws take their arguments from a validated ``simcore.SimConfig``
+through ``schedulers.slot_rates`` and check none of them.
 """
 from __future__ import annotations
 
@@ -61,10 +63,7 @@ def draw_gains(shape, rng: np.random.Generator) -> np.ndarray:
     exponentials.  A retransmission attempt reads every user's gain, so
     ``schedulers.slot_rates`` draws them all here; the other schedulers
     draw only the gain they rate (``draw_scheduled_gains``)."""
-    gains = rng.exponential(1.0, shape)
-    if gains.size < 1:
-        raise ValueError("need at least one gain")
-    return gains
+    return rng.exponential(1.0, shape)
 
 
 def draw_scheduled_gains(
@@ -86,10 +85,6 @@ def draw_scheduled_gains(
     the cooperative scheduler draw their base-station fading here, so
     throughput and delay see the same antenna law.
     """
-    if not 1 <= position <= n_users:
-        raise ValueError(f"position {position} is not among the {n_users} users")
-    if antennas < 1:
-        raise ValueError("need at least one antenna")
     if position == 1:
         v = np.exp(-rng.standard_exponential(shape) / n_users)
     elif position == n_users:
@@ -121,8 +116,6 @@ def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
     inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
     standard exponential E, which never takes the log of zero.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("relay gains need an even number of users, at least 2")
     half = n // 2
     if half <= _GAMMA_MIN_MAX_HALF:
         return rng.standard_gamma(half, (*shape, half)).min(axis=-1)

@@ -26,7 +26,6 @@ from mcastsim.simcore import SimConfig
 __all__ = [
     "CSV_COLUMNS",
     "CheckResult",
-    "ExperimentFileError",
     "RECIPES",
     "cmd_plotdata",
     "cmd_run",
@@ -44,10 +43,6 @@ CSV_COLUMNS = [
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
-
-
-class ExperimentFileError(Exception):
-    """Configuration problem; the message names the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def _parse_setting(key: str, text: str):
     try:
         return _SETTINGS[key][0](text)
     except ValueError as exc:
-        raise ExperimentFileError(f"{key}: {exc}") from exc
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _config_from_settings(settings: dict, where: str = "") -> SimConfig:
@@ -133,14 +128,14 @@ def _config_from_settings(settings: dict, where: str = "") -> SimConfig:
     starts with ``where``."""
     for key in ("scheme", "n_users"):
         if key not in settings:
-            raise ExperimentFileError(f"missing required key {key!r} ({_flag(key)})")
+            raise ValueError(f"missing required key {key!r} ({_flag(key)})")
     fields = {
         _field(key): value for key, value in settings.items() if key not in ("sweep", "out")
     }
     try:
         return SimConfig(**fields)
     except ValueError as exc:
-        raise ExperimentFileError(f"{where}{exc}") from exc
+        raise ValueError(f"{where}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +227,12 @@ def _run_settings(args) -> tuple[dict, list[SimConfig]]:
     }
     if args.recipe:
         if args.recipe not in RECIPES:
-            raise ExperimentFileError(
+            raise ValueError(
                 f"unknown recipe {args.recipe!r}; known: {', '.join(sorted(RECIPES))}"
             )
         extra = [_flag(key) for key in settings if key not in ("iterations", "seed", "out")]
         if extra:
-            raise ExperimentFileError(
+            raise ValueError(
                 f"--recipe takes only --iterations, --seed and --out, not {' '.join(extra)}"
             )
         return settings, _expand(RECIPES[args.recipe], settings, 1, args.recipe)
@@ -251,7 +246,7 @@ def _run_settings(args) -> tuple[dict, list[SimConfig]]:
 def cmd_run(args) -> int:
     try:
         settings, configs = _run_settings(args)
-    except (ValueError, ExperimentFileError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out_path = settings.get("out")
@@ -393,8 +388,10 @@ def _series_label(row: dict) -> str:
     label = row["scheme"]
     if row["alpha"]:
         label += f"-a{row['alpha']}"
-    if row["G"] and row["G"] != "1":
-        label += f"-G{row['G']}"
+    # a swept G, L, P or S splits the series; "1.0" reads as 1
+    for axis in ("G", "L", "P", "S"):
+        if row[axis] and float(row[axis]) != 1:
+            label += f"-{axis}{row[axis]}"
     return label
 
 

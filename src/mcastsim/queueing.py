@@ -27,8 +27,7 @@ raises ValueError.
 
 Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which it reads only
-through ``schedulers.slot_rates``, the one place fading is drawn; an
-entry rejects a config of another scheme family before any draw.  The
+through ``schedulers.slot_rates``, the one place fading is drawn.  The
 loop runs ``config.iterations`` independent runs in lockstep and keeps
 the sums of the unfinished runs only: each round draws, in one sampler
 call, a rate for every coupled queue (or user) of each, done or not.  A
@@ -55,11 +54,6 @@ __all__ = [
     "tagged_delay_coop",
     "tagged_delay_static",
 ]
-
-
-def _check_family(config: "SimConfig", family: str) -> None:
-    if config.family != family:
-        raise ValueError(f"scheme {config.scheme!r} is not of the {family} delay engine's family")
 
 
 def _check_slots(slots) -> None:
@@ -119,7 +113,6 @@ def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.nda
     queues under the fixed-fraction scheduler's queue layout, given the
     hits each queue needs, with ``config.antennas`` transmit antennas
     behind every rate.  Returns a float array of shape (config.iterations,)."""
-    _check_family(config, "static")
     return _coupled_queue_delay(
         config, lambda count: schedulers.slot_rates(config, count, rng))
 
@@ -131,7 +124,6 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     A cycle decodes once every user's accumulated information reaches
     the rate target, and fails when the attempt cap comes first.  Each
     attempt is one ``schedulers.ir_advance`` call on the unfinished cycles."""
-    _check_family(config, "ir")
     cap = config.attempt_cap or math.inf
     # an attempt adds E[log1p(P g)] <= log1p(P) nats to each user (Jensen);
     # a cap C below R / log1p(P) still leaves at least C / 2 on average (Markov)
@@ -154,6 +146,5 @@ def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarr
     serves it at the best of G group rates, the rate the sampler draws for
     the row's own config.  So E[T | K] = G K.
     """
-    _check_family(config, "coop")
     return _coupled_queue_delay(
         config, lambda count: schedulers.slot_rates(config, count, rng))

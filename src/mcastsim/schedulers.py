@@ -72,12 +72,8 @@ def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) 
     gain of the weak half (see ``channel.draw_interuser_gains``); the
     packet moves at the lesser stage rate.
     """
-    if n_users < 2 or n_users % 2 != 0:
-        raise ValueError("cooperation needs an even number of users, at least 2")
     stage1 = static_schedule(median_gains, power)
     stage2 = static_schedule(relay_gains, power / (n_users // 2))
-    if stage2.shape != stage1.shape:
-        raise ValueError("relay gains must have the shape of the median gains")
     return np.minimum(stage1, stage2)
 
 
@@ -91,8 +87,6 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     groups: shape (count,), and memory O(count * G) at every N, or
     O(count * G * min(N/2, 24)) under cooperation, whose relay draw holds
     up to 24 relay sums per group (``channel.draw_interuser_gains``)."""
-    if count < 1:
-        raise ValueError("need at least one slot")
     n, power = config.n_users, config.power
     if config.family == "ir":
         return static_schedule(channel.draw_gains((count, n), rng), power)

@@ -39,13 +39,6 @@ def test_rayleigh_ks_distance():
     assert ks_distance(scheduled, lambda x: 1 - math.exp(-x)) < 0.01
 
 
-def test_rayleigh_rejects_empty():
-    with pytest.raises(ValueError):
-        channel.draw_gains(0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        channel.draw_gains((3, 0), np.random.default_rng(0))
-
-
 def test_chisquare_single_antenna_matches_rayleigh_stream():
     # one antenna: Q^-1(1, V) / 1 = -log V, on the same Beta variates
     a = channel.draw_scheduled_gains(5, 2, 1000, 1, np.random.default_rng(21))
@@ -84,11 +77,6 @@ def test_chisquare_four_antenna_unit_mean():
     assert abs(best.mean() - mean) < 4 * best.std() / math.sqrt(best.size)
 
 
-def test_chisquare_rejects_zero_antennas():
-    with pytest.raises(ValueError):
-        channel.draw_scheduled_gains(4, 2, 10, 0, np.random.default_rng(0))
-
-
 def test_interuser_shape_and_reproducibility():
     # one weakest relay gain per batch entry, reproducible from the seed
     gains = channel.draw_interuser_gains(2, (1,), np.random.default_rng(31))
@@ -117,13 +105,6 @@ def test_interuser_groups_independent():
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) < 0.05
     assert not np.allclose(pairs[:, 0], pairs[:, 1])
-
-
-def test_interuser_rejects_single_user():
-    with pytest.raises(ValueError):
-        channel.draw_interuser_gains(1, (1,), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        channel.draw_interuser_gains(3, (1,), np.random.default_rng(0))
 
 
 def test_coherence_fixed_is_verbatim():

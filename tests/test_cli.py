@@ -269,7 +269,7 @@ def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):
 ], ids=["packet_nats", "rate_target"])
 def test_settings_reject_non_finite_values(settings):
     key = list(settings)[-1]
-    with pytest.raises(cli.ExperimentFileError, match=key):
+    with pytest.raises(ValueError, match=key):
         cli._config_from_settings(settings)
 
 
@@ -586,6 +586,20 @@ def test_plotdata_splits_mixed_groups(tmp_path):
     assert cli.main(["plotdata", str(path), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "mix__multigroup-static-a1__throughput.dat").exists()
     assert (tmp_path / "mix__multigroup-static-a1-G2__throughput.dat").exists()
+
+
+def test_plotdata_writes_one_series_per_swept_power(tmp_path):
+    out = tmp_path / "p.csv"
+    assert cli.main([
+        "run", "--scheme", "static", "--alpha", "2", "--n-users", "4",
+        "--sweep", "P=1,2,4", "--iterations", "50", "--out", str(out),
+    ]) == 0
+    assert cli.main(["plotdata", str(out), "--out-dir", str(tmp_path)]) == 0
+    # P = 1 is the default and names nothing
+    for label in ("static-a2", "static-a2-P2", "static-a2-P4"):
+        lines = (tmp_path / f"p__{label}__throughput.dat").read_text().splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["4"]
+    assert len(list(tmp_path.glob("p__*__throughput.dat"))) == 3
 
 
 def test_plotdata_reports_unwritable_out_dir(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mcastsim import analytic, queueing
+from mcastsim import analytic, queueing, simcore
 from mcastsim.channel import CoherencePolicy
 from mcastsim.simcore import SimConfig
 
@@ -437,7 +437,7 @@ def test_coop_delay_scales_with_group_count():
 
 
 # ---------------------------------------------------------------------------
-# each entry drives its own scheme family only
+# each entry runs its own scheme family only
 # ---------------------------------------------------------------------------
 
 class _NoDraws:
@@ -453,9 +453,9 @@ _FAMILY_CONFIGS = {
     "ir": [_config("ir", 4, rate_target=1.0)],
 }
 _ENTRIES = {
-    "static": (queueing.tagged_delay_static, "is not of the static delay"),
-    "coop": (queueing.tagged_delay_coop, "is not of the coop delay"),
-    "ir": (queueing.ir_renewal_cycle, "is not of the ir delay"),
+    "static": "tagged_delay_static",
+    "coop": "tagged_delay_coop",
+    "ir": "ir_renewal_cycle",
 }
 
 
@@ -463,7 +463,12 @@ _ENTRIES = {
     (family, config) for family in ("static", "coop", "ir")
     for other, configs in _FAMILY_CONFIGS.items() if other != family for config in configs
 ], ids=lambda value: getattr(value, "scheme", value))
-def test_entries_reject_other_families_before_any_draw(family, config):
-    entry, message = _ENTRIES[family]
-    with pytest.raises(ValueError, match=f"scheme '{config.scheme}' {message}"):
-        entry(config, _NoDraws())
+def test_estimators_never_run_an_entry_on_another_family(family, config, monkeypatch):
+    # the entries trust SimConfig and check no family; the estimators'
+    # dispatch on config.family is what keeps each to its own
+    def refuse(*args):
+        raise AssertionError(f"{_ENTRIES[family]} ran a {config.scheme} config")
+
+    monkeypatch.setattr(queueing, _ENTRIES[family], refuse)
+    simcore.estimate_throughput(config)
+    simcore.estimate_delay(config)

@@ -93,10 +93,6 @@ def test_static_schedule_validates_input():
         schedulers.multigroup_static_schedule(np.zeros((2, 0)), 1.0)
     with pytest.raises(ValueError, match="divide"):
         _config("static", 6, alpha=4)
-    with pytest.raises(ValueError, match="position"):
-        channel.draw_scheduled_gains(6, 7, 10, 1, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="antenna"):
-        channel.draw_scheduled_gains(6, 3, 10, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (5, 3), (2, 3, 4)])
@@ -354,13 +350,7 @@ def test_coop_effective_rate_is_min_and_half_split():
 
 def test_coop_rejects_odd_user_count():
     with pytest.raises(ValueError, match="even"):
-        schedulers.cooperative_schedule([1.0], [1.0], 3, 1.0)
-    with pytest.raises(ValueError, match="even"):
         _config("coop", 3)
-    with pytest.raises(ValueError, match="shape"):
-        schedulers.cooperative_schedule([1.0], np.zeros(2), 2, 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        schedulers.cooperative_schedule([1.0, 2.0], np.zeros((2, 2)), 2, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         schedulers.cooperative_schedule([1.0], [-1.0], 2, 1.0)
 
