@@ -6,12 +6,13 @@ waiting time of coupled queues with equal or unequal needs, and each
 scheme's throughput growth law, which run rows carry as their
 ``predicted_scaling`` reference.
 
-The evaluators rest on scipy.special: the order-statistic survival
-function is a binomial tail, i.e. a regularized incomplete beta
-function, and the Chi-square and Gamma laws are regularized incomplete
-gamma functions.  Integrals over [0, inf) use one double-exponential
-(exp-sinh) rule whose integrands take the whole node array, so each
-refinement is one ufunc call, for one integrand or a row per integrand.
+Every law has an integer parameter and is evaluated in numpy: the
+order-statistic survival function is a binomial tail, and the Chi-square
+and Gamma laws are Poisson tails, whose Gamma quantiles the channel draws
+invert.  Integrals over [0, inf) use one double-exponential
+(exp-sinh) rule whose integrands take a node array, so each refinement
+is one ufunc call for one integrand, or a row per integrand in blocks
+of nodes.
 The static-throughput closed form is one alternating binomial sum,
 which cancels catastrophically in double precision once systems get
 moderately large; it is taken over exact integer coefficients in
@@ -27,7 +28,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import special
 
 __all__ = [
     "UnsupportedSizeError",
@@ -46,6 +46,8 @@ _DE_WINDOW = (-5.5, 3.5)
 _DE_FIRST_STEP = 1 / 8
 _DE_MAX_HALVINGS = 12
 _DE_RTOL = 1e-12
+# Rows of integrands times nodes evaluated in one call of the integrand.
+_DE_BLOCK = 2 ** 18
 
 # Direct evaluation of the alternating sum is capped here, at about 0.3 s
 # a call (21 s at N = 1000, alpha = 2); larger systems use throughput_quadrature.
@@ -57,6 +59,234 @@ class UnsupportedSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# integer-parameter binomial, Poisson and Gamma laws
+# ---------------------------------------------------------------------------
+
+# A tail is its first term on the side away from the mean (Loader, 2000) times
+# a series of term ratios, which start below 1 and fall; the other tail is its
+# complement.  A series adds _SERIES_FIRST_SPAN terms, then twice as many
+# each time, until its rest is below _SERIES_RTOL of its sum; a span is one
+# array of terms times elements up to _SERIES_BLOCK values, and is taken a
+# term at a time above, so that its memory stays a few arrays of elements.
+_SERIES_RTOL = 2.0 ** -54
+_SERIES_FIRST_SPAN = 16
+_SERIES_BLOCK = 2048
+# log k! - log(sqrt(2 pi k) (k/e)^k) up to k = 15; the Stirling series above
+_STIRLERR = np.array([0.0] + [math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k
+                              - 0.5 * math.log(2 * math.pi) for k in range(1, 16)])
+# Binomial tails of at most this many trials are summed term by term.
+_DIRECT_SUM_MAX_N = 24
+# Abramowitz & Stegun 26.2.23, a normal quantile to 4.5e-4 for the inverses' start
+_NORMAL_QUANTILE_NUM = (2.515517, 0.802853, 0.010328)
+_NORMAL_QUANTILE_DEN = (1.432788, 0.189269, 0.001308)
+# The coupon integrand sums P(X < k) term by term up to this largest need,
+# where e^-t underflows (t > 745) only once P(X < k) < e^-99; exp
+# underflows to 0 below -_UNDERFLOW_LOG.
+_FINITE_SUM_MAX_K = 400
+_UNDERFLOW_LOG = 746.0
+# Halley steps in log y stop below this step, the next error being about its
+# cube; an inverse takes its values in blocks of this many, or an eighth of
+# them if more, which bounds its temporaries.
+_INVERSE_STEP_TOL = 1e-7
+_INVERSE_MAX_STEPS = 16
+_INVERSE_BLOCK = 128
+
+
+def _stirlerr(k):
+    """log k! - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1, elementwise."""
+    k = np.asarray(k)
+    inv = 1.0 / np.maximum(k, 1)
+    w = inv * inv
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - w / 1188) * w) * w) * w) * inv
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15)], series)
+
+
+def _bd0(x, m):
+    """x log(x / m) + m - x for x, m > 0, within a few ulps: d v + 2 x (atanh v - v)
+    with d = x - m and v = d / (x + m), the atanh by its series where |v| < 0.2
+    and, where |v| >= 0.9, the form itself (Loader, 2000)."""
+    d = x - m
+    v = d / (x + m)
+    w = v * v
+    series = v * w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+        1 / 13 + w * (1 / 15 + w * (1 / 17 + w * (1 / 19 + w * (1 / 21 + w * (
+            1 / 23 + w * (1 / 25 + w / 27))))))))))))
+    near = d * v + 2 * x * np.where(w < 0.04, series, np.arctanh(np.clip(v, -0.9, 0.9)) - v)
+    return np.where(w < 0.81, near, x * (np.log(x) - np.log(m)) - d)
+
+
+@lru_cache(maxsize=None)
+def _binomial_log_scale(n: int, x: int) -> float:
+    """log P(X = x) + bd0(x, n s) + bd0(n - x, n (1 - s)) for X ~ Bin(n, s),
+    0 < x < n, which does not depend on s (Loader, 2000)."""
+    return (float(_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x))
+            + 0.5 * math.log(n / (2 * math.pi * x * (n - x))))
+
+
+def _series(z, num, den, dnum: int, dden: int) -> np.ndarray:
+    """sum_{i >= 0} prod_{m < i} r_m, r_m = z (num - dnum m) / (den + dden m),
+    elementwise over the 1-d array z; num and den are scalars or arrays like
+    z.  An element's ratios must fall with m from below 1; one that reaches
+    0 ends its sum.  Each element's arithmetic is the same in whatever
+    batch it comes: products and sums run term by term."""
+    total = np.empty(z.size)
+    rows = np.arange(z.size)
+    acc, last = np.ones(z.size), np.ones(z.size)
+    start, span = 0, _SERIES_FIRST_SPAN
+    while rows.size:
+        if rows.size * span <= _SERIES_BLOCK:
+            # one row per term, the outer product by matmul, which needs no
+            # broadcast buffer
+            m = np.arange(start, start + span)[:, None]
+            factor = (num - dnum * m) / (den + dden * m)
+            terms = factor * z if factor.shape[1] > 1 else factor @ z[None, :]
+            ratio = terms[-1].copy()
+            terms[0] *= last
+            np.cumprod(terms, axis=0, out=terms)
+            last = terms[-1].copy()
+            np.cumsum(terms, axis=0, out=terms)
+            acc += terms[-1]
+            del terms   # before the next block is built
+        else:
+            part = np.zeros(rows.size)
+            for m in range(start, start + span):
+                ratio = z * ((num - dnum * m) / (den + dden * m))
+                last *= ratio
+                part += last
+            acc += part
+        # the rest is at most last * r / (1 - r), r the last ratio
+        done = last * ratio <= _SERIES_RTOL * acc * (1 - ratio)
+        if done.any():
+            total[rows[done]] = acc[done]
+            keep = ~done
+            rows, z, acc, last = rows[keep], z[keep], acc[keep], last[keep]
+            num = num[keep] if np.ndim(num) else num
+            den = den[keep] if np.ndim(den) else den
+        start, span = start + span, 2 * span
+    return total
+
+
+def _poisson_log_tails(k, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log P(X >= k), log P(X < k), log P(X = k)) for X ~ Poisson(t),
+    elementwise over broadcast integers k >= 1 and t > 0.  P(X >= k) is also
+    the regularized lower incomplete gamma function P(k, t), and P(X < k)
+    the upper, Q(k, t)."""
+    k, t = np.asarray(k), np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(k.shape, t.shape)
+    t = np.broadcast_to(t, shape).ravel()
+    if k.ndim:
+        k = np.broadcast_to(k, shape).ravel()
+    log_pmf = -_stirlerr(k) - _bd0(k, t) - 0.5 * np.log(2 * math.pi * k)
+    upper = t < k
+    lower = ~upper
+    short = np.empty(t.size)
+    # P(X >= k) from P(X = k), ratios t / (k + 1 + m)
+    t_up, k_up = t[upper], k[upper] if k.ndim else k
+    short[upper] = log_pmf[upper] + np.log(_series(t_up, 1, k_up + 1, 0, 1))
+    # P(X < k) from P(X = k - 1) = P(X = k) k / t, ratios (k - 1 - m) / t
+    t_lo, k_lo = t[lower], k[lower] if k.ndim else k
+    short[lower] = log_pmf[lower] + np.log(k_lo / t_lo * _series(1 / t_lo, k_lo - 1, 1, 1, 0))
+    long = np.log1p(-np.exp(short))
+    return (np.where(upper, short, long).reshape(shape),
+            np.where(upper, long, short).reshape(shape), log_pmf.reshape(shape))
+
+
+def _binomial_tail(n: int, a: int, s):
+    """P(Bin(n, s) >= a), elementwise over an array s in [0, 1], for 1 < a < n."""
+    s = np.asarray(s, dtype=float)
+    if n <= _DIRECT_SUM_MAX_N:
+        j = np.arange(a, n + 1)
+        comb = np.array([float(math.comb(n, i)) for i in j])
+        # a sum near 1 can round above it
+        return np.minimum((s[..., None] ** j * (1 - s)[..., None] ** (n - j) * comb).sum(axis=-1),
+                          1.0)
+    out = np.where(s >= 1, 1.0, 0.0)
+    inner = (s > 0) & (s < 1)
+    s = s[inner]
+    q = 1 - s
+    upper = n * s < a
+    lower = ~upper
+    # from P(X = x), x = a above the mean and a - 1 below it
+    x = np.where(upper, a, a - 1)
+    log_first = (np.where(upper, _binomial_log_scale(n, a), _binomial_log_scale(n, a - 1))
+                 - _bd0(x, n * s) - _bd0(n - x, n * q))
+    tail = np.empty(s.size)
+    # P(X >= a): ratios (n - a - m) s / ((a + 1 + m) q)
+    tail[upper] = np.exp(log_first[upper]) * _series(s[upper] / q[upper], n - a, a + 1, 1, 1)
+    # P(X < a): ratios (a - 1 - m) q / ((n - a + 2 + m) s)
+    tail[lower] = -np.expm1(log_first[lower] + np.log(
+        _series(q[lower] / s[lower], a - 1, n - a + 2, 1, 1)))
+    out[inner] = tail
+    return out
+
+
+def _normal_quantile(p):
+    """The standard normal quantile of p in (0, 1/2], to 4.5e-4."""
+    t = np.sqrt(-2 * np.log(p))
+    c0, c1, c2 = _NORMAL_QUANTILE_NUM
+    d1, d2, d3 = _NORMAL_QUANTILE_DEN
+    return (c0 + (c1 + c2 * t) * t) / (1 + (d1 + (d2 + d3 * t) * t) * t) - t
+
+
+def _gamma_inverse(k: int, tail, upper: bool) -> np.ndarray:
+    """The y with Q(k, y) = tail if ``upper``, else P(k, y) = tail,
+    elementwise over an array ``tail`` in [0, 1], for an integer k >= 1."""
+    tail = np.asarray(tail, dtype=float)
+    flat = tail.ravel()
+    y = np.empty(flat.size)
+    block = max(_INVERSE_BLOCK, -(-flat.size // 8))
+    for lo in range(0, flat.size, block):
+        y[lo:lo + block] = _gamma_inverse_block(k, flat[lo:lo + block], upper)
+    return y.reshape(tail.shape)
+
+
+def _gamma_inverse_block(k: int, tail: np.ndarray, upper: bool) -> np.ndarray:
+    """_gamma_inverse on a 1-d array.  Each value is solved on the side whose
+    probability is at most 1/2, in log y for the log of that probability,
+    which is concave there, by Halley steps from _gamma_inverse_start."""
+    flip = tail > 0.5
+    side_upper = flip != upper
+    # 1 - tail is exact for tail in [1/2, 1]
+    prob = np.where(flip, 1 - tail, tail)
+    y = np.where(side_upper, np.inf, 0.0)
+    solve = prob > 0
+    prob, side_upper = prob[solve], side_upper[solve]
+    u = _gamma_inverse_start(k, prob, side_upper)
+    target = np.log(prob)
+    rows = np.arange(prob.size)
+    for _ in range(_INVERSE_MAX_STEPS):
+        step = _halley_step(k, np.exp(u[rows]), side_upper[rows], target[rows])
+        u[rows] -= step
+        rows = rows[abs(step) > _INVERSE_STEP_TOL]
+        if not rows.size:
+            break
+    y[solve] = np.exp(u)
+    return y
+
+
+def _gamma_inverse_start(k: int, prob: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """log y0 for Q(k, y) = prob where ``upper``, else P(k, y) = prob: the
+    Wilson-Hilferty approximation or the lower bound (P k!)^(1/k) of a small
+    root, whichever is larger."""
+    z = _normal_quantile(prob)
+    cube = np.maximum(1 - 1 / (9 * k) + np.where(upper, -z, z) / (3 * math.sqrt(k)), 0.0)
+    log_lower = np.where(upper, np.log1p(-prob), np.log(prob))
+    return np.log(np.maximum(k * cube ** 3, np.exp((log_lower + math.lgamma(k + 1)) / k)))
+
+
+def _halley_step(k: int, y: np.ndarray, upper: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The Halley step in u = log y towards log Q(k, y) = target where
+    ``upper``, else log P(k, y) = target, at most 1 in size."""
+    log_p, log_q, log_pmf = _poisson_log_tails(k, y)
+    log_side = np.where(upper, log_q, log_p)
+    f = log_side - target
+    # d/du log P(k, e^u) = k P(X = k) / P(k, y) and d/du log Q = -k P(X = k) / Q
+    d1 = np.where(upper, -k, k) * np.exp(log_pmf - log_side)
+    d2 = d1 * (k - y) - d1 * d1
+    return np.clip(f / (d1 * np.maximum(1 - f * d2 / (2 * d1 * d1), 0.5)), -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # fading order statistics
 # ---------------------------------------------------------------------------
 
@@ -65,14 +295,20 @@ def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf):
     over an array of user_sf values or for one value.
 
     The pos-th smallest of n gains exceeds x iff fewer than pos gains lie
-    below x, a binomial tail: I_{user_sf}(n - pos + 1, pos).  The best of
-    n_groups groups exceeds x unless all lie below: 1 - (1 - sf)^G, sf at G = 1.
+    below x, i.e. at least n - pos + 1 lie above: a binomial tail, s^n at
+    pos = 1 and 1 - (1 - s)^n at pos = n.  The best of n_groups groups
+    exceeds x unless all lie below: 1 - (1 - sf)^G, sf at G = 1.
     ``channel.draw_scheduled_gains`` samples by the same identity.
     """
-    # float parameters spare the ufunc a mixed-type dispatch on every call
-    sf = special.betainc(float(n - pos + 1), float(pos), user_sf)
-    # sf = 1 gives log1p(-1) = -inf and so exactly 1 again
+    s = np.asarray(user_sf, dtype=float)
+    # s = 1 gives log1p(-1) = -inf and so exactly 1
     with np.errstate(divide="ignore"):
+        if pos == 1:
+            sf = s ** n
+        elif pos == n:
+            sf = -np.expm1(n * np.log1p(-s))
+        else:
+            sf = _binomial_tail(n, n - pos + 1, s)
         return -np.expm1(n_groups * np.log1p(-sf))
 
 
@@ -95,22 +331,27 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weight
 
 
-def _integrate_0_inf(f):
+def _integrate_0_inf(f, rows: int = 1):
     """int_0^inf f(x) dx for f decaying at both ends, by the exp-sinh
     double-exponential rule (Takahasi & Mori, 1974): the trapezoid rule in t
     for x = exp(pi/2 sinh t), the step halved until the estimate moves by
     at most a relative 1e-12.  ``f`` maps a node array to a value array,
-    or to one row of values per integrand, whose integrals come back as an
-    array.  Raises ArithmeticError if an estimate does not settle or an
+    or to ``rows`` rows of values, one per integrand, whose integrals come
+    back as an array; it is called on at most _DE_BLOCK / rows nodes at a
+    time.  Raises ArithmeticError if an estimate does not settle or an
     integrand is not negligible at the window's ends."""
     total = 0.0
     previous = None
+    span = max(1, _DE_BLOCK // rows)
     for level in range(_DE_MAX_HALVINGS + 1):
         x, weight = _de_nodes(level)
-        terms = f(x) * weight
+        for lo in range(0, x.size, span):
+            terms = f(x[lo:lo + span]) * weight[lo:lo + span]
+            if level == 0 and lo == 0:
+                first = terms[..., 0]
+            total = total + terms.sum(axis=-1)
         if level == 0:
-            ends = _DE_FIRST_STEP * np.maximum(abs(terms[..., 0]), abs(terms[..., -1]))
-        total = total + terms.sum(axis=-1)
+            ends = _DE_FIRST_STEP * np.maximum(abs(first), abs(terms[..., -1]))
         estimate = total * _DE_FIRST_STEP / 2 ** level
         if previous is not None and np.all(abs(estimate - previous) <= _DE_RTOL * abs(estimate)):
             if np.any(ends > _DE_RTOL * abs(estimate)):
@@ -179,7 +420,7 @@ def throughput_quadrature(
     pos = n_users - n_users // alpha + 1
 
     def integrand(x):
-        user_sf = np.exp(-x) if antennas == 1 else special.gammaincc(antennas, antennas * x)
+        user_sf = np.exp(-x) if antennas == 1 else np.exp(_poisson_log_tails(antennas, antennas * x)[1])
         return _order_stat_sf(n_users, pos, n_groups, user_sf) * power / (1.0 + power * x)
 
     return _integrate_0_inf(integrand) * n_users / alpha
@@ -217,17 +458,45 @@ def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     _, first, pattern_of = np.unique(keys, return_index=True, return_inverse=True)
     patterns = rows[first]
     ks = np.unique(patterns)
-    counts = (patterns[:, :, None] == ks).sum(axis=1)
+    counts = (patterns[:, :, None] == ks).sum(axis=1, dtype=float)
     scale = float(ks[-1])
 
     def integrand(x):
-        # P(Pois(t) >= k) = 1 - Q(k, t); a log of 0 is floored, since a count
-        # of 0 times -inf would read nan
-        with np.errstate(divide="ignore"):
-            logs = np.log1p(-special.gammaincc(ks[:, None], scale * x))
-        return -np.expm1(counts @ np.maximum(logs, -1e300))
+        return -np.expm1(counts @ _poisson_log_sf(ks, scale * x))
 
-    return (float(total_queues) * scale * _integrate_0_inf(integrand))[pattern_of]
+    # an integrand call holds a row per pattern, per need and per partial sum
+    picks = _integrate_0_inf(integrand, len(patterns) + len(ks) + min(ks[-1], _FINITE_SUM_MAX_K))
+    return (float(total_queues) * scale * picks)[pattern_of]
+
+
+def _poisson_log_sf(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log P(X >= k) for X ~ Poisson(t), one row for each of the sorted
+    integers ks >= 1 and one column for each t > 0, to the absolute
+    precision the coupon integrand reads it at.
+
+    Up to k = _FINITE_SUM_MAX_K it is log1p of minus the finite sum
+    P(X < k) = e^-t sum_{j<k} t^j / j!, one cumulative sum for every k,
+    floored at -1e300 where the tail rounds to 0.  Above, a rough log term
+    bd0(k, t) marks the tails whose exponential underflows, which read as
+    -bd0, and those within e^-60 of 1, which read as 0; the rest are exact."""
+    if ks[-1] <= _FINITE_SUM_MAX_K:
+        terms = np.empty((ks[-1], t.size))
+        terms[0] = np.exp(-t)
+        terms[1:] = t / np.arange(1, ks[-1])[:, None]
+        np.cumprod(terms, axis=0, out=terms)
+        np.cumsum(terms, axis=0, out=terms)
+        # a sum near 1 can round above it
+        with np.errstate(divide="ignore"):
+            return np.maximum(np.log1p(-np.minimum(terms[ks - 1], 1.0)), -1e300)
+    k = ks[:, None]
+    rough = k * (np.log(k) - np.log(t)) + t - k
+    upper = t < k
+    # P(X >= k) <= e^-bd0 (k + 1) above the mean; P(X < k) <= e^-bd0 k below it
+    exact = np.where(upper, rough < _UNDERFLOW_LOG + np.log(k + 1), rough < 60 + np.log(k))
+    logs = np.where(upper, -rough, 0.0)
+    logs[exact] = _poisson_log_tails(np.broadcast_to(k, logs.shape)[exact],
+                                     np.broadcast_to(t, logs.shape)[exact])[0]
+    return logs
 
 
 def coupon_collector_markov(total_queues: int, needs) -> float:

@@ -6,7 +6,8 @@ gain, an order statistic, by inversion of one Beta variate (one standard
 exponential at the two extreme positions), so a static slot costs the same
 at every population size.  A cooperative slot's weakest relay gain is the
 least of N/2 Gamma(N/2) variates up to N/2 = 24 and one inversion above, so
-its cost and memory grow with N only up to that switch.  Draws are pure
+its cost and memory grow with N only up to that switch.  The inversions are
+the integer-parameter Gamma quantiles of ``analytic``.  Draws are pure
 functions of the supplied generator, so per-worker streams stay
 independent and every realization is reproducible from its seed.  The
 draws take their arguments from a validated ``simcore.SimConfig``
@@ -18,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from mcastsim import analytic
 
 __all__ = [
     "CoherencePolicy",
@@ -93,7 +95,7 @@ def draw_scheduled_gains(
         v = rng.beta(n_users - position + 1, position, shape)
     if antennas == 1:
         return -np.log(v)
-    return special.gammainccinv(antennas, v) / antennas
+    return analytic._gamma_inverse(antennas, v, upper=True) / antennas
 
 
 def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
@@ -109,14 +111,18 @@ def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
     only the least of the n/2 sums, Y, with P(Y > y) = Q(n/2, y)^(n/2).
 
     Up to n/2 = 24 the n/2 sums are drawn (numpy's Gamma sampler) and Y is
-    their minimum: there they cost less than one inversion (7 against 292
-    ns per value at n/2 = 1, 615 against 836 at n/2 = 24, on a 2-core
-    x86-64 host; the two meet near n/2 = 32), and the switch caps their
-    memory at 24 floats per value drawn.  Above it, Y is drawn by
-    inverting its lower tail, 1 - Q(n/2, Y) = -expm1(-2 E / n) for a
-    standard exponential E, which never takes the log of zero.
+    their minimum, and the switch caps their memory at 24 floats per value
+    drawn.  Above it, Y is drawn by inverting its lower tail,
+    1 - Q(n/2, Y) = -expm1(-2 E / n) for a standard exponential E, which
+    never takes the log of zero (``analytic._gamma_inverse``).  On a 2-core
+    x86-64 host the minimum costs 690, 1000 and 1260 ns per value at
+    n/2 = 16, 24 and 32, and the inversion 680, 730 and 720 ns in calls of
+    32,000 values, but 7,900, 7,300 and 8,700 ns in calls of 1000, whose
+    fixed costs it pays per block of 128 values; the delay engine's rounds
+    draw such calls, so the switch stays at 24.
     """
     half = n // 2
     if half <= _GAMMA_MIN_MAX_HALF:
         return rng.standard_gamma(half, (*shape, half)).min(axis=-1)
-    return special.gammaincinv(half, -np.expm1(-rng.standard_exponential(shape) / half))
+    p = -np.expm1(-rng.standard_exponential(shape) / half)
+    return analytic._gamma_inverse(half, p, upper=False)

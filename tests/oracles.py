@@ -13,7 +13,10 @@ from renewal functions convolved on a grid, and the cooperative rates
 come from the full N x N pair-gain model or, for the throughput and the
 rate law, from the effective-gain survival function.
 Integrals over [0, inf) use scipy's adaptive quadrature, which the package
-does not import, as the reference for its double-exponential rule.
+does not import, as the reference for its double-exponential rule.  The
+package's integer-parameter binomial, Poisson and Gamma evaluators are
+checked against scipy.special, and against mpmath at 40 digits where
+scipy's own value strays.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, special, stats
 
+from mcastsim import analytic
 from mcastsim.analytic import UnsupportedSizeError
 
 # The multigroup alternating sums are evaluated up to this many terms.
@@ -109,6 +113,46 @@ def order_stat_sf_sum(n: int, pos: int, groups: int, x: float) -> float:
     row = _binomial_row(n)
     comp = math.fsum(row[k] * p ** k * math.exp(-(n - k) * x) for k in range(pos))
     return _best_of_groups(comp, groups)
+
+
+def assert_close_to_exact(got, reference, exact, rtol: float, floor: float = 1e-290) -> None:
+    """|got - ref| <= rtol max(|ref|, floor) elementwise, where ref is
+    ``reference`` (an array) or, at the elements it misses, ``exact(i)``."""
+    got, reference = np.asarray(got, dtype=float), np.asarray(reference, dtype=float)
+    bound = rtol * np.maximum(abs(reference), floor)
+    for i in np.flatnonzero(~(abs(got - reference) <= bound)):
+        ref = exact(i)
+        assert abs(got.flat[i] - ref) <= rtol * max(abs(ref), floor), (i, got.flat[i], ref)
+
+
+def exact_binomial_tail(n: int, a: int, s: float) -> float:
+    """P(Bin(n, s) >= a) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.betainc(a, n - a + 1, 0, mpmath.mpf(s), regularized=True))
+
+
+def exact_poisson_tails(k: int, t: float) -> tuple[float, float]:
+    """(P(X >= k), P(X < k)) for X ~ Poisson(t) at 40 digits."""
+    with mpmath.workdps(40):
+        lower = mpmath.gammainc(k, 0, mpmath.mpf(t), regularized=True)
+        upper = mpmath.gammainc(k, mpmath.mpf(t), mpmath.inf, regularized=True)
+        return float(lower), float(upper)
+
+
+def scipy_quadrature_throughput(n: int, alpha: int, power: float, groups: int = 1,
+                                antennas: int = 1) -> float:
+    """analytic.throughput_quadrature with its survival function from
+    scipy.special: the binomial tail as I_s(N - pos + 1, pos) and the
+    antenna law as Q(L, L x), on the package's own double-exponential rule."""
+    pos = n - n // alpha + 1
+
+    def integrand(x):
+        user_sf = np.exp(-x) if antennas == 1 else special.gammaincc(antennas, antennas * x)
+        sf = special.betainc(float(n - pos + 1), float(pos), user_sf)
+        with np.errstate(divide="ignore"):
+            return -np.expm1(groups * np.log1p(-sf)) * power / (1.0 + power * x)
+
+    return analytic._integrate_0_inf(integrand) * n / alpha
 
 
 def chisquare_cdf_sum(antennas: int, x: float) -> float:

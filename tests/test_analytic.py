@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,16 +13,20 @@ from oracles import (
     OrderStatSpec,
     ServiceLaw,
     antenna_order_stat_sf_sum,
+    assert_close_to_exact,
     chisquare_cdf,
     chisquare_cdf_sum,
     coupon_reference,
     ei_reference,
+    exact_binomial_tail,
+    exact_poisson_tails,
     expected_log1p_reference,
     fixed_fraction_quad_throughput,
     multigroup_best_throughput,
     multigroup_worst_throughput,
     order_stat_cdf,
     order_stat_sf_sum,
+    scipy_quadrature_throughput,
     service_time_pmf,
     throughput_reference,
 )
@@ -121,6 +126,125 @@ def test_chisquare_cdf_points():
     assert chisquare_cdf(8, 0.0) == 0.0
     with pytest.raises(ValueError):
         chisquare_cdf(0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# integer-parameter binomial, Poisson and Gamma laws
+# ---------------------------------------------------------------------------
+
+# user survival values from 0 through the subnormals, the deep tails and the
+# bulk to 1
+_SURVIVALS = np.concatenate((
+    [0.0, 5e-324, 1e-300], np.exp(-np.geomspace(1e-9, 700.0, 70)),
+    np.linspace(0.01, 0.99, 50), [1 - 2 ** -52, 1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 24, 25, 32, 64, 200, 1000])
+def test_order_stat_sf_is_the_binomial_tail_at_every_position(n):
+    # P(pos-th smallest > x) = P(Bin(n, s) >= n - pos + 1), to 1e-12 relative
+    # where it is at least 1e-290 and absolute below
+    for pos in range(1, n + 1):
+        a = n - pos + 1
+        assert_close_to_exact(
+            analytic._order_stat_sf(n, pos, 1, _SURVIVALS), special.betainc(a, pos, _SURVIVALS),
+            lambda i: exact_binomial_tail(n, a, _SURVIVALS[i]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 31, 32, 33, 100, 1000, 10 ** 4, 10 ** 5])
+def test_poisson_tails_are_the_incomplete_gamma_functions(k):
+    # P(X >= k) = P(k, t) and P(X < k) = Q(k, t), each to 1e-12 relative,
+    # from the deep lower tail through the mean to the deep upper tail
+    t = np.concatenate((np.geomspace(1e-6, 50.0 * k, 120),
+                        k + math.sqrt(k) * np.linspace(-8.0, 8.0, 33)))
+    t = t[t > 0]
+    log_p, log_q, log_pmf = analytic._poisson_log_tails(k, t)
+    assert_close_to_exact(np.exp(log_p), special.gammainc(k, t),
+                          lambda i: exact_poisson_tails(k, t[i])[0], rtol=1e-12)
+    assert_close_to_exact(np.exp(log_q), special.gammaincc(k, t),
+                          lambda i: exact_poisson_tails(k, t[i])[1], rtol=1e-12)
+    # P(X = k) from its log, where it does not underflow
+    pmf = np.exp(-t + k * np.log(t) - math.lgamma(k + 1)) if k <= 100 else None
+    if pmf is not None:
+        keep = pmf > 1e-250
+        assert np.allclose(np.exp(log_pmf[keep]), pmf[keep], rtol=1e-12, atol=0)
+
+
+def test_poisson_tails_broadcast_over_needs():
+    ks = np.array([1, 3, 40, 700])[:, None]
+    t = np.geomspace(0.01, 5000.0, 30)
+    log_p, log_q, _ = analytic._poisson_log_tails(ks, t)
+    assert log_p.shape == log_q.shape == (4, 30)
+    for row, k in enumerate(ks[:, 0]):
+        alone = analytic._poisson_log_tails(int(k), t)
+        assert np.array_equal(log_p[row], alone[0]) and np.array_equal(log_q[row], alone[1])
+
+
+def _gamma_tails(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.concatenate((rng.random(400), 10.0 ** -rng.uniform(1, 300, 100),
+                           1 - 10.0 ** -rng.uniform(1, 15, 50)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 25, 32, 64, 100, 512])
+def test_gamma_inverses_match_scipy(k):
+    # Q(L, y) = v for L <= 8 antennas and P(N/2, y) = p for relays up to
+    # N/2 = 512, each both ways, to 1e-13 relative
+    tail = _gamma_tails(k)
+    for upper, inverse in ((True, special.gammainccinv), (False, special.gammaincinv)):
+        got = analytic._gamma_inverse(k, tail, upper)
+        want = inverse(k, tail)
+        assert np.all(abs(got - want) <= 1e-13 * want), (upper, np.max(abs(got / want - 1)))
+        assert analytic._gamma_inverse(k, np.array([0.0, 1.0]), upper).tolist() == (
+            [math.inf, 0.0] if upper else [0.0, math.inf])
+
+
+def test_gamma_inverse_is_elementwise():
+    # a value's inverse does not depend on the batch it is drawn in
+    tail = _gamma_tails(3)[::11]
+    for k, upper in ((3, True), (32, False), (512, False)):
+        whole = analytic._gamma_inverse(k, tail.reshape(-1, 2), upper)
+        assert whole.shape == (tail.size // 2, 2)
+        alone = [analytic._gamma_inverse(k, np.array([v]), upper)[0] for v in tail]
+        assert np.array_equal(whole.ravel(), alone)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])
+def test_quadrature_matches_the_scipy_integrand(n):
+    # the numpy evaluators move no throughput by more than 1e-13 from the
+    # same rule on scipy.special's incomplete beta and gamma functions
+    for alpha in sorted(a for a in {1, 2, n} if n % a == 0):
+        for groups in (1, 5):
+            for antennas in (1, 3):
+                for power in (0.1, 1.0, 10.0):
+                    assert analytic.throughput_quadrature(n, alpha, power, groups, antennas) == (
+                        pytest.approx(scipy_quadrature_throughput(n, alpha, power, groups, antennas),
+                                      rel=1e-13, abs=0))
+
+
+@pytest.mark.parametrize("ks", [[1, 2, 3], [1, 5, 32], [1, 33, 1000], [40, 10 ** 4, 10 ** 5]])
+def test_coupon_poisson_logs_hold_their_absolute_precision(ks):
+    # the coupon integrand reads P(X >= k) to an absolute 1e-14: one minus
+    # the finite sum up to k = 32, the exact tails in the bulk above, and
+    # 0 or 1 where the tail underflows or its complement is below e^-60
+    ks = np.array(ks)
+    t = np.geomspace(1e-4, 1e7, 500)
+    got = np.exp(analytic._poisson_log_sf(ks, t))
+    want = np.exp(analytic._poisson_log_tails(ks[:, None], t)[0])
+    assert np.all(abs(got - want) <= 1e-14)
+
+
+def test_coupon_memory_is_bounded_in_the_pattern_count():
+    # 1446 patterns of two needs up to 199 are integrated a few hundred nodes
+    # at a time, in a few arrays of _DE_BLOCK floats; evaluated a whole
+    # level at a time, this case peaks at 20 MB
+    needs = np.random.default_rng(5).integers(1, 200, (1500, 2))
+    tracemalloc.start()
+    try:
+        analytic.coupon_collector_expected_picks(6, needs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * analytic._DE_BLOCK, peak
 
 
 # ---------------------------------------------------------------------------

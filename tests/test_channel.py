@@ -99,6 +99,18 @@ def test_interuser_weakest_relay_law():
     assert stats.kstest(single, stats.expon.cdf).pvalue > 0.001
 
 
+@pytest.mark.parametrize("n, draws", [(64, 16000), (1000, 4000)])
+def test_interuser_weakest_relay_law_above_the_gamma_minimum(n, draws):
+    # above N/2 = 24 the relay gain is an inversion: the law of the least of
+    # N/2 Gamma(N/2, 1) sums, P(Y > y) = Q(N/2, y)^(N/2), and the law of
+    # that minimum drawn directly
+    half = n // 2
+    relay = channel.draw_interuser_gains(n, (draws,), np.random.default_rng(n))
+    reference = np.random.default_rng(n + 100).gamma(half, 1.0, (draws, half)).min(axis=1)
+    assert stats.kstest(relay, lambda y: 1 - special.gammaincc(half, y) ** half).pvalue > 0.001
+    assert same_law_p_value(relay, reference) > 0.001
+
+
 def test_interuser_groups_independent():
     # groups draw disjoint pair gains, so their relay gains are independent
     pairs = channel.draw_interuser_gains(4, (4000, 2), np.random.default_rng(33))
