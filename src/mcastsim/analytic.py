@@ -75,10 +75,7 @@ _SERIES_BLOCK = 2048
 _STIRLERR = np.array([0.0] + [math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k
                               - 0.5 * math.log(2 * math.pi) for k in range(1, 16)])
 # Binomial tails of at most this many trials are summed term by term.
-_DIRECT_SUM_MAX_N = 24
-# Abramowitz & Stegun 26.2.23, a normal quantile to 4.5e-4 for the inverses' start
-_NORMAL_QUANTILE_NUM = (2.515517, 0.802853, 0.010328)
-_NORMAL_QUANTILE_DEN = (1.432788, 0.189269, 0.001308)
+_DIRECT_SUM_MAX_N = 48
 # The coupon integrand sums P(X < k) term by term up to this largest need,
 # where e^-t underflows (t > 745) only once P(X < k) < e^-99; exp
 # underflows to 0 below -_UNDERFLOW_LOG.
@@ -89,7 +86,7 @@ _UNDERFLOW_LOG = 746.0
 # them if more, which bounds its temporaries.
 _INVERSE_STEP_TOL = 1e-7
 _INVERSE_MAX_STEPS = 16
-_INVERSE_BLOCK = 128
+_INVERSE_BLOCK = 256
 
 
 def _stirlerr(k):
@@ -220,14 +217,6 @@ def _binomial_tail(n: int, a: int, s):
     return out
 
 
-def _normal_quantile(p):
-    """The standard normal quantile of p in (0, 1/2], to 4.5e-4."""
-    t = np.sqrt(-2 * np.log(p))
-    c0, c1, c2 = _NORMAL_QUANTILE_NUM
-    d1, d2, d3 = _NORMAL_QUANTILE_DEN
-    return (c0 + (c1 + c2 * t) * t) / (1 + (d1 + (d2 + d3 * t) * t) * t) - t
-
-
 def _gamma_inverse(k: int, tail, upper: bool) -> np.ndarray:
     """The y with Q(k, y) = tail if ``upper``, else P(k, y) = tail,
     elementwise over an array ``tail`` in [0, 1], for an integer k >= 1."""
@@ -260,6 +249,8 @@ def _gamma_inverse_block(k: int, tail: np.ndarray, upper: bool) -> np.ndarray:
         rows = rows[abs(step) > _INVERSE_STEP_TOL]
         if not rows.size:
             break
+    else:
+        raise ArithmeticError(f"Gamma quantile did not settle within {_INVERSE_MAX_STEPS} steps")
     y[solve] = np.exp(u)
     return y
 
@@ -268,7 +259,10 @@ def _gamma_inverse_start(k: int, prob: np.ndarray, upper: np.ndarray) -> np.ndar
     """log y0 for Q(k, y) = prob where ``upper``, else P(k, y) = prob: the
     Wilson-Hilferty approximation or the lower bound (P k!)^(1/k) of a small
     root, whichever is larger."""
-    z = _normal_quantile(prob)
+    # the normal quantile of prob <= 1/2 to 4.5e-4 (Abramowitz & Stegun 26.2.23)
+    t = np.sqrt(-2 * np.log(prob))
+    z = (2.515517 + (0.802853 + 0.010328 * t) * t) / (
+        1 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t) - t
     cube = np.maximum(1 - 1 / (9 * k) + np.where(upper, -z, z) / (3 * math.sqrt(k)), 0.0)
     log_lower = np.where(upper, np.log1p(-prob), np.log(prob))
     return np.log(np.maximum(k * cube ** 3, np.exp((log_lower + math.lgamma(k + 1)) / k)))

@@ -115,11 +115,11 @@ def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
     drawn.  Above it, Y is drawn by inverting its lower tail,
     1 - Q(n/2, Y) = -expm1(-2 E / n) for a standard exponential E, which
     never takes the log of zero (``analytic._gamma_inverse``).  On a 2-core
-    x86-64 host the minimum costs 690, 1000 and 1260 ns per value at
-    n/2 = 16, 24 and 32, and the inversion 680, 730 and 720 ns in calls of
-    32,000 values, but 7,900, 7,300 and 8,700 ns in calls of 1000, whose
-    fixed costs it pays per block of 128 values; the delay engine's rounds
-    draw such calls, so the switch stays at 24.
+    x86-64 host the minimum costs 660, 940 and 1080 ns per value at
+    n/2 = 16, 24 and 32, and the inversion 700, 660 and 660 ns in calls of
+    32,000 values, but 2,900, 3,100 and 3,200 ns in calls of 1000, whose
+    fixed costs it pays per block of 256 values; the delay engine's rounds
+    make such calls, so the switch stays at 24.
     """
     half = n // 2
     if half <= _GAMMA_MIN_MAX_HALF:
