@@ -235,7 +235,7 @@ def test_coupon_poisson_logs_hold_their_absolute_precision(ks):
 
 def test_coupon_memory_is_bounded_in_the_pattern_count():
     # 1446 patterns of two needs up to 199 are integrated a few hundred nodes
-    # at a time, in a few arrays of _DE_BLOCK floats; evaluated a whole
+    # at a time, in a few arrays of 2^18 floats (2 MB); evaluated a whole
     # level at a time, this case peaks at 20 MB
     needs = np.random.default_rng(5).integers(1, 200, (1500, 2))
     tracemalloc.start()
@@ -244,7 +244,7 @@ def test_coupon_memory_is_bounded_in_the_pattern_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * analytic._DE_BLOCK, peak
+    assert peak < 12e6, peak
 
 
 # ---------------------------------------------------------------------------
