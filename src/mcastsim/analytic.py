@@ -414,7 +414,8 @@ def throughput_quadrature(
     pos = n_users - n_users // alpha + 1
 
     def integrand(x):
-        user_sf = np.exp(-x) if antennas == 1 else np.exp(_poisson_log_tails(antennas, antennas * x)[1])
+        # Q(L, L x) = P(Pois(L x) < L)
+        user_sf = np.exp(-x if antennas == 1 else _poisson_log_tails(antennas, antennas * x)[1])
         return _order_stat_sf(n_users, pos, n_groups, user_sf) * power / (1.0 + power * x)
 
     return _integrate_0_inf(integrand) * n_users / alpha
@@ -431,7 +432,8 @@ def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     Poissonized (Flajolet, Gardy & Thimonier, 1992), and Q K for one queue.
     The product is exp(counts @ log P(Pois(t) >= k)) over the distinct
     needs k, integrated once per distinct pattern of counts, in t over the
-    largest need, so that every pattern's step lies at or below 1."""
+    largest need, so that every pattern's step lies at or below 1; the
+    integrand holds a row per pattern and per need for a block of nodes."""
     needs = np.asarray(needs)
     coupled = needs.shape[1]
     if coupled < 1:

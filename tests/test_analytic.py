@@ -216,9 +216,9 @@ def test_quadrature_matches_the_scipy_integrand(n):
         for groups in (1, 5):
             for antennas in (1, 3):
                 for power in (0.1, 1.0, 10.0):
-                    assert analytic.throughput_quadrature(n, alpha, power, groups, antennas) == (
-                        pytest.approx(scipy_quadrature_throughput(n, alpha, power, groups, antennas),
-                                      rel=1e-13, abs=0))
+                    value = analytic.throughput_quadrature(n, alpha, power, groups, antennas)
+                    reference = scipy_quadrature_throughput(n, alpha, power, groups, antennas)
+                    assert value == pytest.approx(reference, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("ks", [[1, 2, 3], [1, 5, 32], [1, 33, 1000], [40, 10 ** 4, 10 ** 5]])
