@@ -120,6 +120,13 @@ def _binomial_log_scale(n: int, x: int) -> float:
             + 0.5 * math.log(n / (2 * math.pi * x * (n - x))))
 
 
+@lru_cache(maxsize=None)
+def _binomial_terms(n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j, n - j and C(n, j) for j = a..n, the terms of P(Bin(n, s) >= a)."""
+    j = np.arange(a, n + 1)
+    return j, n - j, np.array([float(math.comb(n, i)) for i in j])
+
+
 def _series(z, num, den, dnum: int, dden: int) -> np.ndarray:
     """sum_{i >= 0} prod_{m < i} r_m, r_m = z (num - dnum m) / (den + dden m),
     elementwise over the 1-d array z; num and den are scalars or arrays like
@@ -192,11 +199,9 @@ def _binomial_tail(n: int, a: int, s):
     """P(Bin(n, s) >= a), elementwise over an array s in [0, 1], for 1 < a < n."""
     s = np.asarray(s, dtype=float)
     if n <= _DIRECT_SUM_MAX_N:
-        j = np.arange(a, n + 1)
-        comb = np.array([float(math.comb(n, i)) for i in j])
+        j, rest, comb = _binomial_terms(n, a)
         # a sum near 1 can round above it
-        return np.minimum((s[..., None] ** j * (1 - s)[..., None] ** (n - j) * comb).sum(axis=-1),
-                          1.0)
+        return np.minimum((s[..., None] ** j * (1 - s)[..., None] ** rest * comb).sum(axis=-1), 1.0)
     out = np.where(s >= 1, 1.0, 0.0)
     inner = (s > 0) & (s < 1)
     s = s[inner]
@@ -303,7 +308,7 @@ def _order_stat_sf(n: int, pos: int, n_groups: int, user_sf):
             sf = -np.expm1(n * np.log1p(-s))
         else:
             sf = _binomial_tail(n, n - pos + 1, s)
-        return -np.expm1(n_groups * np.log1p(-sf))
+        return sf if n_groups == 1 else -np.expm1(n_groups * np.log1p(-sf))
 
 
 # ---------------------------------------------------------------------------
