@@ -48,6 +48,9 @@ _DE_MAX_HALVINGS = 12
 _DE_RTOL = 1e-12
 # Rows of integrands times nodes evaluated in one call of the integrand.
 _DE_BLOCK = 2 ** 18
+# Most integrals settle at level 2 or later, so levels 0 to 2 (289 nodes) are
+# evaluated in one call of the integrand where they fit one block.
+_DE_JOINT_LEVELS = 3
 
 # Direct evaluation of the alternating sum is capped here, at about 0.3 s
 # a call (21 s at N = 1000, alpha = 2); larger systems use throughput_quadrature.
@@ -68,6 +71,11 @@ class UnsupportedSizeError(ValueError):
 # each time, until its rest is below _SERIES_RTOL of its sum; a span is one
 # array of terms times elements up to _SERIES_BLOCK values, and is taken a
 # term at a time above, so that its memory stays a few arrays of elements.
+# The array saves numpy calls where few elements need many terms, as near
+# the mean of throughput_quadrature's binomial tails above 48 trials; a
+# term at a time makes fewer passes over many elements, as in a Gamma
+# quantile's blocks of thousands of values.  Caps from 2^10 to 2^14 take
+# about the same time.
 _SERIES_RTOL = 2.0 ** -54
 _SERIES_FIRST_SPAN = 16
 _SERIES_BLOCK = 2048
@@ -330,6 +338,32 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weight
 
 
+@lru_cache(maxsize=None)
+def _de_joint_nodes() -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The nodes and weights of levels 0 to _DE_JOINT_LEVELS - 1, each in
+    one array, and the offsets where each level starts and ends."""
+    levels = [_de_nodes(level) for level in range(_DE_JOINT_LEVELS)]
+    x, weight = (np.concatenate(part) for part in zip(*levels))
+    x.flags.writeable = weight.flags.writeable = False
+    return x, weight, tuple(np.cumsum([0] + [lx.size for lx, _ in levels]).tolist())
+
+
+def _de_terms(f, span: int):
+    """Yield, level by level, the blocks of f(x) dx/dt at the nodes each
+    level adds, f called on at most ``span`` nodes at a time; the first
+    _DE_JOINT_LEVELS levels come from one call where they fit one block."""
+    x, weight, ends = _de_joint_nodes()
+    first = 0
+    if x.size <= span:
+        terms = f(x) * weight
+        for lo, hi in zip(ends, ends[1:]):
+            yield [terms[..., lo:hi]]
+        first = _DE_JOINT_LEVELS
+    for level in range(first, _DE_MAX_HALVINGS + 1):
+        x, weight = _de_nodes(level)
+        yield (f(x[lo:lo + span]) * weight[lo:lo + span] for lo in range(0, x.size, span))
+
+
 def _integrate_0_inf(f, rows: int = 1):
     """int_0^inf f(x) dx for f decaying at both ends, by the exp-sinh
     double-exponential rule (Takahasi & Mori, 1974): the trapezoid rule in t
@@ -341,12 +375,9 @@ def _integrate_0_inf(f, rows: int = 1):
     integrand is not negligible at the window's ends."""
     total = 0.0
     previous = None
-    span = max(1, _DE_BLOCK // rows)
-    for level in range(_DE_MAX_HALVINGS + 1):
-        x, weight = _de_nodes(level)
-        for lo in range(0, x.size, span):
-            terms = f(x[lo:lo + span]) * weight[lo:lo + span]
-            if level == 0 and lo == 0:
+    for level, blocks in enumerate(_de_terms(f, max(1, _DE_BLOCK // rows))):
+        for i, terms in enumerate(blocks):
+            if level == 0 and i == 0:
                 first = terms[..., 0]
             total = total + terms.sum(axis=-1)
         if level == 0:
@@ -465,9 +496,14 @@ def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     def integrand(x):
         return -np.expm1(counts @ _poisson_log_sf(ks, scale * x))
 
-    # an integrand call holds a row per pattern, per need and per partial sum
-    picks = _integrate_0_inf(integrand, len(patterns) + len(ks) + min(ks[-1], _FINITE_SUM_MAX_K))
+    picks = _integrate_0_inf(integrand, len(patterns) + _poisson_log_sf_rows(ks))
     return (float(total_queues) * scale * picks)[pattern_of]
+
+
+def _poisson_log_sf_rows(ks: np.ndarray) -> int:
+    """The rows of values _poisson_log_sf(ks, t) holds per t: one per need
+    and one per partial sum of its finite sum."""
+    return len(ks) + min(ks[-1], _FINITE_SUM_MAX_K)
 
 
 def _poisson_log_sf(ks: np.ndarray, t: np.ndarray) -> np.ndarray:

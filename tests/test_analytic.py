@@ -224,8 +224,10 @@ def test_quadrature_matches_the_scipy_integrand(n):
 @pytest.mark.parametrize("ks", [[1, 2, 3], [1, 5, 32], [1, 33, 1000], [40, 10 ** 4, 10 ** 5]])
 def test_coupon_poisson_logs_hold_their_absolute_precision(ks):
     # the coupon integrand reads P(X >= k) to an absolute 1e-14: one minus
-    # the finite sum up to k = 32, the exact tails in the bulk above, and
-    # 0 or 1 where the tail underflows or its complement is below e^-60
+    # the finite sum where the largest need is at most 400
+    # (_FINITE_SUM_MAX_K), as in the first two cases; above it, as in the
+    # last two, the exact tails in the bulk, and 0 or 1 where the tail
+    # underflows or its complement is below e^-60
     ks = np.array(ks)
     t = np.geomspace(1e-4, 1e7, 500)
     got = np.exp(analytic._poisson_log_sf(ks, t))
@@ -318,6 +320,19 @@ def test_double_exponential_rule_integrals():
     assert integrate(lambda x: np.exp(-x) / np.sqrt(x)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     assert integrate(lambda x: (1 + x) ** -3.0) == pytest.approx(0.5, rel=1e-13)
     assert integrate(np.zeros_like) == 0.0
+
+
+def test_double_exponential_rule_is_the_same_in_any_block():
+    # levels 0 to 2 come from one integrand call when they fit one block,
+    # and a node at a time when each call may hold one node per row; only
+    # the order of the sums differs
+    def integrand(x):
+        return np.stack([np.exp(-x), x * np.exp(-x / 3)])
+
+    joint = analytic._integrate_0_inf(integrand, 2)
+    one_node = analytic._integrate_0_inf(integrand, analytic._DE_BLOCK)
+    assert joint == pytest.approx(one_node, rel=1e-15, abs=0)
+    assert joint == pytest.approx([1.0, 9.0], rel=1e-13, abs=0)
 
 
 def test_double_exponential_rule_fails_loudly():
