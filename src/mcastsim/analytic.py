@@ -13,13 +13,14 @@ invert.  Integrals over [0, inf) use one double-exponential
 (exp-sinh) rule whose integrands take a node array, so each refinement
 is one ufunc call for one integrand, or a row per integrand in blocks
 of nodes.
-The static-throughput closed form is one alternating binomial sum,
-which cancels catastrophically in double precision once systems get
-moderately large; it is taken over exact integer coefficients in
-mpmath, at a precision read from the largest of them, and serves as the
-oracle for the quadrature evaluator.  Everything returned is an
-ordinary float, except the per-run coupon-collector means, a float
-array.
+The static-throughput closed form is one alternating binomial sum of
+e^x E1(x) terms, which cancels catastrophically in double precision once
+systems get moderately large; it is taken over exact integer
+coefficients in fixed-point integers, at a scale read from their sum,
+with e^x E1(x) from its continued fraction where x is large and from
+mpmath's Ei below, and serves as the oracle for the quadrature
+evaluator.  Everything returned is an ordinary float, except the
+per-run coupon-collector means, a float array.
 """
 from __future__ import annotations
 
@@ -52,9 +53,18 @@ _DE_BLOCK = 2 ** 18
 # evaluated in one call of the integrand where they fit one block.
 _DE_JOINT_LEVELS = 3
 
-# Direct evaluation of the alternating sum is capped here, at about 0.3 s
-# a call (21 s at N = 1000, alpha = 2); larger systems use throughput_quadrature.
+# Direct evaluation of the alternating sum is capped here; larger systems use
+# throughput_quadrature.
 _ALTERNATING_SUM_CAP = 256
+# The closed form sums terms scaled by 2^bits, bits being _E1_GUARD_BITS
+# beyond those of sum |c_a| and of 1 + N/P: the sum is at least P/(N + P), so
+# its error is a few 2^-64 of it.  Terms with x >= bits/_E1_CROSSOVER take
+# the continued fraction, which is faster than mpmath's Ei there at every
+# scale up to the cap (the two break even near x = (bits - 50)/17); it is cut
+# where its error is about e^-_E1_MARGIN units of 2^-bits.
+_E1_GUARD_BITS = 64
+_E1_CROSSOVER = 16
+_E1_MARGIN = 4.0
 
 
 class UnsupportedSizeError(ValueError):
@@ -405,6 +415,44 @@ def _check_power(power: float) -> None:
         raise ValueError("power must be positive and finite")
 
 
+def _exp_e1_depth(x: float, bits: int) -> int:
+    """Depth of the continued fraction of _scaled_exp_e1 that leaves an error
+    below 2^-bits at x > 0.
+
+    Cut at depth n, the fraction's relative error is about exp(-E) with
+    E = sqrt(x (x + nu)) - x + nu asinh(sqrt(x / nu)) and nu = 4 n + 2, from
+    the growth of the Laguerre polynomials L_n(-x).  E is concave in nu with
+    slope asinh(sqrt(x / nu)) and at most 2 sqrt(nu x), so Newton steps from
+    2 sqrt(nu x) = target climb to the root without passing it.  E is
+    4 sqrt(n x) only for n >> x; for x near n or above, that law stops far
+    too early.
+    """
+    target = bits * math.log(2) + _E1_MARGIN
+    nu = max(target * target / (4 * x), 2.0)
+    while (gap := target - nu / (1 + math.sqrt(1 + nu / x))
+           - nu * math.asinh(math.sqrt(x / nu))) > 1e-3:
+        nu += gap / math.asinh(math.sqrt(x / nu))
+    return math.ceil((nu - 2) / 4)
+
+
+def _scaled_exp_e1(num: int, den: int, bits: int, depth: int) -> int:
+    """e^x E1(x) at x = num/den, times 2^bits, within about one unit, by the
+    continued fraction 1/(x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))) cut at
+    ``depth`` (Abramowitz & Stegun 5.1.22, contracted), taken from the
+    bottom up in integers: t <- k^2/(x + 2k + 1 - t), then 1/(x + 1 - t).
+
+    ``w`` is den t and ``d`` is den (x + 2k + 1), both times 2^bits.
+    """
+    scale = (den * den) << (2 * bits)
+    step = (2 * den) << bits
+    d = ((num + den) << bits) + depth * step
+    w = 0
+    for k in range(depth, 0, -1):
+        w = k * k * scale // (d - w)
+        d -= step
+    return (den << (2 * bits)) // (d - w)
+
+
 def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> float:
     """Mean delivered nats per slot of the fixed-fraction scheduler: the
     targeted order statistic's expected log(1 + gain * P), times the N/alpha
@@ -413,10 +461,11 @@ def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> flo
     With r = N/alpha - 1 users above the scheduled one, P(gain > x) is the
     binomial tail sum_{a=r+1..N} (-1)^(a-r-1) C(a-1, r) C(N, a) e^{-a x}
     (David & Nagaraja, 2003), and int_0^inf P e^{-a x}/(1 + P x) dx is
-    -e^{a/P} Ei(-a/P), so the expectation is one sum of
-    c_a e^{a/P} Ei(-a/P) with integer c_a = (-1)^(a+r) C(N, a) C(a-1, r).
-    Cancellation costs about as many digits as max |c_a| has, so the sum
-    runs at 30 digits beyond those.
+    e^{a/P} E1(a/P) = -e^{a/P} Ei(-a/P), so the expectation is minus one
+    sum of c_a e^{a/P} E1(a/P) with integer c_a = (-1)^(a+r) C(N, a) C(a-1, r).
+    Cancellation costs about as many bits as sum |c_a| has, so each term is
+    a fixed-point integer at _E1_GUARD_BITS beyond those and the bits of
+    1 + N/P, and the exact integer sum is rounded once.
     """
     _check_alpha(n_users, alpha)
     _check_power(power)
@@ -428,12 +477,22 @@ def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> flo
     above = n_users // alpha - 1
     terms = [(a, (-1) ** (a + above) * math.comb(n_users, a) * math.comb(a - 1, above))
              for a in range(above + 1, n_users + 1)]
-    with mpmath.workdps(30 + len(str(max(abs(c) for _, c in terms)))):
-        total = mpmath.fsum(
-            c * mpmath.exp(mpmath.mpf(a) / power) * mpmath.ei(-mpmath.mpf(a) / power)
-            for a, c in terms
-        )
-        return float(total * n_users / alpha)
+    # x_a = a/P = a q/p exactly
+    p, q = power.as_integer_ratio()
+    bits = (sum(abs(c) for _, c in terms).bit_length() + _E1_GUARD_BITS
+            + (n_users * q // p + 1).bit_length())
+    total = 0
+    # e^x E1(x) < 2^10 at any x = a/P with P a finite double, so 16 bits over
+    # the scale leave each rounded mpmath term within a unit
+    with mpmath.workprec(bits + 16):
+        for a, c in terms:
+            if _E1_CROSSOVER * a * q >= bits * p:
+                term = _scaled_exp_e1(a * q, p, bits, _exp_e1_depth(a / power, bits))
+            else:
+                x = mpmath.mpf(a) / power
+                term = int(mpmath.nint(mpmath.ldexp(-mpmath.exp(x) * mpmath.ei(-x), bits)))
+            total += c * term
+    return -total * n_users / (alpha << bits)
 
 
 def throughput_quadrature(

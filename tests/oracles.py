@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own evaluation paths: the
 exponential integral is integrated directly, throughputs come from the
-order-statistic density or from alternating sums over groups,
+order-statistic density or from alternating sums over groups, the
+static closed form is its alternating sum in mpmath's Ei,
 order-statistic survival functions are exact integer binomial sums, the
 order-statistic CDF is the lower binomial tail, the coupon-collector
 reference solves the absorbing chain as a linear system, for equal or
@@ -68,6 +69,22 @@ def throughput_reference(n: int, alpha: int, power: float, groups: int = 1) -> f
         epsabs=1e-13, epsrel=1e-11, limit=300,
     )
     return (n / alpha) * val
+
+
+def closed_form_reference(n_users: int, alpha: int, power: float) -> float:
+    """The fixed-fraction throughput's alternating sum, (N/alpha) times
+    sum_a c_a e^{a/P} Ei(-a/P) with c_a = (-1)^(a+r) C(N, a) C(a-1, r) and
+    r = N/alpha - 1, every term in mpmath at 30 digits beyond the largest
+    |c_a|; the package sums the same terms in fixed-point integers."""
+    above = n_users // alpha - 1
+    terms = [(a, (-1) ** (a + above) * comb(n_users, a) * comb(a - 1, above))
+             for a in range(above + 1, n_users + 1)]
+    with mpmath.workdps(30 + len(str(max(abs(c) for _, c in terms)))):
+        total = mpmath.fsum(
+            c * mpmath.exp(mpmath.mpf(a) / power) * mpmath.ei(-mpmath.mpf(a) / power)
+            for a, c in terms
+        )
+        return float(total * n_users / alpha)
 
 
 def fixed_fraction_quad_throughput(

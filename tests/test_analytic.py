@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -16,6 +17,7 @@ from oracles import (
     assert_close_to_exact,
     chisquare_cdf,
     chisquare_cdf_sum,
+    closed_form_reference,
     coupon_reference,
     ei_reference,
     exact_binomial_tail,
@@ -298,6 +300,59 @@ def test_quadrature_settles_at_high_power(n, alpha, power):
     )
 
 
+_CLOSED_FORM_CASES = {
+    # the grid of `mcastsim verify`
+    "verify": [(n, alpha, power) for n in (2, 4, 8, 16, 32) for alpha in sorted({1, 2, n})
+               for power in (0.1, 1.0, 10.0)],
+    **{f"N={n}": [(n, alpha, power) for alpha in (1, 2, 4, n) for power in (0.1, 1.0, 10.0)]
+       for n in (64, 128, 200, 256)},
+    # x = a/P from 1e-60 to 3e-19, far below the crossover
+    "high-power": [(n, alpha, power) for n in (2, 8, 10, 32) for alpha in sorted({1, 2, n})
+                   for power in (1e20, 1e60)],
+    # throughputs of the order of P, which the scale's bits of 1 + N/P resolve
+    "low-power": [(n, alpha, power) for n in (2, 8, 10, 32) for alpha in sorted({1, 2, n})
+                  for power in (1e-6, 1e-20)],
+}
+
+
+@pytest.mark.parametrize("cases", _CLOSED_FORM_CASES.values(), ids=_CLOSED_FORM_CASES)
+def test_closed_form_is_the_mpmath_sum(cases):
+    # the fixed-point sum is within a few 2^-64 of its value, so it rounds
+    # as the all-mpmath sum does unless the two straddle a rounding boundary
+    for n, alpha, power in cases:
+        reference = closed_form_reference(n, alpha, power)
+        assert abs(analytic.static_throughput_closed_form(n, alpha, power) - reference) <= (
+            math.ulp(reference)), (n, alpha, power)
+
+
+@pytest.mark.parametrize("bits", [66, 200, 470, 1100])
+def test_scaled_exp_e1_holds_to_a_unit_from_the_crossover_up(bits):
+    # the scales the closed form uses run from 66 bits (alpha = 1) to about
+    # 470 at the cap, and past 1000 at P below 1e-300.  From the crossover,
+    # x = bits/16, the depth must hold both where it is large against x and
+    # where x reaches or passes it (4 sqrt(n x) = bits log 2 stops short
+    # there); den = 3602879701896397 makes x = a/P at P = 0.1
+    for den in (1, 3602879701896397):
+        for x in np.geomspace(bits / 16, 2e4, 40):
+            num = math.ceil(x * den)
+            value = analytic._scaled_exp_e1(num, den, bits, analytic._exp_e1_depth(num / den, bits))
+            with mpmath.workdps(40 + math.ceil(bits * math.log10(2))):
+                z = mpmath.mpf(num) / den
+                exact = mpmath.ldexp(mpmath.exp(z) * mpmath.e1(z), bits)
+            assert abs(value - exact) < 2, (den, num / den)
+
+
+def test_closed_form_takes_the_continued_fraction_at_n_200(monkeypatch):
+    # at N = 200, alpha = 2, P = 1, x = a/P runs from 100 to 200, all above
+    # the crossover, so no term reaches mpmath's exponential integrals
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath's exponential integral was called")
+
+    monkeypatch.setattr(mpmath, "ei", refuse)
+    monkeypatch.setattr(mpmath, "e1", refuse)
+    assert analytic.static_throughput_closed_form(200, 2, 1.0) == 53.0140179546242
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])
 def test_quadrature_matches_adaptive_quadrature(n):
     # the double-exponential rule against scipy's adaptive quadrature
@@ -349,16 +404,18 @@ def test_double_exponential_rule_fails_loudly():
 
 @pytest.mark.parametrize("alpha", [2, 4, 256])
 def test_closed_form_holds_its_precision_at_the_cap(alpha):
-    # alpha = 4 has the largest coefficient at N = 256 (118 digits), so the
-    # working precision derived from it is tested where it matters most
+    # alpha = 4 has the largest coefficients at N = 256 (sum |c_a| has 395
+    # bits), so the fixed-point scale derived from them is tested where it
+    # matters most
     assert analytic.static_throughput_closed_form(256, alpha, 1.0) == pytest.approx(
         analytic.throughput_quadrature(256, alpha, 1.0), rel=1e-10
     )
 
 
 def test_closed_form_rejects_sizes_past_its_cap():
-    # the alternating sum takes about 21 s at N = 1000, alpha = 2; past the
-    # cap the call raises before any work
+    # the alternating sum would take about 0.8 s at N = 1000, alpha = 2
+    # (1.4 s at alpha = 4), against a few ms for the quadrature; past the cap
+    # the call raises before any work
     with pytest.raises(UnsupportedSizeError):
         analytic.static_throughput_closed_form(258, 2, 1.0)
 

@@ -485,9 +485,13 @@ def test_verification_flags_corrupted_quadrature(monkeypatch, capsys):
 
 def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
     # Ei(-a/P) is under 2e-8 in magnitude from a/P = 15 on; the closed form
-    # scales it by e^(a/P) and is held to the quadrature at a/P up to 320
-    real = mpmath.ei
-    monkeypatch.setattr(mpmath, "ei", lambda x: mpmath.mpf(0) if x < -15 else real(x))
+    # takes e^(a/P) E1(a/P) = -e^(a/P) Ei(-a/P) from mpmath's Ei below its
+    # crossover and from the continued fraction above, so both are zeroed
+    # there, and the check holds the sum to the quadrature at a/P up to 320
+    real_ei, real_fraction = mpmath.ei, analytic._scaled_exp_e1
+    monkeypatch.setattr(mpmath, "ei", lambda x: mpmath.mpf(0) if x < -15 else real_ei(x))
+    monkeypatch.setattr(analytic, "_scaled_exp_e1", lambda num, den, *args: (
+        0 if num > 15 * den else real_fraction(num, den, *args)))
     passed, detail = cli._check_closedform()
     assert not passed
     assert detail.endswith("(tol 1e-10)")
