@@ -4,14 +4,17 @@ All gains are dimensionless channel power gains; each user's gain has unit
 mean.  A scheduler that rates a slot for one user draws only that user's
 gain, an order statistic, by inversion of one Beta variate (one standard
 exponential at the two extreme positions), so a static slot costs the same
-at every population size.  A cooperative slot's weakest relay gain is the
-least of N/2 Gamma(N/2) variates up to N/2 = 24 and one inversion above, so
-its cost and memory grow with N only up to that switch.  The inversions are
-the integer-parameter Gamma quantiles of ``analytic``.  Draws are pure
-functions of the supplied generator, so per-worker streams stay
-independent and every realization is reproducible from its seed.  The
-draws take their arguments from a validated ``simcore.SimConfig``
-through ``schedulers.slot_rates`` and check none of them.
+at every population size.  At those two positions and one antenna the
+best of the G groups' gains is a closed form in one uniform, which the
+throughput estimate draws stratified.  A cooperative slot's weakest relay
+gain is the least of N/2 Gamma(N/2) variates up to N/2 = 24 and one
+inversion above, so its cost and memory grow with N only up to that
+switch.  The inversions are the integer-parameter Gamma quantiles of
+``analytic``.  Draws are pure functions of the supplied generator, so
+per-worker streams stay independent and every realization is
+reproducible from its seed.  The draws take their arguments from a
+validated ``simcore.SimConfig`` through ``schedulers.slot_rates`` and
+check none of them.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ __all__ = [
     "draw_gains",
     "draw_interuser_gains",
     "draw_scheduled_gains",
+    "draw_stratified_gains",
 ]
 
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
@@ -96,6 +100,37 @@ def draw_scheduled_gains(
     if antennas == 1:
         return -np.log(v)
     return analytic._gamma_inverse(antennas, v, upper=True) / antennas
+
+
+def draw_stratified_gains(
+    n_users: int, position: int, n_groups: int, strata: int, replicates: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The best of ``n_groups`` groups' gains at ascending position 1 or
+    ``n_users`` of their ``n_users`` gains, at one antenna, as
+    ``replicates`` independent stratified samples of ``strata`` values
+    each: shape (strata, replicates), one replicate per column.
+
+    That best gain has CDF (1 - e^(-c x))^k: at position 1 it is the best
+    of G group minima, each exponential of rate N, so (k, c) = (G, N); at
+    position N it is the largest of the N G gains, so (k, c) = (N G, 1).
+    So X = -log1p(-U^(1/k)) / c for one uniform U, the law of
+    ``draw_scheduled_gains`` at these positions followed by the best of
+    G.  Row j of m takes U = (j + V)/m for a fresh uniform V per entry,
+    one value in each of the m strata of [0, 1) per column (Owen, *Monte
+    Carlo theory, methods and examples*, 2013, ch. 10).  The complement
+    1 - U = (m - j - V)/m is formed directly: it is never 0, so the gain
+    is finite, and it keeps its precision in the top stratum, where the
+    largest gains lie.
+    """
+    k, c = (n_groups, n_users) if position == 1 else (n_users * n_groups, 1)
+    x = rng.random((strata, replicates))
+    x -= (strata - np.arange(strata))[:, None]
+    x /= -strata                            # 1 - U
+    if k > 1:                               # 1 - U^(1/k); 1 - U itself at k = 1
+        with np.errstate(divide="ignore"):  # U = 0, the least gain, 0: log1p(-1)
+            x = -np.expm1(np.log1p(-x) / k)
+    return -np.log(x) / c
 
 
 def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,9 @@ the rate law.
 The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode; a slot draws
 that one gain per group (``channel.draw_scheduled_gains``), never the N
-gains it is the order statistic of.  The retransmission scheme
+gains it is the order statistic of; for a throughput estimate at alpha
+in {1, N} and one antenna, it draws the best of the G groups' gains
+stratified instead.  The retransmission scheme
 accumulates mutual information across attempts until the slowest user
 crosses the rate target.  The cooperative scheme serves the stronger half
 first and lets it relay to the weaker half.  The multigroup forms serve
@@ -77,7 +79,9 @@ def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) 
     return np.minimum(stage1, stage2)
 
 
-def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.ndarray:
+def slot_rates(
+    config: "SimConfig", count: int, rng: np.random.Generator, replicates: int | None = None,
+) -> np.ndarray:
     """Rates of ``count`` independent slots on fresh fading under the
     validated ``config``, whose scheme family picks the rate law: the only
     place fading is drawn.  A retransmission config draws every user's
@@ -86,15 +90,28 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     relay gain per group under cooperation, and serve the best of the G
     groups: shape (count,), and memory O(count * G) at every N, or
     O(count * G * min(N/2, 24)) under cooperation, whose relay draw holds
-    up to 24 relay sums per group (``channel.draw_interuser_gains``)."""
+    up to 24 relay sums per group (``channel.draw_interuser_gains``).
+
+    Given ``replicates`` B, a static config at alpha in {1, N} with one
+    antenna, whose best gain is a closed form in one uniform, draws that
+    gain stratified instead (``channel.draw_stratified_gains``) and rates
+    it by the same law: shape (m, B) for m = ceil(count / B) strata, so up
+    to B - 1 slots more than ``count``; the columns are independent, the
+    slots of a column are not.  Every other config ignores ``replicates``,
+    and the delay engine and the retransmission cycle never pass it."""
     n, power = config.n_users, config.power
     if config.family == "ir":
         return static_schedule(channel.draw_gains((count, n), rng), power)
-    shape = (count, config.n_groups)
     # cooperation rates stage 1 at the median, the alpha = 2 position, and
     # its config holds one antenna
-    gains = channel.draw_scheduled_gains(
-        n, n - n // (config.alpha or 2) + 1, shape, config.antennas, rng)
+    position = n - n // (config.alpha or 2) + 1
+    if (replicates is not None and config.family == "static" and config.antennas == 1
+            and position in (1, n)):
+        gains = channel.draw_stratified_gains(
+            n, position, config.n_groups, -(-count // replicates), replicates, rng)
+        return static_schedule(gains, power)
+    shape = (count, config.n_groups)
+    gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
     if config.family == "coop":
         relay = channel.draw_interuser_gains(n, shape, rng)
         return cooperative_schedule(gains, relay, n, power).max(axis=-1)

@@ -103,6 +103,14 @@ class MetricsRecord:
     predicted_scaling_value: float | None = None
 
 
+# Replicates of a stratified throughput draw.  The SE of their means has a
+# heavier lower tail than an i.i.d. SE, as the top stratum is skewed: over
+# 20,000 seeds of static alpha = 1, N = 12 at 500 iterations, |z| > 4.5
+# against the exact throughput had frequency 2.5e-4 at 100 replicates and
+# 7e-4 at 50, and never occurred drawn i.i.d.
+_REPLICATES = 100
+
+
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
     # streams are derived from (seed, stream index), so adding a stream
     # never perturbs existing ones
@@ -132,14 +140,22 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     """Mean delivered nats per slot over config.iterations independent
     slots (renewal cycles for the retransmission scheme), with a standard
     error, plus the analytic value for the static schemes, which have a
-    closed form.  Draws from stream 0 of the config seed."""
+    closed form.  Draws from stream 0 of the config seed.
+
+    The static schemes at alpha in {1, N} with one antenna draw their
+    slots stratified instead (``schedulers.slot_rates``): _REPLICATES
+    independent replicates of ceil(iterations / _REPLICATES) strata each,
+    so up to _REPLICATES - 1 slots more than iterations, and the mean and
+    SE are those of the _REPLICATES replicate means."""
     rng = _rng_for(config.seed, 0)
     record = MetricsRecord()
 
     if config.family != "ir":
         # alpha is None for the cooperative schemes, which serve half the users
         served = config.n_users / (config.alpha or 2)
-        rates = schedulers.slot_rates(config, config.iterations, rng)
+        rates = schedulers.slot_rates(config, config.iterations, rng, _REPLICATES)
+        if rates.ndim == 2:     # one column of strata per replicate
+            rates = rates.sum(axis=0) / len(rates)
         record.throughput_mean, record.throughput_se = _mean_se(served * rates)
     else:
         taus, decoded = queueing.ir_renewal_cycle(config, rng)

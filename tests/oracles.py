@@ -94,17 +94,42 @@ def fixed_fraction_quad_throughput(
     one scalar node at a time.  The scheduled gain's survival function is
     the complement of the lower binomial tail, betaincc(pos, n-pos+1, F),
     at the per-user Chi-square CDF F (the package uses the upper tail)."""
+    sf = _fixed_fraction_sf(n, alpha, groups, antennas)
+    val, _ = integrate.quad(
+        lambda x: power / (1.0 + power * x) * sf(x), 0, np.inf,
+        epsabs=1e-15, epsrel=1e-11, limit=300,
+    )
+    return (n / alpha) * val
+
+
+def fixed_fraction_iid_se(
+    n: int, alpha: int, power: float, groups: int = 1, slots: int = 1
+) -> float:
+    """Exact SE of the mean delivered nats over ``slots`` i.i.d. slots,
+    sqrt(Var(L) / slots) for L = (N/alpha) log(1 + P X): E[L] as in
+    fixed_fraction_quad_throughput and
+    E[L^2] = (N/alpha)^2 int 2 log1p(Px) P/(1+Px) P(gain > x) dx, both by
+    scipy's adaptive quadrature."""
+    sf = _fixed_fraction_sf(n, alpha, groups, 1)
+    second, _ = integrate.quad(
+        lambda x: 2.0 * log1p(power * x) * power / (1.0 + power * x) * sf(x), 0, np.inf,
+        epsabs=1e-15, epsrel=1e-11, limit=300,
+    )
+    mean = fixed_fraction_quad_throughput(n, alpha, power, groups)
+    return math.sqrt(((n / alpha) ** 2 * second - mean ** 2) / slots)
+
+
+def _fixed_fraction_sf(n: int, alpha: int, groups: int, antennas: int):
+    """P(scheduled gain > x): the complement of the lower binomial tail,
+    betaincc(pos, n-pos+1, F), at the per-user Chi-square CDF F, for the
+    best of ``groups`` groups."""
     pos = n - n // alpha + 1
 
     def sf(x):
         cdf = special.gammainc(antennas, antennas * x)
         return _best_of_groups(float(special.betaincc(pos, n - pos + 1, cdf)), groups)
 
-    val, _ = integrate.quad(
-        lambda x: power / (1.0 + power * x) * sf(x), 0, np.inf,
-        epsabs=1e-15, epsrel=1e-11, limit=300,
-    )
-    return (n / alpha) * val
+    return sf
 
 
 def _best_of_groups(comp: float, groups: int) -> float:

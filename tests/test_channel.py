@@ -7,7 +7,7 @@ from scipy import integrate, special, stats
 from mcastsim import channel
 from mcastsim.channel import CoherencePolicy
 
-from oracles import ks_distance, same_law_p_value
+from oracles import OrderStatSpec, ks_distance, order_stat_cdf, same_law_p_value
 
 
 def test_rayleigh_reproducible_for_fixed_seed():
@@ -60,6 +60,39 @@ def test_extreme_positions_have_the_beta_law(n, position, antennas):
     v = np.random.default_rng(seed + 1).beta(n - position + 1, position, 20000)
     reference = special.gammainccinv(antennas, v) / antennas
     assert same_law_p_value(drawn, reference) >= 0.01
+
+
+@pytest.mark.parametrize("n, position, groups", [(4, 1, 1), (4, 4, 1), (6, 1, 5), (6, 6, 5)])
+def test_stratified_gain_is_the_best_of_groups_law(n, position, groups):
+    # with one stratum the closed form is drawn i.i.d.: the law of the
+    # per-group draw followed by the best of G, and the order-statistic
+    # CDF to the power G
+    seed = 60 + n + position + groups
+    drawn = channel.draw_stratified_gains(
+        n, position, groups, 1, 20000, np.random.default_rng(seed))[0]
+    reference = channel.draw_scheduled_gains(
+        n, position, (20000, groups), 1, np.random.default_rng(seed + 1)).max(axis=-1)
+    assert same_law_p_value(drawn, reference) >= 0.01
+    spec = OrderStatSpec(n, position, groups)
+    assert ks_distance(drawn, lambda x: order_stat_cdf(spec, x)) < 0.015
+
+
+@pytest.mark.parametrize("n, position, groups", [(4, 1, 1), (6, 6, 5), (1, 1, 3)])
+def test_stratified_gain_takes_one_value_in_each_stratum(n, position, groups):
+    # row j of m lies in the j-th of m equal-probability strata of the
+    # law, in every column, and the columns differ
+    strata, replicates = 50, 4
+    drawn = channel.draw_stratified_gains(
+        n, position, groups, strata, replicates, np.random.default_rng(70 + n))
+    assert drawn.shape == (strata, replicates)
+    spec = OrderStatSpec(n, position, groups)
+    cdf = np.array([[order_stat_cdf(spec, x) for x in row] for row in drawn])
+    j = np.arange(strata)[:, None]
+    assert np.all(cdf >= j / strata - 1e-12) and np.all(cdf <= (j + 1) / strata + 1e-12)
+    assert not np.array_equal(drawn[:, 0], drawn[:, 1])
+    again = channel.draw_stratified_gains(
+        n, position, groups, strata, replicates, np.random.default_rng(70 + n))
+    assert np.array_equal(drawn, again)
 
 
 def test_chisquare_two_antenna_cdf_point():
