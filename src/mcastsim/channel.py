@@ -7,14 +7,14 @@ exponential at the two extreme positions), so a static slot costs the same
 at every population size.  At those two positions and one antenna the
 best of the G groups' gains is a closed form in one uniform, which the
 throughput estimate draws stratified.  A cooperative slot's weakest relay
-gain is the least of N/2 Gamma(N/2) variates up to N/2 = 24 and one
-inversion above, so its cost and memory grow with N only up to that
-switch.  The inversions are the integer-parameter Gamma quantiles of
-``analytic``.  Draws are pure functions of the supplied generator, so
-per-worker streams stay independent and every realization is
-reproducible from its seed.  The draws take their arguments from a
-validated ``simcore.SimConfig`` through ``schedulers.slot_rates`` and
-check none of them.
+gain is one Gamma variate whose integer shape, a ball count, is one
+uniform inverted on a table built once per N, up to N/2 = 52, and one
+inversion above, so its cost and memory are flat in N.  The inversions
+are the integer-parameter Gamma quantiles of ``analytic``.  Draws are
+pure functions of the supplied generator, so per-worker streams stay
+independent and every realization is reproducible from its seed.  The
+draws take their arguments from a validated ``simcore.SimConfig``
+through ``schedulers.slot_rates`` and check none of them.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ __all__ = [
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
 # positive and finite for small populations.
 _LOGLOG_FLOOR = 16
-# Up to this many relay sums, the weakest is drawn as the least of the sums
-# themselves; above it, by inverting its law (see draw_interuser_gains).
-_GAMMA_MIN_MAX_HALF = 24
+# Up to this many relay sums, the weakest is drawn from its ball count; above
+# it, by inverting its law (see draw_interuser_gains).
+_BALL_COUNT_MAX_HALF = 52
 
 
 @dataclass(frozen=True)
@@ -138,26 +138,41 @@ def draw_interuser_gains(n: int, shape, rng: np.random.Generator) -> np.ndarray:
     an array of ``shape``.
 
     Every ordered pair of users sees an i.i.d. unit-mean exponential gain.
-    Weak user j hears the sum of the gains from the n/2 strong users, a sum
-    of n/2 unit exponentials, hence Gamma(n/2, 1).  The weak users' sums
+    Weak user j hears the sum of the gains from the m = n/2 strong users, a
+    sum of m unit exponentials, hence Gamma(m, 1).  The weak users' sums
     use disjoint pairs, so they are independent of each other, and the pair
     gains are independent of the base-station gains that pick the halves,
     so these sums are independent of them too.  The cooperative rate reads
-    only the least of the n/2 sums, Y, with P(Y > y) = Q(n/2, y)^(n/2).
+    only the least of the m sums, Y, with P(Y > y) = Q(m, y)^m.
 
-    Up to n/2 = 24 the n/2 sums are drawn (numpy's Gamma sampler) and Y is
-    their minimum, and the switch caps their memory at 24 floats per value
-    drawn.  Above it, Y is drawn by inverting its lower tail,
-    1 - Q(n/2, Y) = -expm1(-2 E / n) for a standard exponential E, which
-    never takes the log of zero (``analytic._gamma_inverse``).  On a 2-core
-    x86-64 host the minimum costs 660, 940 and 1080 ns per value at
-    n/2 = 16, 24 and 32, and the inversion 700, 660 and 660 ns in calls of
-    32,000 values, but 2,900, 3,100 and 3,200 ns in calls of 1000, whose
-    fixed costs it pays per block of 256 values; the delay engine's rounds
-    make such calls, so the switch stays at 24.
+    Each sum is the time of the m-th arrival of its own unit-rate Poisson
+    process.  Merged, the m processes are one process of rate m whose
+    arrivals carry independent uniform labels, and Y is the time of its
+    T-th arrival, T the number of balls thrown uniformly into m bins until
+    one holds m.  T does not depend on the arrival times, so
+    Y = Gamma(T, 1) / m: a batch draws every T by inverting one uniform on
+    the exact table of P(T > t), built once per m
+    (``analytic._ball_count_inverse``), and then every Gamma(T).  At
+    m = 1, T = 1 and no uniform is drawn.  Above m = 52 Y is drawn by
+    inverting its lower tail, 1 - Q(m, Y) = -expm1(-E / m) for a standard
+    exponential E, which never takes the log of zero
+    (``analytic._gamma_inverse``).  Either way a value costs O(1) memory.
+
+    On a shared 2-core x86-64 host the table draw costs 50 to 60 ns a
+    value at m = 2 to 32 in calls of 32,000 or 1500 x 5 values, and 75 to
+    85 ns in calls of 500.  Measured alongside, the least of m Gamma(m)
+    draws costs 120, 270, 600 and 860 ns at m = 2, 6, 16 and 24, and the
+    inversion 510 ns at m = 32 (2,500 ns in calls of 500).  The table and
+    its guide take 0.9, 4.0 and 15 ms to build at m = 16, 32 and 52.  The
+    switch is the largest m at which that build and one 32,000-value draw
+    cost no more than one such draw by inversion.
     """
     half = n // 2
-    if half <= _GAMMA_MIN_MAX_HALF:
-        return rng.standard_gamma(half, (*shape, half)).min(axis=-1)
-    p = -np.expm1(-rng.standard_exponential(shape) / half)
-    return analytic._gamma_inverse(half, p, upper=False)
+    if half > _BALL_COUNT_MAX_HALF:
+        p = -np.expm1(-rng.standard_exponential(shape) / half)
+        return analytic._gamma_inverse(half, p, upper=False)
+    if half == 1:
+        return rng.standard_gamma(1.0, shape)
+    y = rng.standard_gamma(analytic._ball_count_inverse(half, rng.random(shape)), shape)
+    y /= half
+    return y

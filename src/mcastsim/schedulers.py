@@ -88,9 +88,10 @@ def slot_rates(
     gain and returns the N users' rates of ``count`` attempts, shape
     (count, N).  The other two draw one scheduled gain per group, plus one
     relay gain per group under cooperation, and serve the best of the G
-    groups: shape (count,), and memory O(count * G) at every N, or
-    O(count * G * min(N/2, 24)) under cooperation, whose relay draw holds
-    up to 24 relay sums per group (``channel.draw_interuser_gains``).
+    groups: shape (count,), and memory O(count * G) at every N, under
+    cooperation too, whose relay draw holds one ball count and one value
+    per slot and group (``channel.draw_interuser_gains``), besides a table
+    of O(N^2) values built once per N up to N = 104.
 
     Given ``replicates`` B, a static config at alpha in {1, N} with one
     antenna, whose best gain is a closed form in one uniform, draws that

@@ -12,7 +12,9 @@ law, the coupled-queue delay is simulated slot by slot or pick by pick,
 the retransmission reference and the expected hit count of a queue come
 from renewal functions convolved on a grid, and the cooperative rates
 come from the full N x N pair-gain model or, for the throughput and the
-rate law, from the effective-gain survival function.
+rate law, from the effective-gain survival function; the ball count
+behind the weakest relay gain is counted from the multinomial
+coefficients in exact integers.
 Integrals over [0, inf) use scipy's adaptive quadrature, which the package
 does not import, as the reference for its double-exponential rule.  The
 package's integer-parameter binomial, Poisson and Gamma evaluators are
@@ -25,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, exp, log1p
 
 import mpmath
@@ -539,3 +542,18 @@ def coop_throughput(n: int, groups: int, power: float) -> float:
         0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300,
     )
     return n // 2 * val
+
+
+def ball_count_sequences(m: int) -> list[int]:
+    """For t = 0..m(m - 1) + 1, how many of the m^t sequences of t balls
+    thrown into m bins leave every bin below m balls: t! [x^t] e(x)^m, with
+    e(x) = sum_{k<m} x^k / k! (the multinomial counts), in exact rationals
+    and then Python integers."""
+    top = m * (m - 1) + 1
+    power = [Fraction(1)] + [Fraction(0)] * top
+    for _ in range(m):
+        power = [sum(power[t - k] / math.factorial(k) for k in range(min(m - 1, t) + 1))
+                 for t in range(top + 1)]
+    counts = [coef * math.factorial(t) for t, coef in enumerate(power)]
+    assert all(c.denominator == 1 for c in counts)
+    return [int(c) for c in counts]

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from mcastsim import analytic
 from mcastsim.analytic import UnsupportedSizeError
@@ -15,6 +15,7 @@ from oracles import (
     ServiceLaw,
     antenna_order_stat_sf_sum,
     assert_close_to_exact,
+    ball_count_sequences,
     chisquare_cdf,
     chisquare_cdf_sum,
     closed_form_reference,
@@ -208,6 +209,50 @@ def test_gamma_inverse_is_elementwise():
         assert whole.shape == (tail.size // 2, 2)
         alone = [analytic._gamma_inverse(k, np.array([v]), upper)[0] for v in tail]
         assert np.array_equal(whole.ravel(), alone)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_ball_count_table_is_the_exact_count(m):
+    # P(T > t) is the share of the m^t ball sequences that leave every bin
+    # below m, for t = 0..m(m - 1); one more ball always fills a bin
+    counts = ball_count_sequences(m)
+    assert counts[-1] == 0
+    sf = analytic._ball_count_sf(m)
+    assert sf.shape == (m * (m - 1) + 1,)
+    exact = np.array([c / m ** t for t, c in enumerate(counts[:-1])])
+    assert np.all(abs(sf - exact) <= 1e-14 * exact), np.max(abs(sf / exact - 1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 16, 52])
+def test_ball_count_inverse_counts_the_table_entries_above_the_uniform(m):
+    # T = #{t : P(T > t) > u} through the guide, at every table value (some
+    # on a cell edge, as 1/2 at m = 2), its neighbours and random uniforms
+    sf = analytic._ball_count_sf(m)
+    assert np.all(np.diff(sf) <= 0)
+    u = np.concatenate([sf, np.nextafter(sf, 0), np.nextafter(sf, 2), [0.0],
+                        np.random.default_rng(m).random(20000)])
+    u = u[u < 1].reshape(-1, 1)
+    want = (sf[None, :] > u).sum(axis=1).reshape(-1, 1)
+    assert np.array_equal(analytic._ball_count_inverse(m, u), want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 16, 24, 32])
+def test_ball_count_moments_are_the_weakest_relay_moments(m):
+    # Y = Gamma(T, 1)/m is the least of m Gamma(m, 1) sums: E[Y] = E[T]/m
+    # and E[Y^2] = E[T (T + 1)]/m^2 match the integrals of P(Y > y) =
+    # Q(m, y)^m and of 2 y Q(m, y)^m
+    sf = analytic._ball_count_sf(m)
+    t = np.arange(sf.size)
+    mean = math.fsum(sf) / m
+    second = math.fsum(2 * (t + 1) * sf) / m ** 2
+
+    def moment(weight):
+        return sum(integrate.quad(lambda y: weight(y) * special.gammaincc(m, y) ** m, lo, hi,
+                                  epsabs=0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((0, m), (m, np.inf)))
+
+    assert mean == pytest.approx(moment(lambda y: 1.0), rel=1e-12)
+    assert second == pytest.approx(moment(lambda y: 2 * y), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])

@@ -9,6 +9,9 @@ from mcastsim.channel import CoherencePolicy
 
 from oracles import OrderStatSpec, ks_distance, order_stat_cdf, same_law_p_value
 
+# the largest N/2 whose weakest relay gain is drawn from its ball count
+_SWITCH = channel._BALL_COUNT_MAX_HALF
+
 
 def test_rayleigh_reproducible_for_fixed_seed():
     a = channel.draw_gains(3, np.random.default_rng(7))
@@ -134,12 +137,23 @@ def test_interuser_weakest_relay_law():
 
 @pytest.mark.parametrize("n, draws", [(64, 16000), (1000, 4000)])
 def test_interuser_weakest_relay_law_above_the_gamma_minimum(n, draws):
-    # above N/2 = 24 the relay gain is an inversion: the law of the least of
-    # N/2 Gamma(N/2, 1) sums, P(Y > y) = Q(N/2, y)^(N/2), and the law of
-    # that minimum drawn directly
+    # from the ball count or by inversion, the relay gain has the law of the
+    # least of N/2 Gamma(N/2, 1) sums, P(Y > y) = Q(N/2, y)^(N/2), and the
+    # law of that minimum drawn directly
     half = n // 2
     relay = channel.draw_interuser_gains(n, (draws,), np.random.default_rng(n))
     reference = np.random.default_rng(n + 100).gamma(half, 1.0, (draws, half)).min(axis=1)
+    assert stats.kstest(relay, lambda y: 1 - special.gammaincc(half, y) ** half).pvalue > 0.001
+    assert same_law_p_value(relay, reference) > 0.001
+
+
+@pytest.mark.parametrize("half", [2, 3, _SWITCH, _SWITCH + 1])
+def test_interuser_ball_count_draw_has_the_weakest_relay_law(half):
+    # Gamma(T, 1)/m with T the balls thrown into m bins until one holds m, on
+    # both sides of the switch to inversion: the least of m Gamma(m, 1) sums
+    n, draws = 2 * half, 16000
+    relay = channel.draw_interuser_gains(n, (draws,), np.random.default_rng(500 + half))
+    reference = np.random.default_rng(600 + half).gamma(half, 1.0, (draws, half)).min(axis=1)
     assert stats.kstest(relay, lambda y: 1 - special.gammaincc(half, y) ** half).pvalue > 0.001
     assert same_law_p_value(relay, reference) > 0.001
 
@@ -211,8 +225,12 @@ def test_draw_gains_batch_shapes():
     assert scheduled.shape == (5, 2)
     assert np.array_equal(scheduled, np.stack(per_slot))
 
-    inter = channel.draw_interuser_gains(4, (5, 2), np.random.default_rng(42))
-    rng = np.random.default_rng(42)
-    per_slot = [[channel.draw_interuser_gains(4, (1,), rng)[0] for _ in range(2)] for _ in range(5)]
-    assert inter.shape == (5, 2)
-    assert np.array_equal(inter, np.array(per_slot))
+    # a relay batch draws every ball count before any Gamma variate, so it
+    # is reproducible from its seed and has the law of per-slot calls, but
+    # not their values
+    inter = channel.draw_interuser_gains(4, (2000, 2), np.random.default_rng(42))
+    assert inter.shape == (2000, 2)
+    assert np.array_equal(inter, channel.draw_interuser_gains(4, (2000, 2), np.random.default_rng(42)))
+    rng = np.random.default_rng(142)
+    per_slot = [[channel.draw_interuser_gains(4, (1,), rng)[0] for _ in range(2)] for _ in range(2000)]
+    assert same_law_p_value(inter.ravel(), np.ravel(per_slot)) >= 0.01

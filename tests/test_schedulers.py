@@ -403,7 +403,8 @@ def test_coop_rates_have_the_matrix_model_law(n, groups):
 
 
 @pytest.mark.parametrize("n,groups,power", [
-    (2, 1, 1.0), (4, 1, 0.1), (10, 1, 1.0), (10, 5, 1.0), (4, 5, 10.0), (64, 1, 1.0),
+    (2, 1, 1.0), (4, 1, 0.1), (10, 1, 1.0), (10, 5, 1.0), (4, 5, 10.0), (32, 1, 1.0), (64, 1, 1.0),
+    (2 * channel._BALL_COUNT_MAX_HALF + 2, 1, 1.0),
 ])
 def test_coop_throughput_matches_exact_quadrature(n, groups, power):
     rng = np.random.default_rng(300 + 10 * groups + n)

@@ -224,8 +224,7 @@ def test_multigroup_coop_slot_memory_is_flat_in_n():
 
 
 def test_coop_slot_memory_is_flat_in_n():
-    # above N/2 = 24 the relay stage draws one weakest-relay gain per slot,
-    # not N/2 sums
+    # the relay stage draws one weakest-relay gain per slot, not N/2 sums
     relay = channel.draw_interuser_gains(1000, (1000,), np.random.default_rng(49))
     assert relay.shape == (1000,)
     _assert_peak_memory_flat_in_n("coop")
@@ -233,12 +232,14 @@ def test_coop_slot_memory_is_flat_in_n():
 
 @pytest.mark.parametrize("scheme, groups", [("coop", 1), ("multigroup-coop", 5)])
 def test_coop_slot_memory_holds_at_most_24_relay_sums(scheme, groups):
-    # up to N/2 = 24 the relay draw holds each slot's N/2 relay sums per
-    # group, 1000 * G * 24 floats at N = 48 (192 kB per group); the first N
-    # above it inverts one value per slot and group, within the flat bound
-    for n, sums in ((48, 24), (50, 0)):
+    # the relay draw holds no relay sums, one ball count and one Gamma
+    # variate per slot and group: within the flat bound with its table of
+    # O(N^2) values built in the call
+    for n in (48, 50):
+        analytic._ball_count_sf.cache_clear()
+        analytic._ball_count_guide.cache_clear()
         peak = _slot_memory_peak(SimConfig(scheme=scheme, n_users=n, n_groups=groups))
-        assert peak < (100_000 + 8 * 1000 * sums) * groups, (n, peak)
+        assert peak < 100_000 * groups, (n, peak)
 
 
 def test_vectorized_multigroup_rates_match_scalar_path():
