@@ -2,11 +2,11 @@
 
 All gains are dimensionless channel power gains; each user's gain has unit
 mean.  A scheduler that rates a slot for one user draws only that user's
-gain, an order statistic, by inversion of one Beta variate (one standard
-exponential at the two extreme positions), so a static slot costs the same
-at every population size.  At those two positions and one antenna the
-best of the G groups' gains is a closed form in one uniform, which the
-throughput estimate draws stratified.  A cooperative slot's weakest relay
+gain, an order statistic, by inversion of one Beta variate, so a static
+slot costs the same at every population size.  At the two extreme
+positions and one antenna the best of the G groups' gains is a closed
+form in one uniform, which the throughput estimate draws stratified and
+the delay engine i.i.d., as one stratum.  A cooperative slot's weakest relay
 gain is one Gamma variate whose integer shape, a ball count, is one
 uniform inverted on a table built once per N, up to N/2 = 52, and one
 inversion above, so its cost and memory are flat in N.  The inversions
@@ -84,19 +84,14 @@ def draw_scheduled_gains(
     S(X) ~ Beta(N - pos + 1, pos), the order statistics of uniforms
     (David & Nagaraja, *Order Statistics*, 2003).  So X = S^-1(V) for one
     Beta variate V: -log V at one antenna, Q^-1(L, V) / L for L antennas,
-    with Q the regularized upper incomplete gamma function.  At the two
-    extreme positions V has a closed form in one standard exponential E:
-    Beta(N, 1) is U^(1/N) = exp(-E/N) at position 1, and Beta(1, N) is
-    1 - U^(1/N) = -expm1(-E/N) at position N.  Both the fixed-fraction and
-    the cooperative scheduler draw their base-station fading here, so
-    throughput and delay see the same antenna law.
+    with Q the regularized upper incomplete gamma function.  Both the
+    fixed-fraction and the cooperative scheduler draw their base-station
+    fading here, so throughput and delay see the same antenna law, except
+    at positions 1 and N with one antenna, where ``schedulers.slot_rates``
+    draws the best of the G groups' gains in one closed form instead
+    (``draw_stratified_gains``).
     """
-    if position == 1:
-        v = np.exp(-rng.standard_exponential(shape) / n_users)
-    elif position == n_users:
-        v = -np.expm1(-rng.standard_exponential(shape) / n_users)
-    else:
-        v = rng.beta(n_users - position + 1, position, shape)
+    v = rng.beta(n_users - position + 1, position, shape)
     if antennas == 1:
         return -np.log(v)
     return analytic._gamma_inverse(antennas, v, upper=True) / antennas
@@ -118,7 +113,8 @@ def draw_stratified_gains(
     ``draw_scheduled_gains`` at these positions followed by the best of
     G.  Row j of m takes U = (j + V)/m for a fresh uniform V per entry,
     one value in each of the m strata of [0, 1) per column (Owen, *Monte
-    Carlo theory, methods and examples*, 2013, ch. 10).  The complement
+    Carlo theory, methods and examples*, 2013, ch. 10); one stratum is
+    ``replicates`` i.i.d. values.  The complement
     1 - U = (m - j - V)/m is formed directly: it is never 0, so the gain
     is finite, and it keeps its precision in the top stratum, where the
     largest gains lie.

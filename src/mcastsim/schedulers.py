@@ -11,9 +11,9 @@ the rate law.
 The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode; a slot draws
 that one gain per group (``channel.draw_scheduled_gains``), never the N
-gains it is the order statistic of; for a throughput estimate at alpha
-in {1, N} and one antenna, it draws the best of the G groups' gains
-stratified instead.  The retransmission scheme
+gains it is the order statistic of; at alpha in {1, N} and one antenna
+it draws the best of the G groups' gains from one closed form instead,
+stratified for a throughput estimate.  The retransmission scheme
 accumulates mutual information across attempts until the slowest user
 crosses the rate target.  The cooperative scheme serves the stronger half
 first and lets it relay to the weaker half.  The multigroup forms serve
@@ -93,24 +93,23 @@ def slot_rates(
     per slot and group (``channel.draw_interuser_gains``), besides a table
     of O(N^2) values built once per N up to N = 104.
 
-    Given ``replicates`` B, a static config at alpha in {1, N} with one
-    antenna, whose best gain is a closed form in one uniform, draws that
-    gain stratified instead (``channel.draw_stratified_gains``) and rates
-    it by the same law: shape (m, B) for m = ceil(count / B) strata, so up
-    to B - 1 slots more than ``count``; the columns are independent, the
-    slots of a column are not.  Every other config ignores ``replicates``,
-    and the delay engine and the retransmission cycle never pass it."""
+    A static config at alpha in {1, N} with one antenna draws its best
+    gain from one closed form (``channel.draw_stratified_gains``): as
+    ``count`` i.i.d. slots, shape (count,), or, given ``replicates`` B,
+    stratified, shape (m, B) for m = ceil(count / B), so up to B - 1
+    slots more than ``count``; the columns are independent, the slots of
+    a column are not.  Only the throughput estimate passes ``replicates``;
+    every other config ignores it."""
     n, power = config.n_users, config.power
     if config.family == "ir":
         return static_schedule(channel.draw_gains((count, n), rng), power)
     # cooperation rates stage 1 at the median, the alpha = 2 position, and
     # its config holds one antenna
     position = n - n // (config.alpha or 2) + 1
-    if (replicates is not None and config.family == "static" and config.antennas == 1
-            and position in (1, n)):
-        gains = channel.draw_stratified_gains(
-            n, position, config.n_groups, -(-count // replicates), replicates, rng)
-        return static_schedule(gains, power)
+    if config.family == "static" and config.antennas == 1 and position in (1, n):
+        strata, columns = (1, count) if replicates is None else (-(-count // replicates), replicates)
+        gains = channel.draw_stratified_gains(n, position, config.n_groups, strata, columns, rng)
+        return static_schedule(gains[0] if replicates is None else gains, power)
     shape = (count, config.n_groups)
     gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
     if config.family == "coop":

@@ -50,21 +50,6 @@ def test_chisquare_single_antenna_matches_rayleigh_stream():
     assert np.allclose(a, special.gammainccinv(1, v), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("antennas", [1, 2])
-@pytest.mark.parametrize("n, position", [
-    (1, 1), (2, 1), (2, 2), (12, 1), (12, 12), (1000, 1), (1000, 1000),
-])
-def test_extreme_positions_have_the_beta_law(n, position, antennas):
-    # positions 1 and N draw V from one standard exponential; the law is the
-    # Beta(N - pos + 1, pos) of the interior positions, under the same
-    # antenna inversion
-    seed = 25 + n + position + antennas
-    drawn = channel.draw_scheduled_gains(n, position, 20000, antennas, np.random.default_rng(seed))
-    v = np.random.default_rng(seed + 1).beta(n - position + 1, position, 20000)
-    reference = special.gammainccinv(antennas, v) / antennas
-    assert same_law_p_value(drawn, reference) >= 0.01
-
-
 @pytest.mark.parametrize("n, position, groups", [(4, 1, 1), (4, 4, 1), (6, 1, 5), (6, 6, 5)])
 def test_stratified_gain_is_the_best_of_groups_law(n, position, groups):
     # with one stratum the closed form is drawn i.i.d.: the law of the

@@ -30,7 +30,8 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_runs_without_scipy(tmp_path):
     # an import of scipy anywhere, even a deferred one, raises ImportError
     # here: the oracle checks, a static row at L = 2 with its alpha = 2
-    # delay, and a cooperative row at N = 64, whose relay gains are inverted
+    # delay, and a cooperative row at N = 108, whose relay gains are inverted
+    # (N/2 = 54 is past the ball-count table)
     out = tmp_path / "rows.csv"
     code = f"""
 import sys
@@ -39,7 +40,7 @@ from mcastsim import cli
 assert cli.main(["verify"]) == 0
 assert cli.main(["run", "--scheme", "static", "--n-users", "8", "--alpha", "2",
                  "--antennas", "2", "--iterations", "50", "--out", {str(out)!r}]) == 0
-assert cli.main(["run", "--scheme", "coop", "--n-users", "64", "--iterations", "50",
+assert cli.main(["run", "--scheme", "coop", "--n-users", "108", "--iterations", "50",
                  "--out", {str(out)!r}]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """

@@ -160,7 +160,7 @@ def test_static_alpha_two_targets_median_position():
 
 @pytest.mark.parametrize("n,alpha,groups,antennas", [
     (1, 1, 1, 1), (2, 1, 1, 1), (6, 3, 1, 1), (10, 2, 5, 1), (10, 10, 5, 1), (8, 2, 1, 3),
-    (1000, 2, 1, 1),
+    (1000, 2, 1, 1), (12, 1, 1, 2), (12, 12, 5, 2),
 ])
 def test_static_rates_have_the_full_vector_law(n, alpha, groups, antennas):
     # one Beta variate per group in place of N gains and a partition; the
@@ -181,6 +181,20 @@ def test_static_rates_have_the_full_vector_law(n, alpha, groups, antennas):
         for start in range(0, count, block)
     ])
     assert same_law_p_value(rates, reference) >= 0.01
+
+
+@pytest.mark.parametrize("groups", [1, 5])
+@pytest.mark.parametrize("alpha", [1, 12])
+def test_extreme_static_rates_are_one_stratum_of_the_best_gain_draw(alpha, groups):
+    # at alpha in {1, N} and one antenna the delay engine's i.i.d. rates come
+    # from the throughput estimate's sampler, drawn as one stratum
+    n, count, seed = 12, 500, 530 + alpha + groups
+    config = _config("static", n, groups, alpha=alpha, power=2.0)
+    rates = schedulers.slot_rates(config, count, np.random.default_rng(seed))
+    gains = channel.draw_stratified_gains(
+        n, 1 if alpha == 1 else n, groups, 1, count, np.random.default_rng(seed))[0]
+    assert rates.shape == (count,)
+    assert np.array_equal(rates, schedulers.static_schedule(gains, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +403,9 @@ def test_multigroup_coop_argmax_contract():
 def test_coop_rates_have_the_matrix_model_law(n, groups):
     # one median and one weakest-relay variate per group in place of N gains
     # and an N x N pair-gain matrix; the matrix is drawn in blocks of at
-    # most 2**22 pair gains.  N = 48 is the last N whose relay draw takes
-    # the least of the N/2 Gamma sums, N = 50 the first that inverts.
+    # most 2**22 pair gains.  N = 48, 50 and 64 all draw the relay gain from
+    # its ball count; test_channel's [1000-4000] and _SWITCH + 1 cases hold
+    # the inversion side.
     count, seed = 10000, 190 + 10 * groups + n
     rates = schedulers.slot_rates(_config("coop", n, groups), count, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 100)
