@@ -1,10 +1,12 @@
 """Exact analytics for the scheduling schemes.
 
 Closed-form throughputs built from the exponential integral, order
-statistics of exponential and Chi-square fading, the coupon-collector
-waiting time of coupled queues with equal or unequal needs, and each
-scheme's throughput growth law, which run rows carry as their
-``predicted_scaling`` reference.
+statistics of exponential and Chi-square fading, the law of the gain a
+static or cooperative slot is rated on with the moments of its rate and
+gain (the throughput reference and the estimate's control variate), the
+coupon-collector waiting time of coupled queues with equal or unequal
+needs, and each scheme's throughput growth law, which run rows carry as
+their ``predicted_scaling`` reference.
 
 Every law has an integer parameter and is evaluated in numpy: the
 order-statistic survival function is a binomial tail, and the Chi-square
@@ -93,7 +95,8 @@ _SERIES_BLOCK = 2048
 # log k! - log(sqrt(2 pi k) (k/e)^k) up to k = 15; the Stirling series above
 _STIRLERR = np.array([0.0] + [math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k
                               - 0.5 * math.log(2 * math.pi) for k in range(1, 16)])
-# Binomial tails of at most this many trials are summed term by term.
+# Binomial tails of at most this many trials, and the relay law's Poisson
+# tails of at most this many terms, are summed term by term.
 _DIRECT_SUM_MAX_N = 48
 # The coupon integrand sums P(X < k) term by term up to this largest need,
 # where e^-t underflows (t > 745) only once P(X < k) < e^-99; exp
@@ -212,6 +215,18 @@ def _poisson_log_tails(k, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     long = np.log1p(-np.exp(short))
     return (np.where(upper, short, long).reshape(shape),
             np.where(upper, long, short).reshape(shape), log_pmf.reshape(shape))
+
+
+def _poisson_lower_tails(k_max: int, t: np.ndarray) -> np.ndarray:
+    """P(X < k) for X ~ Poisson(t), one row for each k = 1..k_max and one
+    column for each t >= 0: the finite sum e^-t sum_{j<k} t^j / j! term by
+    term, each term a running product, so within about k ulps."""
+    terms = np.empty((k_max, t.size))
+    terms[0] = np.exp(-t)
+    terms[1:] = t / np.arange(1, k_max)[:, None]
+    np.cumprod(terms, axis=0, out=terms)
+    np.cumsum(terms, axis=0, out=terms)
+    return terms
 
 
 def _binomial_tail(n: int, a: int, s):
@@ -563,24 +578,73 @@ def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> flo
 
 
 def throughput_quadrature(
-    n_users: int, alpha: int, power: float, n_groups: int = 1, antennas: int = 1
+    n_users: int, alpha: int | None, power: float, n_groups: int = 1, antennas: int = 1
 ) -> float:
-    """General throughput evaluator: (N/alpha) * int log(1 + x P) dF(x),
-    i.e. (N/alpha) * int P/(1 + P x) P(gain > x) dx over the scheduled
-    gain's survival function, by the exp-sinh rule of _integrate_0_inf.
-    Works at any size, including beyond the alternating-sum cap."""
-    _check_alpha(n_users, alpha)
+    """General throughput evaluator: (N/alpha) E[log(1 + P Z)] for the gain
+    Z a slot is rated on, the fixed-fraction scheduler's at ``alpha`` and
+    the cooperative one's (N/2 served) at alpha None, best of ``n_groups``
+    groups; the first moment of _rated_gain_moments.  Works at any size,
+    including beyond the alternating-sum cap."""
+    if alpha is None:
+        if n_users % 2 or antennas != 1:
+            raise ValueError("cooperation needs an even n_users and one antenna")
+    else:
+        _check_alpha(n_users, alpha)
     _check_power(power)
     if n_groups < 1 or antennas < 1:
         raise ValueError("n_groups and antennas must be at least 1")
-    pos = n_users - n_users // alpha + 1
+    served = n_users / (alpha or 2)
+    return _rated_gain_moments(n_users, alpha, power, n_groups, antennas)[0] * served
 
-    def integrand(x):
-        # Q(L, L x) = P(Pois(L x) < L)
-        user_sf = np.exp(-x if antennas == 1 else _poisson_log_tails(antennas, antennas * x)[1])
-        return _order_stat_sf(n_users, pos, n_groups, user_sf) * power / (1.0 + power * x)
 
-    return _integrate_0_inf(integrand) * n_users / alpha
+def _rated_gain_sf(n_users: int, alpha: int | None, n_groups: int, antennas: int):
+    """P(Z > z) over a node array, for the best of ``n_groups`` groups' rated
+    gains Z.  The fixed-fraction gain is the order statistic at ascending
+    position N - N/alpha + 1 of gains with Q(L, L z) = P(Pois(L z) < L)
+    above z.  The cooperative gain (alpha None) is min(X, Y/m) for m = N/2,
+    X the gain at position m + 1 and Y the weakest relay gain, with
+    P(Y > y) = Q(m, y)^m (``channel.draw_interuser_gains``), independent of X."""
+    if alpha is not None:
+        pos = n_users - n_users // alpha + 1
+
+        def sf(z):
+            user_sf = np.exp(-z if antennas == 1 else _poisson_log_tails(antennas, antennas * z)[1])
+            return _order_stat_sf(n_users, pos, n_groups, user_sf)
+
+        return sf
+    half = n_users // 2
+
+    def coop_sf(z):
+        if half <= _DIRECT_SUM_MAX_N:
+            # a sum near 1 can round above it
+            relay = np.minimum(_poisson_lower_tails(half, half * z)[-1], 1.0) ** half
+        else:
+            relay = np.exp(half * _poisson_log_tails(half, half * z)[1])
+        one_group = _order_stat_sf(n_users, half + 1, 1, np.exp(-z)) * relay
+        # the best of G values, each with survival function one_group
+        return _order_stat_sf(1, 1, n_groups, one_group)
+
+    return coop_sf
+
+
+@lru_cache(maxsize=1)
+def _rated_gain_moments(
+    n_users: int, alpha: int | None, power: float, n_groups: int, antennas: int,
+) -> tuple[float, float, float, float, float]:
+    """E[R], E[C], E[C^2], E[R C] and E[R^2] for the rate R = log(1 + P Z)
+    of the rated gain C = Z (_rated_gain_sf), as one five-row integral by
+    the exp-sinh rule of _integrate_0_inf.  E[g(Z)] = int g'(z) P(Z > z) dz
+    for g(0) = 0, with g' = P/(1 + P z), 1, 2 z, log(1 + P z) + P z/(1 + P z)
+    and 2 log(1 + P z) P/(1 + P z).  The last law's moments are kept, so that
+    the throughput estimate reads those throughput_quadrature integrated."""
+    sf = _rated_gain_sf(n_users, alpha, n_groups, antennas)
+
+    def integrand(z):
+        s = sf(z)
+        rate, slope = np.log1p(power * z), power / (1.0 + power * z)
+        return np.stack([slope * s, s, 2 * z * s, (rate + z * slope) * s, 2 * rate * slope * s])
+
+    return tuple(_integrate_0_inf(integrand, rows=5).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +707,10 @@ def _poisson_log_sf(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
     bd0(k, t) marks the tails whose exponential underflows, which read as
     -bd0, and those within e^-60 of 1, which read as 0; the rest are exact."""
     if ks[-1] <= _FINITE_SUM_MAX_K:
-        terms = np.empty((ks[-1], t.size))
-        terms[0] = np.exp(-t)
-        terms[1:] = t / np.arange(1, ks[-1])[:, None]
-        np.cumprod(terms, axis=0, out=terms)
-        np.cumsum(terms, axis=0, out=terms)
+        lower = _poisson_lower_tails(ks[-1], t)[ks - 1]
         # a sum near 1 can round above it
         with np.errstate(divide="ignore"):
-            return np.maximum(np.log1p(-np.minimum(terms[ks - 1], 1.0)), -1e300)
+            return np.maximum(np.log1p(-np.minimum(lower, 1.0)), -1e300)
     k = ks[:, None]
     rough = k * (np.log(k) - np.log(t)) + t - k
     upper = t < k

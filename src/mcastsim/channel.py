@@ -5,11 +5,11 @@ mean.  A scheduler that rates a slot for one user draws only that user's
 gain, an order statistic, by inversion of one Beta variate, so a static
 slot costs the same at every population size.  At the two extreme
 positions and one antenna the best of the G groups' gains is a closed
-form in one uniform, which the throughput estimate draws stratified and
-the delay engine i.i.d., as one stratum.  A cooperative slot's weakest relay
-gain is one Gamma variate whose integer shape, a ball count, is one
-uniform inverted on a table built once per N, up to N/2 = 52, and one
-inversion above, so its cost and memory are flat in N.  The inversions
+form in one uniform, which the throughput estimate and the delay engine
+both draw.  A cooperative slot's weakest relay gain is one Gamma variate
+whose integer shape, a ball count, is one uniform inverted on a table
+built once per N, up to N/2 = 52, and one inversion above, so its cost
+and memory are flat in N.  The inversions
 are the integer-parameter Gamma quantiles of ``analytic``.  Draws are
 pure functions of the supplied generator, so per-worker streams stay
 independent and every realization is reproducible from its seed.  The
@@ -98,34 +98,29 @@ def draw_scheduled_gains(
 
 
 def draw_stratified_gains(
-    n_users: int, position: int, n_groups: int, strata: int, replicates: int,
-    rng: np.random.Generator,
+    n_users: int, position: int, n_groups: int, count: int, rng: np.random.Generator,
 ) -> np.ndarray:
-    """The best of ``n_groups`` groups' gains at ascending position 1 or
-    ``n_users`` of their ``n_users`` gains, at one antenna, as
-    ``replicates`` independent stratified samples of ``strata`` values
-    each: shape (strata, replicates), one replicate per column.
+    """``count`` i.i.d. values of the best of ``n_groups`` groups' gains at
+    ascending position 1 or ``n_users`` of their ``n_users`` gains, at one
+    antenna.
 
     That best gain has CDF (1 - e^(-c x))^k: at position 1 it is the best
     of G group minima, each exponential of rate N, so (k, c) = (G, N); at
     position N it is the largest of the N G gains, so (k, c) = (N G, 1).
-    So X = -log1p(-U^(1/k)) / c for one uniform U, the law of
+    So X = -log(1 - U^(1/k)) / c for one uniform U, the law of
     ``draw_scheduled_gains`` at these positions followed by the best of
-    G.  Row j of m takes U = (j + V)/m for a fresh uniform V per entry,
-    one value in each of the m strata of [0, 1) per column (Owen, *Monte
-    Carlo theory, methods and examples*, 2013, ch. 10); one stratum is
-    ``replicates`` i.i.d. values.  The complement
-    1 - U = (m - j - V)/m is formed directly: it is never 0, so the gain
-    is finite, and it keeps its precision in the top stratum, where the
-    largest gains lie.
+    G.  1 - U^(1/k) = -expm1(log(U) / k) keeps its precision where U^(1/k)
+    is near 1, which holds the largest gains, and U = 0 gives the least
+    gain, 0; at k = 1 it is 1 - U, which is never 0, so the gain is finite.
+    The draw is i.i.d.; the name is that of the stratified draw it was.
     """
     k, c = (n_groups, n_users) if position == 1 else (n_users * n_groups, 1)
-    x = rng.random((strata, replicates))
-    x -= (strata - np.arange(strata))[:, None]
-    x /= -strata                            # 1 - U
-    if k > 1:                               # 1 - U^(1/k); 1 - U itself at k = 1
-        with np.errstate(divide="ignore"):  # U = 0, the least gain, 0: log1p(-1)
-            x = -np.expm1(np.log1p(-x) / k)
+    u = rng.random(count)
+    if k > 1:
+        with np.errstate(divide="ignore"):  # U = 0: log(0) = -inf, x = 1
+            x = -np.expm1(np.log(u) / k)
+    else:
+        x = 1 - u
     return -np.log(x) / c
 
 

@@ -314,6 +314,20 @@ def _check_closedform() -> tuple[bool, str]:
     return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
 
 
+def _check_coop_closed_form() -> tuple[bool, str]:
+    # at N = 2 and one group the cooperative gain min(X, Y) has survival
+    # function 2 e^-2z - e^-3z: the larger of two unit exponentials, times the
+    # one relay gain's e^-z.  So its throughput is the static closed form of
+    # the least of two gains less a third of that of the least of three.
+    worst = 0.0
+    for power in (0.1, 1.0, 10.0):
+        closed = (analytic.static_throughput_closed_form(2, 1, power)
+                  - analytic.static_throughput_closed_form(3, 1, power) / 3)
+        quad_val = analytic.throughput_quadrature(2, None, power)
+        worst = max(worst, abs(closed - quad_val) / abs(quad_val))
+    return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
+
+
 def _check_renewal() -> tuple[bool, str]:
     config = SimConfig(scheme="ir", n_users=4, rate_target=0.5, iterations=4000, seed=20240)
     throughput = simcore.estimate_throughput(config)
@@ -334,6 +348,7 @@ def _check_renewal() -> tuple[bool, str]:
 _CHECKS = {
     "coupon-markov-oracle": _check_coupon,
     "closedform-vs-quadrature": _check_closedform,
+    "coop-closed-form": _check_coop_closed_form,
     "renewal-reward": _check_renewal,
 }
 

@@ -12,12 +12,13 @@ The fixed-fraction scheduler keys the rate to the gain at the ascending
 position N - N/alpha + 1, so exactly N/alpha users decode; a slot draws
 that one gain per group (``channel.draw_scheduled_gains``), never the N
 gains it is the order statistic of; at alpha in {1, N} and one antenna
-it draws the best of the G groups' gains from one closed form instead,
-stratified for a throughput estimate.  The retransmission scheme
-accumulates mutual information across attempts until the slowest user
-crosses the rate target.  The cooperative scheme serves the stronger half
-first and lets it relay to the weaker half.  The multigroup forms serve
-the group with the largest rate this slot.
+it draws the best of the G groups' gains from one closed form instead.
+The retransmission scheme accumulates mutual information across attempts
+until the slowest user crosses the rate target.  The cooperative scheme
+serves the stronger half first and lets it relay to the weaker half.  The
+multigroup forms serve the group with the largest rate this slot; the
+fixed-fraction one rates only the largest gain, as the rate is increasing
+in it.
 
 Rates are in nats per channel use.
 """
@@ -39,8 +40,9 @@ __all__ = [
 def static_schedule(gains, power: float) -> np.ndarray:
     """Rates log(1 + P g) of slots whose scheduled gains are ``gains``:
     the gain at ascending position N - N/alpha + 1, so everyone at or
-    above it decodes.  Every scheme's rates come from this one law, the
-    one place gains and power are checked."""
+    above it decodes.  Every scheme's rates come from this one law, which
+    checks gains and power; cooperation hands it the lesser stage SNR at
+    power 1 and checks its own power first."""
     g = np.asarray(gains, dtype=float)
     if g.ndim < 1 or g.shape[-1] < 1:
         raise ValueError("gains need a nonempty last axis")
@@ -53,8 +55,9 @@ def static_schedule(gains, power: float) -> np.ndarray:
 
 def multigroup_static_schedule(gains, power: float) -> np.ndarray:
     """Fixed-fraction rates over scheduled gains of shape ``[..., G]``:
-    each slot serves the group whose scheduled gain is largest."""
-    return static_schedule(gains, power).max(axis=-1)
+    each slot serves the group whose scheduled gain is largest, rated once,
+    as log(1 + P g) is increasing in g."""
+    return static_schedule(np.max(gains, axis=-1, keepdims=True), power)[..., 0]
 
 
 def ir_advance(accumulated, config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
@@ -72,16 +75,16 @@ def cooperative_schedule(median_gains, relay_gains, n_users: int, power: float) 
     static rate, on the gain at ascending position N/2 + 1); stage 2 has
     that half relay with power P/(N/2) each, rated for the weakest relay
     gain of the weak half (see ``channel.draw_interuser_gains``); the
-    packet moves at the lesser stage rate.
+    packet moves at the lesser stage rate, the rate of the lesser of the
+    two stages' received SNRs, taken once, as log(1 + x) is increasing.
     """
-    stage1 = static_schedule(median_gains, power)
-    stage2 = static_schedule(relay_gains, power / (n_users // 2))
-    return np.minimum(stage1, stage2)
+    analytic._check_power(power)
+    snr = np.minimum(power * np.asarray(median_gains, dtype=float),
+                     power / (n_users // 2) * np.asarray(relay_gains, dtype=float))
+    return static_schedule(snr, 1.0)
 
 
-def slot_rates(
-    config: "SimConfig", count: int, rng: np.random.Generator, replicates: int | None = None,
-) -> np.ndarray:
+def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.ndarray:
     """Rates of ``count`` independent slots on fresh fading under the
     validated ``config``, whose scheme family picks the rate law: the only
     place fading is drawn.  A retransmission config draws every user's
@@ -91,15 +94,9 @@ def slot_rates(
     groups: shape (count,), and memory O(count * G) at every N, under
     cooperation too, whose relay draw holds one ball count and one value
     per slot and group (``channel.draw_interuser_gains``), besides a table
-    of O(N^2) values built once per N up to N = 104.
-
-    A static config at alpha in {1, N} with one antenna draws its best
-    gain from one closed form (``channel.draw_stratified_gains``): as
-    ``count`` i.i.d. slots, shape (count,), or, given ``replicates`` B,
-    stratified, shape (m, B) for m = ceil(count / B), so up to B - 1
-    slots more than ``count``; the columns are independent, the slots of
-    a column are not.  Only the throughput estimate passes ``replicates``;
-    every other config ignores it."""
+    of O(N^2) values built once per N up to N = 104.  A static config at
+    alpha in {1, N} with one antenna draws the best of the G gains from
+    one closed form (``channel.draw_stratified_gains``)."""
     n, power = config.n_users, config.power
     if config.family == "ir":
         return static_schedule(channel.draw_gains((count, n), rng), power)
@@ -107,9 +104,8 @@ def slot_rates(
     # its config holds one antenna
     position = n - n // (config.alpha or 2) + 1
     if config.family == "static" and config.antennas == 1 and position in (1, n):
-        strata, columns = (1, count) if replicates is None else (-(-count // replicates), replicates)
-        gains = channel.draw_stratified_gains(n, position, config.n_groups, strata, columns, rng)
-        return static_schedule(gains[0] if replicates is None else gains, power)
+        return static_schedule(
+            channel.draw_stratified_gains(n, position, config.n_groups, count, rng), power)
     shape = (count, config.n_groups)
     gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
     if config.family == "coop":

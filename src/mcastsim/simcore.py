@@ -1,7 +1,9 @@
 """Monte-Carlo experiment driver.
 
 Estimates per-slot throughput and tagged-packet delay with standard
-errors, and attaches analytic references where a closed form exists.
+errors, and attaches analytic references where the law is known: the
+static and cooperative throughputs, whose estimate takes the slot's
+rated gain as a control variate with exact moments.
 Every estimator derives its generator from the config seed, so identical
 configs give bit-identical records.
 """
@@ -103,14 +105,6 @@ class MetricsRecord:
     predicted_scaling_value: float | None = None
 
 
-# Replicates of a stratified throughput draw.  The SE of their means has a
-# heavier lower tail than an i.i.d. SE, as the top stratum is skewed: over
-# 20,000 seeds of static alpha = 1, N = 12 at 500 iterations, |z| > 4.5
-# against the exact throughput had frequency 2.5e-4 at 100 replicates and
-# 7e-4 at 50, and never occurred drawn i.i.d.
-_REPLICATES = 100
-
-
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
     # streams are derived from (seed, stream index), so adding a stream
     # never perturbs existing ones
@@ -139,24 +133,29 @@ def _mean_se(values) -> tuple[float, float]:
 def estimate_throughput(config: SimConfig) -> MetricsRecord:
     """Mean delivered nats per slot over config.iterations independent
     slots (renewal cycles for the retransmission scheme), with a standard
-    error, plus the analytic value for the static schemes, which have a
-    closed form.  Draws from stream 0 of the config seed.
+    error, plus the analytic value for the static and cooperative schemes,
+    whose rated gain has a known law.  Draws from stream 0 of the config
+    seed.
 
-    The static schemes at alpha in {1, N} with one antenna draw their
-    slots stratified instead (``schedulers.slot_rates``): _REPLICATES
-    independent replicates of ceil(iterations / _REPLICATES) strata each,
-    so up to _REPLICATES - 1 slots more than iterations, and the mean and
-    SE are those of the _REPLICATES replicate means."""
+    The static and cooperative rows take the rated gain C = (e^R - 1)/P of
+    each slot as a control variate for its rate R (Owen, *Monte Carlo
+    theory, methods and examples*, 2013, ch. 8), with the exact moments of
+    ``analytic._rated_gain_moments``: the estimate is
+    mean(R) - beta (mean(C) - E[C]) for beta = Cov(R, C)/Var(C), and its SE
+    the exact residual SD, sqrt(Var(R) - Cov(R, C)^2/Var(C)), over
+    sqrt(iterations)."""
     rng = _rng_for(config.seed, 0)
     record = MetricsRecord()
 
     if config.family != "ir":
         # alpha is None for the cooperative schemes, which serve half the users
         served = config.n_users / (config.alpha or 2)
-        rates = schedulers.slot_rates(config, config.iterations, rng, _REPLICATES)
-        if rates.ndim == 2:     # one column of strata per replicate
-            rates = rates.sum(axis=0) / len(rates)
-        record.throughput_mean, record.throughput_se = _mean_se(served * rates)
+        law = (config.n_users, config.alpha, config.power, config.n_groups, config.antennas)
+        record.analytic_throughput = analytic.throughput_quadrature(*law)
+        rates = schedulers.slot_rates(config, config.iterations, rng)
+        mean, se = _control_variate_mean_se(
+            rates, np.expm1(rates) / config.power, analytic._rated_gain_moments(*law))
+        record.throughput_mean, record.throughput_se = served * mean, served * se
     else:
         taus, decoded = queueing.ir_renewal_cycle(config, rng)
         # renewal reward: throughput = reward * ratio of the means, with the
@@ -167,12 +166,27 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
         _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus)
         record.throughput_mean = reward * ok_mean / tau_mean
         record.throughput_se = reward * residual_se / tau_mean
-
-    if config.family == "static":
-        record.analytic_throughput = analytic.throughput_quadrature(
-            config.n_users, config.alpha, config.power, config.n_groups, config.antennas
-        )
     return record
+
+
+def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
+    """Mean of ``values`` with ``controls`` as a control variate, and its
+    exact SE, from the exact moments (E[V], E[C], E[C^2], E[V C], E[V^2]).
+
+    The residual variance is the Gram determinant of (1, V, C) over Var(C).
+    The determinant's five terms are products of up to three moments, each
+    within a relative _DE_RTOL of its integral, so it is known to within
+    3 _DE_RTOL times the sum of their sizes.  Where V is nearly linear in
+    C, as at small P, it cancels below that and is held there, so the SE
+    never reads 0."""
+    mean_v, mean_c, mean_cc, mean_vc, mean_vv = moments
+    var_c = mean_cc - mean_c * mean_c
+    terms = (mean_vv * mean_cc, -mean_vv * mean_c * mean_c, -mean_v * mean_v * mean_cc,
+             2 * mean_v * mean_c * mean_vc, -mean_vc * mean_vc)
+    gram = max(math.fsum(terms), 3 * analytic._DE_RTOL * math.fsum(map(abs, terms)))
+    beta = (mean_vc - mean_v * mean_c) / var_c
+    mean = float(values.mean()) - beta * (float(controls.mean()) - mean_c)
+    return mean, math.sqrt(gram / var_c / values.size)
 
 
 def estimate_delay(config: SimConfig) -> MetricsRecord:

@@ -19,6 +19,7 @@ from oracles import (
     chisquare_cdf,
     chisquare_cdf_sum,
     closed_form_reference,
+    coop_throughput,
     coupon_reference,
     ei_reference,
     exact_binomial_tail,
@@ -266,6 +267,17 @@ def test_quadrature_matches_the_scipy_integrand(n):
                     value = analytic.throughput_quadrature(n, alpha, power, groups, antennas)
                     reference = scipy_quadrature_throughput(n, alpha, power, groups, antennas)
                     assert value == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 32, 64, 104, 200])
+def test_coop_quadrature_matches_scipy(n):
+    # the cooperative rated gain min(X, Y/m), best of G groups, against
+    # scipy's adaptive quadrature over scipy.special's incomplete beta and
+    # gamma functions
+    for groups in (1, 5):
+        for power in (0.1, 1.0, 10.0):
+            value = analytic.throughput_quadrature(n, None, power, groups)
+            assert value == pytest.approx(coop_throughput(n, groups, power), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ks", [[1, 2, 3], [1, 5, 32], [1, 33, 1000], [40, 10 ** 4, 10 ** 5]])

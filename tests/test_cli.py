@@ -452,9 +452,10 @@ def test_readme_lists_every_csv_column():
 def test_verification_passes_on_fresh_tree(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    for name in ("coupon-markov-oracle", "closedform-vs-quadrature", "renewal-reward"):
+    for name in ("coupon-markov-oracle", "closedform-vs-quadrature", "coop-closed-form",
+                 "renewal-reward"):
         assert f"[PASS] {name}" in out
-    assert "all 3 check(s) passed" in out
+    assert "all 4 check(s) passed" in out
 
 
 def test_verification_filter_runs_subset(capsys):
@@ -501,11 +502,12 @@ def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
     "name, check",
     [
         ("throughput_quadrature", cli._check_closedform),
+        ("throughput_quadrature", cli._check_coop_closed_form),
         ("coupon_collector_expected_picks", cli._check_coupon),
     ],
 )
 def test_verification_flags_a_1e_8_relative_error(monkeypatch, name, check):
-    # both checks measure about 2e-16, so a 1e-8 error is far outside them
+    # the checks measure about 2e-16, so a 1e-8 error is far outside them
     real = getattr(analytic, name)
     monkeypatch.setattr(analytic, name, lambda *args: real(*args) * (1 + 1e-8))
     passed, detail = check()

@@ -186,13 +186,13 @@ def test_static_rates_have_the_full_vector_law(n, alpha, groups, antennas):
 @pytest.mark.parametrize("groups", [1, 5])
 @pytest.mark.parametrize("alpha", [1, 12])
 def test_extreme_static_rates_are_one_stratum_of_the_best_gain_draw(alpha, groups):
-    # at alpha in {1, N} and one antenna the delay engine's i.i.d. rates come
-    # from the throughput estimate's sampler, drawn as one stratum
+    # at alpha in {1, N} and one antenna the throughput's and the delay
+    # engine's rates come from one closed-form draw of the best gain
     n, count, seed = 12, 500, 530 + alpha + groups
     config = _config("static", n, groups, alpha=alpha, power=2.0)
     rates = schedulers.slot_rates(config, count, np.random.default_rng(seed))
     gains = channel.draw_stratified_gains(
-        n, 1 if alpha == 1 else n, groups, 1, count, np.random.default_rng(seed))[0]
+        n, 1 if alpha == 1 else n, groups, count, np.random.default_rng(seed))
     assert rates.shape == (count,)
     assert np.array_equal(rates, schedulers.static_schedule(gains, 2.0))
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from mcastsim import analytic, channel, cli, queueing, schedulers, simcore
 from mcastsim.channel import CoherencePolicy
@@ -13,6 +13,7 @@ from mcastsim.simcore import MetricsRecord, SimConfig
 
 from oracles import (
     antenna_order_stat_sf_sum,
+    coop_throughput,
     expected_log1p_reference,
     fixed_fraction_iid_se,
     throughput_reference,
@@ -168,9 +169,9 @@ def test_sampler_reads_the_row_config(monkeypatch):
     seen = []
     sampler = schedulers.slot_rates
 
-    def recording(config, count, rng, replicates=None):
+    def recording(config, count, rng):
         seen.append(config)
-        return sampler(config, count, rng, replicates)
+        return sampler(config, count, rng)
 
     monkeypatch.setattr(schedulers, "slot_rates", recording)
     static = SimConfig(scheme="multigroup-static", n_users=4, alpha=2, n_groups=2, iterations=20)
@@ -302,7 +303,6 @@ def test_single_user_throughput_estimate():
 
 
 def test_multigroup_throughput_matches_quadrature():
-    # alpha = 1 draws stratified: 100 replicates of 200 strata
     cfg = SimConfig(
         scheme="multigroup-static", n_users=4, alpha=1, n_groups=2, iterations=20_000, seed=2025
     )
@@ -312,28 +312,79 @@ def test_multigroup_throughput_matches_quadrature():
     assert abs(record.throughput_mean - reference) < 4.5 * record.throughput_se
 
 
-@pytest.mark.parametrize("n, groups, alpha", [
-    (2, 1, 1), (12, 1, 1), (10, 5, 1), (12, 1, 12), (10, 5, 10),
+# ---------------------------------------------------------------------------
+# the control-variate throughput estimate
+# ---------------------------------------------------------------------------
+
+def _rated_law(config):
+    return (config.n_users, config.alpha, config.power, config.n_groups, config.antennas)
+
+
+@pytest.mark.parametrize("scheme, alpha, groups, antennas", [
+    *((scheme, alpha, groups, antennas)
+      for alpha in (1, 2, 12) for antennas in (1, 2)
+      for scheme, groups in (("static", 1), ("multigroup-static", 5))),
+    ("coop", None, 1, 1), ("multigroup-coop", None, 5, 1),
 ])
-def test_stratified_throughput_se_is_honest_and_smaller(n, groups, alpha):
-    # static rows at alpha in {1, N} report the SE of 100 replicate means
-    # of 5 strata each.  Over 20 seeds: every z against the exact
-    # throughput is within the benchmark's 4.5-SE gate; the RMS of z, the
-    # sd of 20 unit normals about 0, lies in [0.52, 1.54], which holds
-    # with probability 0.999 (chi-square, 20 degrees of freedom); and the
-    # RMS of the reported SE is below the exact SE of 500 i.i.d. slots
-    # over 1.8, a variance ratio above 3.2 (about 6 to 10 measured)
-    scheme = "static" if groups == 1 else "multigroup-static"
-    records = [
-        simcore.estimate_throughput(SimConfig(
-            scheme=scheme, n_users=n, alpha=alpha, n_groups=groups, iterations=500, seed=seed))
-        for seed in range(20)
-    ]
+def test_control_mean_is_its_exact_mean(scheme, alpha, groups, antennas):
+    # a control variate hides a sampler error that moves the rate and the
+    # gain together, so the control's own plain mean is held to its exact
+    # mean: 200,000 slots put every gain scaled by 1.02 at 9 SE or more
+    config = SimConfig(scheme=scheme, n_users=12, alpha=alpha, n_groups=groups,
+                       antennas=antennas, power=1.5)
+    rates = schedulers.slot_rates(config, 200_000, np.random.default_rng(560 + (alpha or 0)))
+    controls = np.expm1(rates) / config.power
+    _, mean_c, mean_cc, _, _ = analytic._rated_gain_moments(*_rated_law(config))
+    se = math.sqrt((mean_cc - mean_c ** 2) / controls.size)
+    assert abs(controls.mean() - mean_c) <= 4.5 * se, (controls.mean() - mean_c) / se
+
+
+@pytest.mark.parametrize("scheme, n, alpha, groups, iterations", [
+    ("static", 2, 1, 1, 500), ("static", 12, 1, 1, 500), ("static", 12, 12, 1, 500),
+    ("multigroup-static", 4, 2, 5, 300), ("multigroup-static", 10, 1, 5, 300),
+    ("multigroup-static", 10, 10, 5, 300), ("coop", 2, None, 1, 500),
+    ("multigroup-coop", 4, None, 5, 300),
+])
+def test_control_variate_throughput_se_is_exact_and_smaller(scheme, n, alpha, groups, iterations):
+    # the recipe rows report an exact SE.  Over 1000 seeds the RMS of z
+    # against the exact throughput, the sd of 1000 unit normals about 0,
+    # lies in its chi-square band of probability 0.999, and the mean of z
+    # within 0.1 (3 of its SEs)
+    config = SimConfig(scheme=scheme, n_users=n, alpha=alpha, n_groups=groups,
+                       iterations=iterations)
+    records = [simcore.estimate_throughput(replace(config, seed=seed)) for seed in range(1000)]
     z = np.array([(r.throughput_mean - r.analytic_throughput) / r.throughput_se for r in records])
-    assert np.all(abs(z) <= 4.5), z
-    assert 0.52 <= math.sqrt(np.mean(z ** 2)) <= 1.54, z
-    rms_se = math.sqrt(np.mean([r.throughput_se ** 2 for r in records]))
-    assert rms_se < fixed_fraction_iid_se(n, alpha, 1.0, groups, 500) / 1.8
+    low, high = np.sqrt(stats.chi2.ppf([0.0005, 0.9995], z.size) / z.size)
+    assert low <= math.sqrt(np.mean(z ** 2)) <= high, z
+    assert abs(z.mean()) <= 0.1
+    se = records[0].throughput_se
+    assert all(r.throughput_se == se for r in records)
+    if alpha is not None:
+        # at least 3 times below the exact SE of as many i.i.d. slots
+        # (4.9 to 16 measured)
+        assert 3 * se <= fixed_fraction_iid_se(n, alpha, 1.0, groups, iterations)
+    # the residual sample SD of 10^6 slots lies within 4 % of the exact one:
+    # a sampler error in the spread of the gains alone moves it, while the
+    # means stay exact; the residuals' kurtosis reaches 220 at alpha = 1,
+    # where 4 % is about 5 SDs of the sample SD
+    mean_r, mean_c, mean_cc, mean_rc, _ = analytic._rated_gain_moments(*_rated_law(config))
+    beta = (mean_rc - mean_r * mean_c) / (mean_cc - mean_c ** 2)
+    rng = np.random.default_rng(570 + n + groups)
+    rates = np.concatenate([schedulers.slot_rates(config, 200_000, rng) for _ in range(5)])
+    residual_sd = (rates - beta * np.expm1(rates)).std(ddof=1)
+    exact_sd = se / (n / (alpha or 2)) * math.sqrt(iterations)
+    assert abs(residual_sd / exact_sd - 1) <= 0.04, residual_sd / exact_sd
+
+
+@pytest.mark.parametrize("power", [1e-12, 1e-6])
+@pytest.mark.parametrize("scheme, n, alpha", [("static", 1000, 2), ("coop", 4, None)])
+def test_control_variate_se_stays_positive_at_tiny_power(scheme, n, alpha, power):
+    # R is nearly linear in C at small P, and its residual variance from the
+    # raw moments cancels to 0 or below; the SE is held at the moments' error
+    record = simcore.estimate_throughput(SimConfig(
+        scheme=scheme, n_users=n, alpha=alpha, power=power, iterations=500, seed=580))
+    z = (record.throughput_mean - record.analytic_throughput) / record.throughput_se
+    assert math.isfinite(z) and abs(z) <= 4.5, z
 
 
 def test_coop_throughput_two_users_semi_analytic():
@@ -606,7 +657,7 @@ def test_run_config_attaches_references():
 
     coop_record = simcore.run_config(SimConfig(scheme="coop", n_users=4, iterations=300, seed=15))
     assert coop_record.predicted_scaling_value == 4.0
-    assert coop_record.analytic_throughput is None
+    assert coop_record.analytic_throughput == pytest.approx(coop_throughput(4, 1, 1.0), rel=1e-12)
     # the growth law reads the scheme family: multigroup-coop grows as coop
     multi_record = simcore.run_config(
         SimConfig(scheme="multigroup-coop", n_users=4, n_groups=2, iterations=30, seed=16))
