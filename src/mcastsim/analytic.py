@@ -640,9 +640,12 @@ def _rated_gain_moments(
     sf = _rated_gain_sf(n_users, alpha, n_groups, antennas)
 
     def integrand(z):
-        s = sf(z)
         rate, slope = np.log1p(power * z), power / (1.0 + power * z)
-        return np.stack([slope * s, s, 2 * z * s, (rate + z * slope) * s, 2 * rate * slope * s])
+        rows = np.empty((5, z.size))
+        rows[0], rows[1], rows[2] = slope, 1.0, 2 * z
+        rows[3], rows[4] = rate + z * slope, 2 * rate * slope
+        rows *= sf(z)
+        return rows
 
     return tuple(_integrate_0_inf(integrand, rows=5).tolist())
 
@@ -679,7 +682,9 @@ def coupon_collector_expected_picks(total_queues: int, needs) -> np.ndarray:
     keys = rows.view(np.dtype((np.void, rows.itemsize * coupled)))[:, 0]
     _, first, pattern_of = np.unique(keys, return_index=True, return_inverse=True)
     patterns = rows[first]
-    ks = np.unique(patterns)
+    # the distinct needs, by a sort in place of np.unique, which loads numpy.ma
+    ks = np.sort(patterns, axis=None)
+    ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
     counts = (patterns[:, :, None] == ks).sum(axis=1, dtype=float)
     scale = float(ks[-1])
 

@@ -25,6 +25,12 @@ A queue count or a mean slot count that is not a finite float, or a
 run whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
 raises ValueError.
 
+Each entry also passes out a control per run, C = sum_j (W_j - mu K_j),
+of exact mean 0 by Wald's identity: K_j = min(need, cap) is a stopping
+time of sum j's i.i.d. rates, of mean mu = Tc E[R], the first moment of
+``analytic._rated_gain_moments`` (one user's law for a retransmission
+cycle), and W_j is the sum then, frozen while its run goes on.
+
 Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which it reads only
 through ``schedulers.slot_rates``, the one place fading is drawn.  The
@@ -64,40 +70,47 @@ def _check_slots(slots) -> None:
 
 
 def _hit_needs(config: "SimConfig", width: int, target: float, rate_bound: float, what: str,
-               advance, cap: float = math.inf) -> np.ndarray:
+               advance, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Hits, an int array of shape (config.iterations, width), until each
-    of a run's ``width`` sums reaches ``target``; ``advance(acc)`` returns
-    the next sums of the unfinished runs, and a sum still short after
-    ``cap`` rounds reads cap + 1.  With ``rate_bound`` over a round's mean
+    of a run's ``width`` sums reaches ``target``, and the sums at those
+    hits, a float array of that shape; ``advance(acc)`` returns the next
+    sums of the unfinished runs, a sum that has reached the target keeps
+    its value, and a sum still short after ``cap`` rounds reads cap + 1
+    and its value at the cap.  With ``rate_bound`` over a round's mean
     gain, a lower bound min(cap, target / rate_bound) on the mean rounds
     past ``_HIT_BUDGET`` raises ValueError, ``what`` formatted with it."""
     bound = min(cap, target / rate_bound if rate_bound > 0 else math.inf)
     if bound > _HIT_BUDGET:
         raise ValueError(what.format(bound) + ", over the budget of 2**20")
     needs = np.ones((config.iterations, width), dtype=np.int64)
+    sums = np.empty(needs.shape)
     active, acc, rounds = np.arange(config.iterations), np.zeros(needs.shape), 0
     while active.size and rounds < cap:
-        acc, rounds = advance(acc), rounds + 1
+        # a sum that has reached the target is frozen; a run's last round
+        # leaves its sums in place
+        acc = advance(acc) if width == 1 else np.where(acc < target, advance(acc), acc)
+        rounds += 1
         short = acc < target
         needs[active] += short
+        sums[active] = acc
         keep = short.any(axis=1)
         active, acc = active[keep], acc[keep]
-    return needs
+    return needs, sums
 
 
-def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
+def _coupled_queue_delay(config: "SimConfig", rates) -> tuple[np.ndarray, np.ndarray]:
     """Mean slots, per run, until each of the tagged packet's coupled
     queues (cooperation is the alpha = 1 layout) has drained
-    ``config.packet_nats``, given the hits each queue needs;
-    ``rates(count)`` returns the service rates of ``count`` hits.  A float
-    array of shape (config.iterations,)."""
+    ``config.packet_nats``, given the hits each queue needs, and each run's
+    control; ``rates(count)`` returns the service rates of ``count`` hits.
+    Two float arrays of shape (config.iterations,)."""
     n, coupled = config.n_users, config.alpha or 1
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
     tc = config.coherence.interval(n * config.n_groups)
     # a scheduled gain is at most the best of N G L unit exponentials, whose
     # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
-    needs = _hit_needs(
+    needs, sums = _hit_needs(
         config, coupled, config.packet_nats,
         tc * math.log1p(config.power * (1 + math.log(n * config.n_groups * config.antennas))),
         "packet needs at least {:.3g} hits on average, S / (Tc log1p(P (1 + log(N G L))))",
@@ -105,21 +118,25 @@ def _coupled_queue_delay(config: "SimConfig", rates) -> np.ndarray:
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
-    return slots
+    law = (n, config.alpha, config.power, config.n_groups, config.antennas)
+    mean_rate = tc * analytic._rated_gain_moments(*law)[0]
+    return slots, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
 
 
-def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
+def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Mean slots, per run, until a tagged packet leaves all alpha coupled
     queues under the fixed-fraction scheduler's queue layout, given the
     hits each queue needs, with ``config.antennas`` transmit antennas
-    behind every rate.  Returns a float array of shape (config.iterations,)."""
+    behind every rate, and each run's control.  Returns two float arrays
+    of shape (config.iterations,)."""
     return _coupled_queue_delay(
         config, lambda count: schedulers.slot_rates(config, count, rng))
 
 
-def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Renewal cycles of the retransmission scheme: (attempts, decoded),
-    integer and boolean arrays of shape (config.iterations,).
+def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Renewal cycles of the retransmission scheme: (attempts, decoded,
+    control), integer, boolean and float arrays of shape
+    (config.iterations,), the control over the users' capped needs.
 
     A cycle decodes once every user's accumulated information reaches
     the rate target, and fails when the attempt cap comes first.  Each
@@ -128,17 +145,22 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     # an attempt adds E[log1p(P g)] <= log1p(P) nats to each user (Jensen);
     # a cap C below R / log1p(P) still leaves at least C / 2 on average (Markov)
     name = "R / log1p(P)" if cap == math.inf else "min(cap, R / log1p(P))"
-    needs = _hit_needs(
+    needs, sums = _hit_needs(
         config, config.n_users, config.rate_target, math.log1p(config.power),
         "rate target needs about {:.3g} attempts on average, " + name,
-        lambda acc: schedulers.ir_advance(acc, config, rng), cap).max(axis=1)
-    return np.minimum(needs, cap).astype(np.int64), needs <= cap
+        lambda acc: schedulers.ir_advance(acc, config, rng), cap)
+    decoded = needs.max(axis=1) <= cap
+    if config.attempt_cap:     # a user short at the cap has taken cap attempts
+        np.minimum(needs, config.attempt_cap, out=needs)
+    mean_rate = analytic._rated_gain_moments(1, 1, config.power, 1, 1)[0]
+    return needs.max(axis=1), decoded, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
 
 
-def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
+def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Mean slots, per run, until a cooperative transmission delivers the
-    packet to all users of the tagged group, given the hits it needs.
-    Returns a float array of shape (config.iterations,).
+    packet to all users of the tagged group, given the hits it needs, and
+    each run's control.  Returns two float arrays of shape
+    (config.iterations,).
 
     A slot reaches every user of the group it serves, so the group keeps a
     single queue; with G groups the tagged one is selected with

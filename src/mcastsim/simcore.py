@@ -3,9 +3,11 @@
 Estimates per-slot throughput and tagged-packet delay with standard
 errors, and attaches analytic references where the law is known: the
 static and cooperative throughputs, whose estimate takes the slot's
-rated gain as a control variate with exact moments.
-Every estimator derives its generator from the config seed, so identical
-configs give bit-identical records.
+rated gain as a control variate with exact moments.  Every delay, and
+the retransmission throughput, regresses on the engine's per-run Wald
+control, whose exact mean is 0 (``queueing``).  Every estimator derives
+its generator from the config seed, so identical configs give
+bit-identical records.
 """
 from __future__ import annotations
 
@@ -111,10 +113,13 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
-def _mean_se(values) -> tuple[float, float]:
-    # reduced as deviations from the first value in units of the largest
-    # deviation, which cannot overflow where the values themselves are
-    # finite; identical values give exactly (value, 0)
+def _mean_se(values, controls) -> tuple[float, float]:
+    """Mean of ``values`` and its SE, reduced as deviations from the first
+    value in units of the largest deviation, which cannot overflow where
+    the values are finite; identical values give exactly (value, 0).  From
+    3 values on, ``controls`` of exact mean 0 and nonzero spread are a
+    control variate: mean(V) - beta mean(C) for the fitted beta =
+    Cov(V, C)/Var(C), with the residuals' SD (ddof 2) over sqrt(n) as SE."""
     values = np.asarray(values, dtype=float)
     first = float(values[0])
     deviations = values - first
@@ -122,7 +127,13 @@ def _mean_se(values) -> tuple[float, float]:
     if scale == 0.0:
         return first, 0.0
     deviations /= scale
-    se = scale * float(deviations.std(ddof=1)) / math.sqrt(values.size)
+    ddof = 1
+    if values.size >= 3:
+        centred = controls - controls.mean()
+        if (var_c := float(centred @ centred)) > 0.0:
+            deviations -= float(deviations @ centred) / var_c * controls
+            ddof = 2
+    se = scale * float(deviations.std(ddof=ddof)) / math.sqrt(values.size)
     return first + scale * float(deviations.mean()), se
 
 
@@ -157,13 +168,14 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
             rates, np.expm1(rates) / config.power, analytic._rated_gain_moments(*law))
         record.throughput_mean, record.throughput_se = served * mean, served * se
     else:
-        taus, decoded = queueing.ir_renewal_cycle(config, rng)
-        # renewal reward: throughput = reward * ratio of the means, with the
-        # ratio estimator's SE, SE(decoded - ratio * tau) / mean(tau)
+        taus, decoded, control = queueing.ir_renewal_cycle(config, rng)
+        # renewal reward: throughput = reward * ratio of the controlled
+        # means, with the ratio estimator's SE, SE(decoded - ratio * tau) / mean(tau)
         reward = config.n_users * config.rate_target
         taus, decoded = taus.astype(float), decoded.astype(float)
-        tau_mean, ok_mean = float(taus.mean()), float(decoded.mean())
-        _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus)
+        tau_mean, _ = _mean_se(taus, control)
+        ok_mean, _ = _mean_se(decoded, control)
+        _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus, control)
         record.throughput_mean = reward * ok_mean / tau_mean
         record.throughput_se = reward * residual_se / tau_mean
     return record
@@ -191,16 +203,16 @@ def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
 
 def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
-    scheme) over config.iterations independent runs.  Draws from stream 1
-    of the config seed."""
+    scheme) over config.iterations independent runs, with each run's Wald
+    control as a control variate.  Draws from stream 1 of the config seed."""
     rng = _rng_for(config.seed, 1)
     if config.family == "static":
-        delays = queueing.tagged_delay_static(config, rng)
+        delays, control = queueing.tagged_delay_static(config, rng)
     elif config.family == "coop":
-        delays = queueing.tagged_delay_coop(config, rng)
+        delays, control = queueing.tagged_delay_coop(config, rng)
     else:
-        delays, _ = queueing.ir_renewal_cycle(config, rng)
-    delay_mean, delay_se = _mean_se(delays)
+        delays, _, control = queueing.ir_renewal_cycle(config, rng)
+    delay_mean, delay_se = _mean_se(delays, control)
     return MetricsRecord(delay_mean=delay_mean, delay_se=delay_se)
 
 

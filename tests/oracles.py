@@ -464,6 +464,13 @@ def renewal_expected_hits(target: float, cdf, cells: int = 2048) -> float:
     return 1.0 + math.fsum(_extrapolated_renewal_cdfs(target, cdf, cells).tolist())
 
 
+def renewal_hit_pmf(target: float, cdf, cells: int = 2048) -> np.ndarray:
+    """P(K = k) for k = 1, 2, ..., K the count of i.i.d. increments of CDF
+    `cdf` whose sum first reaches `target`: P(K > k) = P(R_1 + ... + R_k < target)."""
+    survival = np.concatenate(([1.0], _extrapolated_renewal_cdfs(target, cdf, cells), [0.0]))
+    return survival[:-1] - survival[1:]
+
+
 def same_law_p_value(a, b):
     """Chi-square homogeneity p-value of two samples, binned at twenty
     pooled quantiles."""

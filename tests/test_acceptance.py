@@ -32,7 +32,7 @@ def _exponential_server_delays(n_users, n_groups, alpha, packet_nats, rng, runs)
         scheme="static" if n_groups == 1 else "multigroup-static", n_users=n_users,
         alpha=alpha, n_groups=n_groups, packet_nats=packet_nats, iterations=runs,
     )
-    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))[0]
 
 
 def _simulated_picks(queues, coupled, rng, runs):
@@ -188,7 +188,7 @@ def test_criterion_6_scaling_laws():
     # worst-user delay grows linearly: D(40)/D(20)
     def worst_delay(n, seed):
         config = SimConfig(scheme="static", n_users=n, alpha=1, packet_nats=5.0, iterations=3000)
-        return float(queueing.tagged_delay_static(config, np.random.default_rng(seed)).mean())
+        return float(queueing.tagged_delay_static(config, np.random.default_rng(seed))[0].mean())
 
     ratio = worst_delay(40, 602) / worst_delay(20, 601)
     ok &= 1.7 <= ratio <= 2.3

@@ -47,6 +47,19 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert _run_python(code).splitlines()[-1] == "['scipy']"
 
 
+def test_recipe_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without index flags calls np.ma.is_masked, which loads
+    # numpy.ma (about 13 ms of start-up)
+    code = f"""
+import sys
+from mcastsim import cli
+assert cli.main(["run", "--recipe", "fig-compt", "--iterations", "50",
+                 "--out", {str(tmp_path / "rows.csv")!r}]) == 0
+print('numpy.ma' in sys.modules)
+"""
+    assert _run_python(code).splitlines()[-1] == "False"
+
+
 def test_imports_sit_at_module_level():
     for path in sorted((SRC / "mcastsim").glob("*.py")):
         top = ast.parse(path.read_text())

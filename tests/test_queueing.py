@@ -38,7 +38,7 @@ def _config(scheme, n_users, n_groups=1, coherence_interval=1.0, iterations=1, *
 def _static_delays(iterations, seed, **settings):
     return queueing.tagged_delay_static(
         _config("static", iterations=iterations, **settings), np.random.default_rng(seed)
-    )
+    )[0]
 
 
 def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats):
@@ -47,7 +47,7 @@ def _exponential_server_delays(runs, seed, n_users, n_groups, alpha, packet_nats
     rng = np.random.default_rng(seed)
     config = _config("static", n_users, n_groups, alpha=alpha, packet_nats=packet_nats,
                      iterations=runs)
-    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))
+    return queueing._coupled_queue_delay(config, lambda count: rng.exponential(1.0, count))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_engine_reports_conditional_mean_of_its_hit_needs():
     def rates(count):
         return np.tile([1.0, 0.5, 0.25], count // 3)
 
-    delays = queueing._coupled_queue_delay(config, rates)
+    delays, _ = queueing._coupled_queue_delay(config, rates)
     assert delays == pytest.approx(np.full(7, coupon_reference(6, 3, (1, 2, 4))), rel=1e-10)
 
 
@@ -172,7 +172,7 @@ def test_coop_delay_matches_slot_by_slot_reference():
         return matrix_coop_rates(n, 2, power, count, rng)
 
     reference = slot_by_slot_delays(2, 1, 1.0, coop_rates, np.random.default_rng(163), 20000)
-    delays = queueing.tagged_delay_coop(
+    delays, _ = queueing.tagged_delay_coop(
         _config("coop", n, 2, power=power, iterations=20000), np.random.default_rng(263)
     )
     _assert_same_mean(reference, delays)
@@ -182,8 +182,8 @@ def test_engines_are_deterministic():
     def runs(seed):
         rng = np.random.default_rng(seed)
         return (
-            queueing.tagged_delay_static(_config("static", 6, 2, alpha=2, iterations=500), rng),
-            queueing.tagged_delay_coop(_config("coop", 6, 2, iterations=500), rng),
+            *queueing.tagged_delay_static(_config("static", 6, 2, alpha=2, iterations=500), rng),
+            *queueing.tagged_delay_coop(_config("coop", 6, 2, iterations=500), rng),
             *queueing.ir_renewal_cycle(
                 _config("ir", 6, rate_target=1.0, attempt_cap=4, iterations=500), rng),
         )
@@ -237,9 +237,9 @@ def test_delay_monotone_in_power_and_packet_size():
     ] + [(queueing.tagged_delay_coop, _config("coop", 4))]
     for engine, config in engines:
         for seed in range(200):
-            low = engine(config, np.random.default_rng(seed))
-            high = engine(replace(config, power=2.0), np.random.default_rng(seed))
-            small = engine(replace(config, packet_nats=0.5), np.random.default_rng(seed))
+            low, _ = engine(config, np.random.default_rng(seed))
+            high, _ = engine(replace(config, power=2.0), np.random.default_rng(seed))
+            small, _ = engine(replace(config, packet_nats=0.5), np.random.default_rng(seed))
             assert high <= low
             assert small <= low
 
@@ -270,10 +270,10 @@ def test_paired_seeds_couple_monotonically(pair):
     # hit need, and the conditional mean grows with every need
     config, seed, power_factor, packet_factor = pair
     engine = queueing.tagged_delay_static if config.family == "static" else queueing.tagged_delay_coop
-    low = engine(config, np.random.default_rng(seed))
-    high = engine(replace(config, power=config.power * power_factor), np.random.default_rng(seed))
-    small = engine(replace(config, packet_nats=config.packet_nats * packet_factor),
-                   np.random.default_rng(seed))
+    low, _ = engine(config, np.random.default_rng(seed))
+    high, _ = engine(replace(config, power=config.power * power_factor), np.random.default_rng(seed))
+    small, _ = engine(replace(config, packet_nats=config.packet_nats * packet_factor),
+                      np.random.default_rng(seed))
     assert high <= low and small <= low
 
 
@@ -345,7 +345,7 @@ def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
     with pytest.raises(ValueError, match=r"attempts on average, R / log1p\(P\), over the budget"):
         queueing.ir_renewal_cycle(config, None)
     # a cap ends every cycle, so the same target runs
-    attempts, decoded = queueing.ir_renewal_cycle(
+    attempts, decoded, _ = queueing.ir_renewal_cycle(
         replace(config, attempt_cap=3, iterations=4), np.random.default_rng(0))
     assert np.all(attempts == 3) and not decoded.any()
 
@@ -363,7 +363,7 @@ def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
     # at P = 0 the bound would divide by zero: no config carries it
     with pytest.raises(ValueError, match="power"):
         _config("ir", 2, power=0.0, rate_target=1.0)
-    attempts, _ = queueing.ir_renewal_cycle(
+    attempts, *_ = queueing.ir_renewal_cycle(
         _config("ir", 2, rate_target=1.0, attempt_cap=1), np.random.default_rng(0))
     assert attempts.tolist() == [1]
 
@@ -373,11 +373,11 @@ def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
 # ---------------------------------------------------------------------------
 
 def test_ir_delay_trivial_cases():
-    attempts, _ = queueing.ir_renewal_cycle(
+    attempts, *_ = queueing.ir_renewal_cycle(
         _config("ir", 3, rate_target=1e-12, iterations=50), np.random.default_rng(131)
     )
     assert np.all(attempts == 1)
-    attempts, decoded = queueing.ir_renewal_cycle(
+    attempts, decoded, _ = queueing.ir_renewal_cycle(
         _config("ir", 3, rate_target=50.0, attempt_cap=1, iterations=50),
         np.random.default_rng(132),
     )
@@ -389,7 +389,7 @@ def test_ir_mean_attempts_match_exact_reference(n_users, seed):
     # E[tau] = 1 + sum_m P(accumulated information after m attempts <= target),
     # the sum evaluated exactly by grid convolution of the per-attempt law
     target, runs = 0.5, 40000
-    attempts, decoded = queueing.ir_renewal_cycle(
+    attempts, decoded, _ = queueing.ir_renewal_cycle(
         _config("ir", n_users, rate_target=target, iterations=runs), np.random.default_rng(seed)
     )
     assert decoded.all()
@@ -402,7 +402,7 @@ def test_ir_mean_attempts_match_exact_reference(n_users, seed):
 # ---------------------------------------------------------------------------
 
 def test_coop_delay_single_slot_for_tiny_packet():
-    delays = queueing.tagged_delay_coop(
+    delays, _ = queueing.tagged_delay_coop(
         _config("coop", 4, packet_nats=1e-12, iterations=50), np.random.default_rng(141)
     )
     assert np.all(delays == 1)
@@ -414,7 +414,7 @@ def test_coop_delay_follows_service_formula():
     mean_rate = coop_throughput(n, 1, power) / (n // 2)
 
     packet = 20 * mean_rate
-    delays = queueing.tagged_delay_coop(
+    delays, _ = queueing.tagged_delay_coop(
         _config("coop", n, power=power, packet_nats=packet, iterations=3000),
         np.random.default_rng(143),
     )
@@ -425,10 +425,10 @@ def test_coop_delay_follows_service_formula():
 def test_coop_delay_scales_with_group_count():
     # E[T] = G E[K_G]: the tagged group is served one slot in G, at the rate
     # of the best of G groups, so it needs fewer hits than alone
-    single = queueing.tagged_delay_coop(
+    single, _ = queueing.tagged_delay_coop(
         _config("coop", 4, 1, packet_nats=2.0, iterations=4000), np.random.default_rng(144)
     )
-    multi = queueing.tagged_delay_coop(
+    multi, _ = queueing.tagged_delay_coop(
         _config("coop", 4, 4, packet_nats=2.0, iterations=4000), np.random.default_rng(145)
     )
     expected = 4 * renewal_expected_hits(2.0, coop_rate_cdf(4, 4, 1.0)) / renewal_expected_hits(

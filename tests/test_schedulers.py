@@ -247,17 +247,17 @@ def test_ir_attempts_are_static_rates_of_fresh_exponentials(count, n, power, see
 def test_ir_single_user_success():
     acc = schedulers.ir_advance(np.zeros((1, 1)), _ir_config(1, 0.5), FixedGains([[1.0]]))
     assert acc[0, 0] == pytest.approx(math.log(2.0))
-    assert queueing.ir_renewal_cycle(_ir_config(1, 0.5), FixedGains([[1.0]])) == (1, True)
+    assert queueing.ir_renewal_cycle(_ir_config(1, 0.5), FixedGains([[1.0]]))[:2] == (1, True)
     # a user done on reaching the target: log 2 nats of log 2 decode at the cap
     config = _ir_config(1, math.log1p(1.0), 1)
-    assert queueing.ir_renewal_cycle(config, FixedGains([[1.0]])) == (1, True)
+    assert queueing.ir_renewal_cycle(config, FixedGains([[1.0]]))[:2] == (1, True)
 
 
 def test_ir_tiny_target_succeeds_first_attempt():
     rows = [[0.4, 0.1, 2.0, 0.9, 0.3]]
     config = _ir_config(5, 1e-12)
-    assert queueing.ir_renewal_cycle(config, FixedGains(rows)) == (1, True)
-    assert queueing.ir_renewal_cycle(config, np.random.default_rng(1)) == (1, True)
+    assert queueing.ir_renewal_cycle(config, FixedGains(rows))[:2] == (1, True)
+    assert queueing.ir_renewal_cycle(config, np.random.default_rng(1))[:2] == (1, True)
 
 
 def test_ir_two_users_continue():
@@ -265,11 +265,11 @@ def test_ir_two_users_continue():
     assert acc.min() == pytest.approx(math.log(1.1))
     # log 1.1 < 1 after one attempt, so the cycle continues to the second
     rows = [[1.0, 0.1], [1.0, 0.1]]
-    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows)) == (2, False)
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows))[:2] == (2, False)
     rows = [[1.0, 0.1], [1.0, 5.0]]
-    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0), FixedGains(rows)) == (2, True)
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0), FixedGains(rows))[:2] == (2, True)
     # a cycle that finishes at its last allowed attempt decodes
-    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows)) == (2, True)
+    assert queueing.ir_renewal_cycle(_ir_config(2, 1.0, 2), FixedGains(rows))[:2] == (2, True)
 
 
 def test_ir_accumulation_is_monotone():
@@ -286,9 +286,9 @@ def test_ir_accumulation_is_monotone():
 def test_ir_cap_and_stopped_state():
     rng = np.random.default_rng(4)
     config = _ir_config(2, 100.0, 1)
-    assert queueing.ir_renewal_cycle(config, rng) == (1, False)
+    assert queueing.ir_renewal_cycle(config, rng)[:2] == (1, False)
     rows = [[0.5, 0.5]]
-    assert queueing.ir_renewal_cycle(config, FixedGains(rows)) == (1, False)
+    assert queueing.ir_renewal_cycle(config, FixedGains(rows))[:2] == (1, False)
     # a cycle with no attempt or no target is not a config
     with pytest.raises(ValueError):
         _ir_config(2, 100.0, 0)
@@ -309,7 +309,7 @@ def test_ir_failure_probability_structure():
         expected = 1 - (1 - p1) ** n
         config = SimConfig(scheme="ir", n_users=n, rate_target=target, attempt_cap=2,
                            iterations=runs)
-        attempts, decoded = queueing.ir_renewal_cycle(config, np.random.default_rng(seed))
+        attempts, decoded, _ = queueing.ir_renewal_cycle(config, np.random.default_rng(seed))
         assert np.all(attempts <= 2)
         failed = 1.0 - decoded.mean()
         assert abs(failed - expected) <= 4.5 * math.sqrt(expected * (1 - expected) / runs)

@@ -13,9 +13,13 @@ from mcastsim.simcore import MetricsRecord, SimConfig
 
 from oracles import (
     antenna_order_stat_sf_sum,
+    coop_rate_cdf,
     coop_throughput,
     expected_log1p_reference,
     fixed_fraction_iid_se,
+    ir_expected_attempts,
+    renewal_expected_hits,
+    renewal_hit_pmf,
     throughput_reference,
 )
 
@@ -387,6 +391,80 @@ def test_control_variate_se_stays_positive_at_tiny_power(scheme, n, alpha, power
     assert math.isfinite(z) and abs(z) <= 4.5, z
 
 
+# ---------------------------------------------------------------------------
+# the delay and IR estimates on the Wald control
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme, settings", [
+    ("static", dict(n_users=6, alpha=1)), ("static", dict(n_users=6, alpha=2)),
+    ("static", dict(n_users=6, alpha=6)),
+    ("multigroup-static", dict(n_users=4, alpha=2, n_groups=5)),
+    ("coop", dict(n_users=6)), ("multigroup-coop", dict(n_users=4, n_groups=5)),
+    ("ir", dict(n_users=4, rate_target=1.0)),
+    ("ir", dict(n_users=4, rate_target=1.0, attempt_cap=2)),
+], ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value.values())))
+def test_wald_control_has_mean_zero(scheme, settings):
+    # a control variate hides a sampler error, so each engine's control is
+    # held to its exact mean 0 on its own: 100,000 runs put every hit rate
+    # scaled by 1.02 at 20 SE or more
+    config = SimConfig(scheme=scheme, iterations=100_000, **settings)
+    rng = np.random.default_rng(590)
+    if scheme == "ir":
+        control = queueing.ir_renewal_cycle(config, rng)[2]
+    elif config.family == "coop":
+        control = queueing.tagged_delay_coop(config, rng)[1]
+    else:
+        control = queueing.tagged_delay_static(config, rng)[1]
+    se = control.std(ddof=1) / math.sqrt(control.size)
+    assert abs(control.mean()) <= 4.5 * se, control.mean() / se
+
+
+def _static_rate_cdf(n, alpha, power):
+    """CDF of the fixed-fraction rate log1p(P X), X the gain at ascending
+    position N - N/alpha + 1 of N unit exponentials."""
+    def cdf(u):
+        return stats.binom.sf(n - n // alpha, n, -np.expm1(-np.expm1(u) / power))
+    return cdf
+
+
+def _alpha_2_delay(n, power):
+    """E[T] at alpha = 2 and a unit packet: the engine's E[T | K] summed over
+    the product law of the two coupled queues' needs."""
+    pmf = renewal_hit_pmf(1.0, _static_rate_cdf(n, 2, power))
+    needs = np.stack(np.meshgrid(*2 * [np.arange(1, pmf.size + 1)], indexing="ij"), -1)
+    picks = analytic.coupon_collector_expected_picks(math.comb(n, n // 2), needs.reshape(-1, 2))
+    return math.fsum((np.outer(pmf, pmf).ravel() * picks).tolist())
+
+
+@pytest.mark.parametrize("kind, config, exact", [
+    *(pytest.param("delay", SimConfig(scheme="static", n_users=n, alpha=1, iterations=500),
+                   lambda n=n: renewal_expected_hits(1.0, _static_rate_cdf(n, 1, 1.0)),
+                   id=f"static-1-{n}") for n in (2, 12)),
+    pytest.param("delay", SimConfig(scheme="static", n_users=4, alpha=2, iterations=500),
+                 lambda: _alpha_2_delay(4, 1.0), id="static-2-4"),
+    pytest.param("delay", SimConfig(scheme="coop", n_users=8, iterations=500),
+                 lambda: renewal_expected_hits(1.0, coop_rate_cdf(8, 1, 1.0)), id="coop-8"),
+    pytest.param("delay", SimConfig(scheme="ir", n_users=8, rate_target=1.0, iterations=500),
+                 lambda: ir_expected_attempts(8, 1.0, 1.0), id="ir-delay-8"),
+    pytest.param("throughput", SimConfig(scheme="ir", n_users=8, rate_target=1.0, iterations=500),
+                 lambda: 8 * 1.0 / ir_expected_attempts(8, 1.0, 1.0), id="ir-throughput-8"),
+])
+def test_wald_controlled_se_is_honest(kind, config, exact):
+    # over 1000 seeds at recipe sizes, z against the exact delay (Q E[K]
+    # with Q = 1, or the exact E[T] at alpha = 2) or IR throughput has mean
+    # within 0.1 (3 of its SEs), RMS in its chi-square band of probability
+    # 0.999, and no |z| beyond 4.5: the fitted beta and the residual SE
+    # neither bias z nor thin its tails at 500 runs
+    reference = exact()
+    estimate = simcore.estimate_delay if kind == "delay" else simcore.estimate_throughput
+    records = [estimate(replace(config, seed=seed)) for seed in range(1000)]
+    z = np.array([(getattr(r, f"{kind}_mean") - reference) / getattr(r, f"{kind}_se")
+                  for r in records])
+    low, high = np.sqrt(stats.chi2.ppf([0.0005, 0.9995], z.size) / z.size)
+    assert low <= math.sqrt(np.mean(z ** 2)) <= high, z
+    assert abs(z.mean()) <= 0.1 and np.abs(z).max() <= 4.5, (z.mean(), np.abs(z).max())
+
+
 def test_coop_throughput_two_users_semi_analytic():
     # N=2: per-slot delivered = min(log(1+max(g1,g2)), log(1+u)) with u the
     # single relay gain, so the delivered rate is log(1 + min(max, u))
@@ -474,16 +552,18 @@ def test_mean_se_equals_loop_formula():
          "-0x1.81e0fde687be3p+6", "0x1.1dbfe0bf9c796p+2"],
     ):
         samples.append(np.array([float.fromhex(h) for h in hexes]))
+    # a control without spread leaves the plain mean
     for values in samples:
-        assert simcore._mean_se(values) == pytest.approx(_loop_mean_se(values), rel=1e-12)
+        assert simcore._mean_se(values, np.zeros(values.size)) == pytest.approx(
+            _loop_mean_se(values), rel=1e-12)
 
 
 @pytest.mark.parametrize("value", [146.4484126984127, 108.71428571428572, 0.1, 1e300])
 @pytest.mark.parametrize("n", [2, 300, 5000])
 def test_mean_se_of_identical_values_is_exact(value, n):
     # numpy's mean of n copies of a value can round off it, and a nonzero
-    # SE would then come from that rounding alone
-    assert simcore._mean_se(np.full(n, value)) == (value, 0.0)
+    # SE would then come from that rounding alone, and so would a control's
+    assert simcore._mean_se(np.full(n, value), np.arange(float(n))) == (value, 0.0)
 
 
 def test_all_one_hit_row_reports_exact_coupon_mean():
@@ -510,24 +590,55 @@ def test_delay_mean_and_se_stay_finite_at_large_queue_counts(n_users, runs):
     assert 0 < record.delay_se < record.delay_mean
 
 
+def _loop_controlled_mean_se(values, controls):
+    # the regression estimate on a control of exact mean 0, mean(v) - beta
+    # mean(c), and the SD of its residuals (ddof 2) over sqrt(n)
+    n = len(values)
+    v_mean, c_mean = math.fsum(values) / n, math.fsum(controls) / n
+    beta = math.fsum((v - v_mean) * (c - c_mean) for v, c in zip(values, controls)) / math.fsum(
+        (c - c_mean) ** 2 for c in controls)
+    var = math.fsum((v - v_mean - beta * (c - c_mean)) ** 2
+                    for v, c in zip(values, controls)) / (n - 2)
+    return v_mean - beta * c_mean, math.sqrt(var / n)
+
+
+def test_controlled_mean_se_equals_loop_formula():
+    rng = np.random.default_rng(32)
+    controls = rng.standard_normal(600)
+    for values in (3.0 * controls + rng.exponential(1.0, 600),
+                   (1e300 + 1e298 * controls) * (1 + 1e-3 * rng.standard_normal(600))):
+        scale = float(np.abs(values).max())
+        mean, se = _loop_controlled_mean_se(values / scale, controls)
+        assert simcore._mean_se(values, controls) == pytest.approx(
+            (scale * mean, scale * se), rel=1e-12)
+    # identical values stay exact; below 3 values or without spread in the
+    # control it is the plain mean
+    assert simcore._mean_se(np.full(300, 0.1), controls[:300]) == (0.1, 0.0)
+    values = rng.exponential(1.0, 600)
+    assert simcore._mean_se(values, np.zeros(600)) == pytest.approx(
+        _loop_mean_se(values), rel=1e-12)
+    assert simcore._mean_se(values[:2], controls[:2]) == pytest.approx(
+        _loop_mean_se(values[:2]), rel=1e-12)
+
+
 def test_capped_ir_throughput_se_equals_loop_formula():
     cfg = SimConfig(
         scheme="ir", n_users=3, rate_target=1.0, attempt_cap=2, iterations=3000, seed=2030
     )
     record = simcore.estimate_throughput(cfg)
-    taus, decoded = queueing.ir_renewal_cycle(cfg, simcore._rng_for(cfg.seed, 0))
-    taus, decoded = taus.astype(float), decoded.astype(float)
-    iters = cfg.iterations
-    tau_mean, tau_se = _loop_mean_se(taus)
-    ok_mean, ok_se = _loop_mean_se(decoded)
-    cov = math.fsum(
-        (decoded[i] - ok_mean) * (taus[i] - tau_mean) for i in range(iters)
-    ) / (iters - 1) / iters
-    rel_var = (ok_se / ok_mean) ** 2 + (tau_se / tau_mean) ** 2 - 2 * cov / (ok_mean * tau_mean)
-    mean = 3 * 1.0 * ok_mean / tau_mean
+    taus, decoded, control = queueing.ir_renewal_cycle(cfg, simcore._rng_for(cfg.seed, 0))
+    taus, decoded = taus.astype(float).tolist(), decoded.astype(float).tolist()
+    control = control.tolist()
+    # decoded and tau each take the same control; the ratio's SE is that
+    # of the residual decoded - ratio * tau on it, over the mean of tau
+    tau_mean, _ = _loop_controlled_mean_se(taus, control)
+    ok_mean, _ = _loop_controlled_mean_se(decoded, control)
+    ratio = ok_mean / tau_mean
+    _, residual_se = _loop_controlled_mean_se(
+        [ok - ratio * tau for ok, tau in zip(decoded, taus)], control)
     assert 0 < ok_mean < 1
-    assert record.throughput_mean == pytest.approx(mean, rel=1e-12)
-    assert record.throughput_se == pytest.approx(mean * math.sqrt(max(rel_var, 0.0)), rel=1e-12)
+    assert record.throughput_mean == pytest.approx(3 * 1.0 * ratio, rel=1e-12)
+    assert record.throughput_se == pytest.approx(3 * 1.0 * residual_se / tau_mean, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
