@@ -5,8 +5,10 @@ statistics of exponential and Chi-square fading, the law of the gain a
 static or cooperative slot is rated on with the moments of its rate and
 gain (the throughput reference and the estimate's control variate), the
 coupon-collector waiting time of coupled queues with equal or unequal
-needs, and each scheme's throughput growth law, which run rows carry as
-their ``predicted_scaling`` reference.
+needs, the mean attempts of an uncapped retransmission cycle from
+renewal functions convolved by FFT on a grid, and each scheme's
+throughput growth law, which run rows carry as their
+``predicted_scaling`` reference.
 
 Every law has an integer parameter and is evaluated in numpy: the
 order-statistic survival function is a binomial tail, and the Chi-square
@@ -37,6 +39,7 @@ __all__ = [
     "UnsupportedSizeError",
     "coupon_collector_expected_picks",
     "coupon_collector_markov",
+    "ir_expected_attempts",
     "static_throughput_closed_form",
     "throughput_growth_law",
     "throughput_quadrature",
@@ -751,6 +754,58 @@ def coupon_collector_markov(total_queues: int, needs) -> float:
         return expected(needs)
     finally:
         expected.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# retransmission renewal cycles
+# ---------------------------------------------------------------------------
+
+# A renewal function's sum CDFs are convolved on this many cells over
+# [0, target] and on twice as many, and extrapolated: at N = 4, R = 0.5 that
+# takes about 1 ms and is within 7e-14 of 2048 cells.
+_RENEWAL_CELLS = 256
+
+
+def _renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
+    """P(R_1 + ... + R_m <= target) for m = 1, 2, ... until it falls below
+    1e-18, for i.i.d. increments R with the continuous CDF ``cdf``, 0 at 0.
+    On a grid of ``cells`` cells over [0, target], each sum's CDF is the
+    Stieltjes convolution of the last one with ``cdf``, by the midpoint rule
+    in each cell (an error of second order in the cell width), done by FFT."""
+    h = target / cells
+    # kernel[k] = cdf((k - 1/2) h): a cell's mass at its midpoint, k cells back
+    kernel = cdf((np.arange(cells + 1) - 0.5) * h)
+    kernel[0] = 0.0
+    size = 1 << (2 * cells + 1).bit_length()
+    kernel_hat = np.fft.rfft(kernel, size)
+    sum_cdf = cdf(np.arange(cells + 1) * h)
+    cdfs = []
+    while True:
+        cdfs.append(float(sum_cdf[-1]))
+        if cdfs[-1] < 1e-18:
+            return np.array(cdfs)
+        sum_cdf = np.fft.irfft(np.fft.rfft(np.diff(sum_cdf), size) * kernel_hat, size)[: cells + 1]
+
+
+def _extrapolated_renewal_cdfs(target: float, cdf, cells: int = _RENEWAL_CELLS) -> np.ndarray:
+    """``_renewal_cdfs`` over ``cells`` and 2 ``cells`` cells, combined by
+    Richardson extrapolation, which leaves an error of fourth order."""
+    coarse = _renewal_cdfs(target, cdf, cells)
+    fine = _renewal_cdfs(target, cdf, 2 * cells)
+    k = min(coarse.size, fine.size)
+    return (4.0 * fine[:k] - coarse[:k]) / 3.0
+
+
+def ir_expected_attempts(n_users: int, target: float, power: float,
+                         cells: int = _RENEWAL_CELLS) -> float:
+    """Exact mean attempts of a retransmission cycle without a cap:
+    E[tau] = sum_{t>=0} [1 - (1 - P(S_t < target))^N], where S_t sums t
+    i.i.d. increments log(1 + P g), g ~ Exp(1), of CDF 1 - exp(-(e^u - 1)/P),
+    from the renewal CDFs on ``cells`` cells.  The renewal-reward
+    throughput is N target / E[tau] (Caire & Tuninetti, 2001)."""
+    cdfs = _extrapolated_renewal_cdfs(target, lambda u: -np.expm1(-np.expm1(u) / power), cells)
+    with np.errstate(divide="ignore"):      # a sum surely below the target: log1p(-1)
+        return 1.0 + math.fsum((-np.expm1(n_users * np.log1p(-cdfs))).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -329,19 +329,19 @@ def _check_coop_closed_form() -> tuple[bool, str]:
 
 
 def _check_renewal() -> tuple[bool, str]:
+    # one set of uncapped cycles gives both metrics; each is held to the
+    # exact mean attempts E[tau], the delay to it and the throughput to the
+    # renewal reward N Rbar / E[tau]
     config = SimConfig(scheme="ir", n_users=4, rate_target=0.5, iterations=4000, seed=20240)
-    throughput = simcore.estimate_throughput(config)
-    delay = simcore.estimate_delay(config)
-    product = throughput.throughput_mean * delay.delay_mean
-    target = config.n_users * config.rate_target
-    rel_se = math.hypot(
-        throughput.throughput_se / throughput.throughput_mean,
-        delay.delay_se / delay.delay_mean,
-    )
-    deviation = abs(product / target - 1.0)
+    record = simcore.estimate_throughput(config)
+    attempts = analytic.ir_expected_attempts(config.n_users, config.rate_target, config.power)
+    z_delay = (record.delay_mean - attempts) / record.delay_se
+    z_throughput = (record.throughput_mean
+                    - config.n_users * config.rate_target / attempts) / record.throughput_se
     return (
-        deviation <= 3 * rel_se,
-        f"throughput*delay/(N*Rbar) off by {deviation:.4f} (tol {3 * rel_se:.4f})",
+        max(abs(z_delay), abs(z_throughput)) <= 4.5,
+        f"delay z {z_delay:+.2f}, throughput z {z_throughput:+.2f} against "
+        f"E[tau] = {attempts:.6f} (tol 4.5)",
     )
 
 

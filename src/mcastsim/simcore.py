@@ -5,9 +5,11 @@ errors, and attaches analytic references where the law is known: the
 static and cooperative throughputs, whose estimate takes the slot's
 rated gain as a control variate with exact moments.  Every delay, and
 the retransmission throughput, regresses on the engine's per-run Wald
-control, whose exact mean is 0 (``queueing``).  Every estimator derives
-its generator from the config seed, so identical configs give
-bit-identical records.
+control, whose exact mean is 0 (``queueing``).  The retransmission
+scheme's throughput and delay come from one set of renewal cycles, on
+stream 0 of the config seed; the other schemes draw throughput from
+stream 0 and delay from stream 1.  Every estimator derives its generator
+from the config seed, so identical configs give bit-identical records.
 """
 from __future__ import annotations
 
@@ -146,7 +148,7 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     slots (renewal cycles for the retransmission scheme), with a standard
     error, plus the analytic value for the static and cooperative schemes,
     whose rated gain has a known law.  Draws from stream 0 of the config
-    seed.
+    seed.  The retransmission record also carries the delay of its cycles.
 
     The static and cooperative rows take the rated gain C = (e^R - 1)/P of
     each slot as a control variate for its rate R (Owen, *Monte Carlo
@@ -155,30 +157,38 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     mean(R) - beta (mean(C) - E[C]) for beta = Cov(R, C)/Var(C), and its SE
     the exact residual SD, sqrt(Var(R) - Cov(R, C)^2/Var(C)), over
     sqrt(iterations)."""
+    if config.family == "ir":
+        return _ir_estimates(config)
     rng = _rng_for(config.seed, 0)
     record = MetricsRecord()
-
-    if config.family != "ir":
-        # alpha is None for the cooperative schemes, which serve half the users
-        served = config.n_users / (config.alpha or 2)
-        law = (config.n_users, config.alpha, config.power, config.n_groups, config.antennas)
-        record.analytic_throughput = analytic.throughput_quadrature(*law)
-        rates = schedulers.slot_rates(config, config.iterations, rng)
-        mean, se = _control_variate_mean_se(
-            rates, np.expm1(rates) / config.power, analytic._rated_gain_moments(*law))
-        record.throughput_mean, record.throughput_se = served * mean, served * se
-    else:
-        taus, decoded, control = queueing.ir_renewal_cycle(config, rng)
-        # renewal reward: throughput = reward * ratio of the controlled
-        # means, with the ratio estimator's SE, SE(decoded - ratio * tau) / mean(tau)
-        reward = config.n_users * config.rate_target
-        taus, decoded = taus.astype(float), decoded.astype(float)
-        tau_mean, _ = _mean_se(taus, control)
-        ok_mean, _ = _mean_se(decoded, control)
-        _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus, control)
-        record.throughput_mean = reward * ok_mean / tau_mean
-        record.throughput_se = reward * residual_se / tau_mean
+    # alpha is None for the cooperative schemes, which serve half the users
+    served = config.n_users / (config.alpha or 2)
+    law = (config.n_users, config.alpha, config.power, config.n_groups, config.antennas)
+    record.analytic_throughput = analytic.throughput_quadrature(*law)
+    rates = schedulers.slot_rates(config, config.iterations, rng)
+    mean, se = _control_variate_mean_se(
+        rates, np.expm1(rates) / config.power, analytic._rated_gain_moments(*law))
+    record.throughput_mean, record.throughput_se = served * mean, served * se
     return record
+
+
+def _ir_estimates(config: SimConfig) -> MetricsRecord:
+    """Throughput and delay of the retransmission scheme from one set of
+    renewal cycles on stream 0, each controlled mean on the cycles' Wald
+    control.  The delay is the mean attempts tau, capped at the attempt cap;
+    the throughput is the renewal reward N R mean(decoded) / mean(tau), with
+    the ratio estimator's SE, SE(decoded - ratio tau) / mean(tau).  Without a
+    cap every cycle decodes, so throughput x delay is N R and the two
+    relative SEs are equal."""
+    taus, decoded, control = queueing.ir_renewal_cycle(config, _rng_for(config.seed, 0))
+    reward = config.n_users * config.rate_target
+    taus, decoded = taus.astype(float), decoded.astype(float)
+    tau_mean, tau_se = _mean_se(taus, control)
+    ok_mean, _ = _mean_se(decoded, control)
+    _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus, control)
+    return MetricsRecord(throughput_mean=reward * ok_mean / tau_mean,
+                         throughput_se=reward * residual_se / tau_mean,
+                         delay_mean=tau_mean, delay_se=tau_se)
 
 
 def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
@@ -204,26 +214,31 @@ def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
 def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
     scheme) over config.iterations independent runs, with each run's Wald
-    control as a control variate.  Draws from stream 1 of the config seed."""
+    control as a control variate.  The queue schemes draw from stream 1 of
+    the config seed; the retransmission scheme reads the cycles of its
+    throughput on stream 0, so both estimators and ``run_config`` report
+    the same delay."""
+    if config.family == "ir":
+        record = _ir_estimates(config)
+        return MetricsRecord(delay_mean=record.delay_mean, delay_se=record.delay_se)
     rng = _rng_for(config.seed, 1)
     if config.family == "static":
         delays, control = queueing.tagged_delay_static(config, rng)
-    elif config.family == "coop":
-        delays, control = queueing.tagged_delay_coop(config, rng)
     else:
-        delays, _, control = queueing.ir_renewal_cycle(config, rng)
+        delays, control = queueing.tagged_delay_coop(config, rng)
     delay_mean, delay_se = _mean_se(delays, control)
     return MetricsRecord(delay_mean=delay_mean, delay_se=delay_se)
 
 
 def run_config(config: SimConfig) -> MetricsRecord:
-    """Both metrics for one config, on separate derived streams, with the
-    analytic and growth-law references attached."""
+    """Both metrics for one config, with the analytic and growth-law
+    references attached: the queue schemes' on separate derived streams,
+    the retransmission scheme's from one set of cycles on stream 0."""
     record = estimate_throughput(config)
-    delay = estimate_delay(config)
-    record.delay_mean, record.delay_se = delay.delay_mean, delay.delay_se
+    if config.family != "ir":
+        delay = estimate_delay(config)
+        record.delay_mean, record.delay_se = delay.delay_mean, delay.delay_se
     record.predicted_scaling_value = analytic.throughput_growth_law(
         config.family, config.n_users, config.alpha, config.n_groups, config.antennas
     )
     return record
-

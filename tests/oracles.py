@@ -10,7 +10,8 @@ reference solves the absorbing chain as a linear system, for equal or
 unequal needs, the memoryless server's service law is a shifted Poisson
 law, the coupled-queue delay is simulated slot by slot or pick by pick,
 the retransmission reference and the expected hit count of a queue come
-from renewal functions convolved on a grid, and the cooperative rates
+from the package's renewal kernel on a grid eight times finer than its
+own (the kernel itself is held to a closed form), and the cooperative rates
 come from the full N x N pair-gain model or, for the throughput and the
 rate law, from the effective-gain survival function; the ball count
 behind the weakest relay gain is counted from the multinomial
@@ -419,55 +420,24 @@ def pick_simulation_delays(
     return slots
 
 
-def _renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
-    """P(R_1 + ... + R_m <= target) for m = 1, 2, ... until it falls below
-    1e-18, for i.i.d. increments R with the continuous CDF `cdf`, 0 at 0.
-    On a grid of `cells` cells over [0, target], each sum's CDF is the
-    Stieltjes convolution of the last one with `cdf`, by the midpoint rule
-    in each cell (an error of second order in the cell width), done by FFT."""
-    h = target / cells
-    # kernel[k] = cdf((k - 1/2) h): a cell's mass at its midpoint, k cells back
-    kernel = cdf((np.arange(cells + 1) - 0.5) * h)
-    kernel[0] = 0.0
-    size = 1 << (2 * cells + 1).bit_length()
-    kernel_hat = np.fft.rfft(kernel, size)
-    sum_cdf = cdf(np.arange(cells + 1) * h)
-    cdfs = []
-    while True:
-        cdfs.append(float(sum_cdf[-1]))
-        if cdfs[-1] < 1e-18:
-            return np.array(cdfs)
-        sum_cdf = np.fft.irfft(np.fft.rfft(np.diff(sum_cdf), size) * kernel_hat, size)[: cells + 1]
-
-
-def _extrapolated_renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
-    """``_renewal_cdfs`` over `cells` and 2 * `cells` cells, combined by
-    Richardson extrapolation, which leaves an error of fourth order."""
-    coarse = _renewal_cdfs(target, cdf, cells)
-    fine = _renewal_cdfs(target, cdf, 2 * cells)
-    k = min(coarse.size, fine.size)
-    return (4.0 * fine[:k] - coarse[:k]) / 3.0
-
-
 def ir_expected_attempts(n: int, target: float, power: float, cells: int = 2048) -> float:
-    """Exact mean attempts of a retransmission cycle without a cap:
-    E[tau] = sum_{t>=0} [1 - (1 - P(S_t <= target))^n], where S_t sums t
-    i.i.d. increments log(1 + P g), g ~ Exp(1), of CDF 1 - exp(-(e^u - 1)/P)."""
-    cdfs = _extrapolated_renewal_cdfs(target, lambda u: -np.expm1(-np.expm1(u) / power), cells)
-    with np.errstate(divide="ignore"):      # a sum surely below the target: log1p(-1)
-        return 1.0 + math.fsum((-np.expm1(n * np.log1p(-cdfs))).tolist())
+    """Exact mean attempts of a retransmission cycle without a cap, from the
+    package's renewal kernel on a grid eight times finer than its own."""
+    return analytic.ir_expected_attempts(n, target, power, cells)
 
 
 def renewal_expected_hits(target: float, cdf, cells: int = 2048) -> float:
     """Exact mean count of i.i.d. increments of CDF `cdf` whose sum first
-    reaches `target`: the renewal function E[K] = sum_{m>=0} P(R_1 + ... + R_m < target)."""
-    return 1.0 + math.fsum(_extrapolated_renewal_cdfs(target, cdf, cells).tolist())
+    reaches `target`: the renewal function E[K] = sum_{m>=0} P(R_1 + ... + R_m < target),
+    from the package's renewal kernel."""
+    return 1.0 + math.fsum(analytic._extrapolated_renewal_cdfs(target, cdf, cells).tolist())
 
 
 def renewal_hit_pmf(target: float, cdf, cells: int = 2048) -> np.ndarray:
     """P(K = k) for k = 1, 2, ..., K the count of i.i.d. increments of CDF
     `cdf` whose sum first reaches `target`: P(K > k) = P(R_1 + ... + R_k < target)."""
-    survival = np.concatenate(([1.0], _extrapolated_renewal_cdfs(target, cdf, cells), [0.0]))
+    survival = np.concatenate(
+        ([1.0], analytic._extrapolated_renewal_cdfs(target, cdf, cells), [0.0]))
     return survival[:-1] - survival[1:]
 
 

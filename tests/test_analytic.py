@@ -610,6 +610,29 @@ def test_coupon_rejects_bad_instances():
 
 
 # ---------------------------------------------------------------------------
+# retransmission renewal cycles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate, target", [(1.0, 2.0), (3.0, 1.0), (0.5, 4.0)])
+def test_renewal_kernel_matches_poisson_closed_form(rate, target):
+    # with exponential increments of rate lambda the sums are the arrivals
+    # of a Poisson process, so K - 1 is Poisson(lambda target) and
+    # E[K] = 1 + sum_m P(S_m < target) = 1 + lambda target
+    cdfs = analytic._extrapolated_renewal_cdfs(target, lambda u: -np.expm1(-rate * u))
+    hits = 1.0 + math.fsum(cdfs.tolist())
+    assert hits == pytest.approx(1.0 + rate * target, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n_users, target, power", [
+    (1, 1.0, 1.0), (4, 0.5, 1.0), (12, 1.0, 1.0), (16, 2.0, 1.0), (32, 1.0, 1.0), (8, 3.0, 10.0),
+])
+def test_ir_expected_attempts_converged_on_its_grid(n_users, target, power):
+    # the default grid against one eight times finer
+    assert analytic.ir_expected_attempts(n_users, target, power) == pytest.approx(
+        analytic.ir_expected_attempts(n_users, target, power, cells=2048), rel=1e-10, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # throughput growth laws
 # ---------------------------------------------------------------------------
 

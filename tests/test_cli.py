@@ -515,6 +515,15 @@ def test_verification_flags_a_1e_8_relative_error(monkeypatch, name, check):
     assert detail.endswith("(tol 1e-10)")
 
 
+def test_renewal_check_flags_a_5_percent_error_in_e_tau(monkeypatch):
+    # the check's relative SE is about 0.4 %, so 5 % moves both z by about 13
+    real = analytic.ir_expected_attempts
+    monkeypatch.setattr(analytic, "ir_expected_attempts", lambda *args: 1.05 * real(*args))
+    passed, detail = cli._check_renewal()
+    assert not passed
+    assert detail.endswith("(tol 4.5)")
+
+
 def test_coupon_check_covers_unequal_needs(monkeypatch):
     # wrong by 1e-8 only where a row's needs differ, which a check of
     # equal needs alone would pass

@@ -481,16 +481,37 @@ def test_coop_throughput_two_users_semi_analytic():
 
 
 def test_ir_renewal_reward_identity():
+    # one set of cycles gives both metrics, so throughput x delay = N Rbar
+    # holds by construction; each metric is held to the exact E[tau]
     cfg = SimConfig(scheme="ir", n_users=4, rate_target=0.5, iterations=8000, seed=2027)
-    throughput = simcore.estimate_throughput(cfg)
-    delay = simcore.estimate_delay(cfg)
-    product = throughput.throughput_mean * delay.delay_mean
+    record = simcore.run_config(cfg)
     target = 4 * 0.5
-    rel_se = math.hypot(
-        throughput.throughput_se / throughput.throughput_mean,
-        delay.delay_se / delay.delay_mean,
-    )
-    assert abs(product / target - 1.0) <= 3 * rel_se
+    assert record.throughput_mean * record.delay_mean == pytest.approx(target, rel=1e-12)
+    assert record.throughput_se / record.throughput_mean == pytest.approx(
+        record.delay_se / record.delay_mean, rel=1e-12)
+    attempts = ir_expected_attempts(4, 0.5, 1.0)
+    assert abs(record.delay_mean - attempts) <= 4.5 * record.delay_se
+    assert abs(record.throughput_mean - target / attempts) <= 4.5 * record.throughput_se
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_ir_row_runs_one_set_of_cycles(monkeypatch, cap):
+    calls = []
+    real = queueing.ir_renewal_cycle
+
+    def counted(config, rng):
+        calls.append(config)
+        return real(config, rng)
+
+    monkeypatch.setattr(queueing, "ir_renewal_cycle", counted)
+    cfg = SimConfig(scheme="ir", n_users=4, rate_target=1.0, attempt_cap=cap,
+                    iterations=300, seed=2032)
+    record = simcore.run_config(cfg)
+    assert calls == [cfg]
+    # the public delay estimator reports the row's delay fields bit for bit
+    delay = simcore.estimate_delay(cfg)
+    assert (delay.delay_mean, delay.delay_se) == (record.delay_mean, record.delay_se)
+    assert delay.throughput_mean is None
 
 
 def test_ir_capped_single_attempt():
@@ -519,7 +540,8 @@ def test_capped_ir_single_iteration_has_zero_se():
 def test_ir_vanishing_target_throughput_vanishes():
     cfg = SimConfig(scheme="ir", n_users=4, rate_target=1e-9, iterations=500, seed=2029)
     record = simcore.estimate_throughput(cfg)
-    assert record.delay_mean is None
+    # every cycle decodes on its first attempt
+    assert (record.delay_mean, record.delay_se) == (1.0, 0.0)
     assert record.throughput_mean == pytest.approx(4e-9, rel=1e-12)
 
 
