@@ -41,6 +41,16 @@ row costs O(its largest need) numpy calls and O(runs alpha) values.  At
 one iteration a round draws the same values whatever came before, which
 keeps paired-seed runs coupled: raising P or shrinking S can only lower
 each need, and E[T | K] grows with every need.
+
+A queue entry may also take a head of the first round: rates the caller
+has drawn from the same generator, which the round takes first (in the
+row-major order of its (runs, alpha) rates) before it draws the rest in
+one call.  ``simcore.estimate_delay`` passes the ``config.iterations``
+slot rates of its throughput, so a round of one rate per run, under
+cooperation and at alpha = 1, draws nothing.  The static sampler is
+chunk-invariant, so the head and the rest are the values one call for
+the whole round would draw; the cooperative one is not, and its head is
+always the whole round.
 """
 from __future__ import annotations
 
@@ -98,23 +108,35 @@ def _hit_needs(config: "SimConfig", width: int, target: float, rate_bound: float
     return needs, sums
 
 
-def _coupled_queue_delay(config: "SimConfig", rates) -> tuple[np.ndarray, np.ndarray]:
+def _coupled_queue_delay(config: "SimConfig", rates, head=None) -> tuple[np.ndarray, np.ndarray]:
     """Mean slots, per run, until each of the tagged packet's coupled
     queues (cooperation is the alpha = 1 layout) has drained
     ``config.packet_nats``, given the hits each queue needs, and each run's
-    control; ``rates(count)`` returns the service rates of ``count`` hits.
-    Two float arrays of shape (config.iterations,)."""
+    control; ``rates(count)`` returns the service rates of ``count`` hits,
+    and ``head``, if given, the first of the first round's, which then
+    draws only the rest.  Two float arrays of shape (config.iterations,)."""
     n, coupled = config.n_users, config.alpha or 1
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
     tc = config.coherence.interval(n * config.n_groups)
+
+    def advance(acc):
+        nonlocal head
+        if head is None:
+            drawn = rates(acc.size)
+        else:
+            rest = acc.size - head.size
+            drawn = np.concatenate((head, rates(rest))) if rest else head
+            head = None
+        return acc + tc * drawn.reshape(acc.shape)
+
     # a scheduled gain is at most the best of N G L unit exponentials, whose
     # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
     needs, sums = _hit_needs(
         config, coupled, config.packet_nats,
         tc * math.log1p(config.power * (1 + math.log(n * config.n_groups * config.antennas))),
         "packet needs at least {:.3g} hits on average, S / (Tc log1p(P (1 + log(N G L))))",
-        lambda acc: acc + tc * rates(acc.size).reshape(acc.shape))
+        advance)
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
@@ -123,14 +145,16 @@ def _coupled_queue_delay(config: "SimConfig", rates) -> tuple[np.ndarray, np.nda
     return slots, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
 
 
-def tagged_delay_static(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def tagged_delay_static(config: "SimConfig", rng: np.random.Generator,
+                        head: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Mean slots, per run, until a tagged packet leaves all alpha coupled
     queues under the fixed-fraction scheduler's queue layout, given the
     hits each queue needs, with ``config.antennas`` transmit antennas
     behind every rate, and each run's control.  Returns two float arrays
-    of shape (config.iterations,)."""
+    of shape (config.iterations,).  ``head`` is the first round's head
+    (module docstring)."""
     return _coupled_queue_delay(
-        config, lambda count: schedulers.slot_rates(config, count, rng))
+        config, lambda count: schedulers.slot_rates(config, count, rng), head)
 
 
 def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -156,11 +180,13 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     return needs.max(axis=1), decoded, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
 
 
-def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator,
+                      head: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Mean slots, per run, until a cooperative transmission delivers the
     packet to all users of the tagged group, given the hits it needs, and
     each run's control.  Returns two float arrays of shape
-    (config.iterations,).
+    (config.iterations,).  ``head`` is the first round's head (module
+    docstring); with one queue per run it is the whole first round.
 
     A slot reaches every user of the group it serves, so the group keeps a
     single queue; with G groups the tagged one is selected with
@@ -169,4 +195,4 @@ def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator) -> tuple[np
     the row's own config.  So E[T | K] = G K.
     """
     return _coupled_queue_delay(
-        config, lambda count: schedulers.slot_rates(config, count, rng))
+        config, lambda count: schedulers.slot_rates(config, count, rng), head)

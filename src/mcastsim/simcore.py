@@ -5,11 +5,13 @@ errors, and attaches analytic references where the law is known: the
 static and cooperative throughputs, whose estimate takes the slot's
 rated gain as a control variate with exact moments.  Every delay, and
 the retransmission throughput, regresses on the engine's per-run Wald
-control, whose exact mean is 0 (``queueing``).  The retransmission
-scheme's throughput and delay come from one set of renewal cycles, on
-stream 0 of the config seed; the other schemes draw throughput from
-stream 0 and delay from stream 1.  Every estimator derives its generator
-from the config seed, so identical configs give bit-identical records.
+control, whose exact mean is 0 (``queueing``).  A row draws from one
+generator derived from its config seed, so identical configs give
+bit-identical records, and each draw serves both metrics: the
+retransmission scheme's throughput and delay come from one set of
+renewal cycles, and the other schemes' throughput slots are the head of
+the delay engine's first round.  A row's two estimates are therefore
+correlated; each keeps its own SE.
 """
 from __future__ import annotations
 
@@ -109,10 +111,9 @@ class MetricsRecord:
     predicted_scaling_value: float | None = None
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    # streams are derived from (seed, stream index), so adding a stream
-    # never perturbs existing ones
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+def _rng_for(seed: int) -> np.random.Generator:
+    # a row's one stream; the key (seed, 0) fixes its throughput and ir bytes
+    return np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
 
 def _mean_se(values, controls) -> tuple[float, float]:
@@ -147,8 +148,9 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     """Mean delivered nats per slot over config.iterations independent
     slots (renewal cycles for the retransmission scheme), with a standard
     error, plus the analytic value for the static and cooperative schemes,
-    whose rated gain has a known law.  Draws from stream 0 of the config
-    seed.  The retransmission record also carries the delay of its cycles.
+    whose rated gain has a known law.  Draws from the config seed's stream.
+    The retransmission record also carries the delay of its cycles; the
+    other schemes' slots are the head of ``estimate_delay``'s first round.
 
     The static and cooperative rows take the rated gain C = (e^R - 1)/P of
     each slot as a control variate for its rate R (Owen, *Monte Carlo
@@ -159,28 +161,33 @@ def estimate_throughput(config: SimConfig) -> MetricsRecord:
     sqrt(iterations)."""
     if config.family == "ir":
         return _ir_estimates(config)
-    rng = _rng_for(config.seed, 0)
-    record = MetricsRecord()
+    return _slot_throughput(config, _rng_for(config.seed))[0]
+
+
+def _slot_throughput(config: SimConfig, rng) -> tuple[MetricsRecord, np.ndarray]:
+    """The throughput record of a static or cooperative row, with the
+    analytic value, and the config.iterations slot rates it is the mean
+    of, drawn from ``rng``."""
     # alpha is None for the cooperative schemes, which serve half the users
     served = config.n_users / (config.alpha or 2)
     law = (config.n_users, config.alpha, config.power, config.n_groups, config.antennas)
-    record.analytic_throughput = analytic.throughput_quadrature(*law)
+    record = MetricsRecord(analytic_throughput=analytic.throughput_quadrature(*law))
     rates = schedulers.slot_rates(config, config.iterations, rng)
     mean, se = _control_variate_mean_se(
         rates, np.expm1(rates) / config.power, analytic._rated_gain_moments(*law))
     record.throughput_mean, record.throughput_se = served * mean, served * se
-    return record
+    return record, rates
 
 
 def _ir_estimates(config: SimConfig) -> MetricsRecord:
     """Throughput and delay of the retransmission scheme from one set of
-    renewal cycles on stream 0, each controlled mean on the cycles' Wald
-    control.  The delay is the mean attempts tau, capped at the attempt cap;
-    the throughput is the renewal reward N R mean(decoded) / mean(tau), with
+    renewal cycles, each controlled mean on the cycles' Wald control.  The
+    delay is the mean attempts tau, capped at the attempt cap; the
+    throughput is the renewal reward N R mean(decoded) / mean(tau), with
     the ratio estimator's SE, SE(decoded - ratio tau) / mean(tau).  Without a
     cap every cycle decodes, so throughput x delay is N R and the two
     relative SEs are equal."""
-    taus, decoded, control = queueing.ir_renewal_cycle(config, _rng_for(config.seed, 0))
+    taus, decoded, control = queueing.ir_renewal_cycle(config, _rng_for(config.seed))
     reward = config.n_users * config.rate_target
     taus, decoded = taus.astype(float), decoded.astype(float)
     tau_mean, tau_se = _mean_se(taus, control)
@@ -214,30 +221,34 @@ def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
 def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
     scheme) over config.iterations independent runs, with each run's Wald
-    control as a control variate.  The queue schemes draw from stream 1 of
-    the config seed; the retransmission scheme reads the cycles of its
-    throughput on stream 0, so both estimators and ``run_config`` report
-    the same delay."""
+    control as a control variate.  The retransmission scheme reads the
+    cycles of its throughput, so both estimators and ``run_config`` report
+    the same delay.  The queue schemes draw the config.iterations slot
+    rates of ``estimate_throughput`` and hand them to the delay engine as
+    the head of its first round, which draws only the rest (none under
+    cooperation and at alpha = 1); their record also carries the
+    throughput of those slots, bit for bit ``estimate_throughput``'s."""
     if config.family == "ir":
         record = _ir_estimates(config)
         return MetricsRecord(delay_mean=record.delay_mean, delay_se=record.delay_se)
-    rng = _rng_for(config.seed, 1)
+    rng = _rng_for(config.seed)
+    # the throughput integrates the rated-gain law, whose cached first
+    # moment the engine's control reads
+    record, head = _slot_throughput(config, rng)
     if config.family == "static":
-        delays, control = queueing.tagged_delay_static(config, rng)
+        delays, control = queueing.tagged_delay_static(config, rng, head)
     else:
-        delays, control = queueing.tagged_delay_coop(config, rng)
-    delay_mean, delay_se = _mean_se(delays, control)
-    return MetricsRecord(delay_mean=delay_mean, delay_se=delay_se)
+        delays, control = queueing.tagged_delay_coop(config, rng, head)
+    record.delay_mean, record.delay_se = _mean_se(delays, control)
+    return record
 
 
 def run_config(config: SimConfig) -> MetricsRecord:
-    """Both metrics for one config, with the analytic and growth-law
-    references attached: the queue schemes' on separate derived streams,
-    the retransmission scheme's from one set of cycles on stream 0."""
-    record = estimate_throughput(config)
-    if config.family != "ir":
-        delay = estimate_delay(config)
-        record.delay_mean, record.delay_se = delay.delay_mean, delay.delay_se
+    """Both metrics for one config from one stream and one estimator call,
+    the retransmission scheme's from one set of cycles and the queue
+    schemes' from slots drawn once, with the analytic and growth-law
+    references attached."""
+    record = estimate_throughput(config) if config.family == "ir" else estimate_delay(config)
     record.predicted_scaling_value = analytic.throughput_growth_law(
         config.family, config.n_users, config.alpha, config.n_groups, config.antennas
     )

@@ -546,6 +546,130 @@ def test_ir_vanishing_target_throughput_vanishes():
 
 
 # ---------------------------------------------------------------------------
+# one draw per slot: a queue row's throughput slots head its delay engine's
+# first round
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("antennas", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1, 2, 6])      # ascending positions 1, 4 and N = 6
+@pytest.mark.parametrize("scheme, groups", [("static", 1), ("multigroup-static", 5)])
+def test_static_sampler_is_chunk_invariant(scheme, groups, alpha, antennas):
+    # the head of a first round and its rest are the values one call for the
+    # whole round draws, bit for bit
+    config = SimConfig(scheme=scheme, n_users=6, alpha=alpha, n_groups=groups,
+                       antennas=antennas, iterations=1)
+    for first, second in ((1, 1), (1, 6), (7, 5), (40, 80)):
+        whole = schedulers.slot_rates(config, first + second, np.random.default_rng(first))
+        rng = np.random.default_rng(first)
+        parts = np.concatenate([schedulers.slot_rates(config, first, rng),
+                                schedulers.slot_rates(config, second, rng)])
+        assert parts.tobytes() == whole.tobytes()
+
+
+def _counted_slot_rates(monkeypatch):
+    """Route every slot_rates call through a counter; returns the list of
+    the counts drawn, in order."""
+    counts, real = [], schedulers.slot_rates
+
+    def counted(config, count, rng):
+        counts.append(count)
+        return real(config, count, rng)
+
+    monkeypatch.setattr(schedulers, "slot_rates", counted)
+    return counts
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(scheme="coop", n_users=2, iterations=400, seed=61),
+    SimConfig(scheme="coop", n_users=8, iterations=400, seed=62, packet_nats=3.0),
+    SimConfig(scheme="multigroup-coop", n_users=6, n_groups=3, iterations=400, seed=63),
+], ids=lambda config: f"{config.scheme}-N{config.n_users}")
+def test_coop_head_is_the_whole_first_round(config, monkeypatch):
+    # the cooperative sampler is not chunk-invariant (its Beta, uniform and
+    # Gamma draws interleave), so its head must be a whole round: one rate
+    # per run, with nothing left for the round to draw
+    whole = schedulers.slot_rates(config, 20, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    parts = np.concatenate([schedulers.slot_rates(config, 8, rng),
+                            schedulers.slot_rates(config, 12, rng)])
+    assert parts.tobytes() != whole.tobytes()
+    counts = _counted_slot_rates(monkeypatch)
+    simcore.estimate_delay(config)
+    row = counts[:]
+    assert row[0] == config.iterations
+    # each later call is a round of the runs still short, never an empty one
+    assert all(0 < later <= earlier for earlier, later in zip(row, row[1:]))
+    # one queue per run, hit once in G slots: each run's K hits drew one
+    # rate each, the first of them in the head (the engine alone, on a
+    # fresh stream, draws the head's values as its first round)
+    delays, _ = queueing.tagged_delay_coop(config, simcore._rng_for(config.seed))
+    assert sum(row) == round(delays.sum() / config.n_groups)
+
+
+_ROW_CONFIGS = [
+    SimConfig(scheme="static", n_users=6, alpha=1, iterations=300, seed=71),
+    SimConfig(scheme="static", n_users=6, alpha=2, iterations=300, seed=72),
+    SimConfig(scheme="static", n_users=6, alpha=6, antennas=2, iterations=300, seed=73),
+    SimConfig(scheme="multigroup-static", n_users=6, alpha=3, n_groups=2, antennas=2,
+              iterations=300, seed=74),
+    SimConfig(scheme="coop", n_users=6, iterations=300, seed=75),
+    SimConfig(scheme="multigroup-coop", n_users=4, n_groups=3, iterations=300, seed=76),
+    SimConfig(scheme="ir", n_users=4, rate_target=1.0, iterations=300, seed=77),
+    SimConfig(scheme="ir", n_users=4, rate_target=1.0, attempt_cap=2, iterations=300, seed=78),
+]
+
+
+def _row_id(config):
+    return f"{config.scheme}-a{config.alpha}-L{config.antennas}-cap{config.attempt_cap}"
+
+
+@pytest.mark.parametrize("config", _ROW_CONFIGS, ids=_row_id)
+def test_row_creates_one_generator(config, monkeypatch):
+    made, real = [], simcore._rng_for
+
+    def counted(seed):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(simcore, "_rng_for", counted)
+    simcore.run_config(config)
+    assert made == [config.seed]
+
+
+@pytest.mark.parametrize("config", [c for c in _ROW_CONFIGS if c.family != "ir"], ids=_row_id)
+def test_queue_row_draws_each_slot_once(config, monkeypatch):
+    counts = _counted_slot_rates(monkeypatch)
+    record = simcore.run_config(config)
+    # the engine without a head, on a fresh stream, draws the whole first
+    # round in one call; by chunk invariance it reads the same values
+    engine = queueing.tagged_delay_static if config.family == "static" else queueing.tagged_delay_coop
+    row = counts[:]
+    delays, control = engine(config, simcore._rng_for(config.seed))
+    alone = counts[len(row):]
+    width = config.alpha or 1
+    assert alone[0] == width * config.iterations
+    # the row: the throughput's slots, then the round's remaining (alpha - 1)
+    # runs' worth (none at width 1), then the same later rounds
+    head = [config.iterations] + ([(width - 1) * config.iterations] if width > 1 else [])
+    assert row == head + alone[1:]
+    assert (record.delay_mean, record.delay_se) == simcore._mean_se(delays, control)
+
+
+@pytest.mark.parametrize("config", _ROW_CONFIGS, ids=_row_id)
+def test_estimators_agree_with_run_config_on_shared_fields(config):
+    row = vars(simcore.run_config(config))
+    for estimate in (simcore.estimate_throughput, simcore.estimate_delay):
+        fields = {key: value for key, value in vars(estimate(config)).items()
+                  if value is not None}
+        assert fields and all(row[key] == value for key, value in fields.items()), estimate
+    # a queue row's delay record carries every estimate and reference but
+    # the growth law, which only run_config attaches
+    if config.family != "ir":
+        delay = vars(simcore.estimate_delay(config))
+        assert [key for key, value in delay.items() if value is None] == ["predicted_scaling_value"]
+
+
+# ---------------------------------------------------------------------------
 # the numpy reductions equal the loop formulas to rounding (O(eps log n))
 # ---------------------------------------------------------------------------
 
@@ -648,7 +772,7 @@ def test_capped_ir_throughput_se_equals_loop_formula():
         scheme="ir", n_users=3, rate_target=1.0, attempt_cap=2, iterations=3000, seed=2030
     )
     record = simcore.estimate_throughput(cfg)
-    taus, decoded, control = queueing.ir_renewal_cycle(cfg, simcore._rng_for(cfg.seed, 0))
+    taus, decoded, control = queueing.ir_renewal_cycle(cfg, simcore._rng_for(cfg.seed))
     taus, decoded = taus.astype(float).tolist(), decoded.astype(float).tolist()
     control = control.tolist()
     # decoded and tau each take the same control; the ratio's SE is that
