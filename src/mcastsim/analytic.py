@@ -6,7 +6,7 @@ static or cooperative slot is rated on with the moments of its rate and
 gain (the throughput reference and the estimate's control variate), the
 coupon-collector waiting time of coupled queues with equal or unequal
 needs, the mean attempts of an uncapped retransmission cycle from
-renewal functions convolved by FFT on a grid, and each scheme's
+renewal functions convolved on a grid, and each scheme's
 throughput growth law, which run rows carry as their
 ``predicted_scaling`` reference.
 
@@ -771,20 +771,20 @@ def _renewal_cdfs(target: float, cdf, cells: int) -> np.ndarray:
     1e-18, for i.i.d. increments R with the continuous CDF ``cdf``, 0 at 0.
     On a grid of ``cells`` cells over [0, target], each sum's CDF is the
     Stieltjes convolution of the last one with ``cdf``, by the midpoint rule
-    in each cell (an error of second order in the cell width), done by FFT."""
+    in each cell (an error of second order in the cell width), done by
+    direct convolution, which at these cell counts costs about what an FFT
+    does and keeps ``numpy.fft`` unloaded."""
     h = target / cells
     # kernel[k] = cdf((k - 1/2) h): a cell's mass at its midpoint, k cells back
     kernel = cdf((np.arange(cells + 1) - 0.5) * h)
     kernel[0] = 0.0
-    size = 1 << (2 * cells + 1).bit_length()
-    kernel_hat = np.fft.rfft(kernel, size)
     sum_cdf = cdf(np.arange(cells + 1) * h)
     cdfs = []
     while True:
         cdfs.append(float(sum_cdf[-1]))
         if cdfs[-1] < 1e-18:
             return np.array(cdfs)
-        sum_cdf = np.fft.irfft(np.fft.rfft(np.diff(sum_cdf), size) * kernel_hat, size)[: cells + 1]
+        sum_cdf = np.convolve(np.diff(sum_cdf), kernel)[: cells + 1]
 
 
 def _extrapolated_renewal_cdfs(target: float, cdf, cells: int = _RENEWAL_CELLS) -> np.ndarray:

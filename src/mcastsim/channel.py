@@ -27,10 +27,10 @@ from mcastsim import analytic
 
 __all__ = [
     "CoherencePolicy",
+    "draw_extreme_gains",
     "draw_gains",
     "draw_interuser_gains",
     "draw_scheduled_gains",
-    "draw_stratified_gains",
 ]
 
 # The scaled policy evaluates log log on max(N*G, _LOGLOG_FLOOR) so it stays
@@ -89,7 +89,7 @@ def draw_scheduled_gains(
     fading here, so throughput and delay see the same antenna law, except
     at positions 1 and N with one antenna, where ``schedulers.slot_rates``
     draws the best of the G groups' gains in one closed form instead
-    (``draw_stratified_gains``).
+    (``draw_extreme_gains``).
     """
     v = rng.beta(n_users - position + 1, position, shape)
     if antennas == 1:
@@ -97,7 +97,7 @@ def draw_scheduled_gains(
     return analytic._gamma_inverse(antennas, v, upper=True) / antennas
 
 
-def draw_stratified_gains(
+def draw_extreme_gains(
     n_users: int, position: int, n_groups: int, count: int, rng: np.random.Generator,
 ) -> np.ndarray:
     """``count`` i.i.d. values of the best of ``n_groups`` groups' gains at
@@ -112,7 +112,6 @@ def draw_stratified_gains(
     G.  1 - U^(1/k) = -expm1(log(U) / k) keeps its precision where U^(1/k)
     is near 1, which holds the largest gains, and U = 0 gives the least
     gain, 0; at k = 1 it is 1 - U, which is never 0, so the gain is finite.
-    The draw is i.i.d.; the name is that of the stratified draw it was.
     """
     k, c = (n_groups, n_users) if position == 1 else (n_users * n_groups, 1)
     u = rng.random(count)

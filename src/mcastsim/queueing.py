@@ -21,15 +21,17 @@ averaged over the picks, exactly, because the picks can be Poissonized.
 With one coupled queue (alpha = 1, and cooperation) it is Q K.  A run
 costs O(its largest need) whatever Q is, and a row's variance is only
 that of its needs: a row whose runs all need the same hits reports SE 0.
-A queue count or a mean slot count that is not a finite float, or a
-run whose lower bound on the mean hit count exceeds ``_HIT_BUDGET``,
-raises ValueError.
+A queue count or a mean slot count that is not a finite float raises
+ValueError.
 
-Each entry also passes out a control per run, C = sum_j (W_j - mu K_j),
-of exact mean 0 by Wald's identity: K_j = min(need, cap) is a stopping
-time of sum j's i.i.d. rates, of mean mu = Tc E[R], the first moment of
-``analytic._rated_gain_moments`` (one user's law for a retransmission
-cycle), and W_j is the sum then, frozen while its run goes on.
+Every hit adds an i.i.d. rate of one known mean, mu = Tc E[R]
+(``analytic._rated_gain_moments``; one user's law at Tc = 1 for a
+retransmission cycle), which ``_hit_needs`` uses twice.  By Wald's
+identity a need K of the target S has E[K] >= S / mu, so a row whose
+min(cap, S / mu) exceeds ``_HIT_BUDGET`` raises ValueError before its
+first draw; and the control per run, C = sum_j (W_j - mu min(K_j, cap)),
+has exact mean 0, min(K_j, cap) being a stopping time of sum j's rates
+and W_j the sum then, frozen while its run goes on.
 
 Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which it reads only
@@ -61,8 +63,8 @@ import numpy as np
 
 from mcastsim import analytic, schedulers
 
-# Mean hits (attempts, for a retransmission cycle) a run may need
-# by a lower bound: about a minute per row at tens of microseconds a round.
+# Mean hits (attempts, for a retransmission cycle) a run may need, by
+# Wald's identity: about a minute per row at tens of microseconds a round.
 _HIT_BUDGET = 2 ** 20
 
 __all__ = [
@@ -79,19 +81,20 @@ def _check_slots(slots) -> None:
         raise ValueError("queue count G C(N, N/alpha), or a mean slot count, is not a finite float")
 
 
-def _hit_needs(config: "SimConfig", width: int, target: float, rate_bound: float, what: str,
+def _hit_needs(config: "SimConfig", width: int, target: float, mean_rate: float,
                advance, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Hits, an int array of shape (config.iterations, width), until each
-    of a run's ``width`` sums reaches ``target``, and the sums at those
-    hits, a float array of that shape; ``advance(acc)`` returns the next
-    sums of the unfinished runs, a sum that has reached the target keeps
-    its value, and a sum still short after ``cap`` rounds reads cap + 1
-    and its value at the cap.  With ``rate_bound`` over a round's mean
-    gain, a lower bound min(cap, target / rate_bound) on the mean rounds
-    past ``_HIT_BUDGET`` raises ValueError, ``what`` formatted with it."""
-    bound = min(cap, target / rate_bound if rate_bound > 0 else math.inf)
+    of a run's ``width`` sums reaches ``target``, and each run's control,
+    a float array of shape (config.iterations,); ``advance(acc)`` returns
+    the next sums of the unfinished runs, each grown by a hit of mean
+    ``mean_rate``, a sum that has reached the target keeps its value, and
+    a sum still short after ``cap`` rounds reads cap + 1.  A row whose
+    min(cap, target / mean_rate) exceeds ``_HIT_BUDGET`` raises ValueError
+    (module docstring)."""
+    bound = min(cap, target / mean_rate if mean_rate > 0 else math.inf)
     if bound > _HIT_BUDGET:
-        raise ValueError(what.format(bound) + ", over the budget of 2**20")
+        raise ValueError(f"a run needs at least {bound:.3g} hits on average, "
+                         "min(cap, target / mean rate), over the budget of 2**20")
     needs = np.ones((config.iterations, width), dtype=np.int64)
     sums = np.empty(needs.shape)
     active, acc, rounds = np.arange(config.iterations), np.zeros(needs.shape), 0
@@ -105,7 +108,9 @@ def _hit_needs(config: "SimConfig", width: int, target: float, rate_bound: float
         sums[active] = acc
         keep = short.any(axis=1)
         active, acc = active[keep], acc[keep]
-    return needs, sums
+    # a sum short at the cap reads cap + 1 and has taken cap hits
+    taken = needs.sum(axis=1) - (needs > cap).sum(axis=1)
+    return needs, sums.sum(axis=1) - mean_rate * taken
 
 
 def _coupled_queue_delay(config: "SimConfig", rates, head=None) -> tuple[np.ndarray, np.ndarray]:
@@ -130,19 +135,13 @@ def _coupled_queue_delay(config: "SimConfig", rates, head=None) -> tuple[np.ndar
             head = None
         return acc + tc * drawn.reshape(acc.shape)
 
-    # a scheduled gain is at most the best of N G L unit exponentials, whose
-    # mean is H_{NGL} <= 1 + log(N G L); so E[rate] <= log1p(P H) (Jensen)
-    needs, sums = _hit_needs(
-        config, coupled, config.packet_nats,
-        tc * math.log1p(config.power * (1 + math.log(n * config.n_groups * config.antennas))),
-        "packet needs at least {:.3g} hits on average, S / (Tc log1p(P (1 + log(N G L))))",
-        advance)
+    law = (n, config.alpha, config.power, config.n_groups, config.antennas)
+    needs, control = _hit_needs(config, coupled, config.packet_nats,
+                                tc * analytic._rated_gain_moments(*law)[0], advance)
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
-    law = (n, config.alpha, config.power, config.n_groups, config.antennas)
-    mean_rate = tc * analytic._rated_gain_moments(*law)[0]
-    return slots, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
+    return slots, control
 
 
 def tagged_delay_static(config: "SimConfig", rng: np.random.Generator,
@@ -166,18 +165,14 @@ def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.
     the rate target, and fails when the attempt cap comes first.  Each
     attempt is one ``schedulers.ir_advance`` call on the unfinished cycles."""
     cap = config.attempt_cap or math.inf
-    # an attempt adds E[log1p(P g)] <= log1p(P) nats to each user (Jensen);
-    # a cap C below R / log1p(P) still leaves at least C / 2 on average (Markov)
-    name = "R / log1p(P)" if cap == math.inf else "min(cap, R / log1p(P))"
-    needs, sums = _hit_needs(
-        config, config.n_users, config.rate_target, math.log1p(config.power),
-        "rate target needs about {:.3g} attempts on average, " + name,
+    needs, control = _hit_needs(
+        config, config.n_users, config.rate_target,
+        analytic._rated_gain_moments(1, 1, config.power, 1, 1)[0],
         lambda acc: schedulers.ir_advance(acc, config, rng), cap)
-    decoded = needs.max(axis=1) <= cap
-    if config.attempt_cap:     # a user short at the cap has taken cap attempts
-        np.minimum(needs, config.attempt_cap, out=needs)
-    mean_rate = analytic._rated_gain_moments(1, 1, config.power, 1, 1)[0]
-    return needs.max(axis=1), decoded, sums.sum(axis=1) - mean_rate * needs.sum(axis=1)
+    attempts = needs.max(axis=1)
+    decoded = attempts <= cap
+    # a cycle short at the cap reads cap + 1 and has taken cap attempts
+    return attempts - ~decoded, decoded, control
 
 
 def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator,

@@ -96,7 +96,7 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     per slot and group (``channel.draw_interuser_gains``), besides a table
     of O(N^2) values built once per N up to N = 104.  A static config at
     alpha in {1, N} with one antenna draws the best of the G gains from
-    one closed form (``channel.draw_stratified_gains``)."""
+    one closed form (``channel.draw_extreme_gains``)."""
     n, power = config.n_users, config.power
     if config.family == "ir":
         return static_schedule(channel.draw_gains((count, n), rng), power)
@@ -105,7 +105,7 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     position = n - n // (config.alpha or 2) + 1
     if config.family == "static" and config.antennas == 1 and position in (1, n):
         return static_schedule(
-            channel.draw_stratified_gains(n, position, config.n_groups, count, rng), power)
+            channel.draw_extreme_gains(n, position, config.n_groups, count, rng), power)
     shape = (count, config.n_groups)
     gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
     if config.family == "coop":

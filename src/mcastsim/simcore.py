@@ -221,16 +221,14 @@ def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
 def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
     scheme) over config.iterations independent runs, with each run's Wald
-    control as a control variate.  The retransmission scheme reads the
-    cycles of its throughput, so both estimators and ``run_config`` report
-    the same delay.  The queue schemes draw the config.iterations slot
-    rates of ``estimate_throughput`` and hand them to the delay engine as
-    the head of its first round, which draws only the rest (none under
-    cooperation and at alpha = 1); their record also carries the
-    throughput of those slots, bit for bit ``estimate_throughput``'s."""
+    control as a control variate.  The record also carries the throughput
+    of the same draws, bit for bit ``estimate_throughput``'s: the
+    retransmission scheme's cycles give both, and the queue schemes draw
+    the config.iterations slot rates of ``estimate_throughput`` and hand
+    them to the delay engine as the head of its first round, which draws
+    only the rest (none under cooperation and at alpha = 1)."""
     if config.family == "ir":
-        record = _ir_estimates(config)
-        return MetricsRecord(delay_mean=record.delay_mean, delay_se=record.delay_se)
+        return _ir_estimates(config)
     rng = _rng_for(config.seed)
     # the throughput integrates the rated-gain law, whose cached first
     # moment the engine's control reads

@@ -55,7 +55,7 @@ def test_stratified_gain_is_the_best_of_groups_law(n, position, groups):
     # the closed form is the law of the per-group draw followed by the
     # best of G, and the order-statistic CDF to the power G
     seed = 60 + n + position + groups
-    drawn = channel.draw_stratified_gains(n, position, groups, 20000, np.random.default_rng(seed))
+    drawn = channel.draw_extreme_gains(n, position, groups, 20000, np.random.default_rng(seed))
     reference = channel.draw_scheduled_gains(
         n, position, (20000, groups), 1, np.random.default_rng(seed + 1)).max(axis=-1)
     assert same_law_p_value(drawn, reference) >= 0.01
@@ -78,7 +78,7 @@ def test_stratified_gain_is_finite_at_both_ends_of_the_uniform(n, position, grou
     # U = 0 is the least gain, 0, without a divide warning (which the test
     # settings turn into an error); the largest uniform below 1 gives a
     # finite gain
-    drawn = channel.draw_stratified_gains(n, position, groups, 2, _Uniforms([0.0, 1 - 2 ** -53]))
+    drawn = channel.draw_extreme_gains(n, position, groups, 2, _Uniforms([0.0, 1 - 2 ** -53]))
     assert drawn[0] == 0.0 and 0 < drawn[1] < math.inf
 
 

@@ -250,10 +250,11 @@ def test_run_at_high_power_reports_the_quadrature(tmp_path):
 
 
 def test_run_rejects_packet_that_cannot_drain(tmp_path, capsys):
-    # S / (Tc log1p(P (1 + log 2))) hits at least: 1e12 nats would run for
-    # hours and 1e300 forever, so both exit 1 before the first hit
+    # S / (Tc E[R]) hits at least, E[R] = e^2 E1(2) = 0.361 nats at N = 2:
+    # 1e12 nats would run for hours and 1e300 forever, so both exit 1
+    # before the first hit
     out = tmp_path / "x.csv"
-    for packet_nats, hits in (("1e12", "1.01e+12"), ("1e300", "1.01e+300")):
+    for packet_nats, hits in (("1e12", "2.77e+12"), ("1e300", "2.77e+300")):
         start = time.perf_counter()
         code = cli.main(["run", "--scheme", "static", "--alpha", "1", "--n-users", "2",
                          "--iterations", "10", "--packet-nats", packet_nats, "--out", str(out)])

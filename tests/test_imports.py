@@ -60,6 +60,23 @@ print('numpy.ma' in sys.modules)
     assert _run_python(code).splitlines()[-1] == "False"
 
 
+def test_import_recipe_run_and_verify_leave_numpy_fft_unloaded(tmp_path):
+    # the renewal kernel convolves directly; numpy.fft costs about 0.3 MB
+    # of resident memory once loaded
+    code = f"""
+import sys
+from mcastsim import cli
+loaded = ['numpy.fft' in sys.modules]
+assert cli.main(["run", "--recipe", "fig-compt", "--iterations", "50",
+                 "--out", {str(tmp_path / "rows.csv")!r}]) == 0
+loaded.append('numpy.fft' in sys.modules)
+assert all(result.passed for result in cli.run_verification())
+loaded.append('numpy.fft' in sys.modules)
+print(loaded)
+"""
+    assert _run_python(code).splitlines()[-1] == "[False, False, False]"
+
+
 def test_imports_sit_at_module_level():
     for path in sorted((SRC / "mcastsim").glob("*.py")):
         top = ast.parse(path.read_text())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from mcastsim import analytic, queueing, simcore
 from mcastsim.channel import CoherencePolicy
@@ -12,9 +12,11 @@ from mcastsim.simcore import SimConfig
 
 from oracles import (
     ServiceLaw,
+    chisquare_cdf,
     coop_rate_cdf,
     coop_throughput,
     coupon_reference,
+    expected_log1p_reference,
     ir_expected_attempts,
     matrix_coop_rates,
     renewal_expected_hits,
@@ -304,6 +306,21 @@ def test_delay_engines_reject_non_finite_sizes(packet_nats, coherence_interval):
                     packet_nats=packet_nats, **settings)
 
 
+class _FirstDraw(Exception):
+    pass
+
+
+class _FirstDrawRng:
+    """A generator stand-in that stops the row at its first draw: a config
+    under the budget goes on to draw, one over it must raise before."""
+
+    def __getattr__(self, name):
+        raise _FirstDraw
+
+
+_BUDGET_MESSAGE = r"hits on average, min\(cap, target / mean rate\), over the budget of 2\*\*20"
+
+
 @pytest.mark.parametrize("engine, power, packet_nats", [
     ("coop", 1e-300, 1.0), ("static", 1.0, 1e300), ("static", 1.0, 1e17),
 ])
@@ -311,7 +328,7 @@ def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_
     # far past the 2**20 hit budget, and past 2**53 hits too, where float64
     # could not even register a hit's drain.  No generator: the check must
     # come before any draw.
-    with pytest.raises(ValueError, match=r"hits on average, S / \(Tc log1p"):
+    with pytest.raises(ValueError, match=_BUDGET_MESSAGE):
         if engine == "coop":
             queueing.tagged_delay_coop(_config("coop", 2, power=power, packet_nats=packet_nats), None)
         else:
@@ -320,44 +337,57 @@ def test_delay_engines_reject_packets_past_2_53_mean_hits(engine, power, packet_
 
 
 def test_delay_bound_counts_antennas():
-    # N G L = 6 * 1 * 4 at P = 1: 1.7e6 nats need at least
-    # 1.7e6 / log1p(1 + log 24) = 1.03e6 hits, under the 2**20 budget;
-    # with one antenna the bound is 1.7e6 / log1p(1 + log 6) = 1.28e6
-    # a config under the budget goes on to draw, which the sentinel stops
-    class FirstDraw(Exception):
-        pass
-
-    def first_draw(count):
-        raise FirstDraw
+    # static alpha = 1 at N = 6, P = 1: a hit adds Tc E[log(1 + X)], X the
+    # least of six gains, each the mean of L unit exponentials, so 2**20
+    # such means of nats sit at the budget, and the threshold moves with L
+    # and with Tc
+    def mean_rate(antennas):
+        return expected_log1p_reference(
+            1.0, lambda x: 1 - (1 - chisquare_cdf(antennas, x)) ** 6)
 
     def budget(antennas, packet_nats, coherence_interval):
-        with pytest.raises(FirstDraw):
-            queueing._coupled_queue_delay(_config(
-                "static", 6, coherence_interval=coherence_interval, alpha=1,
-                antennas=antennas, packet_nats=packet_nats), first_draw)
+        queueing.tagged_delay_static(_config(
+            "static", 6, coherence_interval=coherence_interval, alpha=1,
+            antennas=antennas, packet_nats=packet_nats), _FirstDrawRng())
 
-    budget(4, 1.7e6, 1.0)
-    with pytest.raises(ValueError, match=r"at least 1.28e\+06 hits .* budget of 2\*\*20"):
-        budget(1, 1.7e6, 1.0)
+    one, four = 2 ** 20 * mean_rate(1), 2 ** 20 * mean_rate(4)
+    for antennas, nats in ((1, one), (4, four)):
+        with pytest.raises(_FirstDraw):
+            budget(antennas, 0.99 * nats, 1.0)
+        with pytest.raises(ValueError, match=r"at least 1.06e\+06 hits .* budget of 2\*\*20"):
+            budget(antennas, 1.01 * nats, 1.0)
+    # four antennas take a packet one antenna cannot
+    with pytest.raises(_FirstDraw):
+        budget(4, 1.01 * one, 1.0)
     # the coherence interval scales the budget: half as long, twice the hits
-    budget(4, 0.85e6, 0.5)
+    with pytest.raises(_FirstDraw):
+        budget(4, 0.99 * four / 2, 0.5)
     with pytest.raises(ValueError, match="budget"):
-        budget(4, 0.9e6, 0.5)
+        budget(4, 1.01 * four / 2, 0.5)
 
 
 def test_delay_budget_holds_when_its_rate_bound_underflows():
-    # Tc log1p(P (1 + log 2)) rounds to 0 at Tc = P = 1e-200: no bound on
-    # the rate is no bound on the hits, and the budget rejects the packet
+    # Tc E[R] rounds to 0 at Tc = P = 1e-200: no mean rate is no bound on
+    # the hits, and the budget rejects the packet
     config = _config("static", 2, coherence_interval=1e-200, alpha=1, power=1e-200)
     with pytest.raises(ValueError, match=r"at least inf hits on average"):
         queueing.tagged_delay_static(config, None)
+
+
+def test_delay_budget_rejects_a_row_by_its_mean_rate():
+    # static alpha = 1, N = 64, P = 1: a hit adds E[log(1 + Z / 64)] =
+    # e^64 E1(64) = 0.0154 nats, so 2e5 nats need 1.3e7 hits on average,
+    # though log1p(1 + log 64) would have bounded them by 1.1e5 only
+    config = _config("static", 64, alpha=1, packet_nats=2e5, iterations=10)
+    with pytest.raises(ValueError, match=r"at least 1.3e\+07 hits on average"):
+        queueing.tagged_delay_static(config, _FirstDrawRng())
 
 
 @pytest.mark.parametrize("power, rate_target", [(1.0, 1e300), (1e-300, 1.0)])
 def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
     # uncapped, and no generator: the check must come before any draw
     config = _config("ir", 2, power=power, rate_target=rate_target)
-    with pytest.raises(ValueError, match=r"attempts on average, R / log1p\(P\), over the budget"):
+    with pytest.raises(ValueError, match=_BUDGET_MESSAGE):
         queueing.ir_renewal_cycle(config, None)
     # a cap ends every cycle, so the same target runs
     attempts, decoded, _ = queueing.ir_renewal_cycle(
@@ -366,21 +396,53 @@ def test_ir_rejects_targets_past_2_53_mean_attempts(power, rate_target):
 
 
 def test_ir_attempt_budget_is_2_20_lower_bound_attempts():
-    # R / log1p(P) attempts at least: 2**20 log 2 nats at P = 1 sit at the
-    # budget, and 1 % more is rejected
-    budget = 2 ** 20 * math.log(2.0)
-    with pytest.raises(ValueError, match=r"1.06e\+06 attempts"):
+    # an attempt adds E[log(1 + g)] = e E1(1) nats to each user at P = 1:
+    # 2**20 of them sit at the budget, 1 % less runs and 1 % more is rejected
+    budget = 2 ** 20 * math.e * special.exp1(1.0)
+    with pytest.raises(_FirstDraw):
+        queueing.ir_renewal_cycle(_config("ir", 2, rate_target=0.99 * budget), _FirstDrawRng())
+    with pytest.raises(ValueError, match=r"1.06e\+06 hits on average"):
         queueing.ir_renewal_cycle(_config("ir", 2, rate_target=1.01 * budget), None)
     # a cap past the budget does not waive it
     capped = _config("ir", 2, rate_target=1e12, attempt_cap=2 ** 21)
-    with pytest.raises(ValueError, match=r"2.1e\+06 attempts on average, min\(cap, R / log1p\(P\)\)"):
+    with pytest.raises(ValueError, match=r"2.1e\+06 hits on average, min\(cap, target / mean rate\)"):
         queueing.ir_renewal_cycle(capped, None)
-    # at P = 0 the bound would divide by zero: no config carries it
+    # at P = 0 the mean rate would be 0: no config carries it
     with pytest.raises(ValueError, match="power"):
         _config("ir", 2, power=0.0, rate_target=1.0)
     attempts, *_ = queueing.ir_renewal_cycle(
         _config("ir", 2, rate_target=1.0, attempt_cap=1), np.random.default_rng(0))
     assert attempts.tolist() == [1]
+
+
+@pytest.mark.parametrize("scheme, settings, mean_rate", [
+    ("static", dict(alpha=1), lambda n: throughput_reference(n, 1, 1.0) / n),
+    ("static", dict(alpha=2), lambda n: throughput_reference(n, 2, 1.0) / (n / 2)),
+    ("coop", {}, lambda n: coop_throughput(n, 1, 1.0) / (n / 2)),
+    ("ir", dict(rate_target=1.0),
+     lambda n: expected_log1p_reference(1.0, lambda x: -math.expm1(-x))),
+], ids=["static-1", "static-2", "coop", "ir"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_mean_need_is_at_least_target_over_mean_rate(monkeypatch, scheme, settings, mean_rate, n):
+    # Wald's identity, on which the hit budget rests: each sum grows by
+    # hits of mean mu, so its need K of the target has E[K] >= target / mu,
+    # here at recipe sizes (Tc = 1, P = 1, S = 1 nat, 500 runs)
+    seen = []
+    real = queueing._hit_needs
+
+    def spy(config, width, target, rate, advance, cap=math.inf):
+        needs, control = real(config, width, target, rate, advance, cap)
+        seen.append((needs, target, rate))
+        return needs, control
+
+    monkeypatch.setattr(queueing, "_hit_needs", spy)
+    simcore.run_config(_config(scheme, n, iterations=500, seed=3500 + n, **settings))
+    (needs, target, rate), = seen
+    mu = mean_rate(n)
+    assert rate == pytest.approx(mu, rel=1e-9)
+    per_run = needs.mean(axis=1)
+    se = per_run.std(ddof=1) / math.sqrt(per_run.size)
+    assert per_run.mean() >= target / mu - 4.5 * se
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_extreme_static_rates_are_one_stratum_of_the_best_gain_draw(alpha, group
     n, count, seed = 12, 500, 530 + alpha + groups
     config = _config("static", n, groups, alpha=alpha, power=2.0)
     rates = schedulers.slot_rates(config, count, np.random.default_rng(seed))
-    gains = channel.draw_stratified_gains(
+    gains = channel.draw_extreme_gains(
         n, 1 if alpha == 1 else n, groups, count, np.random.default_rng(seed))
     assert rates.shape == (count,)
     assert np.array_equal(rates, schedulers.static_schedule(gains, 2.0))

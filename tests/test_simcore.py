@@ -508,10 +508,12 @@ def test_ir_row_runs_one_set_of_cycles(monkeypatch, cap):
                     iterations=300, seed=2032)
     record = simcore.run_config(cfg)
     assert calls == [cfg]
-    # the public delay estimator reports the row's delay fields bit for bit
+    # the public delay estimator reports the row's fields bit for bit,
+    # throughput included: both come from the one set of cycles
     delay = simcore.estimate_delay(cfg)
     assert (delay.delay_mean, delay.delay_se) == (record.delay_mean, record.delay_se)
-    assert delay.throughput_mean is None
+    assert (delay.throughput_mean, delay.throughput_se) == (
+        record.throughput_mean, record.throughput_se)
 
 
 def test_ir_capped_single_attempt():
