@@ -23,16 +23,17 @@ e^x E1(x) terms, which cancels catastrophically in double precision once
 systems get moderately large; it is taken over exact integer
 coefficients in fixed-point integers, at a scale read from their sum,
 with e^x E1(x) from its continued fraction where x is large and from
-mpmath's Ei below, and serves as the oracle for the quadrature
-evaluator.  Everything returned is an ordinary float, except the
-per-run coupon-collector means, a float array.
+its power series below, gamma and the logarithms in the same integers,
+and serves as the oracle for the quadrature evaluator.  Everything
+returned is an ordinary float, except the coupon-collector means, a
+float array from the integral and a list from the Markov chain, one per
+need row.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -65,12 +66,17 @@ _ALTERNATING_SUM_CAP = 256
 # The closed form sums terms scaled by 2^bits, bits being _E1_GUARD_BITS
 # beyond those of sum |c_a| and of 1 + N/P: the sum is at least P/(N + P), so
 # its error is a few 2^-64 of it.  Terms with x >= bits/_E1_CROSSOVER take
-# the continued fraction, which is faster than mpmath's Ei there at every
-# scale up to the cap (the two break even near x = (bits - 50)/17); it is cut
-# where its error is about e^-_E1_MARGIN units of 2^-bits.
+# the continued fraction, cut where its error is about e^-_E1_MARGIN units of
+# 2^-bits, and the rest the power series.  The two cost the same near
+# x = bits/16 where P's ratio has small terms (P = 1 or 10) and near bits/10
+# where they have 52 bits (P = 0.1), as the fraction's integers grow by those
+# bits a level; the crossover lies between.
 _E1_GUARD_BITS = 64
-_E1_CROSSOVER = 16
+_E1_CROSSOVER = 12
 _E1_MARGIN = 4.0
+# The series takes gamma and ln 2 from one precision computed once per
+# process, which covers every series term up to the cap (at most 530 bits).
+_CONSTANT_BITS = 600
 
 
 class UnsupportedSizeError(ValueError):
@@ -523,19 +529,100 @@ def _exp_e1_depth(x: float, bits: int) -> int:
 def _scaled_exp_e1(num: int, den: int, bits: int, depth: int) -> int:
     """e^x E1(x) at x = num/den, times 2^bits, within about one unit, by the
     continued fraction 1/(x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))) cut at
-    ``depth`` (Abramowitz & Stegun 5.1.22, contracted), taken from the
-    bottom up in integers: t <- k^2/(x + 2k + 1 - t), then 1/(x + 1 - t).
+    ``depth`` (Abramowitz & Stegun 5.1.22, contracted), its convergent A/B
+    by the forward three-term recurrence in exact integers, each level
+    scaled by den, and floored by one division at the end."""
+    den2 = den * den
+    a_prev, a, b_prev, b = 0, 1, 1, num + den
+    for k in range(1, depth + 1):
+        part, step = k * k * den2, num + (2 * k + 1) * den
+        a_prev, a = a, step * a - part * a_prev
+        b_prev, b = b, step * b - part * b_prev
+    return (a * den << bits) // b
 
-    ``w`` is den t and ``d`` is den (x + 2k + 1), both times 2^bits.
-    """
-    scale = (den * den) << (2 * bits)
-    step = (2 * den) << bits
-    d = ((num + den) << bits) + depth * step
-    w = 0
-    for k in range(depth, 0, -1):
-        w = k * k * scale // (d - w)
-        d -= step
-    return (den << (2 * bits)) // (d - w)
+
+def _atanh(num: int, den: int, bits: int) -> int:
+    """atanh(num/den) times 2^bits for 0 <= |num| < den, from its Taylor
+    series, within a unit per term."""
+    power = (abs(num) << bits) // den
+    total, num2, den2, k = power, num * num, den * den, 1
+    while power:
+        power = power * num2 // den2
+        k += 2
+        total += power // k
+    return total if num >= 0 else -total
+
+
+def _log_ratio(num: int, den: int, bits: int, ln2: int) -> int:
+    """ln(num/den) times 2^bits for positive integers, ``ln2`` being ln 2 at
+    the same scale: e ln 2 + 2 atanh((m - d)/(m + d)) for num/den = 2^e m/d
+    with m/d within a factor sqrt(2) of 1, so that each term of the series
+    gains at least 5 bits.  Its error is below bits/2 + |e|/2 + 2 units,
+    which the caller's guard bits absorb."""
+    shift = num.bit_length() - den.bit_length()
+    if shift > 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    if 2 * num * num < den * den:
+        num, shift = 2 * num, shift - 1
+    elif num * num > 2 * den * den:
+        den, shift = 2 * den, shift + 1
+    return shift * ln2 + 2 * _atanh(num - den, num + den, bits)
+
+
+def _gamma_ln2(bits: int) -> tuple[int, int]:
+    """Euler's gamma and ln 2 times 2^bits, within a unit: ln 2 = 2 atanh(1/3),
+    and gamma by Brent & McMillan (Math. Comp. 34, 1980) as U/V with
+    V = sum_k b_k, b_k = (n^k/k!)^2, and U = sum_k b_k (H_k - ln n), whose
+    error is below e^-4n; U's terms follow a_k = (a_{k-1} n^2/k + b_k)/k."""
+    work = bits + 16
+    ln2 = 2 * _atanh(1, 3, work)
+    n = math.ceil(work * math.log(2) / 4) + 1
+    a = -_log_ratio(n, 1, work, ln2)
+    b, u, v, k = 1 << work, a, 1 << work, 0
+    while a or b:
+        k += 1
+        b = b * n * n // (k * k)
+        a = (a * n * n // k + b) // k
+        u, v = u + a, v + b
+    return ((u << work) // v + (1 << 15)) >> 16, (ln2 + (1 << 15)) >> 16
+
+
+@lru_cache(maxsize=1)
+def _cached_gamma_ln2() -> tuple[int, int]:
+    return _gamma_ln2(_CONSTANT_BITS)
+
+
+def _constants(bits: int) -> tuple[int, int]:
+    """gamma and ln 2 times 2^bits: rounded from the one precision cached per
+    process up to _CONSTANT_BITS, computed afresh above it."""
+    if bits > _CONSTANT_BITS:
+        return _gamma_ln2(bits)
+    shift = _CONSTANT_BITS - bits
+    return tuple((c + (1 << shift >> 1)) >> shift for c in _cached_gamma_ln2())
+
+
+def _series_exp_e1(num: int, den: int, bits: int) -> int:
+    """e^x E1(x) at x = num/den, times 2^bits, within about one unit, from
+    sum_{n>=0} t_n (H_n - gamma - ln x), t_n = x^n/n!, which is e^x times
+    Abramowitz & Stegun 5.1.11.  The sum cancels from terms near e^x down
+    to a value near 1/(1 + x), so it is taken in fixed point with that many
+    guard bits: the t_n forward, then sum_n t_n H_n = sum_k (1/k) sum_{n>=k} t_n
+    from the tail sums backward, and the constant's factor is one product."""
+    guard = math.ceil(num / den / math.log(2)) + 2 * (num // den + 2).bit_length() + 16
+    work = bits + guard
+    gamma, ln2 = _constants(work)
+    terms = [1 << work]
+    while terms[-1]:
+        terms.append(terms[-1] * num // (den * len(terms)))
+    tail = weighted = 0
+    for k in range(len(terms) - 1, 0, -1):
+        tail += terms[k]
+        weighted += tail // k
+    total = tail + terms[0]
+    value = weighted - ((gamma + _log_ratio(num, den, work, ln2)) * total >> work)
+    return (value + (1 << (guard - 1))) >> guard
 
 
 def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> float:
@@ -567,16 +654,11 @@ def static_throughput_closed_form(n_users: int, alpha: int, power: float) -> flo
     bits = (sum(abs(c) for _, c in terms).bit_length() + _E1_GUARD_BITS
             + (n_users * q // p + 1).bit_length())
     total = 0
-    # e^x E1(x) < 2^10 at any x = a/P with P a finite double, so 16 bits over
-    # the scale leave each rounded mpmath term within a unit
-    with mpmath.workprec(bits + 16):
-        for a, c in terms:
-            if _E1_CROSSOVER * a * q >= bits * p:
-                term = _scaled_exp_e1(a * q, p, bits, _exp_e1_depth(a / power, bits))
-            else:
-                x = mpmath.mpf(a) / power
-                term = int(mpmath.nint(mpmath.ldexp(-mpmath.exp(x) * mpmath.ei(-x), bits)))
-            total += c * term
+    for a, c in terms:
+        if _E1_CROSSOVER * a * q >= bits * p:
+            total += c * _scaled_exp_e1(a * q, p, bits, _exp_e1_depth(a / power, bits))
+        else:
+            total += c * _series_exp_e1(a * q, p, bits)
     return -total * n_users / (alpha << bits)
 
 
@@ -730,30 +812,32 @@ def _poisson_log_sf(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
     return logs
 
 
-def coupon_collector_markov(total_queues: int, needs) -> float:
+def coupon_collector_markov(total_queues: int, needs) -> list[float]:
     """Exact expected picks over ``total_queues`` queues until coupled queue
-    j has been picked needs[j] times, from the absorbing chain over
-    remaining-service vectors.  State count is prod_j (needs[j] + 1), so
-    this is a cross-check for small instances, not a production path."""
-    needs = tuple(sorted(needs))
-    if not needs or total_queues < len(needs) or needs[0] < 1:
+    j has been picked needs[i][j] times, for each row i of ``needs``, from
+    the absorbing chain over remaining-service vectors.  Queues are
+    exchangeable, so a state is its sorted remaining needs with zeros
+    dropped, and the rows share one chain, memoised within the call.  Its
+    states are the sub-multisets of the rows, so this is a cross-check for
+    small instances, not a production path."""
+    rows = [tuple(sorted(row)) for row in needs]
+    if any(not row or total_queues < len(row) or row[0] < 1 for row in rows):
         raise ValueError("invalid coupon-collector instance")
+    memo = {(): 0.0}
 
-    @lru_cache(maxsize=None)
     def expected(state: tuple) -> float:
-        active = [i for i, r in enumerate(state) if r > 0]
-        if not active:
-            return 0.0
-        hit_sum = sum(
-            expected(state[:i] + (state[i] - 1,) + state[i + 1:]) for i in active
-        )
-        # E = 1 + (1/Q) sum_active E(next) + (1 - |active|/Q) E, solved for E
-        return (1.0 + hit_sum / total_queues) / (len(active) / total_queues)
+        if state not in memo:
+            # a hit on any queue of a run of equal needs leads to the state
+            # with the run's first need decremented, which stays sorted
+            hit_sum = 0.0
+            for need in state:
+                j = state.index(need)
+                hit_sum += expected(state[:j] + (need - 1,) * (need > 1) + state[j + 1:])
+            # E = 1 + (1/Q) sum_active E(next) + (1 - |active|/Q) E, solved for E
+            memo[state] = (1.0 + hit_sum / total_queues) / (len(state) / total_queues)
+        return memo[state]
 
-    try:
-        return expected(needs)
-    finally:
-        expected.cache_clear()
+    return [expected(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

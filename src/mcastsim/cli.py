@@ -297,8 +297,8 @@ def _check_coupon() -> tuple[bool, str]:
             # every sorted need vector over {1, 2, 3}, in one evaluator call
             needs = list(itertools.combinations_with_replacement((1, 2, 3), coupled))
             integrals = analytic.coupon_collector_expected_picks(q, needs).tolist()
-            for row, integral in zip(needs, integrals):
-                exact = analytic.coupon_collector_markov(q, row)
+            exacts = analytic.coupon_collector_markov(q, needs)
+            for integral, exact in zip(integrals, exacts):
                 worst = max(worst, abs(integral - exact) / exact)
     return worst <= 1e-10, f"max rel deviation {worst:.3e} (tol 1e-10)"
 

@@ -150,9 +150,9 @@ def test_criterion_5_coupon_collector():
         for coupled in (1, 2, 3):
             if coupled > q:
                 continue
-            for m in (1, 2, 3):
-                integral = analytic.coupon_collector_expected_picks(q, [[m] * coupled])[0]
-                exact = analytic.coupon_collector_markov(q, (m,) * coupled)
+            needs = [[m] * coupled for m in (1, 2, 3)]
+            integrals = analytic.coupon_collector_expected_picks(q, needs)
+            for integral, exact in zip(integrals, analytic.coupon_collector_markov(q, needs)):
                 worst_oracle = max(worst_oracle, abs(integral - exact) / exact)
 
     worst_sim, worst_case = 0.0, ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -386,11 +387,11 @@ def test_closed_form_is_the_mpmath_sum(cases):
 def test_scaled_exp_e1_holds_to_a_unit_from_the_crossover_up(bits):
     # the scales the closed form uses run from 66 bits (alpha = 1) to about
     # 470 at the cap, and past 1000 at P below 1e-300.  From the crossover,
-    # x = bits/16, the depth must hold both where it is large against x and
-    # where x reaches or passes it (4 sqrt(n x) = bits log 2 stops short
-    # there); den = 3602879701896397 makes x = a/P at P = 0.1
+    # x = bits/_E1_CROSSOVER, the depth must hold both where it is large
+    # against x and where x reaches or passes it (4 sqrt(n x) = bits log 2
+    # stops short there); den = 3602879701896397 makes x = a/P at P = 0.1
     for den in (1, 3602879701896397):
-        for x in np.geomspace(bits / 16, 2e4, 40):
+        for x in np.geomspace(bits / analytic._E1_CROSSOVER, 2e4, 40):
             num = math.ceil(x * den)
             value = analytic._scaled_exp_e1(num, den, bits, analytic._exp_e1_depth(num / den, bits))
             with mpmath.workdps(40 + math.ceil(bits * math.log10(2))):
@@ -401,13 +402,56 @@ def test_scaled_exp_e1_holds_to_a_unit_from_the_crossover_up(bits):
 
 def test_closed_form_takes_the_continued_fraction_at_n_200(monkeypatch):
     # at N = 200, alpha = 2, P = 1, x = a/P runs from 100 to 200, all above
-    # the crossover, so no term reaches mpmath's exponential integrals
+    # the crossover, so no term reaches the power series
     def refuse(*args, **kwargs):
-        raise AssertionError("mpmath's exponential integral was called")
+        raise AssertionError("the power series of e^x E1(x) was called")
 
-    monkeypatch.setattr(mpmath, "ei", refuse)
-    monkeypatch.setattr(mpmath, "e1", refuse)
+    monkeypatch.setattr(analytic, "_series_exp_e1", refuse)
     assert analytic.static_throughput_closed_form(200, 2, 1.0) == 53.0140179546242
+
+
+def _mpmath_scaled(value, bits: int) -> int:
+    return int(mpmath.nint(mpmath.ldexp(value, bits)))
+
+
+@pytest.mark.parametrize("bits", [64, 66, 200, 470, 600, 601, 1100])
+def test_gamma_ln2_and_integer_logs_hold_to_a_unit(bits):
+    # below and above the cached precision, 600 bits; a logarithm's own
+    # error is absorbed by guard bits, as in the series
+    gamma, ln2 = analytic._constants(bits)
+    _, guarded_ln2 = analytic._constants(bits + 16)
+    with mpmath.workprec(bits + 40):
+        assert abs(gamma - _mpmath_scaled(mpmath.euler, bits)) <= 1
+        assert abs(ln2 - _mpmath_scaled(mpmath.ln2, bits)) <= 1
+        for m in (1, 2, 3, 5, 7, 10, 100, 12345, 2 ** 53 - 1, 3602879701896397, 10 ** 60):
+            log = (analytic._log_ratio(m, 1, bits + 16, guarded_ln2) + (1 << 15)) >> 16
+            assert abs(log - _mpmath_scaled(mpmath.log(m), bits)) <= 1, m
+
+
+def test_constants_do_not_depend_on_the_first_precision_asked():
+    # one cached precision: whichever call comes first, each scale reads
+    # the same integers
+    scales = (64, 333, 600, 700)
+    readings = []
+    for first in scales:
+        analytic._cached_gamma_ln2.cache_clear()
+        analytic._constants(first)
+        readings.append([analytic._constants(bits) for bits in scales])
+    assert all(reading == readings[0] for reading in readings)
+
+
+@pytest.mark.parametrize("bits", [66, 200, 470, 1100])
+def test_series_exp_e1_holds_to_a_unit_up_to_the_crossover(bits):
+    # x from 1e-60 (P = 1e60) up to the crossover, where the fraction takes
+    # over; den = 3602879701896397 makes x = a/P at P = 0.1
+    for den in (1, 3602879701896397):
+        for x in np.geomspace(1e-60, bits / analytic._E1_CROSSOVER, 40):
+            num = math.ceil(x * den)
+            value = analytic._series_exp_e1(num, den, bits)
+            with mpmath.workdps(40 + math.ceil(bits * math.log10(2))):
+                z = mpmath.mpf(num) / den
+                exact = mpmath.ldexp(mpmath.exp(z) * mpmath.e1(z), bits)
+            assert abs(value - exact) < 1, (den, num / den)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 32, 64, 128, 500, 1000])
@@ -591,12 +635,23 @@ def test_coupon_matches_markov_oracle():
         for coupled in (1, 2, 3):
             if coupled > q:
                 continue
-            for m in (1, 2, 3, 4):
-                integral = analytic.coupon_collector_expected_picks(q, [[m] * coupled])[0]
-                markov = analytic.coupon_collector_markov(q, (m,) * coupled)
+            needs = [[m] * coupled for m in (1, 2, 3, 4)]
+            integrals = analytic.coupon_collector_expected_picks(q, needs)
+            markovs = analytic.coupon_collector_markov(q, needs)
+            for m, integral, markov in zip((1, 2, 3, 4), integrals, markovs):
                 linear = coupon_reference(q, coupled, m)
                 assert integral == pytest.approx(markov, rel=1e-10)
                 assert markov == pytest.approx(linear, rel=1e-10)
+
+
+def test_markov_chain_holds_unequal_needs_to_the_linear_system():
+    # every unequal need triple up to 5, each row in any order, in one call
+    # per queue count: the canonical chain against the full linear system
+    triples = [row for row in itertools.product(range(1, 6), repeat=3) if len(set(row)) > 1]
+    for q in (3, 4, 7):
+        markovs = analytic.coupon_collector_markov(q, triples)
+        for row, markov in zip(triples, markovs):
+            assert markov == pytest.approx(coupon_reference(q, 3, row), rel=1e-13), (q, row)
 
 
 def test_coupon_rejects_bad_instances():
@@ -606,7 +661,7 @@ def test_coupon_rejects_bad_instances():
         analytic.coupon_collector_expected_picks(2, [[0, 0]])
     for needs in ((1, 1, 1), (), (2, 0)):
         with pytest.raises(ValueError):
-            analytic.coupon_collector_markov(2, needs)
+            analytic.coupon_collector_markov(2, [needs])
 
 
 # ---------------------------------------------------------------------------

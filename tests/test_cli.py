@@ -5,7 +5,6 @@ import re
 import tempfile
 import time
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -487,11 +486,13 @@ def test_verification_flags_corrupted_quadrature(monkeypatch, capsys):
 
 def test_verification_flags_ei_zeroed_in_the_tail(monkeypatch):
     # Ei(-a/P) is under 2e-8 in magnitude from a/P = 15 on; the closed form
-    # takes e^(a/P) E1(a/P) = -e^(a/P) Ei(-a/P) from mpmath's Ei below its
-    # crossover and from the continued fraction above, so both are zeroed
-    # there, and the check holds the sum to the quadrature at a/P up to 320
-    real_ei, real_fraction = mpmath.ei, analytic._scaled_exp_e1
-    monkeypatch.setattr(mpmath, "ei", lambda x: mpmath.mpf(0) if x < -15 else real_ei(x))
+    # takes e^(a/P) E1(a/P) = -e^(a/P) Ei(-a/P) from the power series below
+    # its crossover and from the continued fraction above, so both are
+    # zeroed there, and the check holds the sum to the quadrature at a/P up
+    # to 320
+    real_series, real_fraction = analytic._series_exp_e1, analytic._scaled_exp_e1
+    monkeypatch.setattr(analytic, "_series_exp_e1", lambda num, den, *args: (
+        0 if num > 15 * den else real_series(num, den, *args)))
     monkeypatch.setattr(analytic, "_scaled_exp_e1", lambda num, den, *args: (
         0 if num > 15 * den else real_fraction(num, den, *args)))
     passed, detail = cli._check_closedform()

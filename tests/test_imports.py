@@ -3,7 +3,7 @@
 Start-up time is dominated by imports, so scipy must stay off the import
 path, and no module may defer an import into a function body, where it
 would only move the cost into the first call.  The package runs without
-scipy at all: the tests keep it only as an oracle.
+scipy and mpmath at all: the tests keep them only as oracles.
 """
 import ast
 import os
@@ -45,6 +45,37 @@ assert cli.main(["run", "--scheme", "coop", "--n-users", "108", "--iterations", 
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     assert _run_python(code).splitlines()[-1] == "['scipy']"
+
+
+def test_import_recipe_run_and_verify_leave_mpmath_unloaded(tmp_path):
+    # the exact oracles compute in plain integers; importing mpmath costs
+    # about 30 ms of start-up
+    code = f"""
+import sys
+from mcastsim import cli
+loaded = ['mpmath' in sys.modules]
+assert cli.main(["run", "--recipe", "fig-compt", "--iterations", "50",
+                 "--out", {str(tmp_path / "rows.csv")!r}]) == 0
+loaded.append('mpmath' in sys.modules)
+assert all(result.passed for result in cli.run_verification())
+loaded.append('mpmath' in sys.modules)
+print(loaded)
+"""
+    assert _run_python(code).splitlines()[-1] == "[False, False, False]"
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    # an import of mpmath anywhere raises ImportError here
+    code = f"""
+import sys
+sys.modules["mpmath"] = None
+from mcastsim import cli
+assert cli.main(["verify"]) == 0
+assert cli.main(["run", "--recipe", "fig-compt", "--iterations", "50",
+                 "--out", {str(tmp_path / "rows.csv")!r}]) == 0
+print(sys.modules["mpmath"])
+"""
+    assert _run_python(code).splitlines()[-1] == "None"
 
 
 def test_recipe_run_leaves_numpy_ma_unloaded(tmp_path):
