@@ -24,14 +24,15 @@ that of its needs: a row whose runs all need the same hits reports SE 0.
 A queue count or a mean slot count that is not a finite float raises
 ValueError.
 
-Every hit adds an i.i.d. rate of one known mean, mu = Tc E[R]
-(``analytic._rated_gain_moments``; one user's law at Tc = 1 for a
-retransmission cycle), which ``_hit_needs`` uses twice.  By Wald's
-identity a need K of the target S has E[K] >= S / mu, so a row whose
-min(cap, S / mu) exceeds ``_HIT_BUDGET`` raises ValueError before its
-first draw; and the control per run, C = sum_j (W_j - mu min(K_j, cap)),
-has exact mean 0, min(K_j, cap) being a stopping time of sum j's rates
-and W_j the sum then, frozen while its run goes on.
+Every hit adds an i.i.d. rate of known mean mu = Tc E[R] and variance
+sigma^2 = Tc^2 Var(R) (``analytic._rated_gain_moments``; one user's law
+at Tc = 1 for a retransmission cycle).  By Wald's identity a need K of
+the target S has E[K] >= S / mu, so a row whose min(cap, S / mu) exceeds
+``_HIT_BUDGET`` raises ValueError before its first draw.  With m_j =
+min(K_j, cap), a stopping time of sum j's rates, and W_j the sum then,
+frozen while its run goes on, each run's C1 = sum_j (W_j - mu m_j) and
+C2 = sum_j [(W_j - mu m_j)^2 - sigma^2 m_j] have exact mean 0 by Wald's
+first and second identities (Gut, *Stopped Random Walks*, 2009).
 
 Each entry takes a ``simcore.SimConfig``, whose construction has
 already checked every setting, and a generator, which it reads only
@@ -81,22 +82,24 @@ def _check_slots(slots) -> None:
         raise ValueError("queue count G C(N, N/alpha), or a mean slot count, is not a finite float")
 
 
-def _hit_needs(config: "SimConfig", width: int, target: float, mean_rate: float,
+def _hit_needs(config: "SimConfig", width: int, target: float, tc: float, moments,
                advance, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Hits, an int array of shape (config.iterations, width), until each
-    of a run's ``width`` sums reaches ``target``, and each run's control,
-    a float array of shape (config.iterations,); ``advance(acc)`` returns
-    the next sums of the unfinished runs, each grown by a hit of mean
-    ``mean_rate``, a sum that has reached the target keeps its value, and
-    a sum still short after ``cap`` rounds reads cap + 1.  A row whose
-    min(cap, target / mean_rate) exceeds ``_HIT_BUDGET`` raises ValueError
-    (module docstring)."""
+    """Hits, an int array of shape (config.iterations, width), until each of
+    a run's ``width`` sums reaches ``target``, and the runs' (C1, C2), shape
+    (2, config.iterations); ``advance(acc)`` returns the next sums of the
+    unfinished runs, each grown by ``tc`` times a rate whose law has the
+    ``analytic._rated_gain_moments`` ``moments``, a sum that has reached the
+    target keeps its value, and one still short after ``cap`` rounds reads
+    cap + 1.  A row whose min(cap, target / mean rate) exceeds
+    ``_HIT_BUDGET`` raises ValueError (module docstring)."""
+    mean_rate = tc * moments[0]
     bound = min(cap, target / mean_rate if mean_rate > 0 else math.inf)
     if bound > _HIT_BUDGET:
         raise ValueError(f"a run needs at least {bound:.3g} hits on average, "
                          "min(cap, target / mean rate), over the budget of 2**20")
     needs = np.ones((config.iterations, width), dtype=np.int64)
-    sums = np.empty(needs.shape)
+    # a product with ones sums (or ors) over a short axis faster than a reduction
+    sums, ones = np.empty(needs.shape), np.ones(width)
     active, acc, rounds = np.arange(config.iterations), np.zeros(needs.shape), 0
     while active.size and rounds < cap:
         # a sum that has reached the target is frozen; a run's last round
@@ -106,20 +109,23 @@ def _hit_needs(config: "SimConfig", width: int, target: float, mean_rate: float,
         short = acc < target
         needs[active] += short
         sums[active] = acc
-        keep = short.any(axis=1)
+        keep = short[:, 0] if width == 1 else short @ ones > 0
         active, acc = active[keep], acc[keep]
     # a sum short at the cap reads cap + 1 and has taken cap hits
-    taken = needs.sum(axis=1) - (needs > cap).sum(axis=1)
-    return needs, sums.sum(axis=1) - mean_rate * taken
+    taken = np.minimum(needs, cap)
+    sums -= mean_rate * taken    # each sum's W_j - mu m_j
+    variance = tc * tc * (moments[4] - moments[0] ** 2)
+    squares = np.einsum("ij,ij->i", sums, sums) - variance * (taken @ ones)
+    return needs, np.stack((sums @ ones, squares))
 
 
 def _coupled_queue_delay(config: "SimConfig", rates, head=None) -> tuple[np.ndarray, np.ndarray]:
     """Mean slots, per run, until each of the tagged packet's coupled
     queues (cooperation is the alpha = 1 layout) has drained
-    ``config.packet_nats``, given the hits each queue needs, and each run's
-    control; ``rates(count)`` returns the service rates of ``count`` hits,
-    and ``head``, if given, the first of the first round's, which then
-    draws only the rest.  Two float arrays of shape (config.iterations,)."""
+    ``config.packet_nats``, given the hits each queue needs, shape
+    (config.iterations,), and the runs' (C1, C2); ``rates(count)`` returns
+    the service rates of ``count`` hits, and ``head``, if given, the first
+    of the first round's, which then draws only the rest."""
     n, coupled = config.n_users, config.alpha or 1
     queues = config.n_groups * math.comb(n, n // coupled)
     _check_slots(queues)
@@ -136,12 +142,12 @@ def _coupled_queue_delay(config: "SimConfig", rates, head=None) -> tuple[np.ndar
         return acc + tc * drawn.reshape(acc.shape)
 
     law = (n, config.alpha, config.power, config.n_groups, config.antennas)
-    needs, control = _hit_needs(config, coupled, config.packet_nats,
-                                tc * analytic._rated_gain_moments(*law)[0], advance)
+    needs, controls = _hit_needs(config, coupled, config.packet_nats, tc,
+                                 analytic._rated_gain_moments(*law), advance)
     with np.errstate(over="ignore"):    # an overflow reads inf, rejected below
         slots = analytic.coupon_collector_expected_picks(queues, needs)
     _check_slots(slots)
-    return slots, control
+    return slots, controls
 
 
 def tagged_delay_static(config: "SimConfig", rng: np.random.Generator,
@@ -149,38 +155,38 @@ def tagged_delay_static(config: "SimConfig", rng: np.random.Generator,
     """Mean slots, per run, until a tagged packet leaves all alpha coupled
     queues under the fixed-fraction scheduler's queue layout, given the
     hits each queue needs, with ``config.antennas`` transmit antennas
-    behind every rate, and each run's control.  Returns two float arrays
-    of shape (config.iterations,).  ``head`` is the first round's head
-    (module docstring)."""
+    behind every rate, and each run's two controls.  Returns float arrays
+    of shape (config.iterations,) and (2, config.iterations).  ``head`` is
+    the first round's head (module docstring)."""
     return _coupled_queue_delay(
         config, lambda count: schedulers.slot_rates(config, count, rng), head)
 
 
 def ir_renewal_cycle(config: "SimConfig", rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Renewal cycles of the retransmission scheme: (attempts, decoded,
-    control), integer, boolean and float arrays of shape
-    (config.iterations,), the control over the users' capped needs.
+    controls), arrays of shape (config.iterations,) and the (C1, C2) over
+    the users' capped needs, shape (2, config.iterations).
 
     A cycle decodes once every user's accumulated information reaches
     the rate target, and fails when the attempt cap comes first.  Each
     attempt is one ``schedulers.ir_advance`` call on the unfinished cycles."""
     cap = config.attempt_cap or math.inf
-    needs, control = _hit_needs(
-        config, config.n_users, config.rate_target,
-        analytic._rated_gain_moments(1, 1, config.power, 1, 1)[0],
+    needs, controls = _hit_needs(
+        config, config.n_users, config.rate_target, 1.0,
+        analytic._rated_gain_moments(1, 1, config.power, 1, 1),
         lambda acc: schedulers.ir_advance(acc, config, rng), cap)
     attempts = needs.max(axis=1)
     decoded = attempts <= cap
     # a cycle short at the cap reads cap + 1 and has taken cap attempts
-    return attempts - ~decoded, decoded, control
+    return attempts - ~decoded, decoded, controls
 
 
 def tagged_delay_coop(config: "SimConfig", rng: np.random.Generator,
                       head: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Mean slots, per run, until a cooperative transmission delivers the
     packet to all users of the tagged group, given the hits it needs, and
-    each run's control.  Returns two float arrays of shape
-    (config.iterations,).  ``head`` is the first round's head (module
+    each run's two controls, float arrays of shape (config.iterations,) and
+    (2, config.iterations).  ``head`` is the first round's head (module
     docstring); with one queue per run it is the whole first round.
 
     A slot reaches every user of the group it serves, so the group keeps a

@@ -24,6 +24,8 @@ Rates are in nats per channel use.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from mcastsim import analytic, channel
@@ -53,11 +55,19 @@ def static_schedule(gains, power: float) -> np.ndarray:
     return np.log1p(power * g)
 
 
+def _best_group(values) -> np.ndarray:
+    """The largest of ``values`` over its last axis of G groups, as an axis of
+    length 1, by G - 1 maxima of columns: far faster than a reduction."""
+    values = np.asarray(values, dtype=float)
+    columns = (values[..., group:group + 1] for group in range(1, values.shape[-1]))
+    return functools.reduce(np.maximum, columns, values[..., :1])
+
+
 def multigroup_static_schedule(gains, power: float) -> np.ndarray:
     """Fixed-fraction rates over scheduled gains of shape ``[..., G]``:
     each slot serves the group whose scheduled gain is largest, rated once,
     as log(1 + P g) is increasing in g."""
-    return static_schedule(np.max(gains, axis=-1, keepdims=True), power)[..., 0]
+    return static_schedule(_best_group(gains), power)[..., 0]
 
 
 def ir_advance(accumulated, config: "SimConfig", rng: np.random.Generator) -> np.ndarray:
@@ -110,5 +120,5 @@ def slot_rates(config: "SimConfig", count: int, rng: np.random.Generator) -> np.
     gains = channel.draw_scheduled_gains(n, position, shape, config.antennas, rng)
     if config.family == "coop":
         relay = channel.draw_interuser_gains(n, shape, rng)
-        return cooperative_schedule(gains, relay, n, power).max(axis=-1)
+        return _best_group(cooperative_schedule(gains, relay, n, power))[..., 0]
     return multigroup_static_schedule(gains, power)

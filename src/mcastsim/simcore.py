@@ -4,8 +4,8 @@ Estimates per-slot throughput and tagged-packet delay with standard
 errors, and attaches analytic references where the law is known: the
 static and cooperative throughputs, whose estimate takes the slot's
 rated gain as a control variate with exact moments.  Every delay, and
-the retransmission throughput, regresses on the engine's per-run Wald
-control, whose exact mean is 0 (``queueing``).  A row draws from one
+the retransmission throughput, regresses on the engine's two per-run
+Wald controls, of exact mean 0 (``queueing``).  A row draws from one
 generator derived from its config seed, so identical configs give
 bit-identical records, and each draw serves both metrics: the
 retransmission scheme's throughput and delay come from one set of
@@ -120,24 +120,33 @@ def _mean_se(values, controls) -> tuple[float, float]:
     """Mean of ``values`` and its SE, reduced as deviations from the first
     value in units of the largest deviation, which cannot overflow where
     the values are finite; identical values give exactly (value, 0).  From
-    3 values on, ``controls`` of exact mean 0 and nonzero spread are a
-    control variate: mean(V) - beta mean(C) for the fitted beta =
-    Cov(V, C)/Var(C), with the residuals' SD (ddof 2) over sqrt(n) as SE."""
+    16 k runs on (a fit from fewer can put a delay below one slot) the first
+    k rows of ``controls``, each of exact mean 0, are control variates, less
+    any without spread: mean(V) - beta . mean(C) for the least-squares beta,
+    from one Gram product of (C, V, 1) in plain floats, with the residuals'
+    SD (ddof 1 + the rows fitted) over sqrt(n) as SE."""
     values = np.asarray(values, dtype=float)
-    first = float(values[0])
-    deviations = values - first
+    first, n = float(values[0]), values.size
+    k = min(len(controls), n // 16)
+    rows = np.empty((k + 2, n))
+    rows[:k], rows[-1] = controls[:k], 1.0
+    deviations = np.subtract(values, first, out=rows[k])
     scale = float(np.abs(deviations).max())
     if scale == 0.0:
         return first, 0.0
     deviations /= scale
+    *gram, sums = (rows @ rows.T).tolist()
+    means = [total / n for total in sums[:-1]]
+    cov = [[g - n * a * b for g, b in zip(row, means)] for row, a in zip(gram, means)] + [means]
+    # eliminating the controls leaves V's residual squares and intercept in its column
     ddof = 1
-    if values.size >= 3:
-        centred = controls - controls.mean()
-        if (var_c := float(centred @ centred)) > 0.0:
-            deviations -= float(deviations @ centred) / var_c * controls
-            ddof = 2
-    se = scale * float(deviations.std(ddof=ddof)) / math.sqrt(values.size)
-    return first + scale * float(deviations.mean()), se
+    for p in range(k):
+        if (pivot := cov[p][p]) > 0.0:
+            ddof += 1
+            for row in cov[p + 1:]:
+                row[p + 1:] = [a - row[p] / pivot * b for a, b in zip(row[p + 1:], cov[p][p + 1:])]
+    rss, mean = cov[k][k], cov[k + 1][k]
+    return first + scale * mean, scale * math.sqrt(max(rss, 0.0) / (n - ddof) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +190,18 @@ def _slot_throughput(config: SimConfig, rng) -> tuple[MetricsRecord, np.ndarray]
 
 def _ir_estimates(config: SimConfig) -> MetricsRecord:
     """Throughput and delay of the retransmission scheme from one set of
-    renewal cycles, each controlled mean on the cycles' Wald control.  The
+    renewal cycles, each controlled mean on the cycles' Wald controls.  The
     delay is the mean attempts tau, capped at the attempt cap; the
     throughput is the renewal reward N R mean(decoded) / mean(tau), with
     the ratio estimator's SE, SE(decoded - ratio tau) / mean(tau).  Without a
     cap every cycle decodes, so throughput x delay is N R and the two
     relative SEs are equal."""
-    taus, decoded, control = queueing.ir_renewal_cycle(config, _rng_for(config.seed))
+    taus, decoded, controls = queueing.ir_renewal_cycle(config, _rng_for(config.seed))
     reward = config.n_users * config.rate_target
     taus, decoded = taus.astype(float), decoded.astype(float)
-    tau_mean, tau_se = _mean_se(taus, control)
-    ok_mean, _ = _mean_se(decoded, control)
-    _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus, control)
+    tau_mean, tau_se = _mean_se(taus, controls)
+    ok_mean, _ = _mean_se(decoded, controls)
+    _, residual_se = _mean_se(decoded - ok_mean / tau_mean * taus, controls)
     return MetricsRecord(throughput_mean=reward * ok_mean / tau_mean,
                          throughput_se=reward * residual_se / tau_mean,
                          delay_mean=tau_mean, delay_se=tau_se)
@@ -220,8 +229,8 @@ def _control_variate_mean_se(values, controls, moments) -> tuple[float, float]:
 
 def estimate_delay(config: SimConfig) -> MetricsRecord:
     """Mean tagged-packet delay in slots (attempts for the retransmission
-    scheme) over config.iterations independent runs, with each run's Wald
-    control as a control variate.  The record also carries the throughput
+    scheme) over config.iterations independent runs, with each run's two
+    Wald controls as control variates.  The record also carries the throughput
     of the same draws, bit for bit ``estimate_throughput``'s: the
     retransmission scheme's cycles give both, and the queue schemes draw
     the config.iterations slot rates of ``estimate_throughput`` and hand
@@ -230,14 +239,14 @@ def estimate_delay(config: SimConfig) -> MetricsRecord:
     if config.family == "ir":
         return _ir_estimates(config)
     rng = _rng_for(config.seed)
-    # the throughput integrates the rated-gain law, whose cached first
-    # moment the engine's control reads
+    # the throughput integrates the rated-gain law, whose cached moments
+    # the engine's controls read
     record, head = _slot_throughput(config, rng)
     if config.family == "static":
-        delays, control = queueing.tagged_delay_static(config, rng, head)
+        delays, controls = queueing.tagged_delay_static(config, rng, head)
     else:
-        delays, control = queueing.tagged_delay_coop(config, rng, head)
-    record.delay_mean, record.delay_se = _mean_se(delays, control)
+        delays, controls = queueing.tagged_delay_coop(config, rng, head)
+    record.delay_mean, record.delay_se = _mean_se(delays, controls)
     return record
 
 

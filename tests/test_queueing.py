@@ -190,8 +190,11 @@ def test_engines_are_deterministic():
                 _config("ir", 6, rate_target=1.0, attempt_cap=4, iterations=500), rng),
         )
 
-    for first, second in zip(runs(171), runs(171)):
-        assert first.shape == (500,) and np.array_equal(first, second)
+    # per run: the static delays and (C1, C2) controls, the coop ones, and
+    # the attempts, decoded flags and controls of the cycles
+    shapes = [(500,), (2, 500)] * 2 + [(500,), (500,), (2, 500)]
+    for first, second, shape in zip(runs(171), runs(171), shapes, strict=True):
+        assert first.shape == shape and np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +433,10 @@ def test_mean_need_is_at_least_target_over_mean_rate(monkeypatch, scheme, settin
     seen = []
     real = queueing._hit_needs
 
-    def spy(config, width, target, rate, advance, cap=math.inf):
-        needs, control = real(config, width, target, rate, advance, cap)
-        seen.append((needs, target, rate))
-        return needs, control
+    def spy(config, width, target, tc, moments, advance, cap=math.inf):
+        needs, controls = real(config, width, target, tc, moments, advance, cap)
+        seen.append((needs, target, tc * moments[0]))
+        return needs, controls
 
     monkeypatch.setattr(queueing, "_hit_needs", spy)
     simcore.run_config(_config(scheme, n, iterations=500, seed=3500 + n, **settings))
